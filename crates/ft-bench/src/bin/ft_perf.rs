@@ -29,7 +29,7 @@
 //! u32-packed layout) against collect-into-a-`MessageSet` +
 //! `run_to_completion` on the wide layout, at n ∈ {2¹⁷, 2¹⁸} for
 //! permutation and random2 plus a streamed-only n = 2²⁰ permutation cell;
-//! at n = 2¹⁷ random2 the streamed+packed side must win by ≥ 1.15×.
+//! at n = 2¹⁷ random2 the streamed+packed side must win by ≥ 2.5×.
 //! All bench workloads are sourced from `ft-workloads` — the same seeded
 //! generators the CLI, tests, and experiments use.
 //!
@@ -868,14 +868,15 @@ fn main() {
         }
     }
 
-    // The large_n gate pins the tentpole win: at n = 2^17 random2 the
-    // streamed+packed engine must beat the collect-then-run wide path by
-    // 1.15x end to end. The narrow layout halves the bytes the level passes
-    // touch per message and the streamed ingest never builds the 2n-entry
-    // message vector, so the target holds with margin on the benchmark host
-    // (see EXPERIMENTS.md E18 for recorded values).
+    // The large_n gate pins the streamed tier's win: at n = 2^17 random2
+    // the streamed+packed engine must beat the collect-then-run wide path
+    // by 2.5x end to end. The default config runs two fused sweeps over
+    // half-width metadata and never builds the 2n-entry message vector,
+    // while the wide side keeps the per-level table walk; the duel measured
+    // 3.16x when the fused down sweep landed, and the gate is 0.8 x that,
+    // rounded down to 0.05 (see EXPERIMENTS.md E18 for recorded values).
     {
-        let target = 1.15;
+        let target = 2.5;
         let gate = h
             .large_n
             .iter()

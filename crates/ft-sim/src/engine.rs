@@ -17,15 +17,27 @@
 //! # Engine structure
 //!
 //! All per-cycle state lives in a reusable [`SimArena`]. Per-message
-//! metadata (alive, local, LCA level, both leaves) is packed into one u64
-//! word, so each level pass streams two flat arrays instead of chasing hash
-//! maps. The serial path scatters each pass's contenders straight into a
-//! generation-stamped (node, slot) table and arbitrates by walking it —
-//! ascending-slot order falls out of the layout, with no sorting and no
-//! intermediate bucket arrays. Every scratch buffer is grow-only, so a
-//! steady-state [`run_to_completion`] does no per-cycle heap allocation on
-//! the ideal-switch path (asserted by `tests/alloc_steady.rs`; partial
+//! metadata (alive, local, LCA level, leaves) is packed into one u64 or u32
+//! word, so each pass streams flat arrays instead of chasing hash maps.
+//! Every scratch buffer is grow-only, so a steady-state
+//! [`run_to_completion`] does no per-cycle heap allocation on the
+//! ideal-switch path (asserted by `tests/alloc_steady.rs`; partial
 //! concentrators run Hopcroft–Karp matchings, which allocate).
+//!
+//! A cycle runs one of two bodies, chosen from the configuration alone:
+//!
+//! * **Fused sweeps** ([`SimConfig::default`]: narrow metadata, serial,
+//!   ideal switches, slot-order arbitration). Slot order on every channel
+//!   is the restriction of one global list — source order going up, (turn
+//!   level, source) order coming down — so each phase is a single sweep
+//!   that tests and bumps per-channel counters: no slot table, no buckets,
+//!   no per-level scans (`SimArena::up_phase_fused` /
+//!   `SimArena::down_phase_fused` carry the proofs).
+//! * **Level passes** (wide metadata, partial switches, random arbitration,
+//!   `threads > 1`, and the shard phases). The serial path scatters each
+//!   pass's contenders straight into a generation-stamped (node, slot)
+//!   table and arbitrates by walking it — ascending-slot order falls out of
+//!   the layout, with no sorting and no intermediate bucket arrays.
 //!
 //! Because sibling subtrees use disjoint channels, the per-node arbitration
 //! of one level is embarrassingly parallel: with [`SimConfig::threads`] > 1
@@ -42,7 +54,8 @@ use crate::node::PortSwitch;
 use ft_concentrator::{Concentrator, MatchingArena};
 use ft_core::rng::splitmix64;
 use ft_core::{ChannelId, FatTree, GenTable, LoadMap, Message, MessageSet, MessageStream};
-use ft_telemetry::{NoopRecorder, Recorder};
+use ft_telemetry::{EnginePhase, NoopRecorder, Recorder};
+use std::time::Instant;
 
 /// Re-export for configuration convenience.
 pub use crate::node::SwitchFlavor as SwitchKind;
@@ -164,12 +177,12 @@ const CROSSED: u32 = u32::MAX;
 //   `SimArena::new`) — far beyond any simulable size; the reference engine
 //   has no such limit.
 // * **narrow (u32)**: bit 0 alive, bit 1 local, bits 2..7 LCA level,
-//   bits 7..28 *one* leaf — the one the current phase keys on (source while
-//   climbing, destination while descending). The other leaf waits in the
-//   side array `SimArena::peer32`; a sequential flip swaps the two at the
-//   up→down turn (and back when compacting retries). 21-bit leaf fields fit
-//   `height ≤ 20` (n ≤ 2²⁰), and every level pass streams 4 bytes per
-//   message instead of 8.
+//   bits 7..28 *one* leaf — the source, except inside the per-level down
+//   passes, which swap in the destination and swap it back out when they
+//   finish. The other leaf waits in the side array `SimArena::peer32` (the
+//   fused down sweep reads destinations from there and never swaps).
+//   21-bit leaf fields fit `height ≤ 20` (n ≤ 2²⁰), and every pass streams
+//   4 bytes per message instead of 8.
 //
 // Both layouts feed identical (slot, arbitration-id) pairs to identical
 // bucket arbitration, so outcomes are byte-identical — pinned by the golden
@@ -365,34 +378,6 @@ impl MsgSource for SliceSource<'_> {
     }
 }
 
-/// Pass-scan driver: either the full metadata slice or a pre-filtered
-/// ascending live-index list. Both yield `(index, word)` in ascending index
-/// order — the stable bucket fill depends on it.
-enum Scan<'a, W> {
-    All(std::iter::Enumerate<std::slice::Iter<'a, W>>),
-    Active(std::slice::Iter<'a, u32>, &'a [W]),
-}
-
-impl<W: Copy> Iterator for Scan<'_, W> {
-    type Item = (usize, W);
-
-    #[inline]
-    fn next(&mut self) -> Option<(usize, W)> {
-        match self {
-            Scan::All(it) => it.next().map(|(i, &m)| (i, m)),
-            Scan::Active(it, meta) => it.next().map(|&i| (i as usize, meta[i as usize])),
-        }
-    }
-}
-
-#[inline]
-fn scan<'a, W: Copy>(meta: &'a [W], active: Option<&'a [u32]>) -> Scan<'a, W> {
-    match active {
-        Some(list) => Scan::Active(list.iter(), meta),
-        None => Scan::All(meta.iter().enumerate()),
-    }
-}
-
 struct StreamSource<'a>(&'a dyn MessageStream);
 
 impl MsgSource for StreamSource<'_> {
@@ -474,10 +459,11 @@ pub struct SimArena {
     meta: Vec<u64>,
     /// Narrow-layout metadata words (plain cycles with `narrow` set).
     meta32: Vec<u32>,
-    /// Narrow layout only: the off-phase leaf of each message (destination
-    /// while climbing, source while descending).
+    /// Narrow layout only: the leaf not resident in the word — the
+    /// destination, except inside the per-level down passes.
     peer32: Vec<u32>,
-    /// Current wire (rank) on the message's most recent channel.
+    /// Current wire (rank) on the message's most recent channel. Read by
+    /// the per-level passes only; the fused sweeps never need it.
     wire: Vec<u32>,
     /// Arbitration identity of each message. For plain cycles this is the
     /// identity map (position in the submitted slice, matching the
@@ -487,12 +473,14 @@ pub struct SimArena {
     ids: Vec<u32>,
     /// Indices of the messages participating in the current pass.
     eligible: Vec<u32>,
-    /// Narrow cycles only: surviving message indices counting-sorted by
-    /// destination leaf at the up→down turn. Driving the down passes from
-    /// this list keeps every down-phase slot-table fill an ascending sweep
-    /// (ingest order is source-major, so the raw scan would scatter) and
-    /// skips injection overflow and up-phase corpses.
+    /// Fused cycles only: the injected (alive, non-local) message indices
+    /// counting-sorted by source leaf, ascending index within a leaf — the
+    /// order both fused sweeps are defined over.
     live: Vec<u32>,
+    /// Fused cycles only: the up-phase survivors as `dst_leaf << 32 | index`
+    /// words, stable-bucketed from `live` by LCA level (root first) — the
+    /// order ≺ of [`Self::down_phase_fused`].
+    turn: Vec<u64>,
     // --- counting-sort state (parallel path) ---
     per_leaf: Vec<u32>,
     offsets: Vec<u32>,
@@ -507,9 +495,6 @@ pub struct SimArena {
     tbl: GenTable,
     /// Per-bucket `count << 32 | min_slot`, rebuilt densely each pass.
     bucket_meta: Vec<u64>,
-    /// `(slot, message)` contenders of the bucket currently open in a
-    /// run-based pass (see [`Self::level_pass_serial_runs`]).
-    run: Vec<(u32, u32)>,
     /// Per-thread arbitration scratch.
     scratch: Vec<ArbScratch>,
     // --- per-cycle outputs ---
@@ -557,6 +542,7 @@ impl SimArena {
             ids: Vec::new(),
             eligible: Vec::new(),
             live: Vec::new(),
+            turn: Vec::new(),
             per_leaf: vec![0; n as usize],
             offsets: Vec::with_capacity(n as usize + 1),
             cursor: Vec::with_capacity(n as usize),
@@ -565,7 +551,6 @@ impl SimArena {
             bucket_out: Vec::new(),
             tbl: GenTable::new(),
             bucket_meta: Vec::new(),
-            run: Vec::new(),
             scratch: Vec::new(),
             delivered: Vec::new(),
             dropped: Vec::new(),
@@ -626,13 +611,7 @@ impl SimArena {
         cfg: &SimConfig,
         rec: &mut R,
     ) -> CycleStats {
-        let stats = self.cycle_inner(ft, msgs, cfg);
-        if R::ENABLED {
-            for c in ft.channels() {
-                rec.channel_load(c.level(), self.channel_use.get(c), ft.cap(c));
-            }
-        }
-        stats
+        self.cycle_source(ft, &SliceSource(msgs), cfg, rec)
     }
 
     /// Run one delivery cycle of a lazily generated stream: metadata is
@@ -663,23 +642,40 @@ impl SimArena {
         if R::ENABLED {
             rec.stream_ingest(stream.family(), stream.len() as u64);
         }
+        self.cycle_source(ft, &StreamSource(stream), cfg, rec)
+    }
+
+    /// One cycle from either message source on this arena's metadata width,
+    /// then (recorder enabled) the per-channel loads.
+    fn cycle_source<M: MsgSource + ?Sized, R: Recorder>(
+        &mut self,
+        ft: &FatTree,
+        src: &M,
+        cfg: &SimConfig,
+        rec: &mut R,
+    ) -> CycleStats {
         let stats = if self.narrow {
             let mut meta = std::mem::take(&mut self.meta32);
-            let s = self.cycle_generic(ft, &StreamSource(stream), cfg, &mut meta);
+            let s = self.cycle_generic(ft, src, cfg, &mut meta, rec);
             self.meta32 = meta;
             s
         } else {
             let mut meta = std::mem::take(&mut self.meta);
-            let s = self.cycle_generic(ft, &StreamSource(stream), cfg, &mut meta);
+            let s = self.cycle_generic(ft, src, cfg, &mut meta, rec);
             self.meta = meta;
             s
         };
         if R::ENABLED {
-            for c in ft.channels() {
-                rec.channel_load(c.level(), self.channel_use.get(c), ft.cap(c));
-            }
+            self.record_loads(ft, rec);
         }
         stats
+    }
+
+    /// Feed every channel's load of the last cycle to the recorder.
+    fn record_loads<R: Recorder>(&self, ft: &FatTree, rec: &mut R) {
+        for c in ft.channels() {
+            rec.channel_load(c.level(), self.channel_use.get(c), ft.cap(c));
+        }
     }
 
     /// Fill per-message metadata, arbitration ids (`None` = identity map,
@@ -737,8 +733,8 @@ impl SimArena {
 
     /// Injection: each processor assigns its (alive, non-local) messages to
     /// leaf up-wires in submission order; overflow beyond the leaf channel
-    /// capacity dies immediately. Metadata words must hold the source leaf
-    /// (fresh from a load, or flipped back by retry compaction).
+    /// capacity dies immediately. Metadata words hold the source leaf
+    /// (narrow words carry the destination only inside the down passes).
     fn inject<W: MetaWord>(&mut self, meta: &mut [W]) {
         self.per_leaf.fill(0);
         self.channel_use.clear();
@@ -761,91 +757,76 @@ impl SimArena {
         }
     }
 
-    fn cycle_inner(&mut self, ft: &FatTree, msgs: &[Message], cfg: &SimConfig) -> CycleStats {
-        if self.narrow {
-            let mut meta = std::mem::take(&mut self.meta32);
-            let stats = self.cycle_generic(ft, &SliceSource(msgs), cfg, &mut meta);
-            self.meta32 = meta;
-            stats
-        } else {
-            let mut meta = std::mem::take(&mut self.meta);
-            let stats = self.cycle_generic(ft, &SliceSource(msgs), cfg, &mut meta);
-            self.meta = meta;
-            stats
-        }
-    }
-
-    fn cycle_generic<W: MetaWord, M: MsgSource + ?Sized>(
+    fn cycle_generic<W: MetaWord, M: MsgSource + ?Sized, R: Recorder>(
         &mut self,
         ft: &FatTree,
         src: &M,
         cfg: &SimConfig,
         meta: &mut Vec<W>,
+        rec: &mut R,
     ) -> CycleStats {
         debug_assert_eq!(self.n, ft.n(), "arena built for a different tree");
         debug_assert_eq!(
             self.faults, cfg.faults,
             "arena built for a different fault pattern"
         );
+        let mut clock = PhaseClock::start::<R>();
         self.load_generic(ft, src, None, meta);
-        self.passes_and_settle(ft, cfg, meta)
+        clock.lap(rec, EnginePhase::Ingest);
+        self.passes_and_settle(ft, cfg, meta, rec)
     }
 
-    /// Run the level passes of one injected cycle and settle the outcome
-    /// (delivered/dropped lists, cycle ticks). Shared by fresh cycles and
-    /// streamed-retry cycles.
-    fn passes_and_settle<W: MetaWord>(
+    /// Run the up and down phases of one injected cycle and settle the
+    /// outcome (delivered/dropped lists, cycle ticks). Shared by fresh
+    /// cycles and streamed-retry cycles.
+    ///
+    /// Two bodies, chosen from the configuration alone:
+    ///
+    /// * **Fused sweeps** — narrow metadata, `threads ≤ 1`, ideal switches,
+    ///   slot-order arbitration (i.e. [`SimConfig::default`]): one counting
+    ///   sort of the injected messages by source leaf, then
+    ///   [`Self::up_phase_fused`] and [`Self::down_phase_fused`], each a
+    ///   single sweep against per-channel counters.
+    /// * **Level passes** — everything else (wide metadata, partial
+    ///   switches, random arbitration, `threads > 1`): one
+    ///   [`Self::level_pass`] per level and direction over a plain scan of
+    ///   the metadata. Narrow words carry one leaf, so the destination is
+    ///   swapped in for the down passes and back out afterwards — outside
+    ///   those passes a narrow word always holds its source leaf.
+    fn passes_and_settle<W: MetaWord, R: Recorder>(
         &mut self,
         ft: &FatTree,
         cfg: &SimConfig,
         meta: &mut [W],
+        rec: &mut R,
     ) -> CycleStats {
         let height = self.height;
-
-        // --- Up phase (deepest node level first), then down phase. Narrow
-        // words carry one leaf: swap in the destination at the turn.
-        //
-        // Narrow cycles counting-sort the survivors by the phase key leaf
-        // (source after injection, destination at the turn) and drive the
-        // passes from that list. A key-sorted scan visits each bucket's
-        // contenders contiguously at every level, which keeps slot-table
-        // fills ascending instead of scattering across a table bigger than
-        // L2 — and at deep levels lets the pass skip the table entirely
-        // and arbitrate run-by-run out of the scan (see
-        // [`Self::level_pass_serial_runs`]). The list also skips injection
-        // overflow and up-phase corpses. Outcomes are byte-identical:
-        // slots within a bucket are distinct, so arbitration never depends
-        // on scan order (pinned by the goldens). The wide layout keeps the
-        // plain scan — it is the shard/compat path and the bench baseline.
-        let mut live = std::mem::take(&mut self.live);
-        let list = W::NARROW;
-        if list {
-            sort_eligible(meta, true, self.n, &mut self.offsets, &mut live);
-        }
-        // Ideal switches with slot-order arbitration admit a fully fused up
-        // phase over the source-sorted list (see [`Self::up_phase_fused`]);
-        // every other configuration runs the per-level passes.
-        let fused_up = list
+        let fused = W::NARROW
             && cfg.threads <= 1
             && matches!(cfg.switch, SwitchKind::Ideal)
             && matches!(cfg.arbitration, Arbitration::SlotOrder);
-        if fused_up {
+        let mut clock = PhaseClock::start::<R>();
+        if fused {
+            let mut live = std::mem::take(&mut self.live);
+            sort_by_source(meta, self.n, &mut self.offsets, &mut live);
+            clock.lap(rec, EnginePhase::SourceSort);
             self.up_phase_fused(ft, meta, &live);
+            clock.lap(rec, EnginePhase::UpSweep);
+            self.down_phase_fused(ft, meta, &live);
+            clock.lap(rec, EnginePhase::DownSweep);
+            self.live = live;
         } else {
             for node_level in (0..height).rev() {
-                self.level_pass(ft, cfg, true, node_level, meta, list.then_some(&live[..]));
+                self.level_pass(ft, cfg, true, node_level, meta);
             }
-        }
-        if W::NARROW {
-            for (m, p) in meta.iter_mut().zip(self.peer32.iter_mut()) {
-                (*m, *p) = m.flip(*p);
+            clock.lap(rec, EnginePhase::UpSweep);
+            self.flip_leaves(meta);
+            for node_level in 0..height {
+                self.level_pass(ft, cfg, false, node_level, meta);
             }
-            sort_eligible(meta, false, self.n, &mut self.offsets, &mut live);
+            self.flip_leaves(meta);
+            clock.lap(rec, EnginePhase::DownSweep);
         }
-        for node_level in 0..height {
-            self.level_pass(ft, cfg, false, node_level, meta, list.then_some(&live[..]));
-        }
-        self.live = live;
 
         // --- Bookkeeping.
         self.delivered.clear();
@@ -864,30 +845,43 @@ impl SimArena {
                 self.dropped.push(i as u32);
             }
         }
+        clock.lap(rec, EnginePhase::Settle);
         CycleStats {
             delivered: self.delivered.len(),
             ticks: max_latency,
         }
     }
 
+    /// Narrow layout: swap every word's resident leaf with its peer
+    /// (source ↔ destination). Identity for the wide layout.
+    fn flip_leaves<W: MetaWord>(&mut self, meta: &mut [W]) {
+        if W::NARROW {
+            for (m, p) in meta.iter_mut().zip(self.peer32.iter_mut()) {
+                (*m, *p) = m.flip(*p);
+            }
+        }
+    }
+
     /// One retry cycle over the survivors left in the arena by
     /// [`Self::compact_retry`]: re-inject from the already-packed metadata
     /// (no stream replay, no message rebuild) and run the passes.
-    fn retry_cycle<W: MetaWord>(
+    fn retry_cycle<W: MetaWord, R: Recorder>(
         &mut self,
         ft: &FatTree,
         cfg: &SimConfig,
         meta: &mut [W],
+        rec: &mut R,
     ) -> CycleStats {
+        let mut clock = PhaseClock::start::<R>();
         self.inject(meta);
-        self.passes_and_settle(ft, cfg, meta)
+        clock.lap(rec, EnginePhase::Ingest);
+        self.passes_and_settle(ft, cfg, meta, rec)
     }
 
     /// Between streamed delivery cycles: emit delivered original indices
     /// (via `orig`, the position → original-index map) and compact the
-    /// survivors' metadata in place, preserving FIFO retry order. Narrow
-    /// words are flipped back so they hold the source leaf again, dead
-    /// words are revived, and the arbitration ids are reset to the identity
+    /// survivors' metadata in place, preserving FIFO retry order. Dead
+    /// words are revived and the arbitration ids are reset to the identity
     /// over the compacted range — exactly the state a fresh
     /// [`run_to_completion`] load would produce for the same pending set,
     /// which is what keeps the streamed path byte-identical. Returns the
@@ -905,13 +899,10 @@ impl SimArena {
             if d.next_if(|&&di| di as usize == i).is_some() {
                 delivery_order.push(orig[i] as usize);
             } else {
-                let mut m = meta[i].revive();
+                meta[w] = meta[i].revive();
                 if W::NARROW {
-                    let (m2, p2) = m.flip(self.peer32[i]);
-                    m = m2;
-                    self.peer32[w] = p2;
+                    self.peer32[w] = self.peer32[i];
                 }
-                meta[w] = m;
                 orig[w] = orig[i];
                 w += 1;
             }
@@ -931,10 +922,6 @@ impl SimArena {
     /// One level pass: counting-sort the contenders into per-node buckets,
     /// arbitrate every bucket (in parallel for `cfg.threads > 1`), then
     /// scatter the surviving wire assignments back.
-    ///
-    /// `active` — when present — is an ascending pre-filter of live message
-    /// indices; only those are scanned for eligibility (ascending order
-    /// keeps the stable bucket fill identical to a full scan).
     fn level_pass<W: MetaWord>(
         &mut self,
         ft: &FatTree,
@@ -942,7 +929,6 @@ impl SimArena {
         up: bool,
         node_level: u32,
         meta: &mut [W],
-        active: Option<&[u32]>,
     ) {
         let height = self.height;
         // Bucket keys: the switching node for the up phase, the destination
@@ -975,16 +961,7 @@ impl SimArena {
         let sw_idx = self.port_index(cfg.switch, r, s);
         let threads = cfg.threads.max(1).min(nk);
         if threads <= 1 {
-            // Key-sorted active lists arbitrate straight out of the scan
-            // where runs stay short (`r` bounds the bucket size); fat
-            // channels keep the slot-table walk, which beats sorting a
-            // root-sized run.
-            match active {
-                Some(list) if r <= RUN_ARB_MAX_R => {
-                    self.level_pass_serial_runs(cfg, &params, sw_idx, shift, meta, list);
-                }
-                _ => self.level_pass_serial(cfg, &params, sw_idx, r, shift, nk, meta, active),
-            }
+            self.level_pass_serial(cfg, &params, sw_idx, r, shift, nk, meta);
             return;
         }
 
@@ -992,7 +969,7 @@ impl SimArena {
         self.offsets.clear();
         self.offsets.resize(nk + 1, 0);
         self.eligible.clear();
-        for (i, m) in scan(meta, active) {
+        for (i, &m) in meta.iter().enumerate() {
             if !m.eligible() {
                 continue;
             }
@@ -1116,7 +1093,7 @@ impl SimArena {
     /// always run the wide layout regardless of [`SimConfig::meta`]).
     fn level_pass_wide(&mut self, ft: &FatTree, cfg: &SimConfig, up: bool, node_level: u32) {
         let mut meta = std::mem::take(&mut self.meta);
-        self.level_pass(ft, cfg, up, node_level, &mut meta, None);
+        self.level_pass(ft, cfg, up, node_level, &mut meta);
         self.meta = meta;
     }
 }
@@ -1145,7 +1122,6 @@ impl SimArena {
         shift: u32,
         nk: usize,
         meta: &mut [W],
-        active: Option<&[u32]>,
     ) {
         self.tbl.begin(nk * r);
         // Bucket table: `count << 32 | min_slot` per node, empty =
@@ -1156,7 +1132,7 @@ impl SimArena {
 
         let (up, node_level, lo) = (params.up, params.node_level, params.lo);
         let mut any = false;
-        for (i, m) in scan(meta, active) {
+        for (i, &m) in meta.iter().enumerate() {
             if !m.eligible() {
                 continue;
             }
@@ -1325,37 +1301,29 @@ impl SimArena {
     /// depends only on how many earlier-in-list survivors share its node,
     /// never on later contenders. One counter per level therefore replaces
     /// the per-level scan/fill/arbitrate machinery: each message walks its
-    /// own climb (levels `height-1 ..= lca+1`), loses at the first full
-    /// channel, and otherwise records its final wire (its rank on the
-    /// channel into the LCA). Channel loads settle per (level, node) when
-    /// the sweep leaves the node's contiguous span. Byte-identical to the
-    /// per-level passes — the goldens and the narrow/wide equality tests
-    /// pin it.
+    /// own climb (levels `height-1 ..= lca+1`) and loses at the first full
+    /// channel. Channel loads settle per (level, node) when the sweep
+    /// leaves the node's contiguous span. No wire is recorded: a
+    /// survivor's rank on the channel into its LCA is its position among
+    /// the survivors that share that channel, which is all
+    /// [`Self::down_phase_fused`] needs. Byte-identical to the per-level
+    /// passes — the goldens and the narrow/wide equality tests pin it.
     fn up_phase_fused<W: MetaWord>(&mut self, ft: &FatTree, meta: &mut [W], list: &[u32]) {
         let height = self.height as usize;
         debug_assert!(height < 32, "narrow layout caps height below 32");
         let mut cur_node = [u32::MAX; 32];
         let mut count = [0u32; 32];
         let mut wincap = [0u32; 32];
-        // The ideal port at level `L` concentrates onto `cap_at_level(L)`
-        // output wires (the `s` of [`Self::level_pass`]'s `(r, s)`).
-        let mut outputs = [0u64; 32];
-        for (l, o) in outputs.iter_mut().enumerate().take(height) {
-            *o = ft.cap_at_level(l as u32);
-        }
+        let outputs = level_outputs(ft);
         let eff = &self.eff[..];
-        let wire = &mut self.wire[..];
         let channel_use = &mut self.channel_use;
 
         for &iu in list {
             let i = iu as usize;
             let m = meta[i];
             debug_assert!(m.eligible(), "live list holds eligible messages");
-            let ll = m.lca() as usize;
             let s = m.key_leaf(true);
-            let mut w = wire[i]; // injection wire, kept when lca is the leaf's parent
-            let mut dead = false;
-            for lvl in (ll + 1..height).rev() {
+            for lvl in (m.lca() as usize + 1..height).rev() {
                 let node = s >> (height - lvl);
                 if cur_node[lvl] != node {
                     if cur_node[lvl] != u32::MAX {
@@ -1365,17 +1333,11 @@ impl SimArena {
                     count[lvl] = 0;
                     wincap[lvl] = outputs[lvl].min(eff[ChannelId::up(node).index()]) as u32;
                 }
-                let rank = count[lvl];
-                if rank >= wincap[lvl] {
+                if count[lvl] >= wincap[lvl] {
                     meta[i] = m.kill();
-                    dead = true;
                     break;
                 }
                 count[lvl] += 1;
-                w = rank;
-            }
-            if !dead {
-                wire[i] = w;
             }
         }
         for lvl in 0..height {
@@ -1385,224 +1347,114 @@ impl SimArena {
         }
     }
 
-    /// Serial level pass over a key-sorted active list: the scan is
-    /// monotone in the bucket key, so each bucket's contenders form one
-    /// contiguous run and arbitration happens straight out of the scan —
-    /// no slot table, no per-node bucket array, no dense sweep. Chosen
-    /// when the channel order `r` (which bounds the run length) is at most
-    /// [`RUN_ARB_MAX_R`]: deep levels, where almost every bucket is a
-    /// singleton and the table machinery dwarfs the real work. Fat
-    /// channels near the root keep [`Self::level_pass_serial`]'s table
-    /// walk instead, which beats sorting a root-sized run.
+    /// The whole down phase in one sweep — same configurations as
+    /// [`Self::up_phase_fused`], whose survivors (the alive entries of the
+    /// source-sorted `list`) it consumes.
     ///
-    /// Must arbitrate exactly like the table path — slots within a bucket
-    /// are distinct, so sorting a run by slot reproduces the table walk's
-    /// ascending-slot order and the goldens pin the two together.
-    #[allow(clippy::too_many_arguments)]
-    fn level_pass_serial_runs<W: MetaWord>(
-        &mut self,
-        cfg: &SimConfig,
-        params: &PhaseParams,
-        sw_idx: usize,
-        shift: u32,
-        meta: &mut [W],
-        list: &[u32],
-    ) {
-        if self.scratch.is_empty() {
-            self.scratch.resize_with(1, Default::default);
-        }
+    /// Let ≺ order those survivors by *(LCA level ascending — root first —
+    /// then position in `list`)*. **Lemma:** on every down channel, slot
+    /// order is ≺ restricted to the channel's contenders. Take the port of
+    /// node `p` (level `L`) feeding child `c`. Its contenders are the
+    /// descenders that arrived on `down(p)` (LCA above `p`, slot = wire
+    /// `< cap(L)`) and the turners (LCA = `p`, slot = `cap(L)` + wire on
+    /// the sibling's up channel), so every descender precedes every
+    /// turner — LCA level ascending. All turners climbed the same channel,
+    /// `up(sibling(c))`, where the up sweep ranked them in list order. The
+    /// descenders won `wire = rank` at the port above, so by induction
+    /// (the root port has turners only) their wire order is ≺ restricted
+    /// to `down(p)`. Winners again take `wire = rank` in that order, which
+    /// carries the claim to `down(c)`.
+    ///
+    /// An ideal port admits a contender iff fewer than `min(outputs, eff)`
+    /// earlier contenders were admitted — later ones never matter — so
+    /// visiting the survivors in ≺ and letting each walk its whole descent
+    /// (`lca+1 ..= height`) reproduces every port's decision: when a
+    /// message reaches a channel, exactly its ≺-predecessors there have
+    /// been counted, and that count *is* the channel's load counter. A
+    /// message that dies at a deeper port keeps the wires it won above it,
+    /// as in the per-level passes. So there is no slot table, no bucket
+    /// array, no destination sort and no per-level scan of
+    /// non-participants: the sweep stable-buckets the survivors by LCA
+    /// level into `turn` (that concatenation is ≺) and runs them against
+    /// `channel_use`. Byte-identical to the per-level passes — pinned by
+    /// the goldens and `tests/proptests.rs`.
+    fn down_phase_fused<W: MetaWord>(&mut self, ft: &FatTree, meta: &mut [W], list: &[u32]) {
+        let height = self.height as usize;
+        debug_assert!(height < 32, "narrow layout caps height below 32");
         let SimArena {
-            ports,
+            turn,
+            peer32,
             eff,
-            wire,
-            ids,
             channel_use,
-            run,
-            scratch,
             ..
         } = self;
-        let sw = &ports[sw_idx].1;
-        let arb = cfg.arbitration;
-        let scratch = &mut scratch[0];
-        let (up, node_level, lo) = (params.up, params.node_level, params.lo);
 
-        run.clear();
-        let mut cur_k = u32::MAX; // sentinel: no bucket open
+        // Bucket boundaries: `start[l]..start[l + 1]` holds LCA level `l`.
+        let mut start = [0usize; 33];
+        for &iu in list {
+            let m = meta[iu as usize];
+            if m.alive() {
+                start[m.lca() as usize + 1] += 1;
+            }
+        }
+        for l in 0..height {
+            start[l + 1] += start[l];
+        }
+        turn.clear();
+        turn.resize(start[height], 0);
+        let mut cursor = start;
         for &iu in list {
             let i = iu as usize;
             let m = meta[i];
-            if !m.eligible() {
-                continue;
+            if m.alive() {
+                let dst = if W::NARROW {
+                    peer32[i]
+                } else {
+                    m.key_leaf(false)
+                };
+                let at = &mut cursor[m.lca() as usize];
+                turn[*at] = (dst as u64) << 32 | iu as u64;
+                *at += 1;
             }
-            let ll = m.lca();
-            if (up && ll >= node_level) || (!up && ll > node_level) {
-                continue;
-            }
-            let k = (m.key_leaf(up) >> shift) - lo;
-            if k != cur_k {
-                debug_assert!(cur_k == u32::MAX || k > cur_k, "active list not key-sorted");
-                if !run.is_empty() {
-                    arbitrate_run(
-                        run,
-                        cur_k as usize,
-                        params,
-                        sw,
-                        arb,
-                        eff,
-                        ids,
-                        meta,
-                        wire,
-                        channel_use,
-                        scratch,
-                    );
-                    run.clear();
-                }
-                cur_k = k;
-            }
-            run.push((params.slot(m, wire[i]), iu));
         }
-        if !run.is_empty() {
-            arbitrate_run(
-                run,
-                cur_k as usize,
-                params,
-                sw,
-                arb,
-                eff,
-                ids,
-                meta,
-                wire,
-                channel_use,
-                scratch,
-            );
-            run.clear();
+
+        let outputs = &level_outputs(ft)[..=height];
+        for lca in 0..height {
+            for &word in &turn[start[lca]..start[lca + 1]] {
+                let dst = (word >> 32) as u32;
+                for (lvl, &out) in outputs.iter().enumerate().skip(lca + 1) {
+                    let chan = ChannelId::down(dst >> (height - lvl));
+                    if channel_use.get(chan) >= out.min(eff[chan.index()]) {
+                        let i = word as u32 as usize;
+                        meta[i] = meta[i].kill();
+                        break;
+                    }
+                    channel_use.add_one(chan);
+                }
+            }
         }
     }
 }
 
-/// Largest channel order arbitrated run-by-run out of a key-sorted scan;
-/// above this the slot-table walk wins (see
-/// [`SimArena::level_pass_serial_runs`]).
-const RUN_ARB_MAX_R: usize = 64;
-
-/// Arbitrate one contiguous bucket run of `(slot, message)` contenders for
-/// node `lo + k_rel`. Exactly mirrors the table walk in
-/// [`SimArena::level_pass_serial`]: ascending-slot order via an explicit
-/// sort (slots are distinct), the same singleton fast path, the same
-/// random-ranking key.
-#[allow(clippy::too_many_arguments)]
-fn arbitrate_run<W: MetaWord>(
-    run: &mut [(u32, u32)],
-    k_rel: usize,
-    params: &PhaseParams,
-    sw: &PortSwitch,
-    arb: Arbitration,
-    eff: &[u64],
-    ids: &[u32],
-    meta: &mut [W],
-    wire: &mut [u32],
-    channel_use: &mut LoadMap,
-    scratch: &mut ArbScratch,
-) {
-    let chan = params.channel(k_rel);
-    let e = eff[chan.index()];
-    let b = run.len() as u32;
-
-    // Singleton fast path: one contender on an ideal port always wins
-    // wire 0 (effective capacities are floored at 1). By far the common
-    // case at deep tree levels.
-    if b == 1 && matches!(sw, PortSwitch::Ideal(_)) && matches!(arb, Arbitration::SlotOrder) {
-        let i = run[0].1 as usize;
-        wire[i] = 0;
-        channel_use.add_one(chan);
-        return;
+/// Output wires of the ideal port feeding a level-`l` channel, per level
+/// (the `s` of [`SimArena::level_pass`]'s `(r, s)`).
+fn level_outputs(ft: &FatTree) -> [u64; 33] {
+    let mut outputs = [0u64; 33];
+    for l in 0..=ft.height() {
+        outputs[l as usize] = ft.cap_at_level(l);
     }
-
-    match arb {
-        Arbitration::SlotOrder => {
-            run.sort_unstable();
-            match sw {
-                PortSwitch::Ideal(cb) => {
-                    let winners = (cb.outputs() as u64).min(e).min(b as u64) as u32;
-                    for (rank, &(_, iu)) in run.iter().enumerate() {
-                        let i = iu as usize;
-                        if (rank as u32) < winners {
-                            wire[i] = rank as u32;
-                            channel_use.add_one(chan);
-                        } else {
-                            meta[i] = meta[i].kill();
-                        }
-                    }
-                }
-                PortSwitch::Partial { .. } => {
-                    scratch.sort_buf.clear();
-                    scratch.active.clear();
-                    for &(slot, iu) in run.iter() {
-                        scratch.sort_buf.push((iu, slot, 0));
-                        scratch.active.push(slot as usize);
-                    }
-                    let routed = sw.concentrate_with(&mut scratch.matching, &scratch.active);
-                    for (&(i, _, _), w) in scratch.sort_buf.iter().zip(routed) {
-                        apply_outcome(i as usize, w, e, chan, meta, wire, channel_use);
-                    }
-                }
-            }
-        }
-        Arbitration::Random(seed) => {
-            scratch.sort_buf.clear();
-            for &(slot, iu) in run.iter() {
-                scratch.sort_buf.push((iu, slot, 0));
-            }
-            scratch.sort_buf.sort_unstable_by_key(|&(i, s, _)| {
-                (
-                    splitmix64(seed ^ (ids[i as usize] as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                    s,
-                )
-            });
-            match sw {
-                PortSwitch::Ideal(cb) => {
-                    let s_out = cb.outputs();
-                    for (j, &(i, _, _)) in scratch.sort_buf.iter().enumerate() {
-                        let i = i as usize;
-                        if j < s_out && (j as u64) < e {
-                            wire[i] = j as u32;
-                            channel_use.add_one(chan);
-                        } else {
-                            meta[i] = meta[i].kill();
-                        }
-                    }
-                }
-                PortSwitch::Partial { .. } => {
-                    scratch.active.clear();
-                    scratch
-                        .active
-                        .extend(scratch.sort_buf.iter().map(|&(_, s, _)| s as usize));
-                    let routed = sw.concentrate_with(&mut scratch.matching, &scratch.active);
-                    for (&(i, _, _), w) in scratch.sort_buf.iter().zip(routed) {
-                        apply_outcome(i as usize, w, e, chan, meta, wire, channel_use);
-                    }
-                }
-            }
-        }
-    }
+    outputs
 }
 
 /// Counting-sort the eligible (alive, non-local) message indices of `meta`
-/// by their phase key leaf (`up`: source, else destination) into `out`,
-/// ascending index within a leaf. Leaf heap ids are `[n, 2n)`; `counts` is
-/// the reused `n + 1` scratch.
-fn sort_eligible<W: MetaWord>(
-    meta: &[W],
-    up: bool,
-    n: u32,
-    counts: &mut Vec<u32>,
-    out: &mut Vec<u32>,
-) {
+/// by source leaf into `out`, ascending index within a leaf. Leaf heap ids
+/// are `[n, 2n)`; `counts` is the reused `n + 1` scratch.
+fn sort_by_source<W: MetaWord>(meta: &[W], n: u32, counts: &mut Vec<u32>, out: &mut Vec<u32>) {
     counts.clear();
     counts.resize(n as usize + 1, 0);
     for m in meta.iter() {
         if m.eligible() {
-            counts[(m.key_leaf(up) - n) as usize + 1] += 1;
+            counts[(m.key_leaf(true) - n) as usize + 1] += 1;
         }
     }
     for k in 0..n as usize {
@@ -1612,9 +1464,32 @@ fn sort_eligible<W: MetaWord>(
     out.resize(counts[n as usize] as usize, 0);
     for (i, m) in meta.iter().enumerate() {
         if m.eligible() {
-            let c = &mut counts[(m.key_leaf(up) - n) as usize];
+            let c = &mut counts[(m.key_leaf(true) - n) as usize];
             out[*c as usize] = i as u32;
             *c += 1;
+        }
+    }
+}
+
+/// Laps a clock between engine phases for [`Recorder::engine_phase`]. With
+/// a disabled recorder it never reads the clock and every call compiles
+/// away.
+struct PhaseClock(Option<Instant>);
+
+impl PhaseClock {
+    #[inline]
+    fn start<R: Recorder>() -> Self {
+        PhaseClock(R::ENABLED.then(Instant::now))
+    }
+
+    /// Report the time since the previous lap (or the start) as `phase`.
+    #[inline]
+    fn lap<R: Recorder>(&mut self, rec: &mut R, phase: EnginePhase) {
+        if R::ENABLED {
+            let now = Instant::now();
+            if let Some(t0) = self.0.replace(now) {
+                rec.engine_phase(phase, (now - t0).as_nanos() as u64);
+            }
         }
     }
 }
@@ -2099,6 +1974,7 @@ pub fn run_to_completion_with<R: Recorder>(
         // arena's delivered list is ascending, so a merge-walk against it
         // classifies every pending index without touching arena metadata
         // (which may be either width).
+        let mut clock = PhaseClock::start::<R>();
         let mut w = 0usize;
         let mut d = arena.delivered_indices().iter().peekable();
         for i in 0..pending.len() {
@@ -2112,6 +1988,7 @@ pub fn run_to_completion_with<R: Recorder>(
         }
         pending.truncate(w);
         ids.truncate(w);
+        clock.lap(rec, EnginePhase::Compaction);
     }
     RunReport {
         cycles,
@@ -2195,24 +2072,24 @@ fn run_stream_inner<W: MetaWord, R: Recorder>(
             rec.cycle_start(cycles as u32, pending as u32);
         }
         let stats = if cycles == 0 {
-            arena.cycle_generic(ft, &StreamSource(stream), &cycle_cfg, meta)
+            arena.cycle_generic(ft, &StreamSource(stream), &cycle_cfg, meta, rec)
         } else {
-            arena.retry_cycle(ft, &cycle_cfg, meta)
+            arena.retry_cycle(ft, &cycle_cfg, meta, rec)
         };
         assert!(
             stats.delivered > 0,
             "no progress in a delivery cycle — switch cannot route even one message"
         );
         if R::ENABLED {
-            for c in ft.channels() {
-                rec.channel_load(c.level(), arena.channel_use.get(c), ft.cap(c));
-            }
+            arena.record_loads(ft, rec);
             rec.cycle_end(cycles as u32, stats.delivered as u32);
         }
         cycles += 1;
         delivered_per_cycle.push(stats.delivered);
         total_ticks += stats.ticks as u64;
+        let mut clock = PhaseClock::start::<R>();
         pending = arena.compact_retry(meta, &mut orig, &mut delivery_order);
+        clock.lap(rec, EnginePhase::Compaction);
     }
     RunReport {
         cycles,
@@ -2566,6 +2443,34 @@ mod tests {
                 assert_eq!(got, want, "boundary={boundary} threads={threads}");
             }
         }
+    }
+
+    #[test]
+    fn recorder_sees_every_phase_of_both_cycle_bodies() {
+        use ft_telemetry::MetricsRecorder;
+        let t = FatTree::universal(64, 8);
+        let msgs: MessageSet = (0..128u32)
+            .map(|i| Message::new(i % 64, (i * 7 + 5) % 64))
+            .collect();
+        let phase = |rec: &MetricsRecorder, p: EnginePhase| rec.phase_ns[p as usize];
+        // Fused body: every phase fires (the run retries, so compaction too).
+        let mut fused = MetricsRecorder::new();
+        let plain = run_to_completion(&t, &msgs, &SimConfig::default());
+        let run = run_to_completion_with(&t, &msgs, &SimConfig::default(), &mut fused);
+        assert_eq!(run, plain);
+        assert!(run.cycles > 1);
+        for p in EnginePhase::ALL {
+            assert!(phase(&fused, p) > 0, "{p:?} never reported");
+        }
+        // Level-pass body: no source sort.
+        let wide = SimConfig {
+            meta: MetaWidth::Wide,
+            ..SimConfig::default()
+        };
+        let mut walked = MetricsRecorder::new();
+        run_to_completion_with(&t, &msgs, &wide, &mut walked);
+        assert_eq!(phase(&walked, EnginePhase::SourceSort), 0);
+        assert!(phase(&walked, EnginePhase::DownSweep) > 0);
     }
 
     #[test]

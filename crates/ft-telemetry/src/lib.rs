@@ -96,6 +96,11 @@ pub trait Recorder {
     fn stream_ingest(&mut self, family: &'static str, messages: u64) {
         let _ = (family, messages);
     }
+    /// The delivery-cycle arena spent `ns` in `phase` (once per phase per
+    /// cycle). The engine reads the clock only when [`Recorder::ENABLED`].
+    fn engine_phase(&mut self, phase: EnginePhase, ns: u64) {
+        let _ = (phase, ns);
+    }
     /// The serve front-end coalesced `requests` requests (`messages`
     /// messages total) into one shared scheduling pass, and rejected
     /// `rejected` arrivals with `Busy` since the previous batch. Called
@@ -103,6 +108,49 @@ pub trait Recorder {
     /// steers its in-flight limit off the accumulated λ and reject tallies.
     fn serve_batch(&mut self, requests: u32, messages: u64, rejected: u64) {
         let _ = (requests, messages, rejected);
+    }
+}
+
+/// The stages of one `ft-sim` arena delivery cycle, in execution order —
+/// the unit of [`Recorder::engine_phase`] attribution.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EnginePhase {
+    /// Pack metadata from the message source (first cycle) and inject onto
+    /// the leaf up-wires (every cycle).
+    Ingest,
+    /// Counting-sort the injected messages by source leaf (fused cycles).
+    SourceSort,
+    /// The up phase: the fused sweep, or the per-level up passes.
+    UpSweep,
+    /// The down phase: the fused sweep, or the per-level down passes.
+    DownSweep,
+    /// Build the delivered / dropped lists and the cycle's tick count.
+    Settle,
+    /// Emit delivered identities and compact the retry set.
+    Compaction,
+}
+
+impl EnginePhase {
+    /// Every phase, in execution order.
+    pub const ALL: [EnginePhase; 6] = [
+        EnginePhase::Ingest,
+        EnginePhase::SourceSort,
+        EnginePhase::UpSweep,
+        EnginePhase::DownSweep,
+        EnginePhase::Settle,
+        EnginePhase::Compaction,
+    ];
+
+    /// Stable snake_case name (JSON key stem and table label).
+    pub fn name(self) -> &'static str {
+        match self {
+            EnginePhase::Ingest => "ingest",
+            EnginePhase::SourceSort => "source_sort",
+            EnginePhase::UpSweep => "up_sweep",
+            EnginePhase::DownSweep => "down_sweep",
+            EnginePhase::Settle => "settle",
+            EnginePhase::Compaction => "compaction",
+        }
     }
 }
 
@@ -451,6 +499,9 @@ pub struct MetricsRecorder {
     ///
     /// [`stream_ingest`]: Recorder::stream_ingest
     pub stream_families: Vec<(&'static str, u64, u64)>,
+    /// Arena time per [`EnginePhase`] (ns, summed over cycles), indexed in
+    /// [`EnginePhase::ALL`] order; all zero unless an `ft-sim` arena ran.
+    pub phase_ns: [u64; EnginePhase::ALL.len()],
     /// Coalesced serve batches observed ([`Recorder::serve_batch`] calls).
     pub serve_batches: u64,
     /// Requests coalesced across all serve batches.
@@ -502,6 +553,7 @@ impl MetricsRecorder {
         self.merge_ns_per_cycle.clear();
         self.top_ns_per_cycle.clear();
         self.stream_families.clear();
+        self.phase_ns = [0; EnginePhase::ALL.len()];
         self.serve_batches = 0;
         self.serve_requests = 0;
         self.serve_messages = 0;
@@ -653,6 +705,11 @@ impl MetricsRecorder {
                 format!("{{\"family\":\"{f}\",\"runs\":{runs},\"messages\":{messages}}}")
             })
             .collect();
+        let phases: Vec<String> = EnginePhase::ALL
+            .iter()
+            .zip(self.phase_ns)
+            .map(|(p, ns)| format!("\"{}_ns\":{ns}", p.name()))
+            .collect();
         let serve = format!(
             "{{\"batches\":{},\"requests\":{},\"messages\":{},\"rejected\":{},\"batch_sizes\":{}}}",
             self.serve_batches,
@@ -662,7 +719,7 @@ impl MetricsRecorder {
             nums(self.serve_batch_sizes.buckets.iter().copied())
         );
         format!(
-            "{{\"height\":{},\"cycles\":{},\"delivered_per_cycle\":{},\"claimed\":{},\"blocked\":{},\"wasted\":{},\"lambda\":[{}],\"load_hist\":[{}],\"splits\":{},\"split_sizes\":{},\"stages\":[{}],\"stream_ingest\":[{}],\"serve\":{serve},\"barrier_wait_ns\":{},\"merge_ns\":{},\"top_arb_ns\":{},\"events_dropped\":{}}}",
+            "{{\"height\":{},\"cycles\":{},\"delivered_per_cycle\":{},\"claimed\":{},\"blocked\":{},\"wasted\":{},\"lambda\":[{}],\"load_hist\":[{}],\"splits\":{},\"split_sizes\":{},\"stages\":[{}],\"stream_ingest\":[{}],\"phases\":{{{}}},\"serve\":{serve},\"barrier_wait_ns\":{},\"merge_ns\":{},\"top_arb_ns\":{},\"events_dropped\":{}}}",
             self.height,
             self.cycles,
             nums(self.delivered_per_cycle.iter().copied()),
@@ -675,6 +732,7 @@ impl MetricsRecorder {
             nums(self.split_sizes.buckets.iter().copied()),
             stages.join(","),
             streams.join(","),
+            phases.join(","),
             nums(self.barrier_wait_ns_per_cycle.iter().copied()),
             nums(self.merge_ns_per_cycle.iter().copied()),
             nums(self.top_ns_per_cycle.iter().copied()),
@@ -691,6 +749,27 @@ impl MetricsRecorder {
                 "  {family:<12}: runs {runs:>4}  messages {messages:>12}\n"
             ));
         }
+        out
+    }
+
+    /// Arena phase attribution: one row of summed time per
+    /// [`EnginePhase`] with its share of the total. Empty string when no
+    /// `ft-sim` arena reported.
+    pub fn render_phases(&self) -> String {
+        let total: u64 = self.phase_ns.iter().sum();
+        if total == 0 {
+            return String::new();
+        }
+        let mut out = String::from(" ");
+        for (p, ns) in EnginePhase::ALL.iter().zip(self.phase_ns) {
+            out.push_str(&format!(
+                " {} {:.1}µs ({:.0}%)",
+                p.name(),
+                ns as f64 / 1e3,
+                100.0 * ns as f64 / total as f64
+            ));
+        }
+        out.push('\n');
         out
     }
 
@@ -829,6 +908,10 @@ impl Recorder for MetricsRecorder {
             }
         }
         self.stream_families.push((family, 1, messages));
+    }
+
+    fn engine_phase(&mut self, phase: EnginePhase, ns: u64) {
+        self.phase_ns[phase as usize] += ns;
     }
 
     fn serve_batch(&mut self, requests: u32, messages: u64, rejected: u64) {
@@ -1390,6 +1473,24 @@ mod tests {
         m.reset();
         assert!(m.stream_families.is_empty());
         assert!(m.to_json().contains("\"stream_ingest\":[]"));
+    }
+
+    #[test]
+    fn engine_phases_sum_in_declared_order_and_reset() {
+        let mut rec = MetricsRecorder::new();
+        assert_eq!(rec.render_phases(), "");
+        for (k, &p) in EnginePhase::ALL.iter().enumerate() {
+            assert_eq!(p as usize, k, "ALL must list phases in declaration order");
+            rec.engine_phase(p, 10 * (k as u64 + 1));
+            rec.engine_phase(p, 1);
+        }
+        assert_eq!(rec.phase_ns, [11, 21, 31, 41, 51, 61]);
+        assert!(rec
+            .to_json()
+            .contains("\"phases\":{\"ingest_ns\":11,\"source_sort_ns\":21,"));
+        assert!(rec.render_phases().contains("down_sweep"));
+        rec.reset();
+        assert_eq!(rec.phase_ns, [0; 6]);
     }
 
     #[test]

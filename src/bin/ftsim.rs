@@ -915,6 +915,8 @@ fn cmd_report(opts: &HashMap<String, String>) {
     print!("{}", online_rec.render_contention());
     println!("channel load vs. capacity (eighths of cap, per level):");
     print!("{}", sim_rec.render_load());
+    println!("bit-serial arena time by phase (all cycles):");
+    print!("{}", sim_rec.render_phases());
     println!(
         "concentrator cascade {r} → {} wires (guaranteed load {k}), 8 random trials:",
         cascade.outputs()

@@ -84,6 +84,7 @@ fn report_prints_every_section() {
     assert!(stdout.contains("λ contribution by level"), "{stdout}");
     assert!(stdout.contains("on-line contention"), "{stdout}");
     assert!(stdout.contains("load/cap eighths"), "{stdout}");
+    assert!(stdout.contains("down_sweep"), "{stdout}");
     assert!(stdout.contains("concentrator cascade"), "{stdout}");
     assert!(stdout.contains("stage 0"), "{stdout}");
     assert!(stdout.contains("serve probe"), "{stdout}");
@@ -113,6 +114,7 @@ fn report_json_carries_every_engine_block() {
         "\"simulate\":{",
         "\"concentrator\":{",
         "\"stages\":[",
+        "\"phases\":{\"ingest_ns\":",
         // The v2 serve-probe block. Every engine's nested metrics JSON
         // also contains a "serve" histogram object, so assert on a key
         // unique to the probe.
