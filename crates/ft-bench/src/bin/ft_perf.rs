@@ -13,7 +13,7 @@
 //!
 //! Four acceptance gates are asserted on full (non-smoke) runs:
 //! `simulate_cycle` n=2¹⁴ permutation ≥ 5× the reference,
-//! `schedule_theorem1` n=2¹⁴ random2 ≥ 4× the clone-based reference
+//! `schedule_theorem1` n=2¹⁴ random2 ≥ 5.6× the clone-based reference
 //! scheduler (the [`ft_sched::SchedArena`] rebuild), `online_route`
 //! n=2¹² random2 ≥ 2.25× the clone-based reference router (the
 //! [`ft_sched::OnlineArena`] rebuild; the measured ceiling on the
@@ -502,6 +502,23 @@ fn main() {
         h.push("compile_cycle", "flat", n, "permutation", &m);
     }
 
+    // --- schedule_theorem1, hot spot at n = 2^16 (flat only, ungated): an
+    // all-to-one set refines into ever sparser segments inside one huge
+    // subtree, the worst case for the splitter's level-synchronous sweeps
+    // (they climb empty levels the sorted matching skipped), and the size
+    // where that shows before the λ sweep swamps it.
+    if !smoke && !shard_gate_only {
+        let n = 1 << 16;
+        let ft = tree(n);
+        let msgs = workload("hotspot", n, 0x5EED ^ n as u64);
+        let mut sarena = SchedArena::new(&ft);
+        let name = format!("schedule_theorem1/flat/n={n}/hotspot");
+        let m = bench_with_budget(&name, h.budget, &mut || {
+            sarena.schedule(&ft, &msgs, 1).1.total_cycles
+        });
+        h.push("schedule_theorem1", "flat", n, "hotspot", &m);
+    }
+
     // --- online_route: the §VI randomized delivery-cycle process, arena
     // reused across iterations. Each iteration re-seeds its own RNG so every
     // call routes the identical trace. The clone-based reference pays a
@@ -836,16 +853,15 @@ fn main() {
     // the rejected alternatives. 2.25 leaves the same ~12% noise margin the
     // other two gates carry.
     //
-    // The schedule_theorem1 gate was originally 4x, set when the host
-    // measured 4.14-4.21x — a ~4% margin that day-to-day frequency drift
-    // eats: the *unchanged seed commit* later measured 3.55-3.97x on the
-    // same machine across four full runs. The gate exists to catch real
-    // regressions (the arena is ~4x the clone-based reference), not to
-    // re-litigate host clocking, so it now carries the same ~12% margin
-    // below the observed floor that the other gates do.
+    // The schedule_theorem1 gate is 0.8 x the measured ratio, rounded down
+    // to 0.05: sort-free matching and level-sweep classification took the
+    // arena from 4.1x to 7.0x the clone-based reference at n=2^14 random2
+    // (the gate was 4x, then 3.25x once day-to-day frequency drift on the
+    // unchanged seed commit had measured 3.55-3.97x). It exists to catch
+    // real regressions, not to re-litigate host clocking.
     let gates: [(&str, &str, u32, f64); 3] = [
         ("simulate_cycle", "permutation", 1 << 14, 5.0),
-        ("schedule_theorem1", "random2", 1 << 14, 3.25),
+        ("schedule_theorem1", "random2", 1 << 14, 5.6),
         ("online_route", "random2", 1 << 12, 2.25),
     ];
     for (op, wl, gate_n, target) in gates {

@@ -140,7 +140,7 @@ impl LoadMap {
 ///
 /// [`LoadMap`] is dense: building one costs a full `4n`-slot allocation (or
 /// zeroing), which is wasteful when a caller repeatedly checks small message
-/// subsets — exactly what Theorem 1's split recursion does. `ScratchLoad`
+/// subsets — what schedule compression does per cycle. `ScratchLoad`
 /// keeps a dense counter array allocated once plus a stack of touched
 /// channel indices, so `clear` costs `O(channels touched)` rather than
 /// `O(n)`, and a feasibility check over a subset costs only the total path
@@ -163,26 +163,13 @@ impl ScratchLoad {
     /// Add one message's path to the loads.
     #[inline]
     pub fn add(&mut self, ft: &FatTree, m: &Message) {
-        for_each_path_channel(ft, m, |c| self.add_channel(c));
-    }
-
-    /// Add one unit of load on a single channel. Callers that already know a
-    /// message's path (e.g. Theorem 1's splitter, which walks source and
-    /// destination leaves up to a fixed LCA) can skip the generic path
-    /// enumeration of [`ScratchLoad::add`].
-    #[inline]
-    pub fn add_channel(&mut self, c: ChannelId) {
-        let i = c.index();
-        if self.counts[i] == 0 {
-            self.touched.push(i as u32);
-        }
-        self.counts[i] += 1;
-    }
-
-    /// Current load on a channel.
-    #[inline]
-    pub fn get(&self, c: ChannelId) -> u64 {
-        self.counts[c.index()]
+        for_each_path_channel(ft, m, |c| {
+            let i = c.index();
+            if self.counts[i] == 0 {
+                self.touched.push(i as u32);
+            }
+            self.counts[i] += 1;
+        });
     }
 
     /// Iterate the channels with nonzero accumulated load, with their loads,
@@ -199,45 +186,12 @@ impl ScratchLoad {
         })
     }
 
-    /// Number of distinct channels with nonzero load.
-    #[inline]
-    pub fn touched_len(&self) -> usize {
-        self.touched.len()
-    }
-
-    /// Would the accumulated loads fit every capacity of `ft`? Only the
-    /// touched channels are inspected.
-    pub fn is_one_cycle(&self, ft: &FatTree) -> bool {
-        self.touched.iter().all(|&i| {
-            // Reconstruct the channel's level from its dense index:
-            // index = edge·2 + dir.
-            let edge = i >> 1;
-            self.counts[i as usize] <= ft.cap_at_level(31 - edge.leading_zeros())
-        })
-    }
-
     /// Reset to all-zero loads in time proportional to the channels touched.
     pub fn clear(&mut self) {
         for &i in &self.touched {
             self.counts[i as usize] = 0;
         }
         self.touched.clear();
-    }
-
-    /// One-shot convenience: is the message subset `msgs` a one-cycle set on
-    /// `ft`? Leaves the accumulator cleared.
-    pub fn check_subset<'a, I: IntoIterator<Item = &'a Message>>(
-        &mut self,
-        ft: &FatTree,
-        msgs: I,
-    ) -> bool {
-        debug_assert!(self.touched.is_empty());
-        for m in msgs {
-            self.add(ft, m);
-        }
-        let ok = self.is_one_cycle(ft);
-        self.clear();
-        ok
     }
 }
 
@@ -476,56 +430,17 @@ mod tests {
         for m in &msgs {
             sl.add(&t, m);
         }
-        let lm = LoadMap::of(&t, &MessageSet::from_vec(msgs.clone()));
-        for c in t.channels() {
-            assert_eq!(sl.get(c), lm.get(c), "mismatch at {c}");
+        // Every touched channel carries the dense load, and no loaded
+        // channel is missing from the touched list.
+        let lm = LoadMap::of(&t, &MessageSet::from_vec(msgs));
+        for (c, l) in sl.iter_touched() {
+            assert!(l > 0 && l == lm.get(c), "mismatch at {c}");
         }
-        assert_eq!(sl.is_one_cycle(&t), lm.is_one_cycle(&t));
+        assert_eq!(sl.iter_touched().map(|(_, l)| l).sum::<u64>(), lm.total());
         sl.clear();
-        assert_eq!(sl.touched_len(), 0);
-        for c in t.channels() {
-            assert_eq!(sl.get(c), 0);
-        }
-        // check_subset agrees with the dense answer on sub-slices.
-        for take in [1usize, 5, 16, 32] {
-            let sub = &msgs[..take];
-            let dense = LoadMap::of(&t, &MessageSet::from_vec(sub.to_vec())).is_one_cycle(&t);
-            assert_eq!(sl.check_subset(&t, sub.iter()), dense);
-        }
-    }
-
-    #[test]
-    fn add_channel_and_iter_touched_match_add() {
-        let t = ft(16, CapacityProfile::Constant(2));
-        let m = Message::new(1, 9);
-        let mut a = ScratchLoad::new(&t);
-        a.add(&t, &m);
-        // Walk the path by hand: up from leaf(src) to the LCA, down from
-        // leaf(dst) — the walk Theorem 1's splitter does.
-        let mut b = ScratchLoad::new(&t);
-        let lca = t.lca(m.src, m.dst);
-        let mut u = t.leaf(m.src);
-        while u != lca {
-            b.add_channel(ChannelId::up(u));
-            u >>= 1;
-        }
-        let mut v = t.leaf(m.dst);
-        while v != lca {
-            b.add_channel(ChannelId::down(v));
-            v >>= 1;
-        }
-        for c in t.channels() {
-            assert_eq!(a.get(c), b.get(c), "mismatch at {c}");
-        }
-        let total: u64 = a.iter_touched().map(|(_, l)| l).sum();
-        assert_eq!(
-            total,
-            LoadMap::of(&t, &MessageSet::from_vec(vec![m])).total()
-        );
-        for (c, l) in a.iter_touched() {
-            assert_eq!(l, a.get(c));
-        }
-        assert_eq!(a.iter_touched().count(), a.touched_len());
+        assert_eq!(sl.iter_touched().count(), 0);
+        sl.add(&t, &Message::new(1, 9));
+        assert!(sl.iter_touched().all(|(_, l)| l == 1), "clear left a count");
     }
 
     #[test]

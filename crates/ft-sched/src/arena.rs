@@ -10,17 +10,22 @@
 //!
 //! * **Counting-sort bucketing.** Messages are bucketed by the key
 //!   `2·lca + direction` — equivalently, by the child of the LCA holding the
-//!   source leaf — into one flat `Vec<Message>` with a prefix-offset table.
-//!   The sort is stable, so each bucket sees its messages in input order,
-//!   exactly like the reference's `partition` into lr/rl vectors.
+//!   source leaf — into flat source/destination leaf arrays with a
+//!   prefix-offset table. The sort is stable, so each bucket sees its
+//!   messages in input order, like the reference's lr/rl `partition`.
 //! * **In-place refinement.** The split recursion permutes one global index
 //!   array; a segment `[s, e)` of it *is* a subset, so no recursion level
 //!   allocates. Feasible segments become parts recorded as end offsets.
-//! * **Flat matching-and-tracing.** Message ends are packed as
-//!   `leaf << 32 | position` u64s and sorted in place; mates live in
-//!   reusable u32 tables with a `NONE` sentinel. Same algorithm as
-//!   [`crate::split::split_even_indices`], zero steady-state allocation
-//!   (asserted by `tests/alloc_steady.rs`).
+//! * **Sort-free matching-and-tracing.** Both inner kernels are sweeps over
+//!   two heap-indexed `u32` tables that are all-clear between calls. The
+//!   matching pairs ends inside a processor in one pass over the segment
+//!   (`pend[leaf]` holds the end still waiting there), then lets the ≤ 1
+//!   leftover per leaf climb one tree level per round: two survivors that
+//!   meet under a node are mated, a lone one moves up. The feasibility walk
+//!   counts ends per leaf and pushes the counts up over the touched nodes
+//!   only, keeping one max load per level. Same partition as
+//!   [`crate::split::split_even_indices`] (equivalence arguments in
+//!   DESIGN.md §9), zero steady-state allocation (`tests/alloc_steady.rs`).
 //! * **Deterministic fan-out.** Distinct LCA nodes at one tree level own
 //!   disjoint messages and channels, so per-node work is sharded over scoped
 //!   threads by chunking the bucket range — like the simulator's per-subtree
@@ -31,8 +36,8 @@
 use crate::offline::Theorem1Stats;
 use crate::schedule::Schedule;
 use crate::split::CrossDirection;
-use ft_core::{ChannelId, FatTree, Message, MessageSet, MessageStream, ScratchLoad};
-use ft_telemetry::{NoopRecorder, Recorder};
+use ft_core::{ChannelId, FatTree, Message, MessageSet, MessageStream};
+use ft_telemetry::{EnginePhase, NoopRecorder, PhaseClock, Recorder};
 
 const NONE: u32 = u32::MAX;
 
@@ -107,15 +112,17 @@ struct LevelCtx<'a> {
 }
 
 /// Per-thread scratch: everything one worker needs to refine a contiguous
-/// range of buckets. All buffers are grow-only.
+/// range of buckets. The two tables are sized once; the rest is grow-only.
+#[derive(Default)]
 struct Worker {
-    load: ScratchLoad,
-    /// Packed `(leaf << 32) | segment-position` end records, one side at a
-    /// time, sorted in place.
-    ends: Vec<u64>,
-    /// Ends left over after in-processor pairing (≤ 1 per leaf), packed the
-    /// same way and still sorted by leaf.
-    leftovers: Vec<u64>,
+    /// Heap-indexed (`2n`): segment position of the end waiting at a node
+    /// while [`match_side`] pairs and climbs; all `NONE` between calls.
+    pend: Vec<u32>,
+    /// Heap-indexed (`2n`): messages of the segment with an end under a
+    /// node while [`Worker::walk_classify`] sweeps; all zero between calls.
+    cnt: Vec<u32>,
+    /// The nodes of the tree level either sweep currently stands on.
+    front: Vec<u32>,
     mate_src: Vec<u32>,
     mate_dst: Vec<u32>,
     assigned: Vec<u8>,
@@ -133,18 +140,11 @@ struct Worker {
 
 impl Worker {
     fn new(ft: &FatTree) -> Self {
+        let nodes = 2 * ft.n() as usize;
         Worker {
-            load: ScratchLoad::new(ft),
-            ends: Vec::new(),
-            leftovers: Vec::new(),
-            mate_src: Vec::new(),
-            mate_dst: Vec::new(),
-            assigned: Vec::new(),
-            q0: Vec::new(),
-            q1: Vec::new(),
-            stack: Vec::new(),
-            parts: Vec::new(),
-            nparts: Vec::new(),
+            pend: vec![NONE; nodes],
+            cnt: vec![0; nodes],
+            ..Worker::default()
         }
     }
 
@@ -221,6 +221,13 @@ impl Worker {
                 }
                 (d, dinf, dfeas) = (0, ndinf, ndfeas);
             }
+            if m == 2 {
+                // Two messages split into `[first]`, `[second]`: the trace takes
+                // string 0 forward and hops to string 1 at its destination end.
+                self.parts.extend([abs_base + s + 1, abs_base + e]);
+                np += 2;
+                continue;
+            }
             self.split_segment(ctx.sleaf, ctx.dleaf, &idx_seg[s as usize..e as usize]);
             debug_assert!(
                 self.q0.len() < m || !self.q1.is_empty(),
@@ -236,9 +243,13 @@ impl Worker {
         np
     }
 
-    /// Walk the segment's loads and classify split depths. Every message's
-    /// LCA is `node`, so its path is an up-run from the source leaf and a
-    /// down-run from the destination leaf — no generic path enumeration.
+    /// Exact loads of the segment, classified into split depths. Every
+    /// message's LCA is `node`, so a channel below `node` carries one unit
+    /// per segment end under it: count ends per leaf, then push the counts
+    /// up one level per round over the touched nodes only (source and
+    /// destination ends sit under different children of `node`, so one
+    /// table serves both directions). Capacities are per level and both
+    /// bounds are monotone in the load: each level's heaviest channel decides.
     ///
     /// Returns `(dinf, dfeas)`: depths `d ≤ dinf` have some channel with
     /// `⌊L/2^d⌋ > cap` (every depth-`d` descendant infeasible) and depths
@@ -246,22 +257,34 @@ impl Worker {
     /// descendant feasible). `dfeas == 0` means the segment itself is a
     /// one-cycle set. `dinf < dfeas` always holds.
     fn walk_classify(&mut self, ctx: &LevelCtx, node: u32, seg: &[u32]) -> (u32, u32) {
+        let (cnt, front) = (&mut self.cnt, &mut self.front);
+        front.clear();
         for &id in seg {
-            let mut u = ctx.sleaf[id as usize];
-            while u != node {
-                self.load.add_channel(ChannelId::up(u));
-                u >>= 1;
-            }
-            let mut v = ctx.dleaf[id as usize];
-            while v != node {
-                self.load.add_channel(ChannelId::down(v));
-                v >>= 1;
+            for lf in [ctx.sleaf[id as usize], ctx.dleaf[id as usize]] {
+                if cnt[lf as usize] == 0 {
+                    front.push(lf);
+                }
+                cnt[lf as usize] += 1;
             }
         }
         let mut dinf = 0u32;
         let mut dfeas = 0u32;
-        for (c, l) in self.load.iter_touched() {
-            let cap = ctx.ft.cap(c);
+        let mut level = ctx.ft.height();
+        while front[0] != node {
+            let mut max = 0u32;
+            let mut kept = 0;
+            for r in 0..front.len() {
+                let u = front[r] as usize;
+                let c = std::mem::take(&mut cnt[u]);
+                max = max.max(c);
+                if cnt[u >> 1] == 0 {
+                    front[kept] = (u >> 1) as u32;
+                    kept += 1;
+                }
+                cnt[u >> 1] += c;
+            }
+            front.truncate(kept);
+            let (l, cap) = (max as u64, ctx.ft.cap_at_level(level));
             if l > cap {
                 // Smallest d with cap·2^d ≥ l: ceil(log2(ceil(l / cap))).
                 let q = l.div_ceil(cap);
@@ -272,8 +295,9 @@ impl Worker {
                     dinf = dinf.max(63 - r.leading_zeros());
                 }
             }
+            level -= 1;
         }
-        self.load.clear();
+        cnt[node as usize] = 0;
         (dinf, dfeas)
     }
 
@@ -288,20 +312,15 @@ impl Worker {
         debug_assert!(m >= 2);
 
         // ---- Matching (per side) ----
-        let unmatched_src = match_side(
-            &mut self.ends,
-            &mut self.leftovers,
-            &mut self.mate_src,
-            idx_seg,
-            sleaf,
-        );
-        let _unmatched_dst = match_side(
-            &mut self.ends,
-            &mut self.leftovers,
-            &mut self.mate_dst,
-            idx_seg,
-            dleaf,
-        );
+        let Worker {
+            pend,
+            front,
+            mate_src,
+            mate_dst,
+            ..
+        } = self;
+        let unmatched_src = match_side(pend, front, mate_src, idx_seg, sleaf);
+        match_side(pend, front, mate_dst, idx_seg, dleaf);
 
         // ---- Tracing ----
         self.assigned.clear();
@@ -377,84 +396,65 @@ impl Worker {
 
 /// Build one side's hierarchical matching over the segment: pair ends
 /// within each processor, then pair the ≤-one-per-leaf leftovers within
-/// 2-, 4-, …-leaf subtrees. Returns the surviving unmatched end (`NONE`
-/// when the segment has even length).
+/// 2-, 4-, …-leaf subtrees. Returns the surviving unmatched end (`NONE` for
+/// an even segment). `pend` is all-`NONE` on entry and on return.
 fn match_side(
-    ends: &mut Vec<u64>,
-    leftovers: &mut Vec<u64>,
+    pend: &mut [u32],
+    front: &mut Vec<u32>,
     mate: &mut Vec<u32>,
     idx_seg: &[u32],
     leaf: &[u32],
 ) -> u32 {
-    let m = idx_seg.len();
     mate.clear();
-    mate.resize(m, NONE);
+    mate.resize(idx_seg.len(), NONE);
 
-    // Group ends by (leaf, position): the packed u64 sorts exactly like the
-    // reference's `(leaf, i)` key.
-    ends.clear();
+    // Step 1: pair within each processor, first end with second, third
+    // with fourth, in segment-position order — the pairs a `(leaf,
+    // position)` sort would form. A leaf is listed once per end parked on
+    // it; entries whose end got mated since are stale and skipped below.
+    front.clear();
+    let mut live = 0usize;
     for (t, &id) in idx_seg.iter().enumerate() {
-        ends.push(((leaf[id as usize] as u64) << 32) | t as u64);
-    }
-    ends.sort_unstable();
-
-    // Step 1: pair within each processor; collect one leftover per leaf.
-    leftovers.clear();
-    let mut pos = 0;
-    while pos < m {
-        let lf = ends[pos] >> 32;
-        let mut run_end = pos;
-        while run_end < m && (ends[run_end] >> 32) == lf {
-            run_end += 1;
+        let lf = leaf[id as usize];
+        let p = std::mem::replace(&mut pend[lf as usize], NONE);
+        if p == NONE {
+            pend[lf as usize] = t as u32;
+            front.push(lf);
+            live += 1;
+        } else {
+            mate[p as usize] = t as u32;
+            mate[t] = p;
+            live -= 1;
         }
-        let mut i = pos;
-        while i + 1 < run_end {
-            let a = ends[i] as u32;
-            let b = ends[i + 1] as u32;
-            mate[a as usize] = b;
-            mate[b as usize] = a;
-            i += 2;
-        }
-        if i < run_end {
-            leftovers.push(ends[i]);
-        }
-        pos = run_end;
     }
 
-    // Step 2: hierarchical pairing of leftovers (distinct sorted leaves).
-    pair_range(leftovers, mate)
-}
-
-/// Recursively pair leftover ends within power-of-two aligned leaf ranges;
-/// returns the surviving unmatched end. Allocation-free twin of
-/// `split::pair_range` over packed ends.
-fn pair_range(leftovers: &[u64], mate: &mut [u32]) -> u32 {
-    match leftovers.len() {
-        0 => NONE,
-        1 => leftovers[0] as u32,
-        _ => {
-            // Split at the most significant differing bit of the first and
-            // last leaf: bit `msb` selects the child subtree of the range's
-            // common ancestor.
-            let lo = (leftovers[0] >> 32) as u32;
-            let hi = (leftovers[leftovers.len() - 1] >> 32) as u32;
-            debug_assert!(lo < hi);
-            let msb = 31 - (lo ^ hi).leading_zeros();
-            let split = leftovers.partition_point(|&e| ((e >> 32) as u32 >> msb) & 1 == 0);
-            debug_assert!(split > 0 && split < leftovers.len());
-            let a = pair_range(&leftovers[..split], mate);
-            let b = pair_range(&leftovers[split..], mate);
-            if a != NONE && b != NONE {
-                mate[a as usize] = b;
-                mate[b as usize] = a;
-                NONE
-            } else if a != NONE {
-                a
+    // Step 2: the leftovers climb one level per round. Two that meet under
+    // a node are the survivors of its two subtrees and mate; a lone one
+    // moves on — `split::pair_range`'s recursion, evaluated bottom-up.
+    while live > 1 {
+        let mut kept = 0;
+        for r in 0..front.len() {
+            let u = front[r] as usize;
+            let p = std::mem::replace(&mut pend[u], NONE);
+            if p == NONE {
+                continue;
+            }
+            let q = std::mem::replace(&mut pend[u >> 1], p);
+            if q == NONE {
+                front[kept] = (u >> 1) as u32;
+                kept += 1;
             } else {
-                b
+                pend[u >> 1] = NONE;
+                mate[p as usize] = q;
+                mate[q as usize] = p;
+                live -= 2;
             }
         }
+        front.truncate(kept);
     }
+    // At most one end is still waiting (stale entries read `NONE`).
+    let waiting = front.iter().find(|&&u| pend[u as usize] != NONE);
+    waiting.map_or(NONE, |&u| std::mem::replace(&mut pend[u as usize], NONE))
 }
 
 /// Reusable scratch for [`crate::schedule_theorem1`]: allocate once, run
@@ -470,15 +470,14 @@ pub struct SchedArena {
     /// Bucket key (`2·lca + direction` = child of the LCA on the source
     /// side) per non-local input message, in input order.
     keys: Vec<u32>,
-    /// Prefix offsets into `bucket_msgs` per key (len `2n + 1`).
+    /// Prefix offsets into the bucket-sorted arrays per key (len `2n + 1`).
     bucket_off: Vec<u32>,
     cursor: Vec<u32>,
-    /// Non-local messages, stably counting-sorted by bucket key.
-    bucket_msgs: Vec<Message>,
-    /// Source / destination heap leaves aligned with `bucket_msgs`.
+    /// Source / destination heap leaves of the non-local messages, stably
+    /// counting-sorted by bucket key.
     sleaf: Vec<u32>,
     dleaf: Vec<u32>,
-    /// Original input slot per bucket position, aligned with `bucket_msgs`
+    /// Original input slot per bucket position, aligned with `sleaf`
     /// (lets [`SchedArena::schedule_assign`] report cycles per input slot).
     slot: Vec<u32>,
     /// Per-level emitted cycle counts, reused across runs (the classic
@@ -515,7 +514,6 @@ impl SchedArena {
             keys: Vec::new(),
             bucket_off: Vec::new(),
             cursor: Vec::new(),
-            bucket_msgs: Vec::new(),
             sleaf: Vec::new(),
             dleaf: Vec::new(),
             slot: Vec::new(),
@@ -677,6 +675,7 @@ impl SchedArena {
         if R::ENABLED {
             rec.run_start(ft.height());
         }
+        let mut clock = PhaseClock::start::<R>();
         let n = ft.n();
         let height = ft.height();
 
@@ -750,8 +749,6 @@ impl SchedArena {
             self.bucket_off[i] += self.bucket_off[i - 1];
         }
         let nn = self.keys.len();
-        self.bucket_msgs.clear();
-        self.bucket_msgs.resize(nn, Message::new(0, 0));
         self.sleaf.clear();
         self.sleaf.resize(nn, 0);
         self.dleaf.clear();
@@ -770,13 +767,13 @@ impl SchedArena {
             ki += 1;
             let pos = self.cursor[key] as usize;
             self.cursor[key] += 1;
-            self.bucket_msgs[pos] = msg;
             self.sleaf[pos] = n + msg.src.0;
             self.dleaf[pos] = n + msg.dst.0;
             self.slot[pos] = j as u32;
         }
         self.idx.clear();
         self.idx.extend(0..nn as u32);
+        clock.lap(rec, EnginePhase::Ingest);
 
         // ---- Level-by-level refinement + emission. ----
         let mut next_cycle = 0u32;
@@ -841,6 +838,7 @@ impl SchedArena {
                     }
                 });
             }
+            clock.lap(rec, EnginePhase::Refine);
 
             // Gather worker part tables in bucket (= node, direction) order;
             // chunks are contiguous key ranges, so concatenation suffices.
@@ -886,12 +884,14 @@ impl SchedArena {
                     let end = self.part_ends[p];
                     for q in start..end {
                         let pos = self.idx[q as usize] as usize;
-                        emit.place(next_cycle, self.slot[pos], self.bucket_msgs[pos]);
+                        let msg = Message::new(self.sleaf[pos] - n, self.dleaf[pos] - n);
+                        emit.place(next_cycle, self.slot[pos], msg);
                     }
                 }
                 next_cycle += 1;
             }
             self.cpl.push(level_cycles);
+            clock.lap(rec, EnginePhase::Emit);
         }
 
         // Attach local messages (zero load) to the first cycle, or emit a
@@ -1080,6 +1080,51 @@ mod tests {
         assert_split_matches(&t, 1, &q, CrossDirection::LeftToRight);
         let q: Vec<Message> = (8..16).map(|i| Message::new(i, 15 - i)).collect();
         assert_split_matches(&t, 1, &q, CrossDirection::RightToLeft);
+    }
+
+    #[test]
+    fn two_message_fast_path_is_the_even_split() {
+        // Pairs sharing a source, a destination, both, or neither: on unit
+        // capacities each must split, and the split is `[first]`, `[second]`.
+        let t = ft(16);
+        let mut arena = SchedArena::new(&t);
+        let dir = CrossDirection::LeftToRight;
+        for (a, b) in [
+            ((0, 12), (0, 12)),
+            ((0, 12), (0, 9)),
+            ((3, 12), (5, 12)),
+            ((7, 8), (0, 15)),
+        ] {
+            let q = [Message::new(a.0, a.1), Message::new(b.0, b.1)];
+            assert_eq!(split_reference(&t, 1, &q, dir), (vec![0], vec![1]));
+            let (order, ends) = arena.refine_even(&t, 1, &q, dir);
+            assert_eq!((order, ends), (&[0u32, 1][..], &[1u32, 2][..]), "{q:?}");
+        }
+    }
+
+    #[test]
+    fn worker_tables_are_all_clear_after_every_entry_point() {
+        let t = FatTree::universal(64, 4);
+        let mut arena = SchedArena::new(&t);
+        let clear = |a: &SchedArena| {
+            a.workers
+                .iter()
+                .all(|w| w.pend.iter().all(|&p| p == NONE) && w.cnt.iter().all(|&c| c == 0))
+        };
+        // 65 crossers of the root (odd: one end survives every matching),
+        // piled on few leaves, plus deeper traffic.
+        let q: Vec<Message> = (0..65).map(|i| Message::new(i % 5, 32 + i % 7)).collect();
+        let dir = CrossDirection::LeftToRight;
+        arena.split_even_indices(&t, 1, &q, dir);
+        assert!(clear(&arena), "split_even_indices");
+        arena.refine_even(&t, 1, &q, dir);
+        assert!(clear(&arena), "refine_even");
+        arena.distribute_pow2(&t, 1, &q, dir, 8);
+        assert!(clear(&arena), "distribute_pow2");
+        let deeper = (0..64).map(|i| Message::new(i, (i * 5 + 1) % 64));
+        let m: MessageSet = q.into_iter().chain(deeper).collect();
+        arena.schedule(&t, &m, 2);
+        assert!(clear(&arena), "schedule");
     }
 
     #[test]

@@ -54,8 +54,7 @@ use crate::node::PortSwitch;
 use ft_concentrator::{Concentrator, MatchingArena};
 use ft_core::rng::splitmix64;
 use ft_core::{ChannelId, FatTree, GenTable, LoadMap, Message, MessageSet, MessageStream};
-use ft_telemetry::{EnginePhase, NoopRecorder, Recorder};
-use std::time::Instant;
+use ft_telemetry::{EnginePhase, NoopRecorder, PhaseClock, Recorder};
 
 /// Re-export for configuration convenience.
 pub use crate::node::SwitchFlavor as SwitchKind;
@@ -1471,29 +1470,6 @@ fn sort_by_source<W: MetaWord>(meta: &[W], n: u32, counts: &mut Vec<u32>, out: &
     }
 }
 
-/// Laps a clock between engine phases for [`Recorder::engine_phase`]. With
-/// a disabled recorder it never reads the clock and every call compiles
-/// away.
-struct PhaseClock(Option<Instant>);
-
-impl PhaseClock {
-    #[inline]
-    fn start<R: Recorder>() -> Self {
-        PhaseClock(R::ENABLED.then(Instant::now))
-    }
-
-    /// Report the time since the previous lap (or the start) as `phase`.
-    #[inline]
-    fn lap<R: Recorder>(&mut self, rec: &mut R, phase: EnginePhase) {
-        if R::ENABLED {
-            let now = Instant::now();
-            if let Some(t0) = self.0.replace(now) {
-                rec.engine_phase(phase, (now - t0).as_nanos() as u64);
-            }
-        }
-    }
-}
-
 /// A root-crossing message suspended at a shard boundary: everything the
 /// coordinator needs to finish routing it. `id` is the coordinator-global
 /// arbitration id (position in the coordinator's pending slice), `meta` the
@@ -2453,14 +2429,16 @@ mod tests {
             .map(|i| Message::new(i % 64, (i * 7 + 5) % 64))
             .collect();
         let phase = |rec: &MetricsRecorder, p: EnginePhase| rec.phase_ns[p as usize];
-        // Fused body: every phase fires (the run retries, so compaction too).
+        // Fused body: every phase of this arena fires (the run retries, so
+        // compaction too); `Refine` and `Emit` are ft-sched's.
         let mut fused = MetricsRecorder::new();
         let plain = run_to_completion(&t, &msgs, &SimConfig::default());
         let run = run_to_completion_with(&t, &msgs, &SimConfig::default(), &mut fused);
         assert_eq!(run, plain);
         assert!(run.cycles > 1);
         for p in EnginePhase::ALL {
-            assert!(phase(&fused, p) > 0, "{p:?} never reported");
+            let own = !matches!(p, EnginePhase::Refine | EnginePhase::Emit);
+            assert_eq!(phase(&fused, p) > 0, own, "{p:?}");
         }
         // Level-pass body: no source sort.
         let wide = SimConfig {

@@ -28,6 +28,8 @@
 //! The crate is dependency-free (std only) and knows nothing about fat
 //! trees: engines pass levels, loads, and capacities as plain integers.
 
+use std::time::Instant;
+
 /// Observation hooks called by the engines.
 ///
 /// Implementations accumulate whatever they like; every method has an empty
@@ -96,8 +98,9 @@ pub trait Recorder {
     fn stream_ingest(&mut self, family: &'static str, messages: u64) {
         let _ = (family, messages);
     }
-    /// The delivery-cycle arena spent `ns` in `phase` (once per phase per
-    /// cycle). The engine reads the clock only when [`Recorder::ENABLED`].
+    /// An arena spent `ns` in `phase` (`ft-sim`: once per phase per cycle;
+    /// `ft-sched`: once per phase per tree level). The engine reads the
+    /// clock only when [`Recorder::ENABLED`] (see [`PhaseClock`]).
     fn engine_phase(&mut self, phase: EnginePhase, ns: u64) {
         let _ = (phase, ns);
     }
@@ -111,12 +114,15 @@ pub trait Recorder {
     }
 }
 
-/// The stages of one `ft-sim` arena delivery cycle, in execution order —
-/// the unit of [`Recorder::engine_phase`] attribution.
+/// The stages of one `ft-sim` arena delivery cycle, in execution order,
+/// then the two stages of a `ft-sched` `SchedArena` run that follow its
+/// own [`EnginePhase::Ingest`] — the unit of [`Recorder::engine_phase`]
+/// attribution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EnginePhase {
-    /// Pack metadata from the message source (first cycle) and inject onto
-    /// the leaf up-wires (every cycle).
+    /// `ft-sim`: pack metadata from the message source (first cycle) and
+    /// inject onto the leaf up-wires (every cycle). `ft-sched`: bucket the
+    /// messages by LCA and tally λ(M).
     Ingest,
     /// Counting-sort the injected messages by source leaf (fused cycles).
     SourceSort,
@@ -128,17 +134,23 @@ pub enum EnginePhase {
     Settle,
     /// Emit delivered identities and compact the retry set.
     Compaction,
+    /// `ft-sched`: split one tree level's buckets into one-cycle parts.
+    Refine,
+    /// `ft-sched`: gather the level's parts and place them into cycles.
+    Emit,
 }
 
 impl EnginePhase {
     /// Every phase, in execution order.
-    pub const ALL: [EnginePhase; 6] = [
+    pub const ALL: [EnginePhase; 8] = [
         EnginePhase::Ingest,
         EnginePhase::SourceSort,
         EnginePhase::UpSweep,
         EnginePhase::DownSweep,
         EnginePhase::Settle,
         EnginePhase::Compaction,
+        EnginePhase::Refine,
+        EnginePhase::Emit,
     ];
 
     /// Stable snake_case name (JSON key stem and table label).
@@ -150,6 +162,32 @@ impl EnginePhase {
             EnginePhase::DownSweep => "down_sweep",
             EnginePhase::Settle => "settle",
             EnginePhase::Compaction => "compaction",
+            EnginePhase::Refine => "refine",
+            EnginePhase::Emit => "emit",
+        }
+    }
+}
+
+/// Laps a clock between engine phases for [`Recorder::engine_phase`]. With
+/// a disabled recorder it never reads the clock and every call compiles
+/// away.
+pub struct PhaseClock(Option<Instant>);
+
+impl PhaseClock {
+    /// Start timing; the first [`PhaseClock::lap`] reports from here.
+    #[inline]
+    pub fn start<R: Recorder>() -> Self {
+        PhaseClock(R::ENABLED.then(Instant::now))
+    }
+
+    /// Report the time since the previous lap (or the start) as `phase`.
+    #[inline]
+    pub fn lap<R: Recorder>(&mut self, rec: &mut R, phase: EnginePhase) {
+        if R::ENABLED {
+            let now = Instant::now();
+            if let Some(t0) = self.0.replace(now) {
+                rec.engine_phase(phase, (now - t0).as_nanos() as u64);
+            }
         }
     }
 }
@@ -500,7 +538,7 @@ pub struct MetricsRecorder {
     /// [`stream_ingest`]: Recorder::stream_ingest
     pub stream_families: Vec<(&'static str, u64, u64)>,
     /// Arena time per [`EnginePhase`] (ns, summed over cycles), indexed in
-    /// [`EnginePhase::ALL`] order; all zero unless an `ft-sim` arena ran.
+    /// [`EnginePhase::ALL`] order; all zero unless an arena reported.
     pub phase_ns: [u64; EnginePhase::ALL.len()],
     /// Coalesced serve batches observed ([`Recorder::serve_batch`] calls).
     pub serve_batches: u64,
@@ -752,9 +790,9 @@ impl MetricsRecorder {
         out
     }
 
-    /// Arena phase attribution: one row of summed time per
-    /// [`EnginePhase`] with its share of the total. Empty string when no
-    /// `ft-sim` arena reported.
+    /// Arena phase attribution: summed time per [`EnginePhase`] that was
+    /// reported at all, with its share of the total. Empty string when no
+    /// arena reported.
     pub fn render_phases(&self) -> String {
         let total: u64 = self.phase_ns.iter().sum();
         if total == 0 {
@@ -762,6 +800,9 @@ impl MetricsRecorder {
         }
         let mut out = String::from(" ");
         for (p, ns) in EnginePhase::ALL.iter().zip(self.phase_ns) {
+            if ns == 0 {
+                continue;
+            }
             out.push_str(&format!(
                 " {} {:.1}µs ({:.0}%)",
                 p.name(),
@@ -1484,13 +1525,13 @@ mod tests {
             rec.engine_phase(p, 10 * (k as u64 + 1));
             rec.engine_phase(p, 1);
         }
-        assert_eq!(rec.phase_ns, [11, 21, 31, 41, 51, 61]);
+        assert_eq!(rec.phase_ns, [11, 21, 31, 41, 51, 61, 71, 81]);
         assert!(rec
             .to_json()
             .contains("\"phases\":{\"ingest_ns\":11,\"source_sort_ns\":21,"));
         assert!(rec.render_phases().contains("down_sweep"));
         rec.reset();
-        assert_eq!(rec.phase_ns, [0; 6]);
+        assert_eq!(rec.phase_ns, [0; 8]);
     }
 
     #[test]

@@ -43,8 +43,8 @@ pub struct Embedded {
     boundaries: Vec<u32>,
     /// Binary level → topology level, `Some` only at boundaries.
     real_level: Vec<Option<u32>>,
-    /// `strides[t]` = real leaves per child step at depth `t`.
-    strides: Vec<u64>,
+    /// Real processor → padded leaf; empty when the map is the identity.
+    leaf_map: Vec<u32>,
     /// Whether the leaf map is the identity (every arity a power of two).
     identity: bool,
 }
@@ -103,19 +103,24 @@ impl Embedded {
         for (t, &b) in boundaries.iter().enumerate() {
             real_level[b as usize] = Some(t as u32);
         }
-        let mut strides = vec![1u64; depth];
-        for t in (0..depth.saturating_sub(1)).rev() {
-            strides[t] = strides[t + 1] * topo.arities()[t + 1] as u64;
-        }
-        Embedded {
+        let mut emb = Embedded {
             topo,
             ft,
             group_bits,
             boundaries,
             real_level,
-            strides,
+            leaf_map: Vec::new(),
             identity,
+        };
+        if !identity {
+            // Digit tuples order like the numbers they spell in either
+            // radix, so the padded leaves that stand for a real processor,
+            // in increasing order, are the images of processors 0, 1, 2, ….
+            emb.leaf_map = (0..padded_n)
+                .filter(|&q| emb.unmap_proc(q).is_some())
+                .collect();
         }
+        emb
     }
 
     /// The source topology.
@@ -155,21 +160,16 @@ impl Embedded {
     }
 
     /// Map a real processor id to its padded leaf (mixed-radix digits to
-    /// per-level bit fields).
+    /// per-level bit fields), by a table built once in [`Embedded::new`].
+    ///
+    /// # Panics
+    /// On a non-identity embedding, if `p` is not a real processor id.
     #[inline]
     pub fn map_proc(&self, p: u32) -> u32 {
         if self.identity {
             return p;
         }
-        debug_assert!((p as u64) < self.topo.leaves());
-        let mut q = 0u32;
-        let mut rem = p as u64;
-        for (t, &stride) in self.strides.iter().enumerate() {
-            let d = rem / stride;
-            rem %= stride;
-            q = (q << self.group_bits[t]) | d as u32;
-        }
-        q
+        self.leaf_map[p as usize]
     }
 
     /// Map a padded leaf back to its real processor (`None` for padding).
@@ -335,6 +335,25 @@ mod tests {
         // Padded leaves under the phantom digit d0 = 3 are unmapped.
         assert_eq!(emb.unmap_proc(6), None);
         assert_eq!(emb.unmap_proc(7), None);
+    }
+
+    #[test]
+    fn leaf_table_spells_mixed_radix_digits() {
+        // Neither arity a power of two: digits (d0 < 5, d1 < 3) land in a
+        // 3-bit and a 2-bit field.
+        let caps = [4, 2, 1].map(LevelCaps::symmetric).to_vec();
+        let emb = Embedded::new(Topology::custom(vec![5, 3], caps));
+        assert_eq!((emb.leaves(), emb.padded_n()), (15, 32));
+        for p in 0..15 {
+            assert_eq!(emb.map_proc(p), (p / 3) << 2 | (p % 3), "digits of {p}");
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn map_proc_rejects_an_id_past_the_real_leaves() {
+        let caps = [4, 2, 1].map(LevelCaps::symmetric).to_vec();
+        Embedded::new(Topology::custom(vec![5, 3], caps)).map_proc(15);
     }
 
     #[test]

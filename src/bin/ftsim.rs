@@ -904,6 +904,8 @@ fn cmd_report(opts: &HashMap<String, String>) {
         sched_rec.splits.iter().sum::<u64>(),
         sched_rec.split_sizes.render()
     );
+    println!("Theorem-1 arena time by phase (all levels):");
+    print!("{}", sched_rec.render_phases());
     match online_rec.hottest_level() {
         Some(l) => println!(
             "on-line contention: {} resends, hottest level {l} ({} blocked)",

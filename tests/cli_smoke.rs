@@ -85,6 +85,16 @@ fn report_prints_every_section() {
     assert!(stdout.contains("on-line contention"), "{stdout}");
     assert!(stdout.contains("load/cap eighths"), "{stdout}");
     assert!(stdout.contains("down_sweep"), "{stdout}");
+    // The scheduler's row names its own phases and none of the simulator's.
+    let sched_row = stdout
+        .split("Theorem-1 arena time by phase")
+        .nth(1)
+        .and_then(|rest| rest.lines().nth(1))
+        .unwrap_or_else(|| panic!("no scheduler phase row in {stdout}"));
+    for phase in ["ingest", "refine", "emit"] {
+        assert!(sched_row.contains(phase), "{phase} missing: {sched_row}");
+    }
+    assert!(!sched_row.contains("sweep"), "{sched_row}");
     assert!(stdout.contains("concentrator cascade"), "{stdout}");
     assert!(stdout.contains("stage 0"), "{stdout}");
     assert!(stdout.contains("serve probe"), "{stdout}");
@@ -121,6 +131,13 @@ fn report_json_carries_every_engine_block() {
         "\"client_p50_us\":",
     ] {
         assert!(line.contains(key), "missing {key} in {line}");
+    }
+    // The scheduler block attributes its time to its own three phases.
+    let sched = line.split("\"schedule\":{").nth(1).expect("checked above");
+    for key in ["\"ingest_ns\":", "\"refine_ns\":", "\"emit_ns\":"] {
+        let digits = sched.split(key).nth(1).expect(key);
+        let ns: u64 = digits[..digits.find([',', '}']).unwrap()].parse().unwrap();
+        assert!(ns > 0, "{key} is zero in the schedule block of {line}");
     }
 }
 

@@ -8,7 +8,7 @@ use fat_tree::core::rng::SplitMix64;
 use fat_tree::prelude::*;
 use fat_tree::sched::SchedArena;
 use fat_tree::sim::{run_to_completion, run_to_completion_with};
-use fat_tree::telemetry::parse_jsonl;
+use fat_tree::telemetry::{parse_jsonl, EnginePhase};
 
 fn random2(n: u32, seed: u64) -> MessageSet {
     let mut rng = SplitMix64::seed_from_u64(seed);
@@ -74,6 +74,14 @@ fn sched_arena_schedule_identical_with_any_recorder() {
             rec.split_sizes.total() > 0,
             "n={n}: splitter never reported"
         );
+        // Phase attribution: exactly the scheduler's three phases report.
+        for (p, ns) in EnginePhase::ALL.iter().zip(rec.phase_ns) {
+            let own = matches!(
+                p,
+                EnginePhase::Ingest | EnginePhase::Refine | EnginePhase::Emit
+            );
+            assert_eq!(ns > 0, own, "n={n}: phase {} read {ns} ns", p.name());
+        }
     }
 }
 
