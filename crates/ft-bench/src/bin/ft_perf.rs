@@ -414,17 +414,6 @@ fn main() {
                 || arena.cycle(&ft, msgs, &cfg).delivered,
                 || simulate_cycle_reference(&ft, msgs, &cfg).delivered.len(),
             );
-
-            // --- simulate_cycle with parallel subtree arbitration.
-            if threads > 1 {
-                let mt = SimConfig { threads, ..cfg };
-                let mut arena = SimArena::new(&ft, &mt);
-                let name = format!("simulate_cycle/flat-mt{threads}/n={n}/{wl}");
-                let m = bench_with_budget(&name, h.budget, &mut || {
-                    arena.cycle(&ft, msgs, &mt).delivered
-                });
-                h.push("simulate_cycle", "flat-mt", n, wl, &m);
-            }
         }
 
         // --- run_to_completion: retries until drained. Hot spots serialize
@@ -561,23 +550,6 @@ fn main() {
                     route_online_reference(&ft, &msgs, &mut rng, OnlineConfig::default()).cycles
                 },
             );
-
-            // --- online_route with the scoped-thread claim fan-out
-            // (byte-identical output; see ft-sched::online).
-            if threads > 1 && wl == "random2" {
-                let ocfg = OnlineConfig {
-                    threads,
-                    ..Default::default()
-                };
-                let mut oarena = OnlineArena::new(&ft);
-                let name = format!("online_route/flat-mt{threads}/n={n}/{wl}");
-                let m = bench_with_budget(&name, h.budget, &mut || {
-                    let mut rng = SplitMix64::seed_from_u64(seed);
-                    oarena.run(&ft, &msgs, &mut rng, ocfg);
-                    oarena.cycles()
-                });
-                h.push("online_route", "flat-mt", n, wl, &m);
-            }
         }
     }
 

@@ -1,16 +1,12 @@
 //! A minimal, dependency-free micro-benchmark harness.
 //!
-//! The workspace builds offline, so the `benches/` targets cannot pull in
-//! criterion. This module provides the small slice of it they need:
-//! warm up, run batches until a time budget is spent, and report the
-//! median per-iteration time. Wall-clock numbers, not statistics — the
-//! serious measurements live in the `ft-perf` binary (see EXPERIMENTS.md).
+//! The workspace builds offline, so `ft-perf` cannot pull in criterion.
+//! This module provides the small slice of it that binary needs: warm up,
+//! run batches until a time budget is spent, and report the median
+//! per-iteration time (see EXPERIMENTS.md).
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-/// Default per-benchmark measurement budget.
-pub const DEFAULT_BUDGET: Duration = Duration::from_millis(500);
 
 /// One benchmark measurement.
 #[derive(Clone, Debug)]
@@ -23,15 +19,10 @@ pub struct Measurement {
     pub iters: u64,
 }
 
-/// Time `f`, printing a criterion-style one-line summary.
+/// Time `f` within `budget`, printing a criterion-style one-line summary.
 ///
 /// The closure's return value is passed through [`black_box`] so the
 /// optimizer cannot delete the work.
-pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> Measurement {
-    bench_with_budget(name, DEFAULT_BUDGET, &mut f)
-}
-
-/// [`bench`] with an explicit time budget.
 pub fn bench_with_budget<T>(
     name: &str,
     budget: Duration,

@@ -197,16 +197,14 @@ impl ScratchLoad {
 
 /// A generation-stamped dense scratch table.
 ///
-/// Engines that rebuild a dense per-channel (or per-slot) array every
-/// delivery cycle pay an `O(len)` clear per cycle — exactly the cost
-/// [`LoadMap::zeros`] imposes on the on-line router and the slot tables
-/// impose on the simulator. `GenTable` removes it: each slot packs
+/// An engine that rebuilds a dense per-slot array every level pass pays an
+/// `O(len)` clear per pass — the cost the slot tables impose on the
+/// simulator. `GenTable` removes it: each slot packs
 /// `generation << 32 | payload`, and a slot is live only while its stamp
 /// matches the table's current generation. [`GenTable::begin`] bumps the
 /// generation, invalidating every slot at once; the `fill(0)` happens only
-/// on the (once per ~4 billion passes) generation wrap. Shared by
-/// `ft_sim::SimArena` (slot and arbitration tables) and
-/// `ft_sched::OnlineArena` (used-wire counts and the saturated-leaf memo).
+/// on the (once per ~4 billion passes) generation wrap. Used by
+/// `ft_sim::SimArena` for its (node, slot) contender table.
 #[derive(Clone, Debug, Default)]
 pub struct GenTable {
     /// `gen << 32 | payload`, live iff the stamp equals `self.gen`.
@@ -258,37 +256,6 @@ impl GenTable {
     #[inline]
     pub fn set(&mut self, i: usize, v: u32) {
         self.slots[i] = ((self.gen as u64) << 32) | v as u64;
-    }
-
-    /// Counter view: the payload at `i`, or 0 if the slot is stale.
-    #[inline]
-    pub fn count(&self, i: usize) -> u32 {
-        self.get(i).unwrap_or(0)
-    }
-
-    /// Counter view: increment slot `i` if its count is below `cap`.
-    /// Returns true on success — the claim idiom of wire-occupancy engines.
-    #[inline]
-    pub fn try_claim(&mut self, i: usize, cap: u64) -> bool {
-        let c = self.count(i);
-        if (c as u64) < cap {
-            self.set(i, c + 1);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Presence view: mark slot `i` for the current pass.
-    #[inline]
-    pub fn stamp(&mut self, i: usize) {
-        self.set(i, 0);
-    }
-
-    /// Presence view: was slot `i` marked this pass?
-    #[inline]
-    pub fn is_stamped(&self, i: usize) -> bool {
-        self.get(i).is_some()
     }
 }
 
@@ -444,29 +411,24 @@ mod tests {
     }
 
     #[test]
-    fn gen_table_claims_and_invalidates() {
+    fn gen_table_sets_and_invalidates() {
         let mut t = GenTable::new();
         t.begin(4);
         assert_eq!(t.len(), 4);
         assert_eq!(t.get(0), None);
-        assert!(t.try_claim(0, 2));
-        assert!(t.try_claim(0, 2));
-        assert!(!t.try_claim(0, 2), "cap 2 must reject the third claim");
-        assert_eq!(t.count(0), 2);
         t.set(3, 77);
         assert_eq!(t.get(3), Some(77));
-        t.stamp(1);
-        assert!(t.is_stamped(1));
-        assert!(!t.is_stamped(2));
+        t.set(1, 0);
+        assert_eq!(t.get(1), Some(0));
+        assert_eq!(t.get(2), None);
         // A new pass invalidates everything without clearing.
         t.begin(4);
-        assert_eq!(t.count(0), 0);
-        assert!(!t.is_stamped(1));
+        assert_eq!(t.get(1), None);
         assert_eq!(t.get(3), None);
         // Growth keeps earlier slots addressable.
         t.begin(8);
         assert_eq!(t.len(), 8);
-        assert_eq!(t.count(7), 0);
+        assert_eq!(t.get(7), None);
     }
 
     #[test]
@@ -483,7 +445,6 @@ mod tests {
         t.begin(2); // gen wraps -> slots cleared, gen = 1
         assert_eq!(t.get(0), None);
         assert_eq!(t.get(1), None);
-        assert!(t.try_claim(1, 1));
     }
 
     #[test]

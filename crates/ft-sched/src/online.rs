@@ -43,28 +43,24 @@
 //! * the claim walk exits at the first full channel — the lowest saturated
 //!   level on the path rejects the message immediately (on capacity-1 leaf
 //!   channels that is the very first probe), where the reference walks the
-//!   whole path with a dead closure;
-//! * with [`OnlineConfig::threads`] > 1 claiming fans out over scoped
-//!   threads in three barrier-separated phases (see `threaded_cycle`), again
-//!   byte-identical for any thread count.
+//!   whole path with a dead closure.
 //!
 //! Contention instrumentation reports through the [`Recorder`] trait from
 //! ft-telemetry: [`OnlineArena::run_with`] is monomorphized over the
-//! recorder type, the cycle engines dispatch on the compile-time
+//! recorder type, the cycle engine dispatches on the compile-time
 //! [`Recorder::ENABLED`] constant to separate counted / fast claim kernels
 //! (exactly the old `const COUNT: bool` scheme), and per-(cycle, level)
 //! claimed / blocked / wasted aggregates are fed to
-//! [`Recorder::wire_claims`] from the main thread between cycles — so a
-//! [`NoopRecorder`] run carries zero instrumentation cost and is
-//! byte-identical to the untraced engine.
+//! [`Recorder::wire_claims`] between cycles — so a [`NoopRecorder`] run
+//! carries zero instrumentation cost and is byte-identical to the untraced
+//! engine.
 //!
-//! Once warmed, a steady-state serial [`OnlineArena::run`] performs **zero
-//! heap allocation** (asserted by `tests/alloc_online.rs`).
+//! Once warmed, a steady-state [`OnlineArena::run`] performs **zero heap
+//! allocation** (asserted by `tests/alloc_online.rs`).
 
 use ft_core::rng::SplitMix64;
-use ft_core::{FatTree, GenTable, MessageSet, MessageStream};
+use ft_core::{FatTree, MessageSet, MessageStream};
 use ft_telemetry::{NoopRecorder, Recorder};
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Configuration for the on-line routing process.
 #[derive(Clone, Copy, Debug, Default)]
@@ -74,9 +70,6 @@ pub struct OnlineConfig {
     /// at least one message is delivered each cycle — but runaway parameters
     /// are easier to debug with a valve.
     pub max_cycles: usize,
-    /// Worker threads for the claim fan-out (0 and 1 both mean serial).
-    /// Any thread count produces byte-identical results.
-    pub threads: usize,
 }
 
 /// Internal per-level contention scratch, indexed by channel level
@@ -87,9 +80,9 @@ pub struct OnlineConfig {
 /// counts rejected claim attempts (one per failed message per cycle, at the
 /// level that dropped it), and `wasted[l]` counts grants that went to waste
 /// because the claiming message was blocked further along its path. The
-/// arena accumulates here (and in per-worker twins that drain into it) and
-/// reports per-cycle deltas through [`Recorder::wire_claims`]; the public
-/// mechanism is `ft_telemetry::MetricsRecorder`, not this struct.
+/// arena accumulates here and reports per-cycle deltas through
+/// [`Recorder::wire_claims`]; the public mechanism is
+/// `ft_telemetry::MetricsRecorder`, not this struct.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct OnlineCounters {
     pub(crate) claimed: Vec<u64>,
@@ -103,18 +96,6 @@ impl OnlineCounters {
         for v in [&mut self.claimed, &mut self.blocked, &mut self.wasted] {
             v.clear();
             v.resize(len, 0);
-        }
-    }
-
-    fn drain_into(&mut self, dst: &mut OnlineCounters) {
-        for (d, s) in dst.claimed.iter_mut().zip(&mut self.claimed) {
-            *d += std::mem::take(s);
-        }
-        for (d, s) in dst.blocked.iter_mut().zip(&mut self.blocked) {
-            *d += std::mem::take(s);
-        }
-        for (d, s) in dst.wasted.iter_mut().zip(&mut self.wasted) {
-            *d += std::mem::take(s);
         }
     }
 }
@@ -168,31 +149,13 @@ fn unpack(m: u64) -> (u32, u32, u32) {
     )
 }
 
-// Per-message phase flags for the threaded claim fan-out.
-const DEAD: u8 = 0;
-const UP_OK: u8 = 1;
-const TOP_OK: u8 = 2;
-const DELIVERED: u8 = 3;
-
-/// Per-worker scratch for the threaded phases: a private generation-stamped
-/// claim table over the worker's subtree edges plus private counters, so
-/// phases share nothing but the read-only inputs and the atomic flags.
-#[derive(Default)]
-struct OnlineWorker {
-    tbl: GenTable,
-    cnt: OnlineCounters,
-}
-
 /// Reusable scratch for the on-line routing process.
 ///
 /// Construct once per tree and feed it any number of runs; every buffer is
-/// grow-only. See the module docs for the engine design and
-/// `DESIGN.md` §"Flat-engine arenas" for the parallel-schedule argument.
+/// grow-only. See the module docs for the engine design.
 pub struct OnlineArena {
     n: u32,
     height: u32,
-    /// Channel capacity per level (level 0 unused).
-    caps: Vec<u64>,
     /// First node id whose level uses the byte counters: node `u` sits at
     /// level `lg u`, so `u >= usplit` is exactly "level ≥ `lsplit`", the
     /// shallowest level from which every capacity fits a byte.
@@ -221,20 +184,11 @@ pub struct OnlineArena {
     /// `2n − 1` (byte tables) and `usplit − 1` (wide tables).
     mask16: u32,
     mask32: u32,
-    /// Main counters (serial path + root-crossing pass + worker merge).
+    /// Contention counters of the current run (recorder-enabled runs only).
     cnt: OnlineCounters,
     /// Snapshot of `cnt` at the previous cycle boundary, so the recorder is
     /// fed per-(cycle, level) deltas.
     prev: OnlineCounters,
-    // --- threaded-phase scratch ---
-    workers: Vec<OnlineWorker>,
-    flags: Vec<AtomicU8>,
-    src_off: Vec<u32>,
-    dst_off: Vec<u32>,
-    cursor: Vec<u32>,
-    src_list: Vec<u32>,
-    dst_list: Vec<u32>,
-    cross_list: Vec<u32>,
     // --- outputs ---
     delivered_per_cycle: Vec<usize>,
     truncated: bool,
@@ -281,7 +235,6 @@ impl OnlineArena {
         OnlineArena {
             n: ft.n(),
             height,
-            caps,
             usplit,
             alive: Vec::new(),
             up16: init16.clone(),
@@ -294,14 +247,6 @@ impl OnlineArena {
             mask32: usplit.min(nodes) - 1,
             cnt: OnlineCounters::default(),
             prev: OnlineCounters::default(),
-            workers: Vec::new(),
-            flags: Vec::new(),
-            src_off: Vec::new(),
-            dst_off: Vec::new(),
-            cursor: Vec::new(),
-            src_list: Vec::new(),
-            dst_list: Vec::new(),
-            cross_list: Vec::new(),
             delivered_per_cycle: Vec::new(),
             truncated: false,
         }
@@ -356,7 +301,7 @@ impl OnlineArena {
     }
 
     /// Run the process, leaving the outcome readable through the accessors
-    /// until the next call. Once warm, the serial path allocates nothing.
+    /// until the next call. Once warm, this allocates nothing.
     pub fn run(
         &mut self,
         ft: &FatTree,
@@ -376,9 +321,9 @@ impl OnlineArena {
     /// rejection / wasted grant to its level and the recorder receives
     /// [`Recorder::cycle_start`] / [`Recorder::cycle_end`] per delivery
     /// cycle plus [`Recorder::wire_claims`] per-(cycle, level) aggregates —
-    /// called from the main thread between cycles, never from the claim
-    /// kernels or worker threads, so the hot path stays untouched and a
-    /// warmed `MetricsRecorder` adds no steady-state allocation.
+    /// called between cycles, never from the claim kernels, so the hot path
+    /// stays untouched and a warmed `MetricsRecorder` adds no steady-state
+    /// allocation.
     pub fn run_with<R: Recorder>(
         &mut self,
         ft: &FatTree,
@@ -459,16 +404,6 @@ impl OnlineArena {
         self.delivered_per_cycle.clear();
         self.truncated = false;
 
-        // Bucket depth for the threaded fan-out: 2^ell subtrees, enough for
-        // one per thread. 0 selects the serial path (also when the tree is
-        // too shallow to split).
-        let threads = config.threads.max(1);
-        let ell = if threads <= 1 || height < 2 {
-            0
-        } else {
-            (u32::BITS - (threads as u32 - 1).leading_zeros()).clamp(1, height - 1)
-        };
-
         while !self.alive.is_empty() {
             if config.max_cycles != 0 && self.delivered_per_cycle.len() >= config.max_cycles {
                 self.truncated = true;
@@ -485,11 +420,10 @@ impl OnlineArena {
             // SplitMix64 stream as the reference's shuffle of its
             // Vec<Message>: Fisher–Yates depends only on the slice length.
             rng.shuffle(&mut self.alive);
-            let delivered = match (ell, R::ENABLED) {
-                (0, false) => self.serial_cycle::<false>(),
-                (0, true) => self.serial_cycle::<true>(),
-                (_, false) => self.threaded_cycle::<false>(ell, threads),
-                (_, true) => self.threaded_cycle::<true>(ell, threads),
+            let delivered = if R::ENABLED {
+                self.serial_cycle::<true>()
+            } else {
+                self.serial_cycle::<false>()
             };
             // Progress guarantee: the first message in the shuffled order
             // always claims an empty network.
@@ -527,7 +461,7 @@ impl OnlineArena {
         }
     }
 
-    /// One serial delivery cycle: walk the shuffled alive list, claim each
+    /// One delivery cycle: walk the shuffled alive list, claim each
     /// message's path with first-full-channel early exit, compact survivors
     /// in place. Returns the number delivered.
     fn serial_cycle<const COUNT: bool>(&mut self) -> usize {
@@ -583,269 +517,12 @@ impl OnlineArena {
         alive.truncate(w);
         delivered
     }
-
-    /// One threaded delivery cycle, byte-identical to [`Self::serial_cycle`]
-    /// for any thread count.
-    ///
-    /// Messages are bucketed by their depth-`ell` subtree. A message whose
-    /// LCA lies at depth ≥ `ell` ("inside") touches only channels strictly
-    /// inside its bucket; a "root-crosser" (LCA depth < `ell`) touches its
-    /// source bucket below depth `ell` going up, the shared top segment,
-    /// and its destination bucket below depth `ell` going down. Claiming
-    /// therefore splits into three barrier-separated phases whose channel
-    /// sets are pairwise disjoint:
-    ///
-    /// 1. **Up** (parallel per source bucket): every up-channel claim at
-    ///    depth > `ell` — full up-runs for inside messages, up-tails for
-    ///    crossers. Up-claims are unconditional path prefixes, so they need
-    ///    nothing from other messages' fates.
-    /// 2. **Top** (sequential, shuffle order over crossers): claims on the
-    ///    depth ≤ `ell` segment, skipping crossers already dead from
-    ///    phase 1. Only crossers ever touch these channels.
-    /// 3. **Down** (parallel per destination bucket): every down-channel
-    ///    claim at depth > `ell`, conditional on the flag settled in
-    ///    phase 1 (inside) or phase 2 (crossers).
-    ///
-    /// Each directed channel is owned by exactly one worker in exactly one
-    /// phase, the per-channel attempt order is the shuffle order restricted
-    /// to its claimants (counting sort and the crosser filter are stable),
-    /// and every attempt's precondition — "did this message survive its
-    /// earlier channels?" — is fully resolved before the phase that attempts
-    /// it. By induction over (shuffle position, path position), every claim
-    /// sees exactly the multiset of prior grants it would see serially, so
-    /// outcomes are identical.
-    fn threaded_cycle<const COUNT: bool>(&mut self, ell: u32, threads: usize) -> usize {
-        let height = self.height;
-        let nb = 1usize << ell; // buckets = nodes at depth ell
-        let lo = 1u32 << ell; // first bucket node id
-        let shift = height - ell;
-        let usplit = self.usplit;
-        let OnlineArena {
-            caps,
-            alive,
-            up16,
-            down16,
-            up32,
-            down32,
-            init16,
-            init32,
-            cnt,
-            workers,
-            flags,
-            src_off,
-            dst_off,
-            cursor,
-            src_list,
-            dst_list,
-            cross_list,
-            ..
-        } = self;
-        let caps: &[u64] = caps;
-        // The phases read the alive list in place and index their lists and
-        // flags by *position* in it; the list itself is compacted only after
-        // the last phase.
-        let meta: &[u64] = alive;
-
-        if flags.len() < meta.len() {
-            flags.resize_with(meta.len(), || AtomicU8::new(0));
-        }
-        let flags: &[AtomicU8] = flags;
-
-        // Stable counting sort of the shuffled alive list into source and
-        // destination buckets, and the crosser sublist, all in shuffle
-        // order.
-        let total = meta.len();
-        src_off.clear();
-        src_off.resize(nb + 1, 0);
-        dst_off.clear();
-        dst_off.resize(nb + 1, 0);
-        cross_list.clear();
-        for (k, &mv) in meta.iter().enumerate() {
-            let (sleaf, dleaf, lca_d) = unpack(mv);
-            src_off[((sleaf >> shift) - lo) as usize + 1] += 1;
-            dst_off[((dleaf >> shift) - lo) as usize + 1] += 1;
-            if lca_d < ell {
-                cross_list.push(k as u32);
-            }
-        }
-        for b in 0..nb {
-            src_off[b + 1] += src_off[b];
-            dst_off[b + 1] += dst_off[b];
-        }
-        src_list.resize(total, 0);
-        dst_list.resize(total, 0);
-        cursor.clear();
-        cursor.extend_from_slice(&src_off[..nb]);
-        for (k, &mv) in meta.iter().enumerate() {
-            let b = ((unpack(mv).0 >> shift) - lo) as usize;
-            src_list[cursor[b] as usize] = k as u32;
-            cursor[b] += 1;
-        }
-        cursor.clear();
-        cursor.extend_from_slice(&dst_off[..nb]);
-        for (k, &mv) in meta.iter().enumerate() {
-            let b = ((unpack(mv).1 >> shift) - lo) as usize;
-            dst_list[cursor[b] as usize] = k as u32;
-            cursor[b] += 1;
-        }
-
-        let w = threads.min(nb);
-        if workers.len() < w {
-            workers.resize_with(w, Default::default);
-        }
-        if COUNT {
-            for wk in workers[..w].iter_mut() {
-                wk.cnt.reset(height, true);
-            }
-        }
-        let per = nb.div_ceil(w);
-        let src_off: &[u32] = src_off;
-        let dst_off: &[u32] = dst_off;
-        let src_list: &[u32] = src_list;
-        let dst_list: &[u32] = dst_list;
-
-        // Phase 1: up-claims inside source buckets.
-        std::thread::scope(|sc| {
-            for (t, wk) in workers[..w].iter_mut().enumerate() {
-                let (k0, k1) = (t * per, ((t + 1) * per).min(nb));
-                sc.spawn(move || {
-                    wk.phase_up::<COUNT>(
-                        k0..k1,
-                        lo,
-                        ell,
-                        height,
-                        src_off,
-                        src_list,
-                        meta,
-                        flags,
-                        caps,
-                    );
-                });
-            }
-        });
-
-        // Phase 2: the sequential root-crossing pass over the top segment,
-        // on the shared leveled counters (only levels ≤ ell are touched; the
-        // phase-1/3 channels live in the workers' private tables).
-        up16.copy_from_slice(init16);
-        down16.copy_from_slice(init16);
-        up32.copy_from_slice(init32);
-        down32.copy_from_slice(init32);
-        for &k in cross_list.iter() {
-            if flags[k as usize].load(Ordering::Relaxed) != UP_OK {
-                continue; // died on its up-tail; flag already DEAD
-            }
-            let (sleaf, dleaf, lca_d) = unpack(meta[k as usize]);
-            let mut ok = true;
-            let mut u = sleaf >> shift;
-            let mut lvl = ell;
-            while lvl > lca_d {
-                if !claim_one(up16, up32, usplit, u) {
-                    ok = false;
-                    if COUNT {
-                        cnt.blocked[lvl as usize] += 1;
-                        for l in (lvl + 1)..=height {
-                            cnt.wasted[l as usize] += 1;
-                        }
-                    }
-                    break;
-                }
-                if COUNT {
-                    cnt.claimed[lvl as usize] += 1;
-                }
-                u >>= 1;
-                lvl -= 1;
-            }
-            if ok {
-                for lvl in (lca_d + 1)..=ell {
-                    let v = dleaf >> (height - lvl);
-                    if !claim_one(down16, down32, usplit, v) {
-                        ok = false;
-                        if COUNT {
-                            cnt.blocked[lvl as usize] += 1;
-                            for l in (lca_d + 1)..=height {
-                                cnt.wasted[l as usize] += 1;
-                            }
-                            for l in (lca_d + 1)..lvl {
-                                cnt.wasted[l as usize] += 1;
-                            }
-                        }
-                        break;
-                    }
-                    if COUNT {
-                        cnt.claimed[lvl as usize] += 1;
-                    }
-                }
-            }
-            flags[k as usize].store(if ok { TOP_OK } else { DEAD }, Ordering::Relaxed);
-        }
-
-        // Phase 3: down-claims inside destination buckets.
-        std::thread::scope(|sc| {
-            for (t, wk) in workers[..w].iter_mut().enumerate() {
-                let (k0, k1) = (t * per, ((t + 1) * per).min(nb));
-                sc.spawn(move || {
-                    wk.phase_down::<COUNT>(
-                        k0..k1,
-                        lo,
-                        ell,
-                        height,
-                        dst_off,
-                        dst_list,
-                        meta,
-                        flags,
-                        caps,
-                    );
-                });
-            }
-        });
-        if COUNT {
-            for wk in workers[..w].iter_mut() {
-                wk.cnt.drain_into(cnt);
-            }
-        }
-
-        // Finalize: compact the alive list by the settled per-position flags.
-        let mut delivered = 0usize;
-        let mut wpos = 0usize;
-        for k in 0..total {
-            if flags[k].load(Ordering::Relaxed) == DELIVERED {
-                delivered += 1;
-            } else {
-                alive[wpos] = alive[k];
-                wpos += 1;
-            }
-        }
-        alive.truncate(wpos);
-        delivered
-    }
-}
-
-/// Claim one wire on the directed channel above node `u` in the leveled
-/// remaining-wire counter pair, returning false when the channel is full.
-#[inline]
-fn claim_one(t16: &mut [u16], t32: &mut [u32], usplit: u32, u: u32) -> bool {
-    if u >= usplit {
-        let slot = &mut t16[u as usize];
-        if *slot == 0 {
-            return false;
-        }
-        *slot -= 1;
-    } else {
-        let slot = &mut t32[u as usize];
-        if *slot == 0 {
-            return false;
-        }
-        *slot -= 1;
-    }
-    true
 }
 
 /// Claim the full path of one message on the leveled remaining-wire
 /// counters, exiting at the first full channel (earlier claims stay
 /// consumed) and attributing every grant/rejection to its level in the
-/// contention counters. Returns true if fully delivered. The counters-on
-/// serial twin of the three threaded phases.
+/// contention counters. Returns true if fully delivered.
 ///
 /// A node id at level `l` lies in `[2^l, 2^{l+1})`, so each run splits into
 /// a byte-counter segment and a wide-counter segment with a single branch
@@ -1014,124 +691,6 @@ fn count_down_block(cnt: &mut OnlineCounters, lca_d: u32, lvl: u32, height: u32)
     }
 }
 
-impl OnlineWorker {
-    /// Relative index of the edge above node `u` (at depth `lvl`) within the
-    /// worker's private per-bucket table: depth layers are laid out
-    /// contiguously, `2^j − 2 + (u − bn·2^j)` for `j = lvl − ell`.
-    #[inline]
-    fn rel(bn: u32, ell: u32, lvl: u32, u: u32) -> usize {
-        let j = lvl - ell;
-        (u - (bn << j)) as usize + (1usize << j) - 2
-    }
-
-    /// Phase 1: claim the up-channels at depths > `ell` for every message
-    /// sourced in the owned buckets, in shuffle order, and record survival.
-    #[allow(clippy::too_many_arguments)]
-    fn phase_up<const COUNT: bool>(
-        &mut self,
-        buckets: std::ops::Range<usize>,
-        lo: u32,
-        ell: u32,
-        height: u32,
-        src_off: &[u32],
-        src_list: &[u32],
-        meta: &[u64],
-        flags: &[AtomicU8],
-        caps: &[u64],
-    ) {
-        let tbl_len = (1usize << (height - ell + 1)) - 2;
-        for b in buckets {
-            let bn = lo + b as u32;
-            // One generation per (phase, bucket): stale claims from other
-            // buckets or the previous phase read as zero.
-            self.tbl.begin(tbl_len);
-            for &i in &src_list[src_off[b] as usize..src_off[b + 1] as usize] {
-                let (sleaf, _, lca_d) = unpack(meta[i as usize]);
-                let stop = lca_d.max(ell);
-                let mut u = sleaf;
-                let mut lvl = height;
-                let mut ok = true;
-                while lvl > stop {
-                    if !self
-                        .tbl
-                        .try_claim(Self::rel(bn, ell, lvl, u), caps[lvl as usize])
-                    {
-                        ok = false;
-                        if COUNT {
-                            self.cnt.blocked[lvl as usize] += 1;
-                            for l in (lvl + 1)..=height {
-                                self.cnt.wasted[l as usize] += 1;
-                            }
-                        }
-                        break;
-                    }
-                    if COUNT {
-                        self.cnt.claimed[lvl as usize] += 1;
-                    }
-                    u >>= 1;
-                    lvl -= 1;
-                }
-                flags[i as usize].store(if ok { UP_OK } else { DEAD }, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Phase 3: claim the down-channels at depths > `ell` for every message
-    /// destined in the owned buckets, in shuffle order, conditional on the
-    /// flag settled in the earlier phases; record delivery.
-    #[allow(clippy::too_many_arguments)]
-    fn phase_down<const COUNT: bool>(
-        &mut self,
-        buckets: std::ops::Range<usize>,
-        lo: u32,
-        ell: u32,
-        height: u32,
-        dst_off: &[u32],
-        dst_list: &[u32],
-        meta: &[u64],
-        flags: &[AtomicU8],
-        caps: &[u64],
-    ) {
-        let tbl_len = (1usize << (height - ell + 1)) - 2;
-        for b in buckets {
-            let bn = lo + b as u32;
-            self.tbl.begin(tbl_len);
-            for &i in &dst_list[dst_off[b] as usize..dst_off[b + 1] as usize] {
-                let (_, dleaf, lca_d) = unpack(meta[i as usize]);
-                let need = if lca_d < ell { TOP_OK } else { UP_OK };
-                if flags[i as usize].load(Ordering::Relaxed) != need {
-                    continue; // blocked earlier; flag is already DEAD
-                }
-                let start = lca_d.max(ell) + 1;
-                let mut ok = true;
-                for lvl in start..=height {
-                    let v = dleaf >> (height - lvl);
-                    if !self
-                        .tbl
-                        .try_claim(Self::rel(bn, ell, lvl, v), caps[lvl as usize])
-                    {
-                        ok = false;
-                        if COUNT {
-                            self.cnt.blocked[lvl as usize] += 1;
-                            for l in (lca_d + 1)..=height {
-                                self.cnt.wasted[l as usize] += 1;
-                            }
-                            for l in (lca_d + 1)..lvl {
-                                self.cnt.wasted[l as usize] += 1;
-                            }
-                        }
-                        break;
-                    }
-                    if COUNT {
-                        self.cnt.claimed[lvl as usize] += 1;
-                    }
-                }
-                flags[i as usize].store(if ok { DELIVERED } else { DEAD }, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
 /// The shape the paper quotes for the on-line bound:
 /// `λ(M) + lg n · lg lg n` (unit constants).
 pub fn online_bound_shape(ft: &FatTree, load_factor: f64) -> f64 {
@@ -1199,10 +758,7 @@ mod tests {
         let n = 16u32;
         let t = FatTree::new(n, CapacityProfile::Constant(1));
         let m: MessageSet = (1..n).map(|i| Message::new(i, 0)).collect();
-        let cfg = OnlineConfig {
-            max_cycles: 3,
-            ..Default::default()
-        };
+        let cfg = OnlineConfig { max_cycles: 3 };
         let res = route_online(&t, &m, &mut rng(), cfg);
         assert!(res.truncated);
         assert_eq!(res.cycles, 3);
@@ -1253,10 +809,7 @@ mod tests {
         let t = FatTree::new(8, CapacityProfile::Constant(1));
         let m: MessageSet = (0..8).map(|i| Message::new(i, i)).collect();
         for max_cycles in [0usize, 1, 5] {
-            let cfg = OnlineConfig {
-                max_cycles,
-                ..Default::default()
-            };
+            let cfg = OnlineConfig { max_cycles };
             let (res, _) = both(&t, &m, cfg, 11);
             assert_eq!(res.cycles, 1, "max_cycles={max_cycles}");
             assert_eq!(res.delivered_per_cycle, vec![8]);
@@ -1282,10 +835,7 @@ mod tests {
         let mut m: MessageSet = (1..n).map(|i| Message::new(i, 0)).collect();
         m.push(Message::new(3, 3));
         m.push(Message::new(7, 7));
-        let cfg = OnlineConfig {
-            max_cycles: 1,
-            ..Default::default()
-        };
+        let cfg = OnlineConfig { max_cycles: 1 };
         let (res, _) = both(&t, &m, cfg, 13);
         assert!(res.truncated);
         assert_eq!(res.cycles, 1);
@@ -1301,10 +851,7 @@ mod tests {
         let t = FatTree::new(n, CapacityProfile::Constant(1));
         let m: MessageSet = (1..n).map(|i| Message::new(i, 0)).collect();
         // The hot spot needs exactly n−1 = 3 cycles; a valve of 3 is not hit.
-        let cfg = OnlineConfig {
-            max_cycles: 3,
-            ..Default::default()
-        };
+        let cfg = OnlineConfig { max_cycles: 3 };
         let (res, _) = both(&t, &m, cfg, 14);
         assert!(!res.truncated, "completing at the valve is not truncation");
         assert_eq!(res.cycles, 3);

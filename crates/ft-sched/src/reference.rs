@@ -136,7 +136,7 @@ fn refine_to_one_cycle(
 /// golden oracle for [`crate::online::OnlineArena`]: a fresh [`LoadMap`] per
 /// cycle, a survivor `Vec` per cycle, and a full-path walk per message. The
 /// arena must produce byte-identical `delivered_per_cycle` for the same
-/// `SplitMix64` seed and any thread count (see `tests/golden_online.rs`).
+/// `SplitMix64` seed (see `tests/golden_online.rs`).
 /// Telemetry is not implemented here; observe the arena engine through a
 /// `ft_telemetry::Recorder` instead.
 pub fn route_online_reference(

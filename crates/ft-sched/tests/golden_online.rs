@@ -1,8 +1,8 @@
 //! Golden byte-identity tests: [`ft_sched::OnlineArena`] must reproduce the
 //! clone-based reference router *exactly* — same `SplitMix64` seed, same
-//! `delivered_per_cycle`, cycle for cycle — on every workload, tree shape,
-//! and thread count. The delivered set each cycle depends on the arbitration
-//! order, so this pins far more than totals: it pins the whole process.
+//! `delivered_per_cycle`, cycle for cycle — on every workload and tree
+//! shape. The delivered set each cycle depends on the arbitration order, so
+//! this pins far more than totals: it pins the whole process.
 
 use ft_core::rng::SplitMix64;
 use ft_core::{CapacityProfile, FatTree, Message, MessageSet};
@@ -23,8 +23,8 @@ fn hotspot(n: u32) -> MessageSet {
 }
 
 /// Adversarial root-crossers: every message crosses the root (left half ↔
-/// right half, pairwise), k copies per pair — maximal pressure on the
-/// sequential root-crossing pass of the threaded engine.
+/// right half, pairwise), k copies per pair — maximal pressure on the root
+/// channels.
 fn cross_root(n: u32, k: u32, rng: &mut SplitMix64) -> MessageSet {
     let half = n / 2;
     (0..k * half)
@@ -52,17 +52,11 @@ fn assert_golden(
     cfg: OnlineConfig,
     seed: u64,
 ) {
-    let golden = route_online_reference(
-        ft,
-        m,
-        &mut SplitMix64::seed_from_u64(seed),
-        OnlineConfig { threads: 1, ..cfg },
-    );
+    let golden = route_online_reference(ft, m, &mut SplitMix64::seed_from_u64(seed), cfg);
     let got = arena.route(ft, m, &mut SplitMix64::seed_from_u64(seed), cfg);
     let tag = format!(
-        "n={} threads={} max_cycles={} msgs={}",
+        "n={} max_cycles={} msgs={}",
         ft.n(),
-        cfg.threads,
         cfg.max_cycles,
         m.len()
     );
@@ -78,7 +72,7 @@ fn assert_golden(
 }
 
 #[test]
-fn byte_identity_across_workloads_trees_and_threads() {
+fn byte_identity_across_workloads_and_trees() {
     let mut wrng = SplitMix64::seed_from_u64(0x601D);
     for n in [16u32, 64, 256] {
         for ft in trees(n) {
@@ -90,55 +84,38 @@ fn byte_identity_across_workloads_trees_and_threads() {
                 cross_root(n, 2, &mut wrng),
             ];
             for (wi, m) in workloads.iter().enumerate() {
-                for threads in [1usize, 2, 4] {
-                    let cfg = OnlineConfig {
-                        threads,
-                        ..Default::default()
-                    };
-                    assert_golden(
-                        &ft,
-                        m,
-                        &mut arena,
-                        cfg,
-                        0xFEED ^ (wi as u64) << 8 ^ n as u64,
-                    );
-                }
+                assert_golden(
+                    &ft,
+                    m,
+                    &mut arena,
+                    OnlineConfig::default(),
+                    0xFEED ^ (wi as u64) << 8 ^ n as u64,
+                );
             }
         }
     }
 }
 
 #[test]
-fn byte_identity_with_recorder_and_more_threads_than_buckets() {
+fn byte_identity_with_recorder() {
     let mut wrng = SplitMix64::seed_from_u64(0xC0DE);
     let n = 128u32;
     for ft in trees(n) {
         let mut arena = OnlineArena::new(&ft);
         for m in [random_pairs(n, 2, &mut wrng), cross_root(n, 1, &mut wrng)] {
-            // A metrics recorder attached, and thread counts past the bucket
-            // count (8 and a non-power-of-two), must not perturb outcomes.
-            for threads in [2usize, 3, 8, 64] {
-                let cfg = OnlineConfig {
-                    threads,
-                    ..Default::default()
-                };
-                let seed = 0xB0A7 ^ n as u64;
-                let golden = route_online_reference(
-                    &ft,
-                    &m,
-                    &mut SplitMix64::seed_from_u64(seed),
-                    OnlineConfig { threads: 1, ..cfg },
-                );
-                let mut rec = MetricsRecorder::new();
-                let got =
-                    arena.route_with(&ft, &m, &mut SplitMix64::seed_from_u64(seed), cfg, &mut rec);
-                assert_eq!(
-                    got.delivered_per_cycle, golden.delivered_per_cycle,
-                    "recorder perturbed outcomes at threads={threads}"
-                );
-                assert_eq!(got.truncated, golden.truncated);
-                assert_eq!(rec.cycles as usize, got.cycles);
-            }
+            // A metrics recorder attached must not perturb outcomes.
+            let cfg = OnlineConfig::default();
+            let seed = 0xB0A7 ^ n as u64;
+            let golden = route_online_reference(&ft, &m, &mut SplitMix64::seed_from_u64(seed), cfg);
+            let mut rec = MetricsRecorder::new();
+            let got =
+                arena.route_with(&ft, &m, &mut SplitMix64::seed_from_u64(seed), cfg, &mut rec);
+            assert_eq!(
+                got.delivered_per_cycle, golden.delivered_per_cycle,
+                "recorder perturbed outcomes"
+            );
+            assert_eq!(got.truncated, golden.truncated);
+            assert_eq!(rec.cycles as usize, got.cycles);
         }
     }
 }
@@ -150,60 +127,6 @@ fn byte_identity_under_truncation() {
     let mut arena = OnlineArena::new(&ft);
     let m = hotspot(n);
     for max_cycles in [1usize, 2, 7] {
-        for threads in [1usize, 4] {
-            let cfg = OnlineConfig {
-                max_cycles,
-                threads,
-            };
-            assert_golden(&ft, &m, &mut arena, cfg, 0x7126);
-        }
-    }
-}
-
-#[test]
-fn recorded_counters_identical_for_any_thread_count() {
-    // Counter totals are order-insensitive facts of the (identical) outcome
-    // trace: serial and threaded runs must agree level by level.
-    let mut wrng = SplitMix64::seed_from_u64(0x5EAF);
-    let n = 128u32;
-    let ft = FatTree::universal(n, 32);
-    let m = random_pairs(n, 4, &mut wrng);
-    let mut arena = OnlineArena::new(&ft);
-    let mut base = MetricsRecorder::new();
-    arena.run_with(
-        &ft,
-        &m,
-        &mut SplitMix64::seed_from_u64(0xAA),
-        OnlineConfig {
-            threads: 1,
-            ..Default::default()
-        },
-        &mut base,
-    );
-    for threads in [2usize, 4, 8] {
-        let mut rec = MetricsRecorder::new();
-        arena.run_with(
-            &ft,
-            &m,
-            &mut SplitMix64::seed_from_u64(0xAA),
-            OnlineConfig {
-                threads,
-                ..Default::default()
-            },
-            &mut rec,
-        );
-        assert_eq!(
-            rec.claimed, base.claimed,
-            "claimed diverged at threads={threads}"
-        );
-        assert_eq!(
-            rec.blocked, base.blocked,
-            "blocked diverged at threads={threads}"
-        );
-        assert_eq!(
-            rec.wasted, base.wasted,
-            "wasted diverged at threads={threads}"
-        );
-        assert_eq!(rec.delivered_per_cycle, base.delivered_per_cycle);
+        assert_golden(&ft, &m, &mut arena, OnlineConfig { max_cycles }, 0x7126);
     }
 }

@@ -89,48 +89,40 @@ fn run_stream_matches_materialized_everywhere() {
         let mut classic = OnlineArena::new(&ft);
         let mut streamed = OnlineArena::new(&ft);
         for seed in [5u64, 613] {
-            for threads in [0usize, 4] {
-                let cfg = OnlineConfig {
-                    threads,
-                    ..Default::default()
-                };
-                for stream in streams(n, seed) {
-                    let set = stream.collect_set();
-                    let tag = format!(
-                        "family={} n={n} seed={seed} threads={threads}",
-                        stream.family()
-                    );
-                    // Same rng seed on both sides: the packed alive lists are
-                    // identical, so the shuffles consume the same stream.
-                    classic.run(
-                        &ft,
-                        &set,
-                        &mut SplitMix64::seed_from_u64(seed ^ 0xA11E),
-                        cfg,
-                    );
-                    streamed.run_stream(
-                        &ft,
-                        stream.as_ref(),
-                        &mut SplitMix64::seed_from_u64(seed ^ 0xA11E),
-                        cfg,
-                    );
-                    assert_eq!(
-                        streamed.delivered_per_cycle(),
-                        classic.delivered_per_cycle(),
-                        "delivered_per_cycle diverged [{tag}]"
-                    );
-                    assert_eq!(streamed.cycles(), classic.cycles(), "cycles [{tag}]");
-                    assert_eq!(
-                        streamed.truncated(),
-                        classic.truncated(),
-                        "truncated [{tag}]"
-                    );
-                    assert_eq!(
-                        streamed.total_delivered(),
-                        stream.len(),
-                        "stream length undelivered [{tag}]"
-                    );
-                }
+            let cfg = OnlineConfig::default();
+            for stream in streams(n, seed) {
+                let set = stream.collect_set();
+                let tag = format!("family={} n={n} seed={seed}", stream.family());
+                // Same rng seed on both sides: the packed alive lists are
+                // identical, so the shuffles consume the same stream.
+                classic.run(
+                    &ft,
+                    &set,
+                    &mut SplitMix64::seed_from_u64(seed ^ 0xA11E),
+                    cfg,
+                );
+                streamed.run_stream(
+                    &ft,
+                    stream.as_ref(),
+                    &mut SplitMix64::seed_from_u64(seed ^ 0xA11E),
+                    cfg,
+                );
+                assert_eq!(
+                    streamed.delivered_per_cycle(),
+                    classic.delivered_per_cycle(),
+                    "delivered_per_cycle diverged [{tag}]"
+                );
+                assert_eq!(streamed.cycles(), classic.cycles(), "cycles [{tag}]");
+                assert_eq!(
+                    streamed.truncated(),
+                    classic.truncated(),
+                    "truncated [{tag}]"
+                );
+                assert_eq!(
+                    streamed.total_delivered(),
+                    stream.len(),
+                    "stream length undelivered [{tag}]"
+                );
             }
         }
     }

@@ -57,12 +57,10 @@ pub const ONLINE_MAX_CYCLES: usize = 1 << 16;
 const NONE: u32 = u32::MAX;
 
 /// The [`OnlineConfig`] every serve-side (and solo-verification) online run
-/// uses. Single-threaded: serve batches are small, and a fixed thread count
-/// keeps the scoped-thread machinery out of the steady-state loop.
+/// uses.
 pub fn online_config() -> OnlineConfig {
     OnlineConfig {
         max_cycles: ONLINE_MAX_CYCLES,
-        threads: 1,
     }
 }
 

@@ -34,10 +34,8 @@ pub struct InitMsg {
     pub n: u32,
     pub boundary: u32,
     pub shard: u32,
-    /// Peer protocol version ([`crate::wire::PROTO_VERSION`] when encoded
-    /// by this build). Rides in the previously-always-zero high bits of the
-    /// shard word, so a version-1 frame decodes as `proto == 0` instead of
-    /// failing — the decode-fallback contract for the v2 format bump.
+    /// Peer protocol version, in the high bits of the shard word. Decoding
+    /// accepts [`crate::wire::PROTO_VERSION`] only.
     pub proto: u32,
     pub sim: SimConfig,
     pub plan: FaultPlan,
@@ -110,11 +108,15 @@ impl InitMsg {
             },
             _ => return err("INIT unknown capacity profile"),
         };
+        let proto = (p[2] >> 32) as u32;
+        if proto != crate::wire::PROTO_VERSION {
+            return err("INIT protocol version mismatch");
+        }
         Ok(InitMsg {
             n: p[0] as u32,
             boundary: p[1] as u32,
             shard: p[2] as u32,
-            proto: (p[2] >> 32) as u32,
+            proto,
             sim: SimConfig {
                 payload_bits: p[3] as u32,
                 switch: match p[4] {
@@ -131,8 +133,6 @@ impl InitMsg {
                     dead_wire_fraction: f64::from_bits(p[7]),
                     seed: p[8],
                 },
-                // Shards *are* the parallelism; each worker arena is serial.
-                threads: 1,
                 // Claims carry u64 metadata words on the wire: shard
                 // cycles always run the wide layout.
                 meta: MetaWidth::Wide,
@@ -157,92 +157,6 @@ impl InitMsg {
             CapacityProfile::PerLevel(caps) => FatTree::from_level_caps(self.n, caps.clone()),
             p => FatTree::new(self.n, p.clone()),
         }
-    }
-}
-
-/// One cycle's worth of a shard's pending messages.
-pub struct BatchMsg {
-    pub cycle: u64,
-    /// This cycle's reseeded random-arbitration seed (ignored under
-    /// slot-order arbitration).
-    pub arb_seed: u64,
-    pub ids: Vec<u32>,
-    pub msgs: Vec<Message>,
-}
-
-impl BatchMsg {
-    pub fn encode(cycle: u64, arb_seed: u64, ids: &[u32], msgs: &[Message]) -> Vec<u64> {
-        debug_assert_eq!(ids.len(), msgs.len());
-        let mut p = Vec::with_capacity(3 + 2 * msgs.len());
-        p.extend([cycle, arb_seed, msgs.len() as u64]);
-        for (&id, m) in ids.iter().zip(msgs) {
-            p.push(id as u64);
-            p.push((m.src.0 as u64) << 32 | m.dst.0 as u64);
-        }
-        p
-    }
-
-    pub fn decode(p: &[u64]) -> Result<BatchMsg, ProtoError> {
-        if p.len() < 3 {
-            return err("BATCH too short");
-        }
-        let count = p[2] as usize;
-        if p.len() != 3 + 2 * count {
-            return err("BATCH length mismatch");
-        }
-        let mut ids = Vec::with_capacity(count);
-        let mut msgs = Vec::with_capacity(count);
-        for pair in p[3..].chunks_exact(2) {
-            ids.push(pair[0] as u32);
-            msgs.push(Message::new((pair[1] >> 32) as u32, pair[1] as u32));
-        }
-        Ok(BatchMsg {
-            cycle: p[0],
-            arb_seed: p[1],
-            ids,
-            msgs,
-        })
-    }
-}
-
-/// Claim lists ride in two frame kinds with the same body: `Claims`
-/// (worker → coordinator, with the shard's up-phase compute time) and
-/// `Incoming` (coordinator → worker, compute time 0).
-pub struct ClaimsMsg {
-    pub compute_ns: u64,
-    pub claims: Vec<ShardClaim>,
-}
-
-impl ClaimsMsg {
-    pub fn encode(compute_ns: u64, claims: &[ShardClaim]) -> Vec<u64> {
-        let mut p = Vec::with_capacity(2 + 3 * claims.len());
-        p.extend([compute_ns, claims.len() as u64]);
-        for c in claims {
-            p.extend([c.id as u64, c.meta, c.wire as u64]);
-        }
-        p
-    }
-
-    pub fn decode(p: &[u64]) -> Result<ClaimsMsg, ProtoError> {
-        if p.len() < 2 {
-            return err("CLAIMS too short");
-        }
-        let count = p[1] as usize;
-        if p.len() != 2 + 3 * count {
-            return err("CLAIMS length mismatch");
-        }
-        let claims = p[2..]
-            .chunks_exact(3)
-            .map(|c| ShardClaim {
-                id: c[0] as u32,
-                meta: c[1],
-                wire: c[2] as u32,
-            })
-            .collect();
-        Ok(ClaimsMsg {
-            compute_ns: p[0],
-            claims,
-        })
     }
 }
 
@@ -282,7 +196,7 @@ impl OutcomesMsg {
     }
 }
 
-/// The v2 LOAD request: a shard's complete pending-message set, shipped
+/// The LOAD request: a shard's complete pending-message set, shipped
 /// once per run. `total` is the coordinator-global message count, which
 /// bounds every id the worker will ever see (its own and incoming claims'),
 /// so the worker can size its membership table up front.
@@ -327,7 +241,7 @@ impl LoadMsg {
     }
 }
 
-/// The v2 CYCLE request: the per-cycle arbitration seed, the verdict
+/// The CYCLE request: the per-cycle arbitration seed, the verdict
 /// bitmap over the claims the shard exported last cycle, and the shard's
 /// id *remap* for this cycle.
 ///
@@ -342,8 +256,6 @@ impl LoadMsg {
 /// (FIFO) order, packed two per word. After retiring the bitmap's verdicts
 /// and its own local deliveries, the worker's compacted pending aligns
 /// with the remap one-to-one — a length mismatch is a protocol error.
-/// This replaces v1's per-cycle re-send of the whole pending set (½ word
-/// per message instead of 3).
 pub struct CycleView<'a> {
     pub cycle: u64,
     pub arb_seed: u64,
@@ -407,10 +319,10 @@ impl<'a> CycleView<'a> {
     }
 }
 
-/// The v2 claim-list body, two words per claim instead of v1's three:
-/// `id | wire` packed in one word (the wire rank is the claim's *winner
-/// index* on its boundary channel) and the 62-bit descriptor (LCA + leaves,
-/// flags implied — see [`ShardClaim::descriptor`]). Rides in `Claims2`
+/// The claim-list body, two words per claim: `id | wire` packed in one
+/// word (the wire rank is the claim's *winner index* on its boundary
+/// channel) and the 62-bit descriptor (LCA + leaves, flags implied — see
+/// [`ShardClaim::descriptor`]). Rides in `Claims2`
 /// (worker → coordinator, `header` = up-phase compute ns) and `Incoming2`
 /// (coordinator → worker, `header` = 0).
 pub struct ClaimsV2;
@@ -501,7 +413,6 @@ mod tests {
                         dead_wire_fraction: 0.25,
                         seed: 5,
                     },
-                    threads: 1,
                     meta: MetaWidth::Wide,
                 },
                 plan: FaultPlan {
@@ -527,56 +438,30 @@ mod tests {
     }
 
     #[test]
-    fn batch_claims_outcomes_roundtrip() {
-        let ids = [0u32, 5, 9];
-        let msgs = [Message::new(1, 2), Message::new(3, 3), Message::new(0, 7)];
-        let b = BatchMsg::decode(&BatchMsg::encode(4, 0xFEED, &ids, &msgs)).unwrap();
-        assert_eq!((b.cycle, b.arb_seed), (4, 0xFEED));
-        assert_eq!(b.ids, ids);
-        assert_eq!(b.msgs, msgs);
-
-        let claims = [
-            ShardClaim {
-                id: 7,
-                meta: 0xABCD_EF01,
-                wire: 3,
-            },
-            ShardClaim {
-                id: 8,
-                meta: 1,
-                wire: 0,
-            },
-        ];
-        let c = ClaimsMsg::decode(&ClaimsMsg::encode(1234, &claims)).unwrap();
-        assert_eq!(c.compute_ns, 1234);
-        assert_eq!(c.claims, claims);
-
+    fn outcomes_roundtrip() {
         let o = OutcomesMsg::decode(&OutcomesMsg::encode(9, 88, &[2, 4, 6])).unwrap();
         assert_eq!((o.compute_ns, o.ticks), (9, 88));
         assert_eq!(o.delivered, vec![2, 4, 6]);
 
-        assert!(BatchMsg::decode(&[1]).is_err());
-        assert!(ClaimsMsg::decode(&[0, 5, 1]).is_err());
         assert!(OutcomesMsg::decode(&[0, 0, 9]).is_err());
     }
 
     #[test]
-    fn v1_init_decodes_with_proto_zero() {
-        // A version-1 peer left the shard word's high bits zero; the v2
-        // decoder must fall back cleanly instead of rejecting the frame.
-        let mut init = InitMsg {
-            n: 64,
-            boundary: 2,
-            shard: 3,
-            proto: crate::wire::PROTO_VERSION,
-            sim: SimConfig::default(),
-            plan: FaultPlan::none(),
-            profile: CapacityProfile::FullDoubling,
-        };
-        init.proto = 0; // exactly the bytes a v1 encoder produced
-        let back = InitMsg::decode(&init.encode()).unwrap();
-        assert_eq!(back.shard, 3);
-        assert_eq!(back.proto, 0);
+    fn init_rejects_any_other_protocol_version() {
+        // 0 is what a version-1 peer sent (it left the high bits clear).
+        for proto in [0, 1, crate::wire::PROTO_VERSION + 1] {
+            let init = InitMsg {
+                n: 64,
+                boundary: 2,
+                shard: 3,
+                proto,
+                sim: SimConfig::default(),
+                plan: FaultPlan::none(),
+                profile: CapacityProfile::FullDoubling,
+            };
+            let e = InitMsg::decode(&init.encode()).unwrap_err();
+            assert!(e.0.contains("version"), "proto={proto}: {e}");
+        }
     }
 
     #[test]
@@ -611,7 +496,7 @@ mod tests {
         let mut back = Vec::new();
         assert_eq!(ClaimsV2::decode_into(&p, &mut back).unwrap(), 1234);
         assert_eq!(back, claims);
-        // Two words per claim on the wire, down from v1's three.
+        // Two words per claim on the wire.
         assert_eq!(p.len(), 2 + 2 * claims.len());
         assert!(ClaimsV2::decode_into(&p[..3], &mut back).is_err());
 

@@ -21,13 +21,12 @@
 /// Frame magic, in the top 16 bits of word 0.
 pub const MAGIC: u64 = 0xF75D;
 
-/// Protocol version spoken by this build. Version 2 added the overlapped
-/// coordinator's frame kinds (`Load`/`Cycle`/`Claims2`/`Incoming2`) and the
-/// compact two-word claim encodings; version 1 peers (the original
-/// lock-step `Batch`/`Claims`/`Incoming` cycle) are still decoded — the
-/// worker keeps the v1 request arms, and [`crate::proto::InitMsg`] carries
-/// the version in previously-zero header bits so v1 frames decode as
-/// version 0/1 instead of failing.
+/// Protocol version spoken by this build: the overlapped coordinator's
+/// frame kinds (`Load`/`Cycle`/`Claims2`/`Incoming2`) and the compact
+/// two-word claim encodings. [`crate::proto::InitMsg`] carries the version,
+/// and a worker rejects an INIT announcing any other. Version 1's lock-step
+/// kinds (3, 4, 5) are retired: their numbers stay unassigned and decode to
+/// [`WireError::BadKind`].
 pub const PROTO_VERSION: u32 = 2;
 
 /// Hard cap on payload length: a frame announcing more than this is
@@ -46,14 +45,6 @@ pub enum FrameKind {
     Init = 1,
     /// Worker → coordinator: INIT applied.
     InitAck = 2,
-    /// Coordinator → worker: this cycle's pending messages owned by the
-    /// shard, plus the per-cycle arbitration seed.
-    Batch = 3,
-    /// Worker → coordinator: surviving root-crossers after the up passes.
-    Claims = 4,
-    /// Coordinator → worker: top-arbitration survivors destined for this
-    /// shard's subtree.
-    Incoming = 5,
     /// Worker → coordinator: delivered ids and the shard's cycle ticks.
     Outcomes = 6,
     /// Coordinator → worker: drain and exit.
@@ -63,21 +54,21 @@ pub enum FrameKind {
     /// Worker → coordinator: unrecoverable worker-side failure (code in
     /// payload word 0, see [`crate::ShardError::Worker`]).
     Error = 9,
-    /// Coordinator → worker (v2): the shard's full pending-message set,
+    /// Coordinator → worker: the shard's full pending-message set,
     /// shipped once per run. The worker retains and compacts it locally, so
     /// per-cycle traffic no longer carries message bodies.
     Load = 10,
-    /// Worker → coordinator (v2): LOAD applied.
+    /// Worker → coordinator: LOAD applied.
     LoadAck = 11,
-    /// Coordinator → worker (v2): start a delivery cycle — the per-cycle
+    /// Coordinator → worker: start a delivery cycle — the per-cycle
     /// arbitration seed plus a verdict bitmap over the claims this shard
     /// exported last cycle (bit set = delivered remotely, drop it from
     /// pending; clear = retry it).
     Cycle = 12,
-    /// Worker → coordinator (v2): surviving root-crossers, two words per
-    /// claim (`id|wire`, descriptor) instead of v1 `Claims`' three.
+    /// Worker → coordinator: surviving root-crossers after the up passes,
+    /// two words per claim (`id|wire`, descriptor).
     Claims2 = 13,
-    /// Coordinator → worker (v2): top-arbitration winners descending into
+    /// Coordinator → worker: top-arbitration winners descending into
     /// this shard, in the same two-word encoding.
     Incoming2 = 14,
     /// Client → server (serve): handshake — protocol version and the tree
@@ -103,9 +94,6 @@ impl FrameKind {
         Some(match v {
             1 => FrameKind::Init,
             2 => FrameKind::InitAck,
-            3 => FrameKind::Batch,
-            4 => FrameKind::Claims,
-            5 => FrameKind::Incoming,
             6 => FrameKind::Outcomes,
             7 => FrameKind::Shutdown,
             8 => FrameKind::ShutdownAck,
@@ -256,11 +244,21 @@ pub fn write_frame_buf<W: std::io::Write>(
     w.flush()
 }
 
+/// Most payload bytes [`read_frame`] asks the stream for at once, and so
+/// the most it allocates ahead of the bytes that have actually arrived.
+const READ_CHUNK_BYTES: usize = 64 * 1024;
+
 /// Read one frame from a little-endian byte stream. Returns `Ok(None)` on a
 /// clean EOF at a frame boundary (the peer closed the stream); propagates a
 /// protocol-shaped [`std::io::Error`] on a torn header, bad magic, or an
 /// oversize length word — a byte stream that desynchronizes cannot be
 /// re-framed, so the reader gives up rather than scanning.
+///
+/// The length word is the peer's claim, not a fact: the body is read in
+/// chunks of at most [`READ_CHUNK_BYTES`] and the frame grows as they
+/// arrive, so a header announcing the maximum length followed by silence
+/// costs one chunk, not 256 MiB. A frame that fits one chunk (every serve
+/// request) is one exact-size allocation and one `read_exact`.
 pub fn read_frame<R: std::io::Read>(r: &mut R) -> std::io::Result<Option<Vec<u64>>> {
     use std::io::{Error, ErrorKind};
     let mut head = [0u8; 16];
@@ -276,13 +274,20 @@ pub fn read_frame<R: std::io::Read>(r: &mut R) -> std::io::Result<Option<Vec<u64
     if len >= MAX_PAYLOAD_WORDS {
         return Err(Error::new(ErrorKind::InvalidData, "oversize frame"));
     }
-    let mut words = Vec::with_capacity(len as usize + OVERHEAD_WORDS);
+    let mut left = (len as usize + 1) * 8; // payload + checksum
+    let mut chunk = vec![0u8; left.min(READ_CHUNK_BYTES)];
+    let mut words = Vec::with_capacity(2 + chunk.len() / 8);
     words.push(w0);
     words.push(len);
-    let mut rest = vec![0u8; (len as usize + 1) * 8];
-    r.read_exact(&mut rest)?;
-    for c in rest.chunks_exact(8) {
-        words.push(u64::from_le_bytes(c.try_into().unwrap()));
+    while left > 0 {
+        let take = left.min(READ_CHUNK_BYTES);
+        r.read_exact(&mut chunk[..take])?;
+        words.extend(
+            chunk[..take]
+                .chunks_exact(8)
+                .map(|c| u64::from_le_bytes(c.try_into().unwrap())),
+        );
+        left -= take;
     }
     Ok(Some(words))
 }
@@ -294,9 +299,9 @@ mod tests {
     #[test]
     fn roundtrip() {
         let payload = [7u64, 0, u64::MAX, 42];
-        let words = encode(FrameKind::Claims, 3, 0x00AB_CDEF, &payload);
+        let words = encode(FrameKind::Claims2, 3, 0x00AB_CDEF, &payload);
         let f = decode(&words).unwrap();
-        assert_eq!(f.kind, FrameKind::Claims);
+        assert_eq!(f.kind, FrameKind::Claims2);
         assert_eq!(f.shard, 3);
         assert_eq!(f.seq, 0x00AB_CDEF);
         assert_eq!(f.payload, &payload);
@@ -315,7 +320,7 @@ mod tests {
 
     #[test]
     fn corruption_detected_everywhere() {
-        let words = encode(FrameKind::Batch, 0, 5, &[1, 2, 3]);
+        let words = encode(FrameKind::Cycle, 0, 5, &[1, 2, 3]);
         for i in 2..words.len() {
             for bit in [0, 17, 63] {
                 let mut bad = words.clone();
@@ -332,6 +337,12 @@ mod tests {
         let mut f = encode(FrameKind::Init, 0, 0, &[]);
         f[0] = MAGIC << 48 | 200u64 << 40;
         assert_eq!(decode(&f), Err(WireError::BadKind(200)));
+        // The retired v1 lock-step kinds (Batch / Claims / Incoming).
+        for kind in [3u8, 4, 5] {
+            let mut f = encode(FrameKind::Init, 0, 0, &[]);
+            f[0] = MAGIC << 48 | (kind as u64) << 40;
+            assert_eq!(decode(&f), Err(WireError::BadKind(kind)));
+        }
         let mut f = encode(FrameKind::Init, 0, 0, &[9]);
         f[1] = MAX_PAYLOAD_WORDS;
         assert_eq!(decode(&f), Err(WireError::Oversize(MAX_PAYLOAD_WORDS)));
@@ -341,7 +352,7 @@ mod tests {
 
     #[test]
     fn byte_stream_roundtrip() {
-        let a = encode(FrameKind::Batch, 1, 1, &[10, 20]);
+        let a = encode(FrameKind::Cycle, 1, 1, &[10, 20]);
         let b = encode(FrameKind::Shutdown, 1, 2, &[]);
         let mut buf = Vec::new();
         write_frame(&mut buf, &a).unwrap();
@@ -350,5 +361,48 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), a);
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b);
         assert!(read_frame(&mut r).unwrap().is_none());
+    }
+
+    /// Counts the `read` calls that reach the underlying stream
+    /// (`read_exact` over an in-memory slice is one `read` per call).
+    struct CountingReader<'a>(&'a [u8], usize);
+
+    impl std::io::Read for CountingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.1 += 1;
+            self.0.read(buf)
+        }
+    }
+
+    #[test]
+    fn byte_stream_roundtrip_across_chunk_boundaries() {
+        // Body = payload + checksum word, so a payload of `chunk − 1` words
+        // is the largest single-read frame.
+        let chunk = READ_CHUNK_BYTES / 8;
+        for (len, body_reads) in [
+            (0, 1),
+            (1, 1),
+            (chunk - 2, 1),
+            (chunk - 1, 1),
+            (chunk, 2),
+            (chunk + 1, 2),
+            (2 * chunk, 3),
+        ] {
+            let payload: Vec<u64> = (0..len as u64).map(|i| i.wrapping_mul(MAGIC)).collect();
+            let frame = encode(FrameKind::Load, 2, 7, &payload);
+            let mut bytes = Vec::new();
+            write_frame(&mut bytes, &frame).unwrap();
+            write_frame(&mut bytes, &frame).unwrap();
+            let mut r = CountingReader(&bytes, 0);
+            assert_eq!(read_frame(&mut r).unwrap().unwrap(), frame, "len={len}");
+            // Two header reads (first byte, rest), then the body.
+            assert_eq!(r.1, 2 + body_reads, "len={len}");
+            assert_eq!(read_frame(&mut r).unwrap().unwrap(), frame, "len={len}");
+            assert!(read_frame(&mut r).unwrap().is_none());
+            // Torn anywhere inside the body: an error, never a short frame.
+            let mut torn = &bytes[..bytes.len() / 2 - 8];
+            let e = read_frame(&mut torn).unwrap_err();
+            assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "len={len}");
+        }
     }
 }

@@ -8,14 +8,13 @@
 //! and down phases of a cycle, so suspended root-crossers keep their slots
 //! while the coordinator arbitrates the top.
 //!
-//! Under protocol v2 the worker also *retains the shard's pending set*:
-//! `Load` ships the messages once, and each `Cycle` request carries only
-//! the arbitration seed plus a verdict bitmap over the previous cycle's
-//! exported claims. The worker retires delivered messages itself — its own
-//! deliveries when it settles a `Incoming2`, remote deliveries from the
-//! bitmap — and FIFO-compacts pending in global-id order, reproducing the
-//! coordinator's v1 partition exactly. The v1 arms (`Batch`/`Incoming`)
-//! remain for version fallback.
+//! The worker also *retains the shard's pending set*: `Load` ships the
+//! messages once, and each `Cycle` request carries only the arbitration
+//! seed plus a verdict bitmap over the previous cycle's exported claims.
+//! The worker retires delivered messages itself — its own deliveries when
+//! it settles a `Incoming2`, remote deliveries from the bitmap — and
+//! FIFO-compacts pending in global-id order, reproducing the coordinator's
+//! partition of its pending array exactly.
 //!
 //! Requests are idempotent and mildly pipelined: the coordinator numbers
 //! them sequentially per link and may keep up to two in flight, so the
@@ -29,8 +28,8 @@
 
 use crate::fault::{FaultPlan, FaultState, SendFate};
 use crate::proto::{
-    BatchMsg, ClaimsMsg, ClaimsV2, CycleView, InitMsg, LoadMsg, OutcomesMsg, ERR_BAD_PAYLOAD,
-    ERR_NOT_LOADED, ERR_SEQ_DESYNC, ERR_UNINITIALIZED,
+    ClaimsV2, CycleView, InitMsg, LoadMsg, OutcomesMsg, ERR_BAD_PAYLOAD, ERR_NOT_LOADED,
+    ERR_SEQ_DESYNC, ERR_UNINITIALIZED,
 };
 use crate::wire::{self, Frame, FrameKind};
 use ft_core::{FatTree, Message};
@@ -53,8 +52,7 @@ struct ShardState {
     ft: FatTree,
     sim: SimConfig,
     /// Config of the cycle in flight (per-cycle arbitration seed applied by
-    /// the last `Batch`/`Cycle`); the following `Incoming`/`Incoming2` must
-    /// use the same seed.
+    /// the last `Cycle`); the following `Incoming2` must use the same seed.
     cycle_cfg: SimConfig,
     boundary: u32,
     arena: SimArena,
@@ -62,7 +60,7 @@ struct ShardState {
     /// (ascending arbitration id) — the list the next `Cycle` bitmap
     /// indexes.
     claims: Vec<ShardClaim>,
-    /// v2 retained pending set (`Load` received), FIFO in load order.
+    /// Retained pending set (`Load` received), FIFO in load order.
     loaded: bool,
     pending_msgs: Vec<Message>,
     /// Stable per-message keys: each pending message's *original* id (its
@@ -420,54 +418,6 @@ impl WorkerCore {
                 wire::end_frame(compose);
                 false
             }
-            FrameKind::Batch => {
-                let st = match state {
-                    Some(s) => s,
-                    None => return error(compose, ERR_UNINITIALIZED),
-                };
-                let batch = match BatchMsg::decode(frame.payload) {
-                    Ok(b) => b,
-                    Err(_) => return error(compose, ERR_BAD_PAYLOAD),
-                };
-                st.cycle_cfg = st.sim;
-                if let Arbitration::Random(_) = st.sim.arbitration {
-                    st.cycle_cfg.arbitration = Arbitration::Random(batch.arb_seed);
-                }
-                let t0 = Instant::now();
-                st.claims.clear();
-                st.arena.shard_up(
-                    &st.ft,
-                    &batch.msgs,
-                    &batch.ids,
-                    &st.cycle_cfg,
-                    st.boundary,
-                    &mut st.claims,
-                );
-                let ns = t0.elapsed().as_nanos() as u64;
-                wire::begin_frame(compose, FrameKind::Claims, shard, seq);
-                compose.extend(ClaimsMsg::encode(ns, &st.claims));
-                wire::end_frame(compose);
-                false
-            }
-            FrameKind::Incoming => {
-                let st = match state {
-                    Some(s) => s,
-                    None => return error(compose, ERR_UNINITIALIZED),
-                };
-                let incoming = match ClaimsMsg::decode(frame.payload) {
-                    Ok(c) => c,
-                    Err(_) => return error(compose, ERR_BAD_PAYLOAD),
-                };
-                let t0 = Instant::now();
-                let stats =
-                    st.arena
-                        .shard_down(&st.ft, &st.cycle_cfg, st.boundary, &incoming.claims);
-                let ns = t0.elapsed().as_nanos() as u64;
-                wire::begin_frame(compose, FrameKind::Outcomes, shard, seq);
-                OutcomesMsg::encode_into(compose, ns, stats.ticks, st.arena.delivered_ids());
-                wire::end_frame(compose);
-                false
-            }
             FrameKind::Shutdown => {
                 wire::begin_frame(compose, FrameKind::ShutdownAck, shard, seq);
                 wire::end_frame(compose);
@@ -543,44 +493,7 @@ mod tests {
     }
 
     #[test]
-    fn v1_init_batch_incoming_shutdown_happy_path() {
-        let mut core = WorkerCore::new();
-        let (out, quit) = core.step(&init_frame(0));
-        assert!(!quit);
-        assert_eq!(wire::decode(&out[0]).unwrap().kind, FrameKind::InitAck);
-
-        // Messages local to shard 0's subtree (leaves 0..8 of n=16), driven
-        // through the v1 lock-step arms — the decode-fallback path.
-        let msgs = [Message::new(0, 7), Message::new(3, 4)];
-        let batch = BatchMsg::encode(0, 0, &[0, 1], &msgs);
-        let req = wire::encode(FrameKind::Batch, 0, 1, &batch);
-        let (out, _) = core.step(&req);
-        let f = wire::decode(&out[0]).unwrap();
-        assert_eq!(f.kind, FrameKind::Claims);
-        let claims = ClaimsMsg::decode(f.payload).unwrap();
-        assert!(
-            claims.claims.is_empty(),
-            "intra-shard traffic never crosses"
-        );
-
-        let inc = ClaimsMsg::encode(0, &[]);
-        let req = wire::encode(FrameKind::Incoming, 0, 2, &inc);
-        let (out, _) = core.step(&req);
-        let f = wire::decode(&out[0]).unwrap();
-        assert_eq!(f.kind, FrameKind::Outcomes);
-        let outc = OutcomesMsg::decode(f.payload).unwrap();
-        let mut got = outc.delivered;
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1]);
-
-        let req = wire::encode(FrameKind::Shutdown, 0, 3, &[]);
-        let (out, quit) = core.step(&req);
-        assert!(quit);
-        assert_eq!(wire::decode(&out[0]).unwrap().kind, FrameKind::ShutdownAck);
-    }
-
-    #[test]
-    fn v2_load_cycle_retains_and_retires_pending() {
+    fn load_cycle_retains_and_retires_pending() {
         let mut core = WorkerCore::new();
         core.step(&init_frame(0));
 
@@ -655,13 +568,19 @@ mod tests {
     fn replayed_request_resends_cached_reply_without_reexecution() {
         let mut core = WorkerCore::new();
         core.step(&init_frame(0));
-        let msgs = [Message::new(1, 2)];
-        let batch = wire::encode(FrameKind::Batch, 0, 1, &BatchMsg::encode(0, 0, &[5], &msgs));
+        let mut p = Vec::new();
+        LoadMsg::encode_into(&mut p, 1, &[0], &[Message::new(1, 2)]);
+        core.step(&wire::encode(FrameKind::Load, 0, 1, &p));
+        let mut p = Vec::new();
+        CycleView::encode_into(&mut p, 0, 0, 0, &[], &[0]);
+        let cycle = wire::encode(FrameKind::Cycle, 0, 2, &p);
         let first = {
-            let (out, _) = core.step(&batch);
+            let (out, _) = core.step(&cycle);
             out.to_vec()
         };
-        let (replay, _) = core.step(&batch);
+        // Re-executing the cycle would compose a different reply: `Claims2`
+        // carries the up phase's measured compute time.
+        let (replay, _) = core.step(&cycle);
         assert_eq!(first, replay, "replay must return the identical frame");
     }
 
@@ -689,12 +608,26 @@ mod tests {
     #[test]
     fn uninitialized_and_desynced_requests_error() {
         let mut core = WorkerCore::new();
-        let batch = BatchMsg::encode(0, 0, &[], &[]);
-        let req = wire::encode(FrameKind::Batch, 0, 0, &batch);
-        let (out, _) = core.step(&req);
-        let f = wire::decode(&out[0]).unwrap();
-        assert_eq!(f.kind, FrameKind::Error);
-        assert_eq!(f.payload, &[ERR_UNINITIALIZED]);
+        let mut load = Vec::new();
+        LoadMsg::encode_into(&mut load, 0, &[], &[]);
+        let mut cycle = Vec::new();
+        CycleView::encode_into(&mut cycle, 0, 0, 0, &[], &[]);
+        let mut incoming = Vec::new();
+        ClaimsV2::encode_into(&mut incoming, 0, &[]);
+        for (seq, (kind, payload)) in [
+            (FrameKind::Load, &load),
+            (FrameKind::Cycle, &cycle),
+            (FrameKind::Incoming2, &incoming),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let req = wire::encode(kind, 0, seq as u32, payload);
+            let (out, _) = core.step(&req);
+            let f = wire::decode(&out[0]).unwrap();
+            assert_eq!(f.kind, FrameKind::Error, "{kind:?}");
+            assert_eq!(f.payload, &[ERR_UNINITIALIZED], "{kind:?}");
+        }
 
         let mut core = WorkerCore::new();
         core.step(&init_frame(0));

@@ -26,28 +26,22 @@
 //!
 //! A cycle runs one of two bodies, chosen from the configuration alone:
 //!
-//! * **Fused sweeps** ([`SimConfig::default`]: narrow metadata, serial,
-//!   ideal switches, slot-order arbitration). Slot order on every channel
+//! * **Fused sweeps** ([`SimConfig::default`]: narrow metadata, ideal
+//!   switches, slot-order arbitration). Slot order on every channel
 //!   is the restriction of one global list — source order going up, (turn
 //!   level, source) order coming down — so each phase is a single sweep
 //!   that tests and bumps per-channel counters: no slot table, no buckets,
 //!   no per-level scans (`SimArena::up_phase_fused` /
 //!   `SimArena::down_phase_fused` carry the proofs).
 //! * **Level passes** (wide metadata, partial switches, random arbitration,
-//!   `threads > 1`, and the shard phases). The serial path scatters each
-//!   pass's contenders straight into a generation-stamped (node, slot)
-//!   table and arbitrates by walking it — ascending-slot order falls out of
-//!   the layout, with no sorting and no intermediate bucket arrays.
+//!   and the shard phases). Each pass scatters its contenders straight into
+//!   a generation-stamped (node, slot) table and arbitrates by walking it —
+//!   ascending-slot order falls out of the layout, with no sorting and no
+//!   intermediate bucket arrays.
 //!
-//! Because sibling subtrees use disjoint channels, the per-node arbitration
-//! of one level is embarrassingly parallel: with [`SimConfig::threads`] > 1
-//! contenders are counting-sorted into per-node buckets and the node range
-//! of each level is split into contiguous chunks handled by scoped threads.
-//! Results are byte-identical for every thread count — each bucket's outcome
-//! depends only on its own contenders, and the scatter back into per-message
-//! state is serial and in node order. The original HashMap-based engine is
-//! retained verbatim in [`crate::reference`] and the equivalence is enforced
-//! by `tests/golden_engine.rs`.
+//! The original HashMap-based engine is retained verbatim in
+//! [`crate::reference`] and the equivalence is enforced by
+//! `tests/golden_engine.rs`.
 
 use crate::faults::FaultModel;
 use crate::node::PortSwitch;
@@ -98,10 +92,6 @@ pub struct SimConfig {
     /// capacities; the dense-assignment convention drops messages whose
     /// assigned wire index falls beyond the surviving count.
     pub faults: FaultModel,
-    /// Worker threads for per-node port arbitration (0 and 1 both mean
-    /// serial). Sibling subtrees use disjoint channels, so any thread count
-    /// produces byte-identical results.
-    pub threads: usize,
     /// Per-message metadata width for plain cycles (shard phases always use
     /// the wide layout — [`ShardClaim`] words travel between arenas).
     pub meta: MetaWidth,
@@ -114,7 +104,6 @@ impl Default for SimConfig {
             switch: SwitchKind::Ideal,
             arbitration: Arbitration::SlotOrder,
             faults: FaultModel::none(),
-            threads: 1,
             meta: MetaWidth::Auto,
         }
     }
@@ -157,9 +146,6 @@ pub struct CycleStats {
     /// Cycle time in bit ticks.
     pub ticks: u32,
 }
-
-/// Sentinel wire value marking a dropped message in the bucket output array.
-const DROPPED: u32 = u32::MAX;
 
 /// Sentinel wire value marking a message handed off to the coordinator as a
 /// [`ShardClaim`] (suspended locally, not lost to congestion). Real wires
@@ -391,7 +377,7 @@ impl MsgSource for StreamSource<'_> {
     }
 }
 
-/// Parameters of one level pass (up or down) shared with worker threads.
+/// Parameters of one level pass (up or down).
 struct PhaseParams {
     /// Up phase (toward the root) or down phase.
     up: bool,
@@ -439,7 +425,7 @@ impl PhaseParams {
 ///
 /// Construct once per `(tree, fault pattern)` and feed it any number of
 /// cycles; every buffer is grow-only, so after the first cycle of a given
-/// size the ideal-switch serial path performs no heap allocation at all.
+/// size the ideal-switch path performs no heap allocation at all.
 pub struct SimArena {
     n: u32,
     height: u32,
@@ -470,8 +456,6 @@ pub struct SimArena {
     /// ids here instead, so random arbitration hashes the same key no
     /// matter which arena a message currently sits in.
     ids: Vec<u32>,
-    /// Indices of the messages participating in the current pass.
-    eligible: Vec<u32>,
     /// Fused cycles only: the injected (alive, non-local) message indices
     /// counting-sorted by source leaf, ascending index within a leaf — the
     /// order both fused sweeps are defined over.
@@ -480,22 +464,19 @@ pub struct SimArena {
     /// words, stable-bucketed from `live` by LCA level (root first) — the
     /// order ≺ of [`Self::down_phase_fused`].
     turn: Vec<u64>,
-    // --- counting-sort state (parallel path) ---
+    /// Injection: messages placed so far on each leaf's up channel.
     per_leaf: Vec<u32>,
+    /// Counting-sort scratch of the fused cycles' source sort (`n + 1`).
     offsets: Vec<u32>,
-    cursor: Vec<u32>,
-    bucket_msgs: Vec<u32>,
-    bucket_slots: Vec<u32>,
-    bucket_out: Vec<u32>,
-    // --- direct slot-table state (serial path) ---
+    // --- level-pass slot-table state ---
     /// Generation-stamped global (node, slot) table, one entry per
     /// `node_rel * r + slot` holding the contending message index. Bumping
     /// the generation per pass replaces clearing (see [`GenTable`]).
     tbl: GenTable,
     /// Per-bucket `count << 32 | min_slot`, rebuilt densely each pass.
     bucket_meta: Vec<u64>,
-    /// Per-thread arbitration scratch.
-    scratch: Vec<ArbScratch>,
+    /// Level-pass arbitration scratch.
+    scratch: ArbScratch,
     // --- per-cycle outputs ---
     delivered: Vec<u32>,
     dropped: Vec<u32>,
@@ -539,18 +520,13 @@ impl SimArena {
             peer32: Vec::new(),
             wire: Vec::new(),
             ids: Vec::new(),
-            eligible: Vec::new(),
             live: Vec::new(),
             turn: Vec::new(),
             per_leaf: vec![0; n as usize],
             offsets: Vec::with_capacity(n as usize + 1),
-            cursor: Vec::with_capacity(n as usize),
-            bucket_msgs: Vec::new(),
-            bucket_slots: Vec::new(),
-            bucket_out: Vec::new(),
             tbl: GenTable::new(),
             bucket_meta: Vec::new(),
-            scratch: Vec::new(),
+            scratch: ArbScratch::default(),
             delivered: Vec::new(),
             dropped: Vec::new(),
             channel_use: LoadMap::zeros(ft),
@@ -781,13 +757,13 @@ impl SimArena {
     ///
     /// Two bodies, chosen from the configuration alone:
     ///
-    /// * **Fused sweeps** — narrow metadata, `threads ≤ 1`, ideal switches,
-    ///   slot-order arbitration (i.e. [`SimConfig::default`]): one counting
+    /// * **Fused sweeps** — narrow metadata, ideal switches, slot-order
+    ///   arbitration (i.e. [`SimConfig::default`]): one counting
     ///   sort of the injected messages by source leaf, then
     ///   [`Self::up_phase_fused`] and [`Self::down_phase_fused`], each a
     ///   single sweep against per-channel counters.
     /// * **Level passes** — everything else (wide metadata, partial
-    ///   switches, random arbitration, `threads > 1`): one
+    ///   switches, random arbitration): one
     ///   [`Self::level_pass`] per level and direction over a plain scan of
     ///   the metadata. Narrow words carry one leaf, so the destination is
     ///   swapped in for the down passes and back out afterwards — outside
@@ -801,7 +777,6 @@ impl SimArena {
     ) -> CycleStats {
         let height = self.height;
         let fused = W::NARROW
-            && cfg.threads <= 1
             && matches!(cfg.switch, SwitchKind::Ideal)
             && matches!(cfg.arbitration, Arbitration::SlotOrder);
         let mut clock = PhaseClock::start::<R>();
@@ -918,9 +893,17 @@ impl SimArena {
         w
     }
 
-    /// One level pass: counting-sort the contenders into per-node buckets,
-    /// arbitrate every bucket (in parallel for `cfg.threads > 1`), then
-    /// scatter the surviving wire assignments back.
+    /// One level pass: one scan scatters every contender straight into a
+    /// generation-stamped global (node, slot) table — `tbl[k·r + slot]`
+    /// holds `gen << 32 | message` — while `bucket_meta[k]` accumulates
+    /// `count << 32 | min_slot`. Arbitration then walks each bucket's slot
+    /// range in place: ascending-slot order falls out of the table layout,
+    /// so there is no counting sort, no prefix sum and no bucket array at
+    /// all. Winners and losers are written directly into per-message state.
+    ///
+    /// Correctness leans on slots within a bucket being distinct (wires on
+    /// a channel are unique ranks, injection wires are unique per leaf);
+    /// the walk visits exactly `count` stamped entries.
     fn level_pass<W: MetaWord>(
         &mut self,
         ft: &FatTree,
@@ -958,170 +941,7 @@ impl SimArena {
 
         let shift = height - key_level;
         let sw_idx = self.port_index(cfg.switch, r, s);
-        let threads = cfg.threads.max(1).min(nk);
-        if threads <= 1 {
-            self.level_pass_serial(cfg, &params, sw_idx, r, shift, nk, meta);
-            return;
-        }
 
-        // Pass 1: find the participating messages and count bucket sizes.
-        self.offsets.clear();
-        self.offsets.resize(nk + 1, 0);
-        self.eligible.clear();
-        for (i, &m) in meta.iter().enumerate() {
-            if !m.eligible() {
-                continue;
-            }
-            let ll = m.lca();
-            // Up: still climbing through this node. Down: has turned at or
-            // above this node.
-            if (up && ll >= node_level) || (!up && ll > node_level) {
-                continue;
-            }
-            let k = (m.key_leaf(up) >> shift) - lo;
-            self.offsets[k as usize + 1] += 1;
-            self.eligible.push(i as u32);
-        }
-        let total = self.eligible.len();
-        if total == 0 {
-            return;
-        }
-        for k in 0..nk {
-            self.offsets[k + 1] += self.offsets[k];
-        }
-
-        // Pass 2: place message indices and their input slots into buckets
-        // (stable: ascending message order within each bucket, like the
-        // reference — though with distinct slots any order arbitrates the
-        // same).
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.offsets[..nk]);
-        self.bucket_msgs.resize(total, 0);
-        self.bucket_slots.resize(total, 0);
-        for &iu in &self.eligible {
-            let i = iu as usize;
-            let m = meta[i];
-            let k = ((m.key_leaf(up) >> shift) - lo) as usize;
-            let slot = params.slot(m, self.wire[i]);
-            let pos = self.cursor[k] as usize;
-            self.cursor[k] += 1;
-            self.bucket_msgs[pos] = iu;
-            self.bucket_slots[pos] = slot;
-        }
-
-        // Arbitrate each bucket through the (shared, read-only) port switch.
-        // Arbitration outcomes go into the bucket-aligned `bucket_out`
-        // array — the node range is split into contiguous chunks, and each
-        // chunk owns a contiguous slice of it, so plain disjoint mutable
-        // borrows suffice (no shared-state synchronization). The scatter
-        // back into per-message state stays serial, in node order.
-        if self.scratch.len() < threads {
-            self.scratch.resize_with(threads, Default::default);
-        }
-        let sw = &self.ports[sw_idx].1;
-        let offsets = &self.offsets[..nk + 1];
-        let bucket_msgs = &self.bucket_msgs[..total];
-        let bucket_slots = &self.bucket_slots[..total];
-        let eff = &self.eff[..];
-        let ids = &self.ids[..];
-        let arb = cfg.arbitration;
-
-        self.bucket_out.resize(total, 0);
-        self.bucket_out[..total].fill(DROPPED);
-        let bucket_out = &mut self.bucket_out[..total];
-        let per = nk.div_ceil(threads);
-        std::thread::scope(|sc| {
-            let mut rest = bucket_out;
-            let mut done = 0usize;
-            for (t, scratch) in self.scratch[..threads].iter_mut().enumerate() {
-                let k0 = t * per;
-                let k1 = ((t + 1) * per).min(nk);
-                if k0 >= k1 {
-                    break;
-                }
-                let base = offsets[k0] as usize;
-                let end = offsets[k1] as usize;
-                let (chunk, tail) = rest.split_at_mut(end - done);
-                rest = tail;
-                done = end;
-                let params = &params;
-                sc.spawn(move || {
-                    arbitrate_chunk(
-                        k0..k1,
-                        base,
-                        chunk,
-                        offsets,
-                        bucket_msgs,
-                        bucket_slots,
-                        ids,
-                        sw,
-                        eff,
-                        arb,
-                        params,
-                        r,
-                        scratch,
-                    );
-                });
-            }
-        });
-
-        for k_rel in 0..nk {
-            let (b0, b1) = (
-                self.offsets[k_rel] as usize,
-                self.offsets[k_rel + 1] as usize,
-            );
-            if b0 == b1 {
-                continue;
-            }
-            let chan = params.channel(k_rel);
-            for pos in b0..b1 {
-                let i = self.bucket_msgs[pos] as usize;
-                let out = self.bucket_out[pos];
-                if out == DROPPED {
-                    meta[i] = meta[i].kill();
-                } else {
-                    self.wire[i] = out;
-                    self.channel_use.add_one(chan);
-                }
-            }
-        }
-    }
-
-    /// Wide-only level pass over the arena's own `meta` buffer — the shard
-    /// phases use this (claims carry u64 words on the wire, so shard cycles
-    /// always run the wide layout regardless of [`SimConfig::meta`]).
-    fn level_pass_wide(&mut self, ft: &FatTree, cfg: &SimConfig, up: bool, node_level: u32) {
-        let mut meta = std::mem::take(&mut self.meta);
-        self.level_pass(ft, cfg, up, node_level, &mut meta);
-        self.meta = meta;
-    }
-}
-
-impl SimArena {
-    /// Serial level pass: one scan scatters every contender straight into a
-    /// generation-stamped global (node, slot) table — `tbl[k·r + slot]`
-    /// holds `gen << 32 | message` — while `bucket_meta[k]` accumulates
-    /// `count << 32 | min_slot`. Arbitration then walks each bucket's slot
-    /// range in place: ascending-slot order falls out of the table layout,
-    /// so there is no counting sort, no prefix sum and no bucket array at
-    /// all. Winners and losers are written directly into per-message state.
-    ///
-    /// Correctness leans on slots within a bucket being distinct (wires on
-    /// a channel are unique ranks, injection wires are unique per leaf);
-    /// the walk visits exactly `count` stamped entries. Must arbitrate
-    /// exactly like [`arbitrate_chunk`] — the golden and determinism tests
-    /// pin the two together.
-    #[allow(clippy::too_many_arguments)]
-    fn level_pass_serial<W: MetaWord>(
-        &mut self,
-        cfg: &SimConfig,
-        params: &PhaseParams,
-        sw_idx: usize,
-        r: usize,
-        shift: u32,
-        nk: usize,
-        meta: &mut [W],
-    ) {
         self.tbl.begin(nk * r);
         // Bucket table: `count << 32 | min_slot` per node, empty =
         // `EMPTY_BUCKET` (count 0, min-slot MAX).
@@ -1129,7 +949,6 @@ impl SimArena {
         self.bucket_meta.clear();
         self.bucket_meta.resize(nk, EMPTY_BUCKET);
 
-        let (up, node_level, lo) = (params.up, params.node_level, params.lo);
         let mut any = false;
         for (i, &m) in meta.iter().enumerate() {
             if !m.eligible() {
@@ -1152,9 +971,6 @@ impl SimArena {
             return;
         }
 
-        if self.scratch.is_empty() {
-            self.scratch.resize_with(1, Default::default);
-        }
         let SimArena {
             ports,
             eff,
@@ -1168,7 +984,6 @@ impl SimArena {
         } = self;
         let sw = &ports[sw_idx].1;
         let arb = cfg.arbitration;
-        let scratch = &mut scratch[0];
 
         let mut arbitrate_bucket = |k_rel: usize, bm: u64| {
             let b = (bm >> 32) as u32;
@@ -1215,14 +1030,14 @@ impl SimArena {
                         let mut idx = base + min_slot;
                         while seen < b {
                             if let Some(i) = tbl.get(idx) {
-                                scratch.sort_buf.push((i, (idx - base) as u32, 0));
+                                scratch.sort_buf.push((i, (idx - base) as u32));
                                 scratch.active.push(idx - base);
                                 seen += 1;
                             }
                             idx += 1;
                         }
                         let routed = sw.concentrate_with(&mut scratch.matching, &scratch.active);
-                        for (&(i, _, _), w) in scratch.sort_buf.iter().zip(routed) {
+                        for (&(i, _), w) in scratch.sort_buf.iter().zip(routed) {
                             apply_outcome(i as usize, w, e, chan, meta, wire, channel_use);
                         }
                     }
@@ -1237,12 +1052,12 @@ impl SimArena {
                     let mut idx = base + min_slot;
                     while seen < b {
                         if let Some(i) = tbl.get(idx) {
-                            scratch.sort_buf.push((i, (idx - base) as u32, 0));
+                            scratch.sort_buf.push((i, (idx - base) as u32));
                             seen += 1;
                         }
                         idx += 1;
                     }
-                    scratch.sort_buf.sort_unstable_by_key(|&(i, s, _)| {
+                    scratch.sort_buf.sort_unstable_by_key(|&(i, s)| {
                         (
                             splitmix64(
                                 seed ^ (ids[i as usize] as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
@@ -1253,7 +1068,7 @@ impl SimArena {
                     match sw {
                         PortSwitch::Ideal(cb) => {
                             let s_out = cb.outputs();
-                            for (j, &(i, _, _)) in scratch.sort_buf.iter().enumerate() {
+                            for (j, &(i, _)) in scratch.sort_buf.iter().enumerate() {
                                 let i = i as usize;
                                 if j < s_out && (j as u64) < e {
                                     wire[i] = j as u32;
@@ -1267,10 +1082,10 @@ impl SimArena {
                             scratch.active.clear();
                             scratch
                                 .active
-                                .extend(scratch.sort_buf.iter().map(|&(_, s, _)| s as usize));
+                                .extend(scratch.sort_buf.iter().map(|&(_, s)| s as usize));
                             let routed =
                                 sw.concentrate_with(&mut scratch.matching, &scratch.active);
-                            for (&(i, _, _), w) in scratch.sort_buf.iter().zip(routed) {
+                            for (&(i, _), w) in scratch.sort_buf.iter().zip(routed) {
                                 apply_outcome(i as usize, w, e, chan, meta, wire, channel_use);
                             }
                         }
@@ -1284,6 +1099,15 @@ impl SimArena {
                 arbitrate_bucket(k_rel, bm);
             }
         }
+    }
+
+    /// Wide-only level pass over the arena's own `meta` buffer — the shard
+    /// phases use this (claims carry u64 words on the wire, so shard cycles
+    /// always run the wide layout regardless of [`SimConfig::meta`]).
+    fn level_pass_wide(&mut self, ft: &FatTree, cfg: &SimConfig, up: bool, node_level: u32) {
+        let mut meta = std::mem::take(&mut self.meta);
+        self.level_pass(ft, cfg, up, node_level, &mut meta);
+        self.meta = meta;
     }
 
     /// The whole up phase in one sweep over the source-sorted live list —
@@ -1728,152 +1552,16 @@ fn apply_outcome<W: MetaWord>(
     }
 }
 
-/// Arbitrate the buckets of nodes `k0..k1`. `out` is the chunk's slice of
-/// the bucket output array, whose global offset is `base`.
-/// Per-thread arbitration scratch: a sort buffer for random arbitration and
-/// a generation-stamped direct-mapped slot table for deterministic slot
-/// order (ranking contenders without sorting them).
+/// Arbitration scratch of [`SimArena::level_pass`].
 #[derive(Default)]
 struct ArbScratch {
-    /// (message index, slot, position-in-chunk) sort buffer.
-    sort_buf: Vec<(u32, u32, u32)>,
+    /// (message index, slot) contenders of one bucket: slot-ascending as
+    /// collected, then sorted by priority under random arbitration.
+    sort_buf: Vec<(u32, u32)>,
     /// Active slot list handed to partial concentrators.
     active: Vec<usize>,
     /// Reusable Hopcroft–Karp buffers for partial-concentrator matchings.
     matching: MatchingArena,
-    /// slot → position-in-chunk, generation-stamped per bucket so stale
-    /// entries are ignored without clearing.
-    pos: GenTable,
-}
-
-/// Arbitrate the buckets of nodes `k0..k1`. `out` is the chunk's slice of
-/// the bucket output array, whose global offset is `base`; `r` is the slot
-/// universe (input wire count) of this pass's port shape.
-#[allow(clippy::too_many_arguments)]
-fn arbitrate_chunk(
-    nodes: std::ops::Range<usize>,
-    base: usize,
-    out: &mut [u32],
-    offsets: &[u32],
-    bucket_msgs: &[u32],
-    bucket_slots: &[u32],
-    ids: &[u32],
-    sw: &PortSwitch,
-    eff: &[u64],
-    arb: Arbitration,
-    params: &PhaseParams,
-    r: usize,
-    scratch: &mut ArbScratch,
-) {
-    for k_rel in nodes {
-        let (b0, b1) = (offsets[k_rel] as usize, offsets[k_rel + 1] as usize);
-        if b0 == b1 {
-            continue;
-        }
-        let e = eff[params.channel(k_rel).index()];
-        match arb {
-            // Deterministic slot order: rank = position in ascending slot
-            // order. Slots within a bucket are distinct (wires on a channel
-            // are unique), so scattering them into a slot-indexed table and
-            // walking it upward yields exactly the reference's stable sort —
-            // without sorting.
-            Arbitration::SlotOrder => {
-                scratch.pos.begin(r);
-                let mut min_slot = u32::MAX;
-                for (pos, &slot) in (b0..b1).zip(&bucket_slots[b0..b1]) {
-                    let slot = slot as usize;
-                    scratch.pos.set(slot, (pos - base) as u32);
-                    min_slot = min_slot.min(slot as u32);
-                }
-                let b = (b1 - b0) as u32;
-                match sw {
-                    // Ideal concentration inlined: the first min(s, eff)
-                    // contenders in slot order win wires 0, 1, …; everyone
-                    // else keeps the DROPPED prefill.
-                    PortSwitch::Ideal(cb) => {
-                        let winners = (cb.outputs() as u64).min(e).min(b as u64) as u32;
-                        let mut rank = 0u32;
-                        let mut slot = min_slot as usize;
-                        while rank < winners {
-                            if let Some(p) = scratch.pos.get(slot) {
-                                out[p as usize] = rank;
-                                rank += 1;
-                            }
-                            slot += 1;
-                        }
-                    }
-                    PortSwitch::Partial { .. } => {
-                        // Collect (slot, position) in ascending slot order.
-                        scratch.sort_buf.clear();
-                        scratch.active.clear();
-                        let mut seen = 0u32;
-                        let mut slot = min_slot as usize;
-                        while seen < b {
-                            if let Some(p) = scratch.pos.get(slot) {
-                                scratch.sort_buf.push((0, slot as u32, p));
-                                scratch.active.push(slot);
-                                seen += 1;
-                            }
-                            slot += 1;
-                        }
-                        let routed = sw.concentrate_with(&mut scratch.matching, &scratch.active);
-                        for (&(_, _, p), w) in scratch.sort_buf.iter().zip(routed) {
-                            out[p as usize] = match w {
-                                Some(w) if (w as u64) < e => w,
-                                _ => DROPPED,
-                            };
-                        }
-                    }
-                }
-            }
-            // Random priorities: the (distinct) hash of each message's
-            // arbitration id is the primary key, so an unstable sort still
-            // matches the reference's stable sort exactly.
-            Arbitration::Random(seed) => {
-                scratch.sort_buf.clear();
-                for pos in b0..b1 {
-                    scratch.sort_buf.push((
-                        bucket_msgs[pos],
-                        bucket_slots[pos],
-                        (pos - base) as u32,
-                    ));
-                }
-                scratch.sort_buf.sort_unstable_by_key(|&(i, s, _)| {
-                    (
-                        splitmix64(
-                            seed ^ (ids[i as usize] as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                        ),
-                        s,
-                    )
-                });
-                match sw {
-                    PortSwitch::Ideal(cb) => {
-                        let s_out = cb.outputs();
-                        for (j, &(_, _, p)) in scratch.sort_buf.iter().enumerate() {
-                            out[p as usize] = if j < s_out && (j as u64) < e {
-                                j as u32
-                            } else {
-                                DROPPED
-                            };
-                        }
-                    }
-                    PortSwitch::Partial { .. } => {
-                        scratch.active.clear();
-                        scratch
-                            .active
-                            .extend(scratch.sort_buf.iter().map(|&(_, s, _)| s as usize));
-                        let routed = sw.concentrate_with(&mut scratch.matching, &scratch.active);
-                        for (&(_, _, p), w) in scratch.sort_buf.iter().zip(routed) {
-                            out[p as usize] = match w {
-                                Some(w) if (w as u64) < e => w,
-                                _ => DROPPED,
-                            };
-                        }
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Simulate one delivery cycle of `msgs` on `ft`.
@@ -2397,27 +2085,24 @@ mod tests {
     }
 
     #[test]
-    fn shard_phases_compose_under_faults_and_threads() {
+    fn shard_phases_compose_under_faults() {
         use crate::faults::FaultModel;
         let n = 64u32;
         let ft = FatTree::universal(n, 16);
         let msgs: Vec<Message> = (0..n).map(|i| Message::new(i, (i * 7 + 3) % n)).collect();
-        for threads in [1usize, 4] {
-            let cfg = SimConfig {
-                faults: FaultModel {
-                    dead_wire_fraction: 0.3,
-                    seed: 5,
-                },
-                arbitration: Arbitration::Random(9),
-                threads,
-                ..Default::default()
-            };
-            let single = simulate_cycle(&ft, &msgs, &cfg);
-            let want: Vec<u32> = single.delivered.iter().map(|&i| i as u32).collect();
-            for boundary in [1u32, 2] {
-                let (got, _) = sharded_cycle(&ft, &msgs, &cfg, boundary);
-                assert_eq!(got, want, "boundary={boundary} threads={threads}");
-            }
+        let cfg = SimConfig {
+            faults: FaultModel {
+                dead_wire_fraction: 0.3,
+                seed: 5,
+            },
+            arbitration: Arbitration::Random(9),
+            ..Default::default()
+        };
+        let single = simulate_cycle(&ft, &msgs, &cfg);
+        let want: Vec<u32> = single.delivered.iter().map(|&i| i as u32).collect();
+        for boundary in [1u32, 2] {
+            let (got, _) = sharded_cycle(&ft, &msgs, &cfg, boundary);
+            assert_eq!(got, want, "boundary={boundary}");
         }
     }
 

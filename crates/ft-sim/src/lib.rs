@@ -16,10 +16,9 @@
 //! * [`engine`] — delivery-cycle execution: wormhole path establishment in
 //!   level order, per-port concentration, drops, acknowledgments, retries,
 //!   and tick-accurate cycle times (`O(lg n)` per cycle, Theorem 12 of our
-//!   experiment index E12). The engine groups port contenders with flat
-//!   counting-sorted arrays, reuses every scratch buffer across cycles
-//!   through [`SimArena`], and can arbitrate disjoint subtrees on scoped
-//!   threads ([`SimConfig::threads`]),
+//!   experiment index E12). The engine groups port contenders in flat
+//!   arrays and reuses every scratch buffer across cycles through
+//!   [`SimArena`],
 //! * [`reference`] — the original HashMap-grouping engine, retained verbatim
 //!   as the golden reference the flat-array engine is tested against,
 //! * [`stats`] — utilization and delivery statistics.

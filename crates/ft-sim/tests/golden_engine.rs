@@ -43,7 +43,6 @@ fn configs() -> Vec<SimConfig> {
                         switch,
                         arbitration,
                         faults,
-                        threads: 1,
                         meta,
                     });
                 }
@@ -157,54 +156,11 @@ fn empty_and_degenerate_sets_match() {
 }
 
 #[test]
-fn parallel_execution_is_deterministic() {
-    // Thread count must not change a single byte of any report: sibling
-    // subtrees own disjoint channels, and the scatter pass is serial.
-    for ft in [
-        FatTree::universal(64, 16),
-        FatTree::new(32, CapacityProfile::Constant(2)),
-    ] {
-        for arbitration in [Arbitration::SlotOrder, Arbitration::Random(9)] {
-            for seed in 0..4u64 {
-                let msgs: MessageSet = workload(ft.n(), 307 + seed).into_iter().collect();
-                let serial = SimConfig {
-                    arbitration,
-                    threads: 1,
-                    ..Default::default()
-                };
-                let want = run_to_completion(&ft, &msgs, &serial);
-                for threads in [2, 3, 8] {
-                    let cfg = SimConfig { threads, ..serial };
-                    let got = run_to_completion(&ft, &msgs, &cfg);
-                    assert_eq!(got.cycles, want.cycles, "threads={threads}");
-                    assert_eq!(got.delivery_order, want.delivery_order, "threads={threads}");
-                    assert_eq!(got.total_ticks, want.total_ticks, "threads={threads}");
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn parallel_single_cycle_matches_reference() {
+fn wider_tree_single_cycle_matches_reference() {
     let ft = FatTree::universal(128, 32);
+    let cfg = SimConfig::default();
     for seed in 0..6u64 {
         let msgs = workload(ft.n(), 401 + seed);
-        for threads in [2, 4] {
-            let cfg = SimConfig {
-                threads,
-                ..Default::default()
-            };
-            let want = simulate_cycle_reference(&ft, &msgs, &SimConfig::default());
-            let got = simulate_cycle(&ft, &msgs, &cfg);
-            assert_eq!(
-                got.delivered, want.delivered,
-                "threads={threads} seed={seed}"
-            );
-            assert_eq!(
-                got.channel_use, want.channel_use,
-                "threads={threads} seed={seed}"
-            );
-        }
+        assert_cycles_equal(&ft, &msgs, &cfg, &format!("n=128 seed={seed}"));
     }
 }

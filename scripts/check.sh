@@ -16,9 +16,6 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo bench --no-run (bench-only code must keep compiling)"
-cargo bench --workspace --no-run
-
 echo "==> ft-perf --smoke (+ bench_check schema validation)"
 smoke_json="$(mktemp --suffix .json)"
 trap 'rm -f "$smoke_json"' EXIT

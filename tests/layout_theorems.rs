@@ -1,77 +1,68 @@
 //! Property tests for the layout theory: Lemma 6 on arbitrary necklaces,
-//! Theorem 8 on arbitrary occupancies, Theorem 5 on arbitrary placements.
+//! Theorem 8 on arbitrary occupancies, Theorem 5 on arbitrary placements
+//! (seeded SplitMix64 loops, std-only).
 
-#![cfg(feature = "proptest")]
-// Compiled only with `--features proptest`, which additionally requires
-// re-adding the `proptest` crate to dev-dependencies (not available in
-// offline builds).
-
+use fat_tree::core::rng::SplitMix64;
 use fat_tree::layout::{balance_decomposition, split_necklace, DecompTree, Placement};
-use proptest::prelude::*;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+const CASES: u64 = 256;
 
-    #[test]
-    fn pearl_lemma_holds_for_all_necklaces(
-        long in prop::collection::vec(any::<bool>(), 1..64),
-        short in prop::collection::vec(any::<bool>(), 0..32),
-    ) {
+#[test]
+fn pearl_lemma_holds_for_all_necklaces() {
+    let mut rng = SplitMix64::seed_from_u64(0x1A01);
+    for case in 0..CASES {
+        let (nl, ns) = (rng.gen_range(1usize..64), rng.gen_range(0usize..32));
+        let long: Vec<bool> = (0..nl).map(|_| rng.gen_bool(0.5)).collect();
+        let short: Vec<bool> = (0..ns).map(|_| rng.gen_bool(0.5)).collect();
         let split = split_necklace(&long, &short);
         let n = long.len() + short.len();
         let b = long.iter().chain(&short).filter(|&&x| x).count();
-        prop_assert!(split.a.len() <= 2);
-        prop_assert!(split.b.len() <= 2);
-        prop_assert_eq!(split.size_a(), n / 2);
+        assert!(split.a.len() <= 2, "case {case}");
+        assert!(split.b.len() <= 2, "case {case}");
+        assert_eq!(split.size_a(), n / 2, "case {case}");
         let ba = split.blacks_a(&long, &short);
-        prop_assert!(ba >= b / 2 && ba <= b.div_ceil(2));
-        prop_assert_eq!(ba + split.blacks_b(&long, &short), b);
+        assert!(ba >= b / 2 && ba <= b.div_ceil(2), "case {case}");
+        assert_eq!(ba + split.blacks_b(&long, &short), b, "case {case}");
     }
+}
 
-    #[test]
-    fn balanced_trees_stay_balanced_and_bounded(
-        r in 3u32..=8,
-        seed in any::<u64>(),
-        density in 1u32..=4,
-    ) {
+#[test]
+fn balanced_trees_stay_balanced_and_bounded() {
+    let mut rng = SplitMix64::seed_from_u64(0x1A02);
+    for case in 0..CASES {
+        let r = rng.gen_range(3u32..=8);
+        let density = rng.gen_range(1u32..=4);
         let slots = 1usize << r;
-        let mut occupied = vec![false; slots];
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13; state ^= state >> 7; state ^= state << 17; state
-        };
         // Power-of-two processor count ≤ slots.
         let nprocs = (slots >> density).max(1);
-        let mut placed = 0;
-        while placed < nprocs {
-            let i = (next() % slots as u64) as usize;
-            if !occupied[i] {
-                occupied[i] = true;
-                placed += 1;
-            }
+        let mut occupied = vec![false; slots];
+        for i in rng.sample_indices(slots, nprocs) {
+            occupied[i] = true;
         }
-        let ws: Vec<f64> = (0..=r).map(|j| 1000.0 / 4f64.powf(j as f64 / 3.0)).collect();
+        let ws: Vec<f64> = (0..=r)
+            .map(|j| 1000.0 / 4f64.powf(j as f64 / 3.0))
+            .collect();
         let t = balance_decomposition(&occupied, &ws);
-        prop_assert!(t.is_balanced());
-        prop_assert_eq!(t.root.procs, nprocs);
+        assert!(t.is_balanced(), "case {case}");
+        assert_eq!(t.root.procs, nprocs, "case {case}");
         // Theorem 8: w′_k ≤ 4·Σ_{j≥k} w_j at every node.
-        prop_assert!(t.worst_theorem8_ratio() <= 1.0 + 1e-9);
+        assert!(t.worst_theorem8_ratio() <= 1.0 + 1e-9, "case {case}");
     }
+}
 
-    #[test]
-    fn decomposition_trees_cover_random_placements(
-        n in 2usize..=64,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = fat_tree::core::rng::SplitMix64::seed_from_u64(seed);
+#[test]
+fn decomposition_trees_cover_random_placements() {
+    let mut rng = SplitMix64::seed_from_u64(0x1A03);
+    for case in 0..CASES {
+        let n = rng.gen_range(2usize..=64);
         let p = Placement::random_in_cube(n, 16.0, &mut rng);
         let t = DecompTree::build(&p, 1.0);
-        prop_assert_eq!(t.num_procs(), n);
+        assert_eq!(t.num_procs(), n, "case {case}");
         let mut seen = t.procs_in_leaf_order();
         seen.sort_unstable();
-        prop_assert_eq!(seen, (0..n as u32).collect::<Vec<_>>());
+        assert_eq!(seen, (0..n as u32).collect::<Vec<_>>(), "case {case}");
         // Theorem 5 ratio: with midpoint cuts, w_{i+3} = w_i/4 exactly.
-        prop_assert!(t.worst_quartering_ratio() <= 1.0 + 1e-9);
+        assert!(t.worst_quartering_ratio() <= 1.0 + 1e-9, "case {case}");
     }
 }
 

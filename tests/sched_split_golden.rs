@@ -3,13 +3,16 @@
 //! level-synchronous climb, feasibility by per-level max loads, the
 //! two-message fast path) must reproduce the retained clone-based
 //! reference scheduler cycle for cycle, and `schedule_assign` must name
-//! the same cycle for every input slot. The exhaustive suites live in
-//! `crates/ft-sched/tests/`; this one makes plain `cargo test` fail if a
-//! sweep is wrong.
+//! the same cycle for every input slot. The on-line router rides along:
+//! `OnlineArena::run_stream` must reproduce the clone-based reference
+//! router cycle for cycle on the same machines and workloads — the
+//! reference is the only cross-check its one claim walk has. The exhaustive
+//! suites live in `crates/ft-sched/tests/`; this one makes plain
+//! `cargo test` fail if a sweep is wrong.
 
 use fat_tree::core::rng::SplitMix64;
 use fat_tree::prelude::*;
-use fat_tree::sched::reference::schedule_theorem1_reference;
+use fat_tree::sched::reference::{route_online_reference, schedule_theorem1_reference};
 use fat_tree::sched::SchedArena;
 use fat_tree::workloads::{HotspotStream, PermutationStream, PodAllToAll, RelationStream};
 
@@ -65,11 +68,10 @@ fn multiset(n: u32, len: usize, seed: u64) -> MessageSet {
     MessageSet::from_vec(v)
 }
 
-#[test]
-fn arena_matches_reference_across_trees_and_workloads() {
-    // Universal, unit-capacity and two padded k-ary pod trees: k = 8, over
-    // = 4 has the non-monotone level table (…, 1, 2, 1) on an identity leaf
-    // map; k = 6 maps its 54 real processors into 128 padded leaves.
+/// Universal, unit-capacity and two padded k-ary pod trees: k = 8, over
+/// = 4 has the non-monotone level table (…, 1, 2, 1) on an identity leaf
+/// map; k = 6 maps its 54 real processors into 128 padded leaves.
+fn machines() -> [Embedded; 5] {
     let machines = [
         Topology::binary(64, CapacityProfile::Universal { root_capacity: 16 }),
         Topology::binary(256, CapacityProfile::Universal { root_capacity: 64 }),
@@ -79,26 +81,35 @@ fn arena_matches_reference_across_trees_and_workloads() {
     ]
     .map(Embedded::new);
     assert!(!machines[4].is_identity());
+    machines
+}
 
+/// The workload families on `emb`'s real processors for one seed.
+fn streams(emb: &Embedded, seed: u64) -> Vec<(&'static str, Box<dyn MessageStream>)> {
+    let n = emb.leaves();
+    let mut streams: Vec<(&str, Box<dyn MessageStream>)> = vec![
+        ("multiset", Box::new(multiset(n, 3 * n as usize, seed))),
+        (
+            "alltoall",
+            Box::new(PodAllToAll::for_topology(emb.topology())),
+        ),
+    ];
+    if n.is_power_of_two() {
+        streams.push(("perm", Box::new(PermutationStream::new(n, seed))));
+        streams.push(("rel2", Box::new(RelationStream::new(n, 2, seed))));
+        streams.push(("hotspot", Box::new(HotspotStream::new(n, 2, 3, seed))));
+    }
+    streams
+}
+
+#[test]
+fn arena_matches_reference_across_trees_and_workloads() {
     let (mut runs, mut multi_cycle) = (0, 0);
-    for emb in &machines {
+    for emb in &machines() {
         let ft = emb.tree();
-        let n = emb.leaves();
         let mut arena = SchedArena::new(ft);
         for seed in 0..12u64 {
-            let mut streams: Vec<(&str, Box<dyn MessageStream>)> = vec![
-                ("multiset", Box::new(multiset(n, 3 * n as usize, seed))),
-                (
-                    "alltoall",
-                    Box::new(PodAllToAll::for_topology(emb.topology())),
-                ),
-            ];
-            if n.is_power_of_two() {
-                streams.push(("perm", Box::new(PermutationStream::new(n, seed))));
-                streams.push(("rel2", Box::new(RelationStream::new(n, 2, seed))));
-                streams.push(("hotspot", Box::new(HotspotStream::new(n, 2, 3, seed))));
-            }
-            for (family, real) in &streams {
+            for (family, real) in &streams(emb, seed) {
                 let tag = format!("{family} on {} seed={seed}", emb.topology().spec());
                 let mapped = emb.stream(real.as_ref());
                 let cycles = assert_matches_reference(&mut arena, ft, &mapped, &tag);
@@ -111,6 +122,39 @@ fn arena_matches_reference_across_trees_and_workloads() {
     assert!(
         multi_cycle >= 200,
         "only {multi_cycle} of {runs} runs split"
+    );
+}
+
+#[test]
+fn online_arena_stream_matches_reference() {
+    let (mut runs, mut multi_cycle) = (0, 0);
+    for emb in &machines() {
+        let ft = emb.tree();
+        let mut arena = OnlineArena::new(ft);
+        for seed in 0..12u64 {
+            for (family, real) in &streams(emb, seed) {
+                let tag = format!("{family} on {} seed={seed}", emb.topology().spec());
+                let mapped = emb.stream(real.as_ref());
+                let cfg = OnlineConfig::default();
+                let rng = || SplitMix64::seed_from_u64(seed ^ 0x0A11);
+                let want = route_online_reference(ft, &mapped.collect_set(), &mut rng(), cfg);
+                arena.run_stream(ft, &mapped, &mut rng(), cfg);
+                assert_eq!(arena.cycles(), want.cycles, "{tag}");
+                assert_eq!(
+                    arena.delivered_per_cycle(),
+                    want.delivered_per_cycle,
+                    "{tag}"
+                );
+                assert!(!arena.truncated() && !want.truncated, "{tag}");
+                runs += 1;
+                multi_cycle += (want.cycles > 1) as u32;
+            }
+        }
+    }
+    assert_eq!(runs, 12 * (4 * 5 + 2));
+    assert!(
+        multi_cycle >= 200,
+        "only {multi_cycle} of {runs} runs retried"
     );
 }
 

@@ -1,6 +1,5 @@
 //! Property tests for the generalized-topology layer (seeded, std-only —
-//! the workspace's `proptest` feature stays off, so these are plain
-//! exhaustive/seeded sweeps rather than shrinking generators).
+//! plain exhaustive/seeded sweeps rather than shrinking generators).
 //!
 //! Three laws are pinned:
 //!
