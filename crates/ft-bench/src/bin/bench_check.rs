@@ -3,9 +3,10 @@
 //! `ft-perf` hand-rolls its JSON (the workspace builds offline, no serde),
 //! so a formatting slip would ship a file downstream tooling cannot read.
 //! This binary parses the file with the strict reader in [`ft_bench::json`]
-//! and asserts the `ft-perf/v1` schema: required blocks present, rows carry
+//! and asserts the `ft-perf/v2` schema: required blocks present, rows carry
 //! the documented fields with sane values. `scripts/check.sh` runs it on a
-//! `--smoke --out` pass so malformed bench output fails CI.
+//! `--smoke --out` pass and on the committed file, so malformed bench
+//! output fails CI.
 //!
 //! ```text
 //! cargo run --release -p ft-bench --bin bench_check -- BENCH_engine.json
@@ -40,6 +41,15 @@ fn req_num(row: &Value, key: &str, ctx: &str) -> f64 {
     x
 }
 
+/// `row[key]` must be a finite number ≥ `min`; return it.
+fn req_min(row: &Value, key: &str, ctx: &str, min: f64) -> f64 {
+    let x = req_num(row, key, ctx);
+    if x < min {
+        fail(&format!("{ctx}: \"{key}\" < {min}"));
+    }
+    x
+}
+
 /// `row[key]` must be a non-empty string; return it.
 fn req_str<'a>(row: &'a Value, key: &str, ctx: &str) -> &'a str {
     let s = row
@@ -61,9 +71,26 @@ fn main() {
     let doc = parse(&text).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
 
     match doc.get("schema").and_then(Value::as_str) {
-        Some("ft-perf/v1") => {}
+        Some("ft-perf/v2") => {}
         Some(other) => fail(&format!("unexpected schema \"{other}\"")),
         None => fail("missing \"schema\""),
+    }
+
+    // The stamp: which host, toolchain and commit produced the numbers.
+    // `rustc` / `commit` are null when the command was unavailable, but the
+    // keys must be there.
+    let env = doc
+        .get("env")
+        .unwrap_or_else(|| fail("missing \"env\" block"));
+    req_min(env, "available_parallelism", "env", 1.0);
+    for key in ["rustc", "commit"] {
+        match env.get(key) {
+            Some(Value::Null) => {}
+            Some(Value::Str(s)) if !s.is_empty() => {}
+            _ => fail(&format!(
+                "env: \"{key}\" must be a non-empty string or null"
+            )),
+        }
     }
 
     let results = req_arr(&doc, "results");
@@ -75,13 +102,12 @@ fn main() {
         req_str(r, "op", &ctx);
         req_str(r, "engine", &ctx);
         req_str(r, "workload", &ctx);
-        if req_num(r, "n", &ctx) < 1.0 {
-            fail(&format!("{ctx}: n < 1"));
+        req_min(r, "n", &ctx, 1.0);
+        if req_min(r, "min_ns", &ctx, 0.0) > req_num(r, "median_ns", &ctx) {
+            fail(&format!("{ctx}: min_ns > median_ns"));
         }
-        req_num(r, "median_ns", &ctx);
-        if req_num(r, "iters", &ctx) < 1.0 {
-            fail(&format!("{ctx}: iters < 1"));
-        }
+        req_min(r, "mad_ns", &ctx, 0.0);
+        req_min(r, "iters", &ctx, 1.0);
     }
 
     for (i, s) in req_arr(&doc, "speedups").iter().enumerate() {
@@ -91,44 +117,6 @@ fn main() {
         req_num(s, "n", &ctx);
         if req_num(s, "speedup", &ctx) <= 0.0 {
             fail(&format!("{ctx}: speedup <= 0"));
-        }
-    }
-
-    // The streamed tier: every row times the streamed engine; the
-    // materialized twin and the ratio are null above the duel cap.
-    let large = req_arr(&doc, "large_n");
-    if large.is_empty() {
-        fail("\"large_n\" is empty");
-    }
-    for (i, r) in large.iter().enumerate() {
-        let ctx = format!("large_n[{i}]");
-        req_str(r, "workload", &ctx);
-        req_num(r, "n", &ctx);
-        req_num(r, "streamed_median_ns", &ctx);
-        req_num(r, "cycles", &ctx);
-        let mat = r
-            .get("materialized_median_ns")
-            .unwrap_or_else(|| fail(&format!("{ctx}: missing \"materialized_median_ns\"")));
-        let sp = r
-            .get("speedup")
-            .unwrap_or_else(|| fail(&format!("{ctx}: missing \"speedup\"")));
-        match (mat, sp) {
-            (Value::Null, Value::Null) => {}
-            (Value::Num(m), Value::Num(x)) if *m >= 0.0 && *x > 0.0 => {}
-            _ => fail(&format!(
-                "{ctx}: materialized_median_ns/speedup must both be numbers or both null"
-            )),
-        }
-    }
-
-    // The streamed collective rows ride in large_n; both families must be
-    // present so a full run can't silently drop them.
-    for wl in ["allreduce", "alltoall"] {
-        if !large
-            .iter()
-            .any(|r| r.get("workload").and_then(Value::as_str) == Some(wl))
-        {
-            fail(&format!("large_n: missing \"{wl}\" collective row"));
         }
     }
 
@@ -146,38 +134,27 @@ fn main() {
         let ctx = format!("topology[{i}]");
         req_str(t, "family", &ctx);
         req_str(t, "spec", &ctx);
-        if req_num(t, "leaves", &ctx) < 2.0 {
-            fail(&format!("{ctx}: leaves < 2"));
-        }
-        if req_num(t, "padded_n", &ctx) < req_num(t, "leaves", &ctx) {
+        if req_num(t, "padded_n", &ctx) < req_min(t, "leaves", &ctx, 2.0) {
             fail(&format!("{ctx}: padded_n < leaves"));
         }
-        if req_num(t, "messages", &ctx) < 1.0 {
-            fail(&format!("{ctx}: messages < 1"));
-        }
+        let messages = req_min(t, "messages", &ctx, 1.0);
         if req_num(t, "lambda_bound", &ctx) <= 0.0 {
             fail(&format!("{ctx}: lambda_bound <= 0"));
         }
-        if req_num(t, "lambda", &ctx) < 0.0 {
-            fail(&format!("{ctx}: lambda < 0"));
-        }
-        let sim_cycles = req_num(t, "sim_cycles", &ctx);
-        if sim_cycles < 1.0 || req_num(t, "sched_cycles", &ctx) < 1.0 {
-            fail(&format!("{ctx}: cycle counts must be >= 1"));
-        }
+        req_min(t, "lambda", &ctx, 0.0);
+        req_min(t, "sched_cycles", &ctx, 1.0);
+        let sim_cycles = req_min(t, "sim_cycles", &ctx, 1.0);
         let dpc = req_num(t, "delivered_per_cycle", &ctx);
         if dpc <= 0.0 {
             fail(&format!("{ctx}: delivered_per_cycle <= 0"));
         }
-        if (dpc * sim_cycles - req_num(t, "messages", &ctx)).abs() > 0.5 * sim_cycles {
+        if (dpc * sim_cycles - messages).abs() > 0.5 * sim_cycles {
             fail(&format!(
                 "{ctx}: delivered_per_cycle inconsistent with messages/sim_cycles"
             ));
         }
         for key in ["switches", "cables", "wires", "bisection"] {
-            if req_num(t, key, &ctx) < 1.0 {
-                fail(&format!("{ctx}: {key} < 1"));
-            }
+            req_min(t, key, &ctx, 1.0);
         }
         req_num(t, "volume_proxy", &ctx);
     }
@@ -188,76 +165,6 @@ fn main() {
         {
             fail(&format!("topology: missing \"{family}\" family row"));
         }
-    }
-
-    // The serve block: the coalescing service measurement. The process
-    // baseline pair follows the large_n null rule — both null (binary not
-    // built, gate skipped) or both positive numbers.
-    let serve = doc
-        .get("serve")
-        .unwrap_or_else(|| fail("missing \"serve\" block"));
-    let ctx = "serve";
-    for key in [
-        "n",
-        "w",
-        "slots",
-        "clients",
-        "requests",
-        "messages_per_request",
-        "requests_per_sec",
-        "p50_us",
-        "p99_us",
-        "busy",
-        "reject_rate",
-        "batches",
-        "batch_max",
-        "batch_mean_x1000",
-        "lambda_max",
-        "baseline_cold_arena_ns",
-        "speedup_vs_cold",
-    ] {
-        req_num(serve, key, ctx);
-    }
-    if req_num(serve, "requests_per_sec", ctx) <= 0.0 {
-        fail("serve: requests_per_sec <= 0");
-    }
-    match serve.get("outputs_match_solo") {
-        Some(Value::Bool(true)) => {}
-        Some(Value::Bool(false)) => fail("serve: outputs_match_solo is false"),
-        _ => fail("serve: missing boolean \"outputs_match_solo\""),
-    }
-    let proc_ns = serve
-        .get("baseline_process_ns")
-        .unwrap_or_else(|| fail("serve: missing \"baseline_process_ns\""));
-    let proc_sp = serve
-        .get("speedup_vs_process")
-        .unwrap_or_else(|| fail("serve: missing \"speedup_vs_process\""));
-    match (proc_ns, proc_sp) {
-        (Value::Null, Value::Null) => {}
-        (Value::Num(m), Value::Num(x)) if *m > 0.0 && *x > 0.0 => {}
-        _ => {
-            fail("serve: baseline_process_ns/speedup_vs_process must both be positive or both null")
-        }
-    }
-
-    // The telemetry_overhead block: metrics-on vs metrics-off serve
-    // throughput. Both sides must have measured real traffic; the ratio
-    // itself gates inside ft-perf (full runs only), so here we only reject
-    // impossible values that would mean the duel never ran.
-    let overhead = doc
-        .get("telemetry_overhead")
-        .unwrap_or_else(|| fail("missing \"telemetry_overhead\" block"));
-    let ctx = "telemetry_overhead";
-    for key in ["full_rps", "noop_rps", "ratio"] {
-        if req_num(overhead, key, ctx) <= 0.0 {
-            fail(&format!("{ctx}: {key} <= 0"));
-        }
-    }
-    if req_num(overhead, "rounds", ctx) < 1.0 {
-        fail("telemetry_overhead: rounds < 1");
-    }
-    if req_num(overhead, "requests_per_round", ctx) < 1.0 {
-        fail("telemetry_overhead: requests_per_round < 1");
     }
 
     let telemetry = doc
@@ -274,10 +181,9 @@ fn main() {
     req_arr(telemetry, "gate_runs");
 
     println!(
-        "bench_check: {path} ok ({} results, {} speedups, {} large_n rows, {} topology rows)",
+        "bench_check: {path} ok ({} results, {} speedups, {} topology rows)",
         results.len(),
         req_arr(&doc, "speedups").len(),
-        large.len(),
         topology.len()
     );
 }

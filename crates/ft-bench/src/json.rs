@@ -74,11 +74,17 @@ impl fmt::Display for ParseError {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts (`ft-perf/v2` needs 4).
+/// The parser recurses once per level, and `bench_check` reads a path the
+/// user names, so without a cap a file of `[[[[…` overflows the stack.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parse a complete JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -92,6 +98,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -123,8 +131,9 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(self.err("nesting too deep")),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -132,6 +141,16 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        body: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        self.depth += 1;
+        let v = body(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, ParseError> {
@@ -218,9 +237,12 @@ impl Parser<'_> {
                         b'r' => s.push('\r'),
                         b't' => s.push('\t'),
                         b'u' => {
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a sign (`\u+041`).
                             let hex = self
                                 .bytes
                                 .get(self.pos..self.pos + 4)
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| self.err("bad \\u escape"))?;
                             let cp = u32::from_str_radix(hex, 16)
@@ -326,5 +348,33 @@ mod tests {
     fn string_escapes_round_trip() {
         let v = parse(r#""a\n\t\"\\ b A""#).unwrap();
         assert_eq!(v.as_str(), Some("a\n\t\"\\ b A"));
+    }
+
+    #[test]
+    fn unicode_escape_takes_exactly_four_hex_digits() {
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u04""#] {
+            assert!(parse(bad).is_err(), "accepted malformed escape {bad}");
+        }
+        assert_eq!(parse(r#""\u0041\u00e9""#).unwrap().as_str(), Some("Aé"));
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let nest = |d: usize| "[".repeat(d) + &"]".repeat(d);
+        let doc = parse(&nest(MAX_DEPTH)).expect("the cap itself parses");
+        let mut v = &doc;
+        for _ in 1..MAX_DEPTH {
+            v = &v.as_arr().unwrap()[0];
+        }
+        assert_eq!(v, &Value::Arr(Vec::new()));
+        assert!(parse(&nest(MAX_DEPTH - 1)).is_ok());
+        let e = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.offset, MAX_DEPTH, "error points at the offending '['");
+        // Objects count against the same cap as arrays.
+        let objs = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objs).is_err());
+        // Unclosed, as a truncated write would leave it, and closed.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&nest(200_000)).is_err());
     }
 }

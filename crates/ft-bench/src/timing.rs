@@ -2,8 +2,9 @@
 //!
 //! The workspace builds offline, so `ft-perf` cannot pull in criterion.
 //! This module provides the small slice of it that binary needs: warm up,
-//! run batches until a time budget is spent, and report the median
-//! per-iteration time (see EXPERIMENTS.md).
+//! run batches until a time budget is spent, and report the minimum, the
+//! median and the median absolute deviation of the per-iteration batch
+//! times (see EXPERIMENTS.md).
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -11,12 +12,36 @@ use std::time::{Duration, Instant};
 /// One benchmark measurement.
 #[derive(Clone, Debug)]
 pub struct Measurement {
-    /// Benchmark name as printed.
-    pub name: String,
+    /// Fastest per-iteration batch time.
+    pub min: Duration,
     /// Median per-iteration time across batches.
     pub median: Duration,
+    /// Median absolute deviation of the batch times from `median`.
+    pub mad: Duration,
     /// Total iterations executed during measurement.
     pub iters: u64,
+}
+
+impl Measurement {
+    /// Summarize per-iteration batch times (at least one) and print the
+    /// criterion-style one-line summary.
+    fn from_samples(name: &str, mut samples: Vec<Duration>, iters: u64) -> Self {
+        samples.sort_unstable();
+        let median = samples[samples.len() / 2];
+        let mut dev: Vec<Duration> = samples.iter().map(|s| s.abs_diff(median)).collect();
+        dev.sort_unstable();
+        let m = Measurement {
+            min: samples[0],
+            median,
+            mad: dev[dev.len() / 2],
+            iters,
+        };
+        println!(
+            "{name:<40} {:>12.3?}/iter  (min {:.3?}, mad {:.3?}, {iters} iters)",
+            m.median, m.min, m.mad
+        );
+        m
+    }
 }
 
 /// Time `f` within `budget`, printing a criterion-style one-line summary.
@@ -50,20 +75,13 @@ pub fn bench_with_budget<T>(
             break;
         }
     }
-    samples.sort_unstable();
-    let median = samples[samples.len() / 2];
-    println!("{name:<40} {:>12.3?}/iter  ({iters} iters)", median);
-    Measurement {
-        name: name.to_string(),
-        median,
-        iters,
-    }
+    Measurement::from_samples(name, samples, iters)
 }
 
 /// An interleaved A/B comparison (see [`bench_duel`]).
 #[derive(Clone, Debug)]
 pub struct Duel {
-    /// Side A's measurement (median per-iteration time, total iterations).
+    /// Side A's measurement.
     pub a: Measurement,
     /// Side B's measurement.
     pub b: Measurement,
@@ -117,32 +135,11 @@ pub fn bench_duel<T, U>(
         db.push(tb);
         ratios.push(tb.as_nanos() as f64 / ta.as_nanos().max(1) as f64);
     }
-    da.sort_unstable();
-    db.sort_unstable();
     ratios.sort_by(f64::total_cmp);
-    let ma = da[ROUNDS / 2];
-    let mb = db[ROUNDS / 2];
-    let ratio = ratios[ROUNDS / 2];
-    println!(
-        "{name_a:<40} {ma:>12.3?}/iter  ({} iters)",
-        iters_a * ROUNDS as u64
-    );
-    println!(
-        "{name_b:<40} {mb:>12.3?}/iter  ({} iters)",
-        iters_b * ROUNDS as u64
-    );
     Duel {
-        a: Measurement {
-            name: name_a.to_string(),
-            median: ma,
-            iters: iters_a * ROUNDS as u64,
-        },
-        b: Measurement {
-            name: name_b.to_string(),
-            median: mb,
-            iters: iters_b * ROUNDS as u64,
-        },
-        ratio,
+        a: Measurement::from_samples(name_a, da, iters_a * ROUNDS as u64),
+        b: Measurement::from_samples(name_b, db, iters_b * ROUNDS as u64),
+        ratio: ratios[ROUNDS / 2],
     }
 }
 
@@ -167,6 +164,10 @@ mod tests {
         let m = bench_with_budget("spin-1k", Duration::from_millis(20), &mut || spin(1_000));
         assert!(m.iters > 0);
         assert!(m.median > Duration::ZERO);
+        assert!(m.min <= m.median);
+        // More than half the batches are no slower than the median, and
+        // none of those deviates from it by more than the median itself.
+        assert!(m.mad <= m.median);
     }
 
     #[test]

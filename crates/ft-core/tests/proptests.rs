@@ -1,99 +1,133 @@
-//! Property tests on the core invariants: routing paths, load accounting,
-//! and capacity profiles.
+//! Property tests on the core invariants (seeded SplitMix64 loops,
+//! std-only): routing paths, load accounting, and capacity profiles.
 
-#![cfg(feature = "proptest")]
-// Compiled only with `--features proptest`, which additionally requires
-// re-adding the `proptest` crate to dev-dependencies (not available in
-// offline builds).
-
+use ft_core::rng::SplitMix64;
 use ft_core::{
     capacity::universal_cap, load_factor, route, CapacityProfile, Direction, FatTree, LoadMap,
     Message, MessageSet,
 };
-use proptest::prelude::*;
 
-fn pow2_n() -> impl Strategy<Value = u32> {
-    (1u32..=10).prop_map(|k| 1 << k)
+const CASES: u64 = 256;
+
+/// A power of two in 2..=1024.
+fn pow2_n(rng: &mut SplitMix64) -> u32 {
+    1 << rng.gen_range(1u32..=10)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+/// `min..max` uniform random messages on `n` processors.
+fn random_msgs(rng: &mut SplitMix64, n: u32, min: usize, max: usize) -> Vec<Message> {
+    let len = rng.gen_range(min..max);
+    (0..len)
+        .map(|_| Message::new(rng.gen_range(0..n), rng.gen_range(0..n)))
+        .collect()
+}
 
-    #[test]
-    fn paths_are_up_then_down_and_minimal(n in pow2_n(), s in any::<u32>(), d in any::<u32>()) {
+#[test]
+fn paths_are_up_then_down_and_minimal() {
+    let mut rng = SplitMix64::seed_from_u64(0xC0DE0);
+    for case in 0..CASES {
+        let n = pow2_n(&mut rng);
         let ft = FatTree::new(n, CapacityProfile::Constant(1));
-        let m = Message::new(s % n, d % n);
+        let m = Message::new(rng.gen_range(0..n), rng.gen_range(0..n));
         let path = route::path_channels(&ft, &m);
         // Up-run before down-run.
         let first_down = path.iter().position(|c| c.dir == Direction::Down);
         if let Some(i) = first_down {
-            prop_assert!(path[i..].iter().all(|c| c.dir == Direction::Down));
-            prop_assert!(path[..i].iter().all(|c| c.dir == Direction::Up));
+            assert!(
+                path[i..].iter().all(|c| c.dir == Direction::Down),
+                "case {case}"
+            );
+            assert!(
+                path[..i].iter().all(|c| c.dir == Direction::Up),
+                "case {case}"
+            );
         }
         // Length is twice the distance from the LCA to the leaves.
         if !m.is_local() {
             let lca = ft.lca(m.src, m.dst);
             let lca_level = 31 - lca.leading_zeros();
-            prop_assert_eq!(path.len() as u32, 2 * (ft.height() - lca_level));
+            assert_eq!(
+                path.len() as u32,
+                2 * (ft.height() - lca_level),
+                "case {case}"
+            );
         } else {
-            prop_assert!(path.is_empty());
+            assert!(path.is_empty(), "case {case}");
         }
         // No channel repeats.
         let mut idx: Vec<usize> = path.iter().map(|c| c.index()).collect();
         idx.sort_unstable();
         idx.dedup();
-        prop_assert_eq!(idx.len(), path.len());
+        assert_eq!(idx.len(), path.len(), "case {case}");
     }
+}
 
-    #[test]
-    fn load_is_additive(n in pow2_n(), pairs in prop::collection::vec((any::<u32>(), any::<u32>()), 0..64)) {
+#[test]
+fn load_is_additive() {
+    let mut rng = SplitMix64::seed_from_u64(0xC0DE1);
+    for case in 0..CASES {
+        let n = pow2_n(&mut rng);
         let ft = FatTree::new(n, CapacityProfile::Constant(1));
-        let msgs: Vec<Message> = pairs.iter().map(|&(a, b)| Message::new(a % n, b % n)).collect();
+        let msgs = random_msgs(&mut rng, n, 0, 64);
         // Sum of single-message loads equals the batch load on every channel.
         let batch = LoadMap::of(&ft, &MessageSet::from_vec(msgs.clone()));
         let mut acc = LoadMap::zeros(&ft);
         for m in &msgs {
             acc.add(&ft, m);
         }
-        prop_assert_eq!(batch, acc);
+        assert_eq!(batch, acc, "case {case}");
     }
+}
 
-    #[test]
-    fn load_factor_scales_linearly_with_duplication(
-        n in pow2_n(),
-        pairs in prop::collection::vec((any::<u32>(), any::<u32>()), 1..32),
-        copies in 1usize..5,
-    ) {
+#[test]
+fn load_factor_scales_linearly_with_duplication() {
+    let mut rng = SplitMix64::seed_from_u64(0xC0DE2);
+    for case in 0..CASES {
+        let n = pow2_n(&mut rng);
         let ft = FatTree::new(n, CapacityProfile::Constant(3));
-        let base: MessageSet = pairs.iter().map(|&(a, b)| Message::new(a % n, b % n)).collect();
+        let base = MessageSet::from_vec(random_msgs(&mut rng, n, 1, 32));
+        let copies = rng.gen_range(1usize..5);
         let mut dup = MessageSet::new();
         for _ in 0..copies {
             dup.extend_from(&base);
         }
         let l1 = load_factor(&ft, &base);
         let lk = load_factor(&ft, &dup);
-        prop_assert!((lk - copies as f64 * l1).abs() < 1e-9);
+        assert!((lk - copies as f64 * l1).abs() < 1e-9, "case {case}");
     }
+}
 
-    #[test]
-    fn universal_capacities_sandwiched(nk in 4u32..=16, wk in 0u32..=16) {
-        // For any legal (n, w): 1 ≤ cap(k) ≤ cap(k−1) ≤ 2·cap(k), and the
-        // growth toward the root never exceeds doubling.
+#[test]
+fn universal_capacities_sandwiched() {
+    // For any legal (n, w): 1 ≤ cap(k) ≤ cap(k−1) ≤ 2·cap(k), and the
+    // growth toward the root never exceeds doubling.
+    let mut rng = SplitMix64::seed_from_u64(0xC0DE3);
+    for _ in 0..CASES {
+        let nk = rng.gen_range(4u32..=16);
+        let wk = rng.gen_range(0u32..=16);
         let n = 1u64 << nk;
         let w = 1u64 << (wk.min(nk).max(2 * nk / 3));
         for k in 1..=nk {
             let hi = universal_cap(n, w, k - 1);
             let lo = universal_cap(n, w, k);
-            prop_assert!(lo >= 1);
-            prop_assert!(hi >= lo);
-            prop_assert!(hi <= 2 * lo, "growth above doubling at k={k}: {hi} vs {lo}");
+            assert!(lo >= 1, "n=2^{nk} w={w} k={k}");
+            assert!(hi >= lo, "n=2^{nk} w={w} k={k}");
+            assert!(
+                hi <= 2 * lo,
+                "n=2^{nk} w={w}: growth above doubling at k={k}: {hi} vs {lo}"
+            );
         }
     }
+}
 
-    #[test]
-    fn total_wires_matches_channel_sum(n in pow2_n(), c in 1u64..8) {
+#[test]
+fn total_wires_matches_channel_sum() {
+    let mut rng = SplitMix64::seed_from_u64(0xC0DE4);
+    for case in 0..CASES {
+        let n = pow2_n(&mut rng);
+        let c = rng.gen_range(1u64..8);
         let ft = FatTree::new(n, CapacityProfile::Constant(c));
         let by_channels: u64 = ft.channels().map(|ch| ft.cap(ch)).sum();
-        prop_assert_eq!(ft.total_wires(), by_channels);
+        assert_eq!(ft.total_wires(), by_channels, "case {case}");
     }
 }
