@@ -224,16 +224,12 @@ impl FatTree {
 
     /// Heap index of the least common ancestor of processors `a` and `b`.
     ///
-    /// If `a == b` this is the leaf itself.
+    /// If `a == b` this is the leaf itself. O(1): two leaves' heap ids are
+    /// equally long, so their common ancestor is their common bit prefix.
     #[inline]
     pub fn lca(&self, a: ProcId, b: ProcId) -> u32 {
-        let mut u = self.leaf(a);
-        let mut v = self.leaf(b);
-        while u != v {
-            u >>= 1;
-            v >>= 1;
-        }
-        u
+        let (u, v) = (self.leaf(a), self.leaf(b));
+        u >> (32 - (u ^ v).leading_zeros())
     }
 
     /// Total number of directed channels, including the two external-interface
@@ -376,6 +372,39 @@ mod tests {
         assert_eq!(t.lca(ProcId(2), ProcId(3)), 5);
         assert_eq!(t.lca(ProcId(3), ProcId(3)), t.leaf(ProcId(3)));
         assert_eq!(t.lca(ProcId(0), ProcId(3)), 2);
+    }
+
+    #[test]
+    fn lca_equals_the_climb_until_equal_definition() {
+        let by_climbing = |t: &FatTree, a: ProcId, b: ProcId| {
+            let (mut u, mut v) = (t.leaf(a), t.leaf(b));
+            while u != v {
+                u >>= 1;
+                v >>= 1;
+            }
+            u
+        };
+        for n in [2u32, 4, 8, 16, 32, 64] {
+            let t = ft(n);
+            for a in 0..n {
+                for b in 0..n {
+                    let (a, b) = (ProcId(a), ProcId(b));
+                    assert_eq!(t.lca(a, b), by_climbing(&t, a, b), "n={n} {a} {b}");
+                }
+            }
+        }
+        let n = 1u32 << 20;
+        let t = ft(n);
+        let mut rng = crate::rng::SplitMix64::seed_from_u64(0x1CA);
+        for case in 0..10_000 {
+            let a = ProcId(rng.gen_range(0..n));
+            // Every tenth pair is `a == b`; the rest span every LCA level.
+            let b = match case % 10 {
+                0 => a,
+                _ => ProcId(a.0 ^ (rng.gen_range(0..n) >> rng.gen_range(0..21u32))),
+            };
+            assert_eq!(t.lca(a, b), by_climbing(&t, a, b), "{a} {b}");
+        }
     }
 
     #[test]

@@ -32,7 +32,11 @@
 //!   level, source) order coming down — so each phase is a single sweep
 //!   that tests and bumps per-channel counters: no slot table, no buckets,
 //!   no per-level scans (`SimArena::up_phase_fused` /
-//!   `SimArena::down_phase_fused` carry the proofs).
+//!   `SimArena::down_phase_fused`; DESIGN.md §10 carries the proofs). The
+//!   pending set is sorted by source leaf once, at load, and in-place
+//!   compaction keeps it sorted, so a retry cycle costs its pending
+//!   messages, not `n`; the up sweep climbs only the levels that can
+//!   refuse a message ([`SimArena::binding_up_levels`]).
 //! * **Level passes** (wide metadata, partial switches, random arbitration,
 //!   and the shard phases). Each pass scatters its contenders straight into
 //!   a generation-stamped (node, slot) table and arbitrates by walking it —
@@ -211,7 +215,7 @@ const NMETA_LEAF_SHIFT: u32 = 7;
 /// One packed per-message metadata word. The engine's level passes, loads,
 /// and bookkeeping are generic over this, so the u64 and u32 layouts run
 /// the exact same arbitration code.
-trait MetaWord: Copy {
+trait MetaWord: Copy + 'static {
     /// Narrow layouts keep the off-phase leaf in `SimArena::peer32` and
     /// need the phase flip; the wide layout holds both leaves.
     const NARROW: bool;
@@ -377,6 +381,17 @@ impl MsgSource for StreamSource<'_> {
     }
 }
 
+/// Most messages one load accepts: the arena indexes them with `u32`s.
+pub const MAX_MESSAGES: usize = u32::MAX as usize;
+
+/// Refuse a longer load before anything is sized by its length.
+fn check_len(len: usize) {
+    assert!(
+        len <= MAX_MESSAGES,
+        "{len} messages exceed the engine's limit of {MAX_MESSAGES} per run (u32 message indices)"
+    );
+}
+
 /// Parameters of one level pass (up or down).
 struct PhaseParams {
     /// Up phase (toward the root) or down phase.
@@ -442,11 +457,19 @@ pub struct SimArena {
     /// Packed alive/local/LCA-level/leaf metadata, wide layout (see the
     /// `MetaWord` docs). Shard phases and wide plain cycles live here.
     meta: Vec<u64>,
-    /// Narrow-layout metadata words (plain cycles with `narrow` set).
+    /// Narrow-layout metadata words (plain cycles with `narrow` set). The
+    /// fused body keeps these, `peer32` and `orig` sorted by source leaf,
+    /// ascending submitted index within a leaf, from load to end of run —
+    /// the order both fused sweeps are defined over.
     meta32: Vec<u32>,
     /// Narrow layout only: the leaf not resident in the word — the
     /// destination, except inside the per-level down passes.
     peer32: Vec<u32>,
+    /// Fused cycles only: submitted index of the message at each position.
+    orig: Vec<u32>,
+    /// Fused cycles only: this cycle's deliveries, one bit per submitted
+    /// index; all clear between cycles.
+    done: Vec<u64>,
     /// Current wire (rank) on the message's most recent channel. Read by
     /// the per-level passes only; the fused sweeps never need it.
     wire: Vec<u32>,
@@ -456,17 +479,23 @@ pub struct SimArena {
     /// ids here instead, so random arbitration hashes the same key no
     /// matter which arena a message currently sits in.
     ids: Vec<u32>,
-    /// Fused cycles only: the injected (alive, non-local) message indices
-    /// counting-sorted by source leaf, ascending index within a leaf — the
-    /// order both fused sweeps are defined over.
-    live: Vec<u32>,
-    /// Fused cycles only: the up-phase survivors as `dst_leaf << 32 | index`
-    /// words, stable-bucketed from `live` by LCA level (root first) — the
-    /// order ≺ of [`Self::down_phase_fused`].
+    /// Fused cycles only: the up-phase survivors as `dst_leaf << 32 |
+    /// position` words, stable-bucketed by LCA level (root first) — the
+    /// order ≺ of [`Self::down_phase_fused`]. Also stages the load sort.
     turn: Vec<u64>,
+    /// Up levels the fused up sweep climbs, leaf level first: `[0]` the
+    /// binding ones, `[1]` all of `1..=height`.
+    up_levels: [Vec<u32>; 2],
+    /// Fused down sweep: messages admitted this cycle to the down channel
+    /// into each heap node (`2n` — a quarter of `channel_use`'s bytes).
+    down_cnt: Vec<u32>,
+    /// Can anyone read [`Self::channel_use`] after a cycle? Always, except
+    /// in the run drivers under a disabled recorder, which own their arena;
+    /// the fused sweeps then skip the loads and the free up levels.
+    loads_read: bool,
     /// Injection: messages placed so far on each leaf's up channel.
     per_leaf: Vec<u32>,
-    /// Counting-sort scratch of the fused cycles' source sort (`n + 1`).
+    /// Counting-sort scratch of the fused load's source sort (`n + 1`).
     offsets: Vec<u32>,
     // --- level-pass slot-table state ---
     /// Generation-stamped global (node, slot) table, one entry per
@@ -492,11 +521,26 @@ impl SimArena {
             ft.height() <= 26,
             "flat engine supports up to 2^26 processors"
         );
-        let bound = ft.channel_index_bound();
-        let mut eff = vec![0u64; bound];
-        for c in ft.channels() {
-            eff[c.index()] = cfg.faults.effective_cap(ft, c);
+        let height = ft.height();
+        let mut eff = vec![0u64; ft.channel_index_bound()];
+        let healthy = cfg.faults == FaultModel::none();
+        if healthy {
+            for k in 0..=height {
+                eff[2 << k..4 << k].fill(ft.cap_at_level(k));
+            }
+        } else {
+            for c in ft.channels() {
+                eff[c.index()] = cfg.faults.effective_cap(ft, c);
+            }
         }
+        // Without faults a level's channels are alike: its first node decides.
+        let up = |v: u32| eff[ChannelId::up(v).index()];
+        let free = |k: u32| {
+            let nodes = if healthy { 1 } else { 1 << k };
+            k < height && (1 << k..(1 << k) + nodes).all(|v| up(v) >= up(2 * v) + up(2 * v + 1))
+        };
+        let all_up: Vec<u32> = (1..=height).rev().collect();
+        let binding = all_up.iter().copied().filter(|&k| !free(k)).collect();
         let narrow = match cfg.meta {
             MetaWidth::Auto => ft.height() <= NARROW_MAX_HEIGHT,
             MetaWidth::Wide => false,
@@ -510,7 +554,7 @@ impl SimArena {
         };
         SimArena {
             n,
-            height: ft.height(),
+            height,
             faults: cfg.faults,
             eff,
             ports: Vec::new(),
@@ -520,8 +564,12 @@ impl SimArena {
             peer32: Vec::new(),
             wire: Vec::new(),
             ids: Vec::new(),
-            live: Vec::new(),
+            orig: Vec::new(),
+            done: Vec::new(),
             turn: Vec::new(),
+            up_levels: [binding, all_up],
+            down_cnt: vec![0; 2 * n as usize],
+            loads_read: true,
             per_leaf: vec![0; n as usize],
             offsets: Vec::with_capacity(n as usize + 1),
             tbl: GenTable::new(),
@@ -548,6 +596,17 @@ impl SimArena {
         &self.channel_use
     }
 
+    /// The *binding* up levels, leaf level first: the only ones at which a
+    /// climbing message can die. Level `k < height` is *free*, and left
+    /// out, iff every node `v` at depth `k` has `eff(up(v)) ≥ eff(up(2v)) +
+    /// eff(up(2v+1))` under this arena's faults: at most that many winners
+    /// reach `v`'s up port, whose bound `min(outputs, eff)` is `eff`, so it
+    /// admits them all whatever other levels do. The leaf level always
+    /// binds: a processor may submit any number of messages.
+    pub fn binding_up_levels(&self) -> &[u32] {
+        &self.up_levels[0]
+    }
+
     /// Cached port switch for a shape, creating it on first use. Partial
     /// switches are sampled from a seed derived from the shape, so creation
     /// order cannot change their wiring.
@@ -567,6 +626,10 @@ impl SimArena {
     ///
     /// Winner/loser indices and channel usage are readable through the
     /// accessors until the next call.
+    ///
+    /// # Panics
+    /// If there are more than [`MAX_MESSAGES`] messages (as every `cycle*`
+    /// entry point does, before anything is allocated).
     pub fn cycle(&mut self, ft: &FatTree, msgs: &[Message], cfg: &SimConfig) -> CycleStats {
         self.cycle_with(ft, msgs, cfg, &mut NoopRecorder)
     }
@@ -629,6 +692,7 @@ impl SimArena {
         cfg: &SimConfig,
         rec: &mut R,
     ) -> CycleStats {
+        check_len(src.len());
         let stats = if self.narrow {
             let mut meta = std::mem::take(&mut self.meta32);
             let s = self.cycle_generic(ft, src, cfg, &mut meta, rec);
@@ -663,11 +727,10 @@ impl SimArena {
         self.meta = meta;
     }
 
-    /// Width-generic load: pack metadata straight from a message source (a
-    /// slice or a lazy stream — no intermediate `Vec<Message>`), set
-    /// arbitration ids, and inject onto leaf up-wires. `meta` is this
-    /// arena's width-matching metadata buffer, temporarily moved out so the
-    /// method can borrow the rest of the arena freely.
+    /// Width-generic load: pack the metadata, set arbitration ids, and
+    /// inject onto leaf up-wires. `meta` is this arena's width-matching
+    /// metadata buffer, temporarily moved out so the method can borrow the
+    /// rest of the arena freely.
     fn load_generic<W: MetaWord, M: MsgSource + ?Sized>(
         &mut self,
         ft: &FatTree,
@@ -676,16 +739,36 @@ impl SimArena {
         meta: &mut Vec<W>,
     ) {
         let n_msgs = src.len();
-
-        // --- Per-message metadata (grow-only buffers).
         self.wire.clear();
         self.wire.resize(n_msgs, 0);
+        self.pack(ft, src, meta);
+        self.ids.clear();
+        match ids {
+            Some(ids) => self.ids.extend_from_slice(ids),
+            None => self.ids.extend(0..n_msgs as u32),
+        }
+        self.inject(meta);
+    }
+
+    /// Pack per-message metadata into `meta` (and `peer32`) straight from a
+    /// message source (a slice or a lazy stream — no intermediate
+    /// `Vec<Message>`). Returns whether the sources came non-decreasing.
+    fn pack<W: MetaWord, M: MsgSource + ?Sized>(
+        &mut self,
+        ft: &FatTree,
+        src: &M,
+        meta: &mut Vec<W>,
+    ) -> bool {
         meta.clear();
+        meta.reserve(src.len());
         if W::NARROW {
             self.peer32.clear();
+            self.peer32.reserve(src.len());
         }
-        for j in 0..n_msgs {
+        let (mut sorted, mut prev) = (true, 0);
+        for j in 0..src.len() {
             let m = src.get(j);
+            (sorted, prev) = (sorted && prev <= m.src.0, m.src.0);
             let lca = ft.lca(m.src, m.dst);
             let (word, peer) = W::pack(
                 m.is_local(),
@@ -698,12 +781,7 @@ impl SimArena {
                 self.peer32.push(peer);
             }
         }
-        self.ids.clear();
-        match ids {
-            Some(ids) => self.ids.extend_from_slice(ids),
-            None => self.ids.extend(0..n_msgs as u32),
-        }
-        self.inject(meta);
+        sorted
     }
 
     /// Injection: each processor assigns its (alive, non-local) messages to
@@ -745,29 +823,130 @@ impl SimArena {
             self.faults, cfg.faults,
             "arena built for a different fault pattern"
         );
+        if let Some(meta) = fused(meta, cfg) {
+            self.load_fused(ft, src, meta, rec);
+            let stats = self.cycle_fused(ft, cfg, meta, rec);
+            // Dropped = submitted and not delivered; both lists ascend.
+            let mut d = self.delivered.iter().peekable();
+            self.dropped.clear();
+            self.dropped
+                .extend((0..src.len() as u32).filter(|i| d.next_if_eq(&i).is_none()));
+            return stats;
+        }
         let mut clock = PhaseClock::start::<R>();
         self.load_generic(ft, src, None, meta);
         clock.lap(rec, EnginePhase::Ingest);
         self.passes_and_settle(ft, cfg, meta, rec)
     }
 
-    /// Run the up and down phases of one injected cycle and settle the
-    /// outcome (delivered/dropped lists, cycle ticks). Shared by fresh
-    /// cycles and streamed-retry cycles.
-    ///
-    /// Two bodies, chosen from the configuration alone:
-    ///
-    /// * **Fused sweeps** — narrow metadata, ideal switches, slot-order
-    ///   arbitration (i.e. [`SimConfig::default`]): one counting
-    ///   sort of the injected messages by source leaf, then
-    ///   [`Self::up_phase_fused`] and [`Self::down_phase_fused`], each a
-    ///   single sweep against per-channel counters.
-    /// * **Level passes** — everything else (wide metadata, partial
-    ///   switches, random arbitration): one
-    ///   [`Self::level_pass`] per level and direction over a plain scan of
-    ///   the metadata. Narrow words carry one leaf, so the destination is
-    ///   swapped in for the down passes and back out afterwards — outside
-    ///   those passes a narrow word always holds its source leaf.
+    /// Load for the fused body: pack `src` into `meta` / `peer32` and
+    /// counting-sort them by source leaf, `orig` mapping positions back to
+    /// submitted indices — once; every later cycle of the run inherits the
+    /// order. Sources that come sorted, as most generators' do, skip it.
+    fn load_fused<M: MsgSource + ?Sized, R: Recorder>(
+        &mut self,
+        ft: &FatTree,
+        src: &M,
+        meta: &mut Vec<u32>,
+        rec: &mut R,
+    ) {
+        let mut clock = PhaseClock::start::<R>();
+        let sorted = self.pack(ft, src, meta);
+        self.orig.clear();
+        self.orig.extend(0..src.len() as u32);
+        self.done.clear();
+        self.done.resize(src.len().div_ceil(64), 0);
+        clock.lap(rec, EnginePhase::Ingest);
+        if !sorted {
+            self.sort_by_source(meta);
+        }
+        clock.lap(rec, EnginePhase::SourceSort);
+    }
+
+    /// The fused load's source sort: stable counting sort of the freshly
+    /// packed `meta` / `peer32` by source leaf (heap ids `[n, 2n)`), staged
+    /// through `turn`, leaving each position's submitted index in `orig`.
+    fn sort_by_source(&mut self, meta: &mut [u32]) {
+        let n = self.n as usize;
+        let leaf = |m: u32| m.key_leaf(true) as usize - n;
+        self.offsets.clear();
+        self.offsets.resize(n + 1, 0);
+        for &m in meta.iter() {
+            self.offsets[leaf(m) + 1] += 1;
+        }
+        for k in 0..n {
+            self.offsets[k + 1] += self.offsets[k];
+        }
+        self.turn.clear();
+        self.turn.resize(meta.len(), 0);
+        for (j, (&m, &peer)) in meta.iter().zip(&self.peer32).enumerate() {
+            let at = &mut self.offsets[leaf(m)];
+            self.turn[*at as usize] = (m as u64) << 32 | peer as u64;
+            self.orig[*at as usize] = j as u32;
+            *at += 1;
+        }
+        for ((m, peer), &staged) in meta.iter_mut().zip(&mut self.peer32).zip(&self.turn) {
+            (*m, *peer) = ((staged >> 32) as u32, staged as u32);
+        }
+    }
+
+    /// One fused cycle over the resident pending set: both sweeps, then one
+    /// settle pass that marks the delivered submitted indices in `done` and
+    /// compacts the survivors in place, revived — order-preserving, so the
+    /// arrays are exactly what a fresh load of the survivors would build.
+    /// Draining the touched words of `done` lists the deliveries by
+    /// ascending submitted index: the FIFO order of
+    /// [`Self::delivered_indices`] and [`RunReport::delivery_order`].
+    fn cycle_fused<R: Recorder>(
+        &mut self,
+        ft: &FatTree,
+        cfg: &SimConfig,
+        meta: &mut Vec<u32>,
+        rec: &mut R,
+    ) -> CycleStats {
+        let mut clock = PhaseClock::start::<R>();
+        self.up_phase_fused(meta);
+        clock.lap(rec, EnginePhase::UpSweep);
+        self.down_phase_fused(ft, meta);
+        clock.lap(rec, EnginePhase::DownSweep);
+        let (mut k, mut lo, mut hi, mut ticks) = (0, usize::MAX, 0, 0);
+        for p in 0..meta.len() {
+            let (m, i) = (meta[p], self.orig[p]);
+            if m.alive() {
+                if !m.local() {
+                    // 2·(nodes on the path) + payload, as the level passes settle it.
+                    ticks = ticks.max(2 * (2 * (self.height - m.lca()) - 1) + cfg.payload_bits);
+                }
+                let w = (i >> 6) as usize;
+                self.done[w] |= 1 << (i & 63);
+                (lo, hi) = (lo.min(w), hi.max(w));
+            } else {
+                (meta[k], self.peer32[k], self.orig[k]) = (m.revive(), self.peer32[p], i);
+                k += 1;
+            }
+        }
+        meta.truncate(k);
+        self.peer32.truncate(k);
+        self.orig.truncate(k);
+        self.delivered.clear();
+        for (w, bits) in self.done.iter_mut().enumerate().take(hi + 1).skip(lo) {
+            while *bits != 0 {
+                self.delivered.push((w as u32) << 6 | bits.trailing_zeros());
+                *bits &= *bits - 1;
+            }
+        }
+        clock.lap(rec, EnginePhase::Settle);
+        let delivered = self.delivered.len();
+        CycleStats { delivered, ticks }
+    }
+
+    /// Run the up and down phases of one injected cycle of the level-pass
+    /// body (whatever [`fused`] turns away) and settle the outcome
+    /// (delivered/dropped lists, cycle ticks). Shared by fresh cycles and
+    /// streamed-retry cycles. One [`Self::level_pass`] per level and
+    /// direction over a plain scan of the metadata. Narrow words carry one
+    /// leaf, so the destination is swapped in for the down passes and back
+    /// out afterwards — outside them a narrow word holds its source leaf.
     fn passes_and_settle<W: MetaWord, R: Recorder>(
         &mut self,
         ft: &FatTree,
@@ -776,31 +955,17 @@ impl SimArena {
         rec: &mut R,
     ) -> CycleStats {
         let height = self.height;
-        let fused = W::NARROW
-            && matches!(cfg.switch, SwitchKind::Ideal)
-            && matches!(cfg.arbitration, Arbitration::SlotOrder);
         let mut clock = PhaseClock::start::<R>();
-        if fused {
-            let mut live = std::mem::take(&mut self.live);
-            sort_by_source(meta, self.n, &mut self.offsets, &mut live);
-            clock.lap(rec, EnginePhase::SourceSort);
-            self.up_phase_fused(ft, meta, &live);
-            clock.lap(rec, EnginePhase::UpSweep);
-            self.down_phase_fused(ft, meta, &live);
-            clock.lap(rec, EnginePhase::DownSweep);
-            self.live = live;
-        } else {
-            for node_level in (0..height).rev() {
-                self.level_pass(ft, cfg, true, node_level, meta);
-            }
-            clock.lap(rec, EnginePhase::UpSweep);
-            self.flip_leaves(meta);
-            for node_level in 0..height {
-                self.level_pass(ft, cfg, false, node_level, meta);
-            }
-            self.flip_leaves(meta);
-            clock.lap(rec, EnginePhase::DownSweep);
+        for node_level in (0..height).rev() {
+            self.level_pass(ft, cfg, true, node_level, meta);
         }
+        clock.lap(rec, EnginePhase::UpSweep);
+        self.flip_leaves(meta);
+        for node_level in 0..height {
+            self.level_pass(ft, cfg, false, node_level, meta);
+        }
+        self.flip_leaves(meta);
+        clock.lap(rec, EnginePhase::DownSweep);
 
         // --- Bookkeeping.
         self.delivered.clear();
@@ -1110,150 +1275,133 @@ impl SimArena {
         self.meta = meta;
     }
 
-    /// The whole up phase in one sweep over the source-sorted live list —
-    /// ideal switches with slot-order arbitration only.
+    /// The whole up phase, injection included, in one sweep over the
+    /// source-sorted metadata — ideal switches, slot-order arbitration.
     ///
-    /// Two facts make this exact. First, within any up bucket slot order
-    /// equals list order: injection hands out wires in list order per
-    /// leaf, and inductively a level's winners take `wire = rank` assigned
-    /// in slot order, which in a source-sorted scan is list order again
-    /// (left-child contenders precede right-child ones, and each side's
-    /// wires ascend). Second, an ideal port's win condition is
-    /// `rank < min(outputs, eff)` — the `min(…, b)` bound on winners never
-    /// bites because `rank < b` trivially — so a message's fate at a level
-    /// depends only on how many earlier-in-list survivors share its node,
-    /// never on later contenders. One counter per level therefore replaces
-    /// the per-level scan/fill/arbitrate machinery: each message walks its
-    /// own climb (levels `height-1 ..= lca+1`) and loses at the first full
-    /// channel. Channel loads settle per (level, node) when the sweep
-    /// leaves the node's contiguous span. No wire is recorded: a
-    /// survivor's rank on the channel into its LCA is its position among
-    /// the survivors that share that channel, which is all
-    /// [`Self::down_phase_fused`] needs. Byte-identical to the per-level
-    /// passes — the goldens and the narrow/wide equality tests pin it.
-    fn up_phase_fused<W: MetaWord>(&mut self, ft: &FatTree, meta: &mut [W], list: &[u32]) {
+    /// Two facts make this exact (DESIGN.md §10 has the proofs). First,
+    /// within any up bucket slot order equals array order: a leaf's run is
+    /// in submission order (the load sort is stable), so injection — level
+    /// `height` of the climb — hands out wires in array order, and a
+    /// level's winners take `wire = rank` in slot order, which in a
+    /// source-sorted scan is array order again. Second, an ideal port
+    /// admits a contender iff `rank < min(outputs, eff)` — that is `eff`,
+    /// for `eff ≤ cap` — so a message's fate at a level depends only on how
+    /// many earlier survivors share its node. One counter per level
+    /// therefore replaces the per-level scan/fill/arbitrate machinery: each
+    /// message walks its own climb (levels `height ..= lca+1`) and loses at
+    /// the first full channel. A free level ([`Self::binding_up_levels`])
+    /// never is full, so the climb visits it only when its load can be
+    /// read; loads settle per (level, node) when the sweep leaves the
+    /// node's contiguous span. No wire is recorded:
+    /// [`Self::down_phase_fused`] needs a survivor's rank among the
+    /// survivors sharing its last channel, which is their array order.
+    fn up_phase_fused(&mut self, meta: &mut [u32]) {
         let height = self.height as usize;
         debug_assert!(height < 32, "narrow layout caps height below 32");
         let mut cur_node = [u32::MAX; 32];
         let mut count = [0u32; 32];
         let mut wincap = [0u32; 32];
-        let outputs = level_outputs(ft);
         let eff = &self.eff[..];
+        let observed = self.loads_read;
+        let levels = &self.up_levels[observed as usize][..];
         let channel_use = &mut self.channel_use;
+        if observed {
+            channel_use.clear();
+        }
 
-        for &iu in list {
-            let i = iu as usize;
-            let m = meta[i];
-            debug_assert!(m.eligible(), "live list holds eligible messages");
-            let s = m.key_leaf(true);
-            for lvl in (m.lca() as usize + 1..height).rev() {
+        for word in meta.iter_mut().filter(|m| m.eligible()) {
+            let m = *word;
+            let (s, lca) = (m.key_leaf(true), m.lca() as usize);
+            for lvl in levels.iter().map(|&l| l as usize).take_while(|&l| l > lca) {
                 let node = s >> (height - lvl);
                 if cur_node[lvl] != node {
-                    if cur_node[lvl] != u32::MAX {
+                    if observed && cur_node[lvl] != u32::MAX {
                         channel_use.add_count(ChannelId::up(cur_node[lvl]), count[lvl] as u64);
                     }
                     cur_node[lvl] = node;
                     count[lvl] = 0;
-                    wincap[lvl] = outputs[lvl].min(eff[ChannelId::up(node).index()]) as u32;
+                    wincap[lvl] = eff[ChannelId::up(node).index()] as u32;
                 }
                 if count[lvl] >= wincap[lvl] {
-                    meta[i] = m.kill();
+                    *word = m.kill();
                     break;
                 }
                 count[lvl] += 1;
             }
         }
-        for lvl in 0..height {
-            if cur_node[lvl] != u32::MAX {
+        for lvl in 0..=height {
+            if observed && cur_node[lvl] != u32::MAX {
                 channel_use.add_count(ChannelId::up(cur_node[lvl]), count[lvl] as u64);
             }
         }
     }
 
     /// The whole down phase in one sweep — same configurations as
-    /// [`Self::up_phase_fused`], whose survivors (the alive entries of the
-    /// source-sorted `list`) it consumes.
+    /// [`Self::up_phase_fused`], whose survivors (the eligible entries of
+    /// the source-sorted `meta`) it consumes.
     ///
     /// Let ≺ order those survivors by *(LCA level ascending — root first —
-    /// then position in `list`)*. **Lemma:** on every down channel, slot
-    /// order is ≺ restricted to the channel's contenders. Take the port of
-    /// node `p` (level `L`) feeding child `c`. Its contenders are the
-    /// descenders that arrived on `down(p)` (LCA above `p`, slot = wire
-    /// `< cap(L)`) and the turners (LCA = `p`, slot = `cap(L)` + wire on
-    /// the sibling's up channel), so every descender precedes every
-    /// turner — LCA level ascending. All turners climbed the same channel,
-    /// `up(sibling(c))`, where the up sweep ranked them in list order. The
-    /// descenders won `wire = rank` at the port above, so by induction
-    /// (the root port has turners only) their wire order is ≺ restricted
-    /// to `down(p)`. Winners again take `wire = rank` in that order, which
-    /// carries the claim to `down(c)`.
-    ///
-    /// An ideal port admits a contender iff fewer than `min(outputs, eff)`
-    /// earlier contenders were admitted — later ones never matter — so
+    /// then position in `meta`)*. **Lemma** (proved in DESIGN.md §10): on
+    /// every down channel, slot order is ≺ restricted to the channel's
+    /// contenders — descenders precede turners, and each group inherits ≺
+    /// from the channel it arrived on. An ideal port admits a contender iff
+    /// fewer than `min(outputs, eff)` earlier contenders were admitted, so
     /// visiting the survivors in ≺ and letting each walk its whole descent
-    /// (`lca+1 ..= height`) reproduces every port's decision: when a
-    /// message reaches a channel, exactly its ≺-predecessors there have
-    /// been counted, and that count *is* the channel's load counter. A
+    /// (`lca+1 ..= height`) reproduces every port's decision: the count of
+    /// its ≺-predecessors on a channel *is* the channel's counter. A
     /// message that dies at a deeper port keeps the wires it won above it,
-    /// as in the per-level passes. So there is no slot table, no bucket
-    /// array, no destination sort and no per-level scan of
-    /// non-participants: the sweep stable-buckets the survivors by LCA
-    /// level into `turn` (that concatenation is ≺) and runs them against
-    /// `channel_use`. Byte-identical to the per-level passes — pinned by
-    /// the goldens and `tests/proptests.rs`.
-    fn down_phase_fused<W: MetaWord>(&mut self, ft: &FatTree, meta: &mut [W], list: &[u32]) {
+    /// as in the per-level passes. The sweep stable-buckets the survivors
+    /// by LCA level into `turn` (that concatenation is ≺) and runs them
+    /// against `down_cnt`. Byte-identical to the per-level passes — pinned
+    /// by the goldens and `tests/proptests.rs`.
+    fn down_phase_fused(&mut self, ft: &FatTree, meta: &mut [u32]) {
         let height = self.height as usize;
         debug_assert!(height < 32, "narrow layout caps height below 32");
-        let SimArena {
-            turn,
-            peer32,
-            eff,
-            channel_use,
-            ..
-        } = self;
+        let healthy = self.faults == FaultModel::none();
 
         // Bucket boundaries: `start[l]..start[l + 1]` holds LCA level `l`.
         let mut start = [0usize; 33];
-        for &iu in list {
-            let m = meta[iu as usize];
-            if m.alive() {
-                start[m.lca() as usize + 1] += 1;
-            }
+        for m in meta.iter().filter(|m| m.eligible()) {
+            start[m.lca() as usize + 1] += 1;
         }
         for l in 0..height {
             start[l + 1] += start[l];
         }
-        turn.clear();
-        turn.resize(start[height], 0);
+        self.turn.clear();
+        self.turn.resize(start[height], 0);
         let mut cursor = start;
-        for &iu in list {
-            let i = iu as usize;
-            let m = meta[i];
-            if m.alive() {
-                let dst = if W::NARROW {
-                    peer32[i]
-                } else {
-                    m.key_leaf(false)
-                };
-                let at = &mut cursor[m.lca() as usize];
-                turn[*at] = (dst as u64) << 32 | iu as u64;
-                *at += 1;
-            }
+        for (p, m) in meta.iter().enumerate().filter(|(_, m)| m.eligible()) {
+            let at = &mut cursor[m.lca() as usize];
+            self.turn[*at] = (self.peer32[p] as u64) << 32 | p as u64;
+            *at += 1;
         }
 
         let outputs = &level_outputs(ft)[..=height];
+        self.down_cnt.fill(0);
         for lca in 0..height {
-            for &word in &turn[start[lca]..start[lca + 1]] {
+            for &word in &self.turn[start[lca]..start[lca + 1]] {
                 let dst = (word >> 32) as u32;
                 for (lvl, &out) in outputs.iter().enumerate().skip(lca + 1) {
-                    let chan = ChannelId::down(dst >> (height - lvl));
-                    if channel_use.get(chan) >= out.min(eff[chan.index()]) {
+                    let node = dst >> (height - lvl);
+                    // `eff ≤ cap`; without faults it is the level's capacity.
+                    let cap = if healthy {
+                        out
+                    } else {
+                        self.eff[ChannelId::down(node).index()]
+                    };
+                    if self.down_cnt[node as usize] as u64 >= cap {
                         let i = word as u32 as usize;
                         meta[i] = meta[i].kill();
                         break;
                     }
-                    channel_use.add_one(chan);
+                    self.down_cnt[node as usize] += 1;
                 }
+            }
+        }
+        if self.loads_read {
+            for (node, &c) in self.down_cnt.iter().enumerate().skip(1) {
+                self.channel_use
+                    .add_count(ChannelId::down(node as u32), c as u64);
             }
         }
     }
@@ -1269,29 +1417,12 @@ fn level_outputs(ft: &FatTree) -> [u64; 33] {
     outputs
 }
 
-/// Counting-sort the eligible (alive, non-local) message indices of `meta`
-/// by source leaf into `out`, ascending index within a leaf. Leaf heap ids
-/// are `[n, 2n)`; `counts` is the reused `n + 1` scratch.
-fn sort_by_source<W: MetaWord>(meta: &[W], n: u32, counts: &mut Vec<u32>, out: &mut Vec<u32>) {
-    counts.clear();
-    counts.resize(n as usize + 1, 0);
-    for m in meta.iter() {
-        if m.eligible() {
-            counts[(m.key_leaf(true) - n) as usize + 1] += 1;
-        }
-    }
-    for k in 0..n as usize {
-        counts[k + 1] += counts[k];
-    }
-    out.clear();
-    out.resize(counts[n as usize] as usize, 0);
-    for (i, m) in meta.iter().enumerate() {
-        if m.eligible() {
-            let c = &mut counts[(m.key_leaf(true) - n) as usize];
-            out[*c as usize] = i as u32;
-            *c += 1;
-        }
-    }
+/// `meta` (a `Vec` of either [`MetaWord`]) as the fused body's words, if
+/// that body applies: narrow metadata, ideal switches, slot-order arbitration.
+fn fused<'a>(meta: &'a mut dyn std::any::Any, cfg: &SimConfig) -> Option<&'a mut Vec<u32>> {
+    meta.downcast_mut().filter(|_| {
+        matches!(cfg.switch, SwitchKind::Ideal) && matches!(cfg.arbitration, Arbitration::SlotOrder)
+    })
 }
 
 /// A root-crossing message suspended at a shard boundary: everything the
@@ -1601,6 +1732,7 @@ pub fn run_to_completion_with<R: Recorder>(
     rec: &mut R,
 ) -> RunReport {
     let mut arena = SimArena::new(ft, cfg);
+    arena.loads_read = R::ENABLED;
     if R::ENABLED {
         rec.run_start(ft.height());
     }
@@ -1665,13 +1797,16 @@ pub fn run_to_completion_with<R: Recorder>(
 /// [`run_to_completion`] over a lazily generated stream.
 ///
 /// The first cycle packs per-message metadata straight from the generator
-/// (two-pass streamed ingest: the only per-message state is the arena's
-/// flat metadata/wire arrays plus a `u32` original-index map — no
-/// `Vec<Message>` of the stream's length exists at any point). Retry
-/// cycles re-inject from the compacted metadata without replaying the
-/// stream. Byte-identical to [`run_to_completion`] on
+/// (the only per-message state is the arena's flat metadata arrays plus a
+/// `u32` original-index map — no `Vec<Message>` of the stream's length
+/// exists at any point). Retry cycles run from the compacted metadata
+/// without replaying the stream. Byte-identical to [`run_to_completion`] on
 /// [`MessageStream::collect_set`] for the same arena width, and — via the
 /// width goldens — to the wide reference engine.
+///
+/// # Panics
+/// If the stream is longer than [`MAX_MESSAGES`] (checked before anything
+/// is allocated), or a cycle delivers nothing.
 pub fn run_stream_to_completion(
     ft: &FatTree,
     stream: &dyn MessageStream,
@@ -1689,21 +1824,18 @@ pub fn run_stream_to_completion_with<R: Recorder>(
     cfg: &SimConfig,
     rec: &mut R,
 ) -> RunReport {
+    check_len(stream.len());
     let mut arena = SimArena::new(ft, cfg);
+    arena.loads_read = R::ENABLED;
     if R::ENABLED {
         rec.run_start(ft.height());
         rec.stream_ingest(stream.family(), stream.len() as u64);
     }
+    // The arena is this run's own: its metadata buffer need not live in it.
     if arena.narrow {
-        let mut meta = std::mem::take(&mut arena.meta32);
-        let report = run_stream_inner(&mut arena, ft, stream, cfg, rec, &mut meta);
-        arena.meta32 = meta;
-        report
+        run_stream_inner(&mut arena, ft, stream, cfg, rec, &mut Vec::<u32>::new())
     } else {
-        let mut meta = std::mem::take(&mut arena.meta);
-        let report = run_stream_inner(&mut arena, ft, stream, cfg, rec, &mut meta);
-        arena.meta = meta;
-        report
+        run_stream_inner(&mut arena, ft, stream, cfg, rec, &mut Vec::<u64>::new())
     }
 }
 
@@ -1716,7 +1848,9 @@ fn run_stream_inner<W: MetaWord, R: Recorder>(
     meta: &mut Vec<W>,
 ) -> RunReport {
     let total = stream.len();
-    let mut orig: Vec<u32> = (0..total as u32).collect();
+    // The fused body keeps its own position → original-index map.
+    let is_fused = fused(meta, cfg).is_some();
+    let mut orig: Vec<u32> = (0..if is_fused { 0 } else { total as u32 }).collect();
     let mut cycles = 0usize;
     let mut delivered_per_cycle = Vec::new();
     let mut delivery_order = Vec::with_capacity(total);
@@ -1735,7 +1869,12 @@ fn run_stream_inner<W: MetaWord, R: Recorder>(
         if R::ENABLED {
             rec.cycle_start(cycles as u32, pending as u32);
         }
-        let stats = if cycles == 0 {
+        let stats = if let Some(meta) = fused(meta, &cycle_cfg) {
+            if cycles == 0 {
+                arena.load_fused(ft, &StreamSource(stream), meta, rec);
+            }
+            arena.cycle_fused(ft, &cycle_cfg, meta, rec)
+        } else if cycles == 0 {
             arena.cycle_generic(ft, &StreamSource(stream), &cycle_cfg, meta, rec)
         } else {
             arena.retry_cycle(ft, &cycle_cfg, meta, rec)
@@ -1752,7 +1891,12 @@ fn run_stream_inner<W: MetaWord, R: Recorder>(
         delivered_per_cycle.push(stats.delivered);
         total_ticks += stats.ticks as u64;
         let mut clock = PhaseClock::start::<R>();
-        pending = arena.compact_retry(meta, &mut orig, &mut delivery_order);
+        pending = if is_fused {
+            delivery_order.extend(arena.delivered.iter().map(|&i| i as usize));
+            meta.len()
+        } else {
+            arena.compact_retry(meta, &mut orig, &mut delivery_order)
+        };
         clock.lap(rec, EnginePhase::Compaction);
     }
     RunReport {

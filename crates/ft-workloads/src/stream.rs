@@ -32,11 +32,13 @@ fn lg_pow2(n: u32) -> u32 {
     n.trailing_zeros()
 }
 
-/// A seeded bijection on `0..2^bits` (`bits ≤ 26`): four rounds of a
-/// balanced Feistel network on `2·⌈bits/2⌉` bits, cycle-walked back into
-/// the domain when `bits` is odd. Pointwise O(1) expected (the walk
-/// escapes the doubled domain with probability ½ per application).
-fn scramble(x: u32, bits: u32, seed: u64) -> u32 {
+/// A bijection on `0..2^bits` (`bits ≤ 26`): four rounds of a balanced
+/// Feistel network on `2·⌈bits/2⌉` bits with round function `f(round, r)`
+/// (masked to the half width here), cycle-walked back into the domain when
+/// `bits` is odd. Pointwise O(1) expected (the walk escapes the doubled
+/// domain with probability ½ per application).
+#[inline]
+fn feistel(x: u32, bits: u32, f: impl Fn(u32, u32) -> u32) -> u32 {
     if bits == 0 {
         return 0;
     }
@@ -45,9 +47,8 @@ fn scramble(x: u32, bits: u32, seed: u64) -> u32 {
     let mut v = x;
     loop {
         let (mut l, mut r) = (v >> half, v & mask);
-        for round in 0..4u64 {
-            let f = splitmix64(seed ^ (round << 32) ^ r as u64) as u32 & mask;
-            (l, r) = (r, l ^ f);
+        for round in 0..4 {
+            (l, r) = (r, l ^ (f(round, r) & mask));
         }
         v = (l << half) | r;
         if v < (1 << bits) {
@@ -56,22 +57,41 @@ fn scramble(x: u32, bits: u32, seed: u64) -> u32 {
     }
 }
 
+/// The seeded round function of [`scramble`].
+#[inline]
+fn round_value(seed: u64, round: u32, r: u32) -> u32 {
+    splitmix64(seed ^ ((round as u64) << 32) ^ r as u64) as u32
+}
+
+/// A seeded bijection on `0..2^bits`: [`feistel`] over [`round_value`].
+fn scramble(x: u32, bits: u32, seed: u64) -> u32 {
+    feistel(x, bits, |round, r| round_value(seed, round, r))
+}
+
 /// A random permutation workload: processor `j` sends to `π(j)` for a
-/// seeded bijection `π` evaluated pointwise (no shuffled table).
-#[derive(Clone, Copy, Debug)]
+/// seeded bijection `π` evaluated pointwise (no shuffled table): `π(j)` is
+/// `scramble(j, lg n, seed)` with the four rounds' values read from a
+/// table built once (`4 · 2^⌈lg n / 2⌉` words: 2 KiB at n = 2¹³, 16 KiB at
+/// 2²⁰) instead of hashed per message.
+#[derive(Clone, Debug)]
 pub struct PermutationStream {
     n: u32,
     bits: u32,
-    seed: u64,
+    /// `round_value(seed, round, r)` at index `round << ⌈bits/2⌉ | r`.
+    rounds: Vec<u32>,
 }
 
 impl PermutationStream {
     /// Permutation on `n` processors (a power of two), decided by `seed`.
     pub fn new(n: u32, seed: u64) -> Self {
+        let bits = lg_pow2(n);
+        let half = bits.div_ceil(2);
         PermutationStream {
             n,
-            bits: lg_pow2(n),
-            seed,
+            bits,
+            rounds: (0..4u32 << half)
+                .map(|i| round_value(seed, i >> half, i & ((1 << half) - 1)))
+                .collect(),
         }
     }
 }
@@ -86,7 +106,11 @@ impl MessageStream for PermutationStream {
     }
 
     fn message(&self, j: usize) -> Message {
-        Message::new(j as u32, scramble(j as u32, self.bits, self.seed))
+        let half = self.bits.div_ceil(2);
+        let dst = feistel(j as u32, self.bits, |round, r| {
+            self.rounds[(round << half | r) as usize]
+        });
+        Message::new(j as u32, dst)
     }
 }
 
@@ -378,6 +402,27 @@ mod tests {
                 assert!(y < n, "escaped domain");
                 assert!(!seen[y], "collision at width {bits}");
                 seen[y] = true;
+            }
+        }
+    }
+
+    #[test]
+    fn permutation_stream_table_reproduces_scramble() {
+        for bits in 0..=12u32 {
+            let seed = 0xFE15 ^ bits as u64;
+            let s = PermutationStream::new(1 << bits, seed);
+            for j in 0..1u32 << bits {
+                let want = Message::new(j, scramble(j, bits, seed));
+                assert_eq!(s.message(j as usize), want, "bits={bits} j={j}");
+            }
+        }
+        for bits in [20u32, 26] {
+            let seed = 0x5EED ^ bits as u64;
+            let s = PermutationStream::new(1 << bits, seed);
+            for k in 0..2_000u64 {
+                let j = splitmix64(k ^ seed) as u32 & ((1 << bits) - 1);
+                let want = Message::new(j, scramble(j, bits, seed));
+                assert_eq!(s.message(j as usize), want, "bits={bits} j={j}");
             }
         }
     }

@@ -53,14 +53,26 @@ cargo run --release -p ft-bench --bin bench_check -- BENCH_engine.json
 
 echo "==> streamed million-leaf smoke (n = 2^20, lazy ingest, time-capped)"
 # One full streamed permutation at 2^20 leaves through the packed engine:
-# proves the lazy path works at the scale it exists for, and that it does
-# so in interactive time (the cap is generous; ~0.5s on the validation host).
+# proves the lazy path works at the scale it exists for, that it does so
+# in interactive time (the cap is generous; ~0.15s on the validation
+# host), and that the result is the one every commit since PR 7 has
+# produced at the default seed: cycle count and delivery-order fingerprint.
 million_json="$(timeout 120 target/release/ftsim simulate \
   --n 1048576 --w 262144 --workload streamperm --format json)"
 case "$million_json" in
-  '{"schema":"ftsim-simulate/v1"'*'"messages":1048576,"streamed":true'*'}') ;;
-  *) echo "ftsim simulate at n = 2^20 did not stream 1048576 messages" >&2
+  '{"schema":"ftsim-simulate/v1"'*'"messages":1048576,"streamed":true,"cycles":3,'*'"order_fnv":"4235888c3627a8ad"}') ;;
+  *) echo "ftsim simulate at n = 2^20 did not stream 1048576 messages to the pinned result" >&2
      echo "$million_json" >&2
+     exit 1 ;;
+esac
+# A long retry tail with out-of-order, repeated sources: 8 200 delivery
+# cycles, most of them over a few thousand pending messages (~0.8s).
+bursty_json="$(timeout 120 target/release/ftsim simulate \
+  --n 65536 --w 16384 --workload bursty:8 --format json)"
+case "$bursty_json" in
+  '{"schema":"ftsim-simulate/v1"'*'"messages":131072,"streamed":true,"cycles":8200,'*'"order_fnv":"a7c4f1830e3ca57d"}') ;;
+  *) echo "ftsim simulate bursty:8 at n = 2^16 left the pinned result" >&2
+     printf '%s\n' "$bursty_json" | cut -c1-300 >&2
      exit 1 ;;
 esac
 

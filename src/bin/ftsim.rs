@@ -105,7 +105,7 @@ use fat_tree::prelude::*;
 use fat_tree::sched::online::online_bound_shape;
 use fat_tree::sched::SchedArena;
 use fat_tree::shard::{run_sharded, run_sharded_with, FaultPlan, ShardConfig, TransportKind};
-use fat_tree::sim::{run_to_completion_with, Arbitration};
+use fat_tree::sim::{run_to_completion_with, Arbitration, MAX_MESSAGES};
 use fat_tree::telemetry::parse_jsonl;
 use fat_tree::universal::Emulation;
 use fat_tree::workloads;
@@ -698,11 +698,17 @@ fn cmd_simulate(opts: &HashMap<String, String>) {
         .cloned()
         .unwrap_or_else(|| "perm".into());
     // Streamed specs never build a message vector: the generator (lazily
-    // mapped onto the padded tree) feeds the arena's two-pass
-    // counting-sort ingest directly.
+    // mapped onto the padded tree) feeds the arena's ingest directly.
     let (run, n_msgs, streamed) = match stream_from(opts, &m) {
         Some(stream) => {
             let len = stream.len();
+            if len > MAX_MESSAGES {
+                eprintln!(
+                    "workload {spec} is {len} messages; the simulator takes at most \
+                     {MAX_MESSAGES} per run (try a smaller --n or pod size)"
+                );
+                exit(2);
+            }
             let mapped = m.emb.stream(stream.as_ref());
             (run_stream_to_completion(&ft, &mapped, &cfg), len, true)
         }

@@ -732,6 +732,24 @@ fn streamed_spec_argument_errors_are_rejected() {
 }
 
 #[test]
+fn simulate_refuses_a_stream_longer_than_the_engine_can_index() {
+    // The million-leaf tier with alltoall's default pod (n/8) is 1.4·10¹¹
+    // messages — past the engine's u32 indices. Exit 2 with one line, not
+    // an allocation abort or a panic backtrace.
+    let out = Command::new(env!("CARGO_BIN_EXE_ftsim"))
+        .args(["simulate", "--n", "1048576", "--w", "262144"])
+        .args(["--workload", "alltoall", "--format", "json"])
+        .output()
+        .expect("spawn ftsim");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(out.stdout.is_empty());
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("137437904896 messages"), "{stderr}");
+    assert!(stderr.contains("at most 4294967295"), "{stderr}");
+}
+
+#[test]
 fn topology_subcommand_emits_schema_for_all_families() {
     for spec in [
         "universal:n=64,w=16",

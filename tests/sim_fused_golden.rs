@@ -8,10 +8,21 @@
 //! cross-check either body has. The exhaustive suites live in
 //! `crates/ft-sim/tests/`; this one makes plain `cargo test` fail if a
 //! body is wrong.
+//!
+//! The fused body rests on two lemmas (DESIGN.md §10), each with its own
+//! test here: *order* — the pending set, sorted by source leaf once at load
+//! and compacted in place, is in every later cycle the list a fresh load
+//! would build; *free levels* — an up level whose ports cannot refuse a
+//! message may be skipped, and is climbed exactly when loads can be read.
 
+use fat_tree::core::rng::SplitMix64;
 use fat_tree::prelude::*;
-use fat_tree::sim::reference::run_to_completion_reference;
-use fat_tree::sim::{Arbitration, MetaWidth};
+use fat_tree::sim::reference::{run_to_completion_reference, simulate_cycle_reference};
+use fat_tree::sim::{
+    run_stream_to_completion_with, run_to_completion_with, Arbitration, FaultModel, MetaWidth,
+    SimArena,
+};
+use fat_tree::telemetry::EnginePhase;
 use fat_tree::workloads::{
     BurstyStream, HotspotStream, IncastStream, PermutationStream, RelationStream,
 };
@@ -86,4 +97,256 @@ fn streamed_default_config_matches_reference_over_retries() {
         }
     }
     assert!(multi_cycle >= 240, "only {multi_cycle} of 480 runs retried");
+}
+
+/// `len` messages with sources drawn by `src(j)` and uniform destinations.
+fn with_sources(n: u32, len: u32, seed: u64, src: impl Fn(u32) -> u32) -> MessageSet {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    (0..len)
+        .map(|j| Message::new(src(j) % n, rng.gen_range(0..n)))
+        .collect()
+}
+
+#[test]
+fn order_lemma_sources_in_any_order_match_a_fresh_load_every_cycle() {
+    let cfg = SimConfig::default();
+    let mut retried = 0;
+    for seed in 0..8u64 {
+        let n = [16u32, 64, 256][seed as usize % 3];
+        // Leaf capacity 1 and 2: a leaf's run admits its first `cap`
+        // messages in submission order.
+        let trees = [
+            FatTree::universal(n, (n / 4) as u64),
+            FatTree::new(n, CapacityProfile::Constant(2)),
+        ];
+        let sets: [(&str, MessageSet); 6] = [
+            (
+                "descending",
+                with_sources(n, 3 * n, seed, |j| 3 * n - 1 - j),
+            ),
+            (
+                "interleaved",
+                with_sources(n, 3 * n, seed, |j| j * (n / 2 + 1)),
+            ),
+            ("repeated", with_sources(n, 3 * n, seed, |j| (j / 5) * 7)),
+            (
+                "few-sources",
+                with_sources(n, 2 * n, seed, |j| (j % 3) * (n / 3)),
+            ),
+            (
+                "bursty",
+                BurstyStream::new(n, 3 * n as usize, 4, seed).collect_set(),
+            ),
+            ("incast", IncastStream::new(n, n / 2, 3, seed).collect_set()),
+        ];
+        for ft in &trees {
+            for (name, set) in &sets {
+                let tag = format!("{name} n={n} root={} seed={seed}", ft.root_capacity());
+                // A `MessageSet` is a stream: the streamed driver keeps its
+                // load order for the run, `run_to_completion` reloads the
+                // FIFO pending set every cycle.
+                retried += (assert_stream_matches_reference(ft, set, &cfg, &tag) > 1) as u32;
+            }
+        }
+    }
+    assert!(retried >= 90, "only {retried} of 96 runs retried");
+}
+
+/// The binding up levels by the definition: level `k < height` is free iff
+/// every node `v` at depth `k` has `eff(up(v)) ≥ eff(up(2v)) + eff(up(2v+1))`.
+fn binding_by_definition(ft: &FatTree, faults: &FaultModel) -> Vec<u32> {
+    let eff = |v: u32| faults.effective_cap(ft, ChannelId::up(v));
+    let free = |k: u32| {
+        k < ft.height() && (1u32 << k..2 << k).all(|v| eff(v) >= eff(2 * v) + eff(2 * v + 1))
+    };
+    (1..=ft.height()).rev().filter(|&k| !free(k)).collect()
+}
+
+#[test]
+fn free_level_lemma_skipped_levels_change_nothing_and_loads_stay_exact() {
+    let n = 64u32;
+    let none = FaultModel::none();
+    let faulty = FaultModel {
+        dead_wire_fraction: 0.3,
+        seed: 11,
+    };
+    // Levels 5, 3 and 1 double the capacity beneath them (free); 4 and 2
+    // do not (binding); the leaf level always binds.
+    let alternating = CapacityProfile::PerLevel(vec![16, 16, 8, 6, 3, 2, 1]);
+    let cases: [(&str, FatTree, FaultModel, Option<&[u32]>); 6] = [
+        (
+            "universal",
+            FatTree::universal(n, 16),
+            none,
+            Some(&[6, 4, 3, 2, 1]),
+        ),
+        (
+            "doubling",
+            FatTree::new(n, CapacityProfile::FullDoubling),
+            none,
+            Some(&[6]),
+        ),
+        (
+            "constant",
+            FatTree::new(n, CapacityProfile::Constant(2)),
+            none,
+            Some(&[6, 5, 4, 3, 2, 1]),
+        ),
+        (
+            "alternating",
+            FatTree::new(n, alternating),
+            none,
+            Some(&[6, 4, 2]),
+        ),
+        ("universal+faults", FatTree::universal(n, 16), faulty, None),
+        // A few dead wires leave levels 4 and 2 free and break 5, 3 and 1.
+        (
+            "doubling+faults",
+            FatTree::new(n, CapacityProfile::FullDoubling),
+            FaultModel {
+                dead_wire_fraction: 0.02,
+                seed: 9,
+            },
+            Some(&[6, 5, 3, 1]),
+        ),
+    ];
+    // The benchmark's tree: 7 of its 12 internal levels are free.
+    let bench = FatTree::universal(1 << 13, 1 << 11);
+    let bench_arena = SimArena::new(&bench, &SimConfig::default());
+    assert_eq!(bench_arena.binding_up_levels(), [13, 5, 4, 3, 2, 1]);
+    for (name, ft, faults, want_binding) in &cases {
+        let cfg = SimConfig {
+            faults: *faults,
+            ..SimConfig::default()
+        };
+        let mut arena = SimArena::new(ft, &cfg);
+        let binding = binding_by_definition(ft, faults);
+        assert_eq!(arena.binding_up_levels(), binding, "{name}");
+        if let Some(want) = want_binding {
+            assert_eq!(binding, *want, "{name}");
+        }
+        for seed in 0..6u64 {
+            let tag = format!("{name} seed={seed}");
+            let stream = RelationStream::new(n, 3, seed);
+            let set = stream.collect_set();
+            // Nobody reads loads (binding levels only) == a recorder does
+            // (every level) == the reference, on both drivers.
+            let want = run_to_completion_reference(ft, &set, &cfg);
+            assert_eq!(run_stream_to_completion(ft, &stream, &cfg), want, "{tag}");
+            assert_eq!(run_to_completion(ft, &set, &cfg), want, "{tag}");
+            let mut rec = MetricsRecorder::new();
+            let recorded = run_stream_to_completion_with(ft, &stream, &cfg, &mut rec);
+            assert_eq!(recorded, want, "{tag}");
+            let mut rec = MetricsRecorder::new();
+            assert_eq!(
+                run_to_completion_with(ft, &set, &cfg, &mut rec),
+                want,
+                "{tag}"
+            );
+            assert!(want.cycles > 1, "{tag}: nothing was ever refused");
+            // The public single-cycle API always fills every load.
+            let mut pending: Vec<Message> = set.iter().copied().collect();
+            while !pending.is_empty() {
+                let want = simulate_cycle_reference(ft, &pending, &cfg);
+                arena.cycle(ft, &pending, &cfg);
+                for c in ft.channels() {
+                    let (got, want) = (arena.channel_use().get(c), want.channel_use.get(c));
+                    assert_eq!(got, want, "{tag}: channel_use {c}");
+                }
+                let dropped: Vec<usize> = arena
+                    .dropped_indices()
+                    .iter()
+                    .map(|&i| i as usize)
+                    .collect();
+                assert_eq!(dropped, want.dropped, "{tag}");
+                pending = want.dropped.iter().map(|&i| pending[i]).collect();
+            }
+        }
+    }
+}
+
+/// Which cycle each engine phase was reported in.
+#[derive(Default)]
+struct PhaseLog {
+    cycle: u32,
+    seen: Vec<(u32, EnginePhase)>,
+}
+
+impl Recorder for PhaseLog {
+    fn cycle_start(&mut self, cycle: u32, _live: u32) {
+        self.cycle = cycle;
+    }
+    fn engine_phase(&mut self, phase: EnginePhase, _ns: u64) {
+        self.seen.push((self.cycle, phase));
+    }
+}
+
+#[test]
+fn streamed_fused_run_sorts_by_source_in_cycle_zero_only() {
+    let n = 64u32;
+    let ft = FatTree::universal(n, 16);
+    // Descending sources: the load-time sort has work to do.
+    let set = with_sources(n, 3 * n, 5, |j| 3 * n - 1 - j);
+    let mut log = PhaseLog::default();
+    let run = run_stream_to_completion_with(&ft, &set, &SimConfig::default(), &mut log);
+    assert!(run.cycles > 2);
+    let cycles_of = |phase| -> Vec<u32> {
+        let of_phase = log.seen.iter().filter(|(_, p)| *p == phase);
+        of_phase.map(|&(c, _)| c).collect()
+    };
+    assert_eq!(cycles_of(EnginePhase::SourceSort), [0]);
+    assert_eq!(cycles_of(EnginePhase::Ingest), [0]);
+    let every_cycle: Vec<u32> = (0..run.cycles as u32).collect();
+    for phase in [
+        EnginePhase::UpSweep,
+        EnginePhase::DownSweep,
+        EnginePhase::Settle,
+        EnginePhase::Compaction,
+    ] {
+        assert_eq!(cycles_of(phase), every_cycle, "{phase:?}");
+    }
+}
+
+/// A stream that only claims to be long: `message` is never reached.
+struct Endless(usize);
+
+impl MessageStream for Endless {
+    fn len(&self) -> usize {
+        self.0
+    }
+    fn family(&self) -> &'static str {
+        "endless"
+    }
+    fn message(&self, _j: usize) -> Message {
+        unreachable!("a refused stream is never read")
+    }
+}
+
+#[test]
+#[cfg(target_pointer_width = "64")]
+fn streams_longer_than_u32_indices_are_refused_before_any_allocation() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    // 2³² + 5 messages used to be truncated to 5 by `as u32` — after a
+    // `Vec::with_capacity` of the full length.
+    let ft = FatTree::universal(16, 4);
+    let long = Endless(fat_tree::sim::MAX_MESSAGES + 6);
+    for meta in [MetaWidth::Auto, MetaWidth::Wide] {
+        let cfg = SimConfig {
+            meta,
+            ..SimConfig::default()
+        };
+        let run = || drop(run_stream_to_completion(&ft, &long, &cfg));
+        let cycle = || {
+            SimArena::new(&ft, &cfg).cycle_stream(&ft, &long, &cfg);
+        };
+        for outcome in [
+            catch_unwind(AssertUnwindSafe(run)),
+            catch_unwind(AssertUnwindSafe(cycle)),
+        ] {
+            let panic = outcome.expect_err("accepted 2^32 + 5 messages");
+            let msg = panic.downcast_ref::<String>().expect("a formatted panic");
+            assert!(msg.contains("4294967301 messages"), "{meta:?}: {msg}");
+            assert!(msg.contains("limit of 4294967295"), "{meta:?}: {msg}");
+        }
+    }
 }
