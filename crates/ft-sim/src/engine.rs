@@ -17,17 +17,20 @@
 //! # Engine structure
 //!
 //! All per-cycle state lives in a reusable [`SimArena`]. Per-message
-//! metadata (alive, local, LCA level, leaves) is packed into one u64 or u32
-//! word, so each pass streams flat arrays instead of chasing hash maps.
+//! metadata (alive, local, LCA level, leaves) is packed into flat words —
+//! each cycle body has its own layout — so each pass streams arrays
+//! instead of chasing hash maps.
 //! Every scratch buffer is grow-only, so a steady-state
 //! [`run_to_completion`] does no per-cycle heap allocation on the
 //! ideal-switch path (asserted by `tests/alloc_steady.rs`; partial
 //! concentrators run Hopcroft–Karp matchings, which allocate).
 //!
-//! A cycle runs one of two bodies, chosen from the configuration alone:
+//! A cycle runs one of two bodies, chosen from the tree height and the
+//! configuration alone:
 //!
-//! * **Fused sweeps** ([`SimConfig::default`]: narrow metadata, ideal
-//!   switches, slot-order arbitration). Slot order on every channel
+//! * **Fused sweeps** ([`SimConfig::default`]: [`MetaWidth::Auto`] on a
+//!   tree of height ≤ 20, ideal switches, slot-order arbitration), on u32
+//!   words plus a destination side array. Slot order on every channel
 //!   is the restriction of one global list — source order going up, (turn
 //!   level, source) order coming down — so each phase is a single sweep
 //!   that tests and bumps per-channel counters: no slot table, no buckets,
@@ -37,11 +40,12 @@
 //!   compaction keeps it sorted, so a retry cycle costs its pending
 //!   messages, not `n`; the up sweep climbs only the levels that can
 //!   refuse a message ([`SimArena::binding_up_levels`]).
-//! * **Level passes** (wide metadata, partial switches, random arbitration,
-//!   and the shard phases). Each pass scatters its contenders straight into
-//!   a generation-stamped (node, slot) table and arbitrates by walking it —
-//!   ascending-slot order falls out of the layout, with no sorting and no
-//!   intermediate bucket arrays.
+//! * **Level passes** (everything else: partial switches, random
+//!   arbitration, [`MetaWidth::Wide`], taller trees, and the shard
+//!   phases), on u64 words holding both leaves. Each pass scatters its
+//!   contenders straight into a generation-stamped (node, slot) table and
+//!   arbitrates by walking it — ascending-slot order falls out of the
+//!   layout, with no sorting and no intermediate bucket arrays.
 //!
 //! The original HashMap-based engine is retained verbatim in
 //! [`crate::reference`] and the equivalence is enforced by
@@ -68,19 +72,18 @@ pub enum Arbitration {
     Random(u64),
 }
 
-/// Width of the packed per-message metadata word (see [`MetaWord`] docs at
-/// the packing constants below). Both widths arbitrate byte-identically;
-/// the narrow layout streams half the metadata bytes per level pass.
+/// Which cycle body plain cycles may run (the module docs describe both;
+/// they arbitrate byte-identically, and each has its own metadata layout).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MetaWidth {
-    /// Narrow u32 words whenever the tree fits (`height ≤ 20`, i.e.
-    /// n ≤ 2²⁰ leaves), wide u64 otherwise.
+    /// The fused sweeps (u32 words) whenever the tree fits them
+    /// (`height ≤ 20`, i.e. n ≤ 2²⁰ leaves) and the configuration allows
+    /// them (ideal switches, slot-order arbitration); the level passes
+    /// otherwise.
     #[default]
     Auto,
-    /// Always the u64 layout (both leaves resident in the word).
+    /// Always the level passes (u64 words, both leaves resident).
     Wide,
-    /// Force the u32 layout; panics at arena construction if `height > 20`.
-    Narrow,
 }
 
 /// Engine configuration.
@@ -96,8 +99,8 @@ pub struct SimConfig {
     /// capacities; the dense-assignment convention drops messages whose
     /// assigned wire index falls beyond the surviving count.
     pub faults: FaultModel,
-    /// Per-message metadata width for plain cycles (shard phases always use
-    /// the wide layout — [`ShardClaim`] words travel between arenas).
+    /// Cycle-body choice for plain cycles (shard phases always run the
+    /// level passes — [`ShardClaim`] carries their u64 words between arenas).
     pub meta: MetaWidth,
 }
 
@@ -156,27 +159,22 @@ pub struct CycleStats {
 /// are ranks below a channel capacity, so the sentinel cannot collide.
 const CROSSED: u32 = u32::MAX;
 
-// Per-message metadata packed into one word so each level pass reads a
-// single sequential stream. Two layouts share all arbitration code through
-// the [`MetaWord`] trait:
+// Per-message metadata packed into one word so each pass reads a single
+// sequential stream. One layout per cycle body:
 //
-// * **wide (u64)**: bit 0 alive, bit 1 local, bits 2..8 LCA level,
+// * **level passes (u64)**: bit 0 alive, bit 1 local, bits 2..8 LCA level,
 //   bits 8..36 source leaf, bits 36..64 destination leaf. 28-bit leaf
 //   fields cap the flat engine at 2^26 processors (asserted in
 //   `SimArena::new`) — far beyond any simulable size; the reference engine
-//   has no such limit.
-// * **narrow (u32)**: bit 0 alive, bit 1 local, bits 2..7 LCA level,
-//   bits 7..28 *one* leaf — the source, except inside the per-level down
-//   passes, which swap in the destination and swap it back out when they
-//   finish. The other leaf waits in the side array `SimArena::peer32` (the
-//   fused down sweep reads destinations from there and never swaps).
-//   21-bit leaf fields fit `height ≤ 20` (n ≤ 2²⁰), and every pass streams
-//   4 bytes per message instead of 8.
+//   has no such limit. [`ShardClaim`] carries this word between arenas.
+// * **fused sweeps (u32)**: bit 0 alive, bit 1 local, bits 2..7 LCA level,
+//   bits 7..28 the source leaf; the destination leaf waits in the side
+//   array `SimArena::peer32`, which only the down sweep reads. 21-bit leaf
+//   fields fit `height ≤ 20` (n ≤ 2²⁰), and the up sweep streams 4 bytes
+//   per message.
 //
-// Both layouts feed identical (slot, arbitration-id) pairs to identical
-// bucket arbitration, so outcomes are byte-identical — pinned by the golden
-// tests. Shard phases always use the wide layout: [`ShardClaim`] carries
-// the full word between arenas.
+// Both bodies make the decisions of the same ports on the same contenders,
+// so outcomes are byte-identical — pinned by the golden tests.
 const META_ALIVE: u64 = 1;
 const META_LOCAL: u64 = 2;
 
@@ -187,6 +185,12 @@ fn meta_pack(local: bool, lca_level: u32, leaf_src: u32, leaf_dst: u32) -> u64 {
         | (lca_level as u64) << 2
         | (leaf_src as u64) << 8
         | (leaf_dst as u64) << 36
+}
+
+/// Participates in level passes: alive and not local.
+#[inline]
+fn meta_eligible(m: u64) -> bool {
+    m & (META_ALIVE | META_LOCAL) == META_ALIVE
 }
 
 #[inline]
@@ -204,146 +208,33 @@ fn meta_dst(m: u64) -> u32 {
     (m >> 36) as u32 & 0x0FFF_FFFF
 }
 
-/// Tallest tree the narrow (u32) metadata layout can address: leaf heap ids
-/// need `height + 1` bits and the word has 21 leaf bits.
-pub const NARROW_MAX_HEIGHT: u32 = 20;
+/// Tallest tree the fused body's u32 words can address: leaf heap ids need
+/// `height + 1` bits and the word has 21 leaf bits.
+const NARROW_MAX_HEIGHT: u32 = 20;
 
 const NMETA_ALIVE: u32 = 1;
 const NMETA_LOCAL: u32 = 2;
 const NMETA_LEAF_SHIFT: u32 = 7;
 
-/// One packed per-message metadata word. The engine's level passes, loads,
-/// and bookkeeping are generic over this, so the u64 and u32 layouts run
-/// the exact same arbitration code.
-trait MetaWord: Copy + 'static {
-    /// Narrow layouts keep the off-phase leaf in `SimArena::peer32` and
-    /// need the phase flip; the wide layout holds both leaves.
-    const NARROW: bool;
-
-    /// Pack a fresh (alive) word; the second value is the off-phase leaf
-    /// for narrow layouts (ignored by wide).
-    fn pack(local: bool, lca_level: u32, leaf_src: u32, leaf_dst: u32) -> (Self, u32);
-
-    fn alive(self) -> bool;
-    fn local(self) -> bool;
-    /// Participates in level passes: alive and not local.
-    fn eligible(self) -> bool;
-    fn lca(self) -> u32;
-    /// The leaf this pass keys on: source going up, destination going down
-    /// (the narrow layout stores exactly that leaf and ignores `up`).
-    fn key_leaf(self, up: bool) -> u32;
-    fn kill(self) -> Self;
-    fn revive(self) -> Self;
-    /// Swap the resident leaf with `peer` (narrow); identity for wide.
-    fn flip(self, peer: u32) -> (Self, u32);
+#[inline]
+fn nmeta_pack(local: bool, lca_level: u32, leaf_src: u32) -> u32 {
+    NMETA_ALIVE | (local as u32) << 1 | lca_level << 2 | leaf_src << NMETA_LEAF_SHIFT
 }
 
-impl MetaWord for u64 {
-    const NARROW: bool = false;
-
-    #[inline]
-    fn pack(local: bool, lca_level: u32, leaf_src: u32, leaf_dst: u32) -> (u64, u32) {
-        (meta_pack(local, lca_level, leaf_src, leaf_dst), 0)
-    }
-
-    #[inline]
-    fn alive(self) -> bool {
-        self & META_ALIVE != 0
-    }
-
-    #[inline]
-    fn local(self) -> bool {
-        self & META_LOCAL != 0
-    }
-
-    #[inline]
-    fn eligible(self) -> bool {
-        self & (META_ALIVE | META_LOCAL) == META_ALIVE
-    }
-
-    #[inline]
-    fn lca(self) -> u32 {
-        meta_lca(self)
-    }
-
-    #[inline]
-    fn key_leaf(self, up: bool) -> u32 {
-        if up {
-            meta_src(self)
-        } else {
-            meta_dst(self)
-        }
-    }
-
-    #[inline]
-    fn kill(self) -> u64 {
-        self & !META_ALIVE
-    }
-
-    #[inline]
-    fn revive(self) -> u64 {
-        self | META_ALIVE
-    }
-
-    #[inline]
-    fn flip(self, peer: u32) -> (u64, u32) {
-        (self, peer)
-    }
+/// Takes part in the sweeps: alive and not local.
+#[inline]
+fn nmeta_eligible(m: u32) -> bool {
+    m & (NMETA_ALIVE | NMETA_LOCAL) == NMETA_ALIVE
 }
 
-impl MetaWord for u32 {
-    const NARROW: bool = true;
+#[inline]
+fn nmeta_lca(m: u32) -> u32 {
+    (m >> 2) & 0x1F
+}
 
-    #[inline]
-    fn pack(local: bool, lca_level: u32, leaf_src: u32, leaf_dst: u32) -> (u32, u32) {
-        (
-            NMETA_ALIVE | (local as u32) << 1 | lca_level << 2 | leaf_src << NMETA_LEAF_SHIFT,
-            leaf_dst,
-        )
-    }
-
-    #[inline]
-    fn alive(self) -> bool {
-        self & NMETA_ALIVE != 0
-    }
-
-    #[inline]
-    fn local(self) -> bool {
-        self & NMETA_LOCAL != 0
-    }
-
-    #[inline]
-    fn eligible(self) -> bool {
-        self & (NMETA_ALIVE | NMETA_LOCAL) == NMETA_ALIVE
-    }
-
-    #[inline]
-    fn lca(self) -> u32 {
-        (self >> 2) & 0x1F
-    }
-
-    #[inline]
-    fn key_leaf(self, _up: bool) -> u32 {
-        self >> NMETA_LEAF_SHIFT
-    }
-
-    #[inline]
-    fn kill(self) -> u32 {
-        self & !NMETA_ALIVE
-    }
-
-    #[inline]
-    fn revive(self) -> u32 {
-        self | NMETA_ALIVE
-    }
-
-    #[inline]
-    fn flip(self, peer: u32) -> (u32, u32) {
-        (
-            (self & ((1 << NMETA_LEAF_SHIFT) - 1)) | peer << NMETA_LEAF_SHIFT,
-            self >> NMETA_LEAF_SHIFT,
-        )
-    }
+#[inline]
+fn nmeta_src(m: u32) -> u32 {
+    m >> NMETA_LEAF_SHIFT
 }
 
 /// Indexed message source the loader packs metadata from: either a
@@ -411,12 +302,12 @@ impl PhaseParams {
     /// Input slot of a message with packed metadata `m` on wire `w` for
     /// this pass.
     #[inline]
-    fn slot<W: MetaWord>(&self, m: W, w: u32) -> u32 {
+    fn slot(&self, m: u64, w: u32) -> u32 {
         if self.up {
             // Left child wires [0, capc), right child wires [capc, 2capc).
-            let child = m.key_leaf(true) >> (self.height - (self.node_level + 1));
+            let child = meta_src(m) >> (self.height - (self.node_level + 1));
             (child & 1) * self.slot_base + w
-        } else if m.lca() == self.node_level {
+        } else if meta_lca(m) == self.node_level {
             // Turning at this node: came up from the other child.
             self.slot_base + w
         } else {
@@ -449,21 +340,16 @@ pub struct SimArena {
     eff: Vec<u64>,
     /// Port-switch cache keyed by (inputs, outputs); at most a few per level.
     ports: Vec<((usize, usize), PortSwitch)>,
-    /// Narrow (u32) metadata selected for plain cycles — resolved from
-    /// [`SimConfig::meta`] at construction. Shard phases ignore this and
-    /// always run wide.
-    narrow: bool,
     // --- per-message state, indexed by position in the submitted slice ---
-    /// Packed alive/local/LCA-level/leaf metadata, wide layout (see the
-    /// `MetaWord` docs). Shard phases and wide plain cycles live here.
+    /// Level passes (plain cycles and shard phases): packed alive / local /
+    /// LCA-level / both-leaves words (layout at the packing constants).
     meta: Vec<u64>,
-    /// Narrow-layout metadata words (plain cycles with `narrow` set). The
-    /// fused body keeps these, `peer32` and `orig` sorted by source leaf,
-    /// ascending submitted index within a leaf, from load to end of run —
-    /// the order both fused sweeps are defined over.
+    /// Fused cycles only: the u32 metadata words. The fused body keeps
+    /// these, `peer32` and `orig` sorted by source leaf, ascending
+    /// submitted index within a leaf, from load to end of run — the order
+    /// both fused sweeps are defined over.
     meta32: Vec<u32>,
-    /// Narrow layout only: the leaf not resident in the word — the
-    /// destination, except inside the per-level down passes.
+    /// Fused cycles only: destination leaf of the message at each position.
     peer32: Vec<u32>,
     /// Fused cycles only: submitted index of the message at each position.
     orig: Vec<u32>,
@@ -541,24 +427,12 @@ impl SimArena {
         };
         let all_up: Vec<u32> = (1..=height).rev().collect();
         let binding = all_up.iter().copied().filter(|&k| !free(k)).collect();
-        let narrow = match cfg.meta {
-            MetaWidth::Auto => ft.height() <= NARROW_MAX_HEIGHT,
-            MetaWidth::Wide => false,
-            MetaWidth::Narrow => {
-                assert!(
-                    ft.height() <= NARROW_MAX_HEIGHT,
-                    "narrow metadata supports up to 2^{NARROW_MAX_HEIGHT} processors"
-                );
-                true
-            }
-        };
         SimArena {
             n,
             height,
             faults: cfg.faults,
             eff,
             ports: Vec::new(),
-            narrow,
             meta: Vec::new(),
             meta32: Vec::new(),
             peer32: Vec::new(),
@@ -657,7 +531,7 @@ impl SimArena {
     /// `Vec<Message>` of the stream's length ever exists.
     ///
     /// Byte-identical to [`Self::cycle`] on the materialized set (same
-    /// arena width, same arbitration outcomes).
+    /// cycle body, same arbitration outcomes).
     pub fn cycle_stream(
         &mut self,
         ft: &FatTree,
@@ -683,8 +557,18 @@ impl SimArena {
         self.cycle_source(ft, &StreamSource(stream), cfg, rec)
     }
 
-    /// One cycle from either message source on this arena's metadata width,
-    /// then (recorder enabled) the per-channel loads.
+    /// Does a plain cycle under `cfg` run the fused sweeps (else the level
+    /// passes)? Random-arbitration reseeding aside, a run's `cfg` never
+    /// changes, so neither does the answer.
+    fn fused(&self, cfg: &SimConfig) -> bool {
+        cfg.meta == MetaWidth::Auto
+            && self.height <= NARROW_MAX_HEIGHT
+            && matches!(cfg.switch, SwitchKind::Ideal)
+            && matches!(cfg.arbitration, Arbitration::SlotOrder)
+    }
+
+    /// One cycle from a fresh load of either message source, on the body
+    /// `cfg` selects, then (recorder enabled) the per-channel loads.
     fn cycle_source<M: MsgSource + ?Sized, R: Recorder>(
         &mut self,
         ft: &FatTree,
@@ -693,16 +577,25 @@ impl SimArena {
         rec: &mut R,
     ) -> CycleStats {
         check_len(src.len());
-        let stats = if self.narrow {
-            let mut meta = std::mem::take(&mut self.meta32);
-            let s = self.cycle_generic(ft, src, cfg, &mut meta, rec);
-            self.meta32 = meta;
-            s
+        debug_assert_eq!(self.n, ft.n(), "arena built for a different tree");
+        debug_assert_eq!(
+            self.faults, cfg.faults,
+            "arena built for a different fault pattern"
+        );
+        let stats = if self.fused(cfg) {
+            self.load_fused(ft, src, rec);
+            let stats = self.cycle_fused(ft, cfg, rec);
+            // Dropped = submitted and not delivered; both lists ascend.
+            let mut d = self.delivered.iter().peekable();
+            self.dropped.clear();
+            self.dropped
+                .extend((0..src.len() as u32).filter(|i| d.next_if_eq(&i).is_none()));
+            stats
         } else {
-            let mut meta = std::mem::take(&mut self.meta);
-            let s = self.cycle_generic(ft, src, cfg, &mut meta, rec);
-            self.meta = meta;
-            s
+            let mut clock = PhaseClock::start::<R>();
+            self.load(ft, src, None);
+            clock.lap(rec, EnginePhase::Ingest);
+            self.passes_and_settle(ft, cfg, rec)
         };
         if R::ENABLED {
             self.record_loads(ft, rec);
@@ -717,86 +610,47 @@ impl SimArena {
         }
     }
 
-    /// Fill per-message metadata, arbitration ids (`None` = identity map,
-    /// matching the reference engine), and inject every message onto its
-    /// source leaf's up-wires — wide layout, shared by the shard entry
-    /// points.
-    fn load_and_inject(&mut self, ft: &FatTree, msgs: &[Message], ids: Option<&[u32]>) {
-        let mut meta = std::mem::take(&mut self.meta);
-        self.load_generic(ft, &SliceSource(msgs), ids, &mut meta);
-        self.meta = meta;
-    }
-
-    /// Width-generic load: pack the metadata, set arbitration ids, and
-    /// inject onto leaf up-wires. `meta` is this arena's width-matching
-    /// metadata buffer, temporarily moved out so the method can borrow the
-    /// rest of the arena freely.
-    fn load_generic<W: MetaWord, M: MsgSource + ?Sized>(
-        &mut self,
-        ft: &FatTree,
-        src: &M,
-        ids: Option<&[u32]>,
-        meta: &mut Vec<W>,
-    ) {
+    /// Load for the level passes: pack `meta` straight from a message
+    /// source (a slice or a lazy stream — no intermediate `Vec<Message>`),
+    /// set the arbitration ids (`None` = identity map, matching the
+    /// reference engine; the shard entry points pass coordinator-global
+    /// ids), and inject every message onto its source leaf's up-wires.
+    fn load<M: MsgSource + ?Sized>(&mut self, ft: &FatTree, src: &M, ids: Option<&[u32]>) {
         let n_msgs = src.len();
         self.wire.clear();
         self.wire.resize(n_msgs, 0);
-        self.pack(ft, src, meta);
+        self.meta.clear();
+        self.meta.reserve(n_msgs);
+        for j in 0..n_msgs {
+            let m = src.get(j);
+            let lca = ft.lca(m.src, m.dst);
+            self.meta.push(meta_pack(
+                m.is_local(),
+                31 - lca.leading_zeros(),
+                ft.leaf(m.src),
+                ft.leaf(m.dst),
+            ));
+        }
         self.ids.clear();
         match ids {
             Some(ids) => self.ids.extend_from_slice(ids),
             None => self.ids.extend(0..n_msgs as u32),
         }
-        self.inject(meta);
-    }
-
-    /// Pack per-message metadata into `meta` (and `peer32`) straight from a
-    /// message source (a slice or a lazy stream — no intermediate
-    /// `Vec<Message>`). Returns whether the sources came non-decreasing.
-    fn pack<W: MetaWord, M: MsgSource + ?Sized>(
-        &mut self,
-        ft: &FatTree,
-        src: &M,
-        meta: &mut Vec<W>,
-    ) -> bool {
-        meta.clear();
-        meta.reserve(src.len());
-        if W::NARROW {
-            self.peer32.clear();
-            self.peer32.reserve(src.len());
-        }
-        let (mut sorted, mut prev) = (true, 0);
-        for j in 0..src.len() {
-            let m = src.get(j);
-            (sorted, prev) = (sorted && prev <= m.src.0, m.src.0);
-            let lca = ft.lca(m.src, m.dst);
-            let (word, peer) = W::pack(
-                m.is_local(),
-                31 - lca.leading_zeros(),
-                ft.leaf(m.src),
-                ft.leaf(m.dst),
-            );
-            meta.push(word);
-            if W::NARROW {
-                self.peer32.push(peer);
-            }
-        }
-        sorted
+        self.inject();
     }
 
     /// Injection: each processor assigns its (alive, non-local) messages to
     /// leaf up-wires in submission order; overflow beyond the leaf channel
-    /// capacity dies immediately. Metadata words hold the source leaf
-    /// (narrow words carry the destination only inside the down passes).
-    fn inject<W: MetaWord>(&mut self, meta: &mut [W]) {
+    /// capacity dies immediately.
+    fn inject(&mut self) {
         self.per_leaf.fill(0);
         self.channel_use.clear();
-        for (i, w) in meta.iter_mut().enumerate() {
+        for (i, w) in self.meta.iter_mut().enumerate() {
             let m = *w;
-            if m.local() {
+            if m & META_LOCAL != 0 {
                 continue;
             }
-            let sleaf = m.key_leaf(true);
+            let sleaf = meta_src(m);
             let up = ChannelId::up(sleaf);
             let leaf_cap = self.eff[up.index()] as u32;
             let cnt = &mut self.per_leaf[(sleaf - self.n) as usize];
@@ -805,87 +659,74 @@ impl SimArena {
                 *cnt += 1;
                 self.channel_use.add_one(up);
             } else {
-                *w = m.kill(); // source port congested immediately
+                *w = m & !META_ALIVE; // source port congested immediately
             }
         }
     }
 
-    fn cycle_generic<W: MetaWord, M: MsgSource + ?Sized, R: Recorder>(
-        &mut self,
-        ft: &FatTree,
-        src: &M,
-        cfg: &SimConfig,
-        meta: &mut Vec<W>,
-        rec: &mut R,
-    ) -> CycleStats {
-        debug_assert_eq!(self.n, ft.n(), "arena built for a different tree");
-        debug_assert_eq!(
-            self.faults, cfg.faults,
-            "arena built for a different fault pattern"
-        );
-        if let Some(meta) = fused(meta, cfg) {
-            self.load_fused(ft, src, meta, rec);
-            let stats = self.cycle_fused(ft, cfg, meta, rec);
-            // Dropped = submitted and not delivered; both lists ascend.
-            let mut d = self.delivered.iter().peekable();
-            self.dropped.clear();
-            self.dropped
-                .extend((0..src.len() as u32).filter(|i| d.next_if_eq(&i).is_none()));
-            return stats;
-        }
-        let mut clock = PhaseClock::start::<R>();
-        self.load_generic(ft, src, None, meta);
-        clock.lap(rec, EnginePhase::Ingest);
-        self.passes_and_settle(ft, cfg, meta, rec)
-    }
-
-    /// Load for the fused body: pack `src` into `meta` / `peer32` and
-    /// counting-sort them by source leaf, `orig` mapping positions back to
-    /// submitted indices — once; every later cycle of the run inherits the
-    /// order. Sources that come sorted, as most generators' do, skip it.
+    /// Load for the fused body: pack `src` into `meta32` / `peer32` (noting
+    /// for free whether the sources came non-decreasing) and counting-sort
+    /// them by source leaf, `orig` mapping positions back to submitted
+    /// indices — once; every later cycle of the run inherits the order.
+    /// Sources that come sorted, as most generators' do, skip the sort.
     fn load_fused<M: MsgSource + ?Sized, R: Recorder>(
         &mut self,
         ft: &FatTree,
         src: &M,
-        meta: &mut Vec<u32>,
         rec: &mut R,
     ) {
         let mut clock = PhaseClock::start::<R>();
-        let sorted = self.pack(ft, src, meta);
+        self.meta32.clear();
+        self.meta32.reserve(src.len());
+        self.peer32.clear();
+        self.peer32.reserve(src.len());
+        let (mut sorted, mut prev) = (true, 0);
+        for j in 0..src.len() {
+            let m = src.get(j);
+            (sorted, prev) = (sorted && prev <= m.src.0, m.src.0);
+            let lca = ft.lca(m.src, m.dst);
+            self.meta32.push(nmeta_pack(
+                m.is_local(),
+                31 - lca.leading_zeros(),
+                ft.leaf(m.src),
+            ));
+            self.peer32.push(ft.leaf(m.dst));
+        }
         self.orig.clear();
         self.orig.extend(0..src.len() as u32);
         self.done.clear();
         self.done.resize(src.len().div_ceil(64), 0);
         clock.lap(rec, EnginePhase::Ingest);
         if !sorted {
-            self.sort_by_source(meta);
+            self.sort_by_source();
         }
         clock.lap(rec, EnginePhase::SourceSort);
     }
 
     /// The fused load's source sort: stable counting sort of the freshly
-    /// packed `meta` / `peer32` by source leaf (heap ids `[n, 2n)`), staged
-    /// through `turn`, leaving each position's submitted index in `orig`.
-    fn sort_by_source(&mut self, meta: &mut [u32]) {
+    /// packed `meta32` / `peer32` by source leaf (heap ids `[n, 2n)`),
+    /// staged through `turn`, leaving each position's submitted index in
+    /// `orig`.
+    fn sort_by_source(&mut self) {
         let n = self.n as usize;
-        let leaf = |m: u32| m.key_leaf(true) as usize - n;
+        let leaf = |m: u32| nmeta_src(m) as usize - n;
         self.offsets.clear();
         self.offsets.resize(n + 1, 0);
-        for &m in meta.iter() {
+        for &m in self.meta32.iter() {
             self.offsets[leaf(m) + 1] += 1;
         }
         for k in 0..n {
             self.offsets[k + 1] += self.offsets[k];
         }
         self.turn.clear();
-        self.turn.resize(meta.len(), 0);
-        for (j, (&m, &peer)) in meta.iter().zip(&self.peer32).enumerate() {
+        self.turn.resize(self.meta32.len(), 0);
+        for (j, (&m, &peer)) in self.meta32.iter().zip(&self.peer32).enumerate() {
             let at = &mut self.offsets[leaf(m)];
             self.turn[*at as usize] = (m as u64) << 32 | peer as u64;
             self.orig[*at as usize] = j as u32;
             *at += 1;
         }
-        for ((m, peer), &staged) in meta.iter_mut().zip(&mut self.peer32).zip(&self.turn) {
+        for ((m, peer), &staged) in self.meta32.iter_mut().zip(&mut self.peer32).zip(&self.turn) {
             (*m, *peer) = ((staged >> 32) as u32, staged as u32);
         }
     }
@@ -901,31 +742,38 @@ impl SimArena {
         &mut self,
         ft: &FatTree,
         cfg: &SimConfig,
-        meta: &mut Vec<u32>,
         rec: &mut R,
     ) -> CycleStats {
         let mut clock = PhaseClock::start::<R>();
-        self.up_phase_fused(meta);
+        self.up_phase_fused();
         clock.lap(rec, EnginePhase::UpSweep);
-        self.down_phase_fused(ft, meta);
+        self.down_phase_fused(ft);
         clock.lap(rec, EnginePhase::DownSweep);
+        // Plain slices: indexed through `self`, the three `Vec` headers are
+        // reloaded after every store and this pass reads 17 % slower (E18).
+        let (meta, peer, orig) = (
+            &mut self.meta32[..],
+            &mut self.peer32[..],
+            &mut self.orig[..],
+        );
         let (mut k, mut lo, mut hi, mut ticks) = (0, usize::MAX, 0, 0);
         for p in 0..meta.len() {
-            let (m, i) = (meta[p], self.orig[p]);
-            if m.alive() {
-                if !m.local() {
+            let (m, i) = (meta[p], orig[p]);
+            if m & NMETA_ALIVE != 0 {
+                if m & NMETA_LOCAL == 0 {
                     // 2·(nodes on the path) + payload, as the level passes settle it.
-                    ticks = ticks.max(2 * (2 * (self.height - m.lca()) - 1) + cfg.payload_bits);
+                    ticks =
+                        ticks.max(2 * (2 * (self.height - nmeta_lca(m)) - 1) + cfg.payload_bits);
                 }
                 let w = (i >> 6) as usize;
                 self.done[w] |= 1 << (i & 63);
                 (lo, hi) = (lo.min(w), hi.max(w));
             } else {
-                (meta[k], self.peer32[k], self.orig[k]) = (m.revive(), self.peer32[p], i);
+                (meta[k], peer[k], orig[k]) = (m | NMETA_ALIVE, peer[p], i);
                 k += 1;
             }
         }
-        meta.truncate(k);
+        self.meta32.truncate(k);
         self.peer32.truncate(k);
         self.orig.truncate(k);
         self.delivered.clear();
@@ -941,83 +789,57 @@ impl SimArena {
     }
 
     /// Run the up and down phases of one injected cycle of the level-pass
-    /// body (whatever [`fused`] turns away) and settle the outcome
-    /// (delivered/dropped lists, cycle ticks). Shared by fresh cycles and
-    /// streamed-retry cycles. One [`Self::level_pass`] per level and
-    /// direction over a plain scan of the metadata. Narrow words carry one
-    /// leaf, so the destination is swapped in for the down passes and back
-    /// out afterwards — outside them a narrow word holds its source leaf.
-    fn passes_and_settle<W: MetaWord, R: Recorder>(
+    /// body (whatever [`Self::fused`] turns away) and settle the outcome.
+    /// Shared by fresh cycles and streamed-retry cycles. One
+    /// [`Self::level_pass`] per level and direction over a plain scan of
+    /// the metadata.
+    fn passes_and_settle<R: Recorder>(
         &mut self,
         ft: &FatTree,
         cfg: &SimConfig,
-        meta: &mut [W],
         rec: &mut R,
     ) -> CycleStats {
-        let height = self.height;
         let mut clock = PhaseClock::start::<R>();
-        for node_level in (0..height).rev() {
-            self.level_pass(ft, cfg, true, node_level, meta);
+        for node_level in (0..self.height).rev() {
+            self.level_pass(ft, cfg, true, node_level);
         }
         clock.lap(rec, EnginePhase::UpSweep);
-        self.flip_leaves(meta);
-        for node_level in 0..height {
-            self.level_pass(ft, cfg, false, node_level, meta);
+        for node_level in 0..self.height {
+            self.level_pass(ft, cfg, false, node_level);
         }
-        self.flip_leaves(meta);
         clock.lap(rec, EnginePhase::DownSweep);
+        let stats = self.settle(cfg);
+        clock.lap(rec, EnginePhase::Settle);
+        stats
+    }
 
-        // --- Bookkeeping.
+    /// Bookkeeping after the last level pass: the delivered / dropped lists
+    /// by arbitration id (the position, in a plain cycle) and the cycle's
+    /// ticks. A claim exported by [`Self::shard_up`] is in neither list.
+    fn settle(&mut self, cfg: &SimConfig) -> CycleStats {
         self.delivered.clear();
         self.dropped.clear();
         let mut max_latency = 0u32;
-        for (i, &m) in meta.iter().enumerate() {
-            if m.local() {
-                self.delivered.push(i as u32);
+        for (i, &m) in self.meta.iter().enumerate() {
+            if m & META_LOCAL != 0 {
+                self.delivered.push(self.ids[i]);
                 continue;
             }
-            if m.alive() {
-                self.delivered.push(i as u32);
-                let nodes_on_path = 2 * (height - m.lca()) - 1;
+            if m & META_ALIVE != 0 {
+                self.delivered.push(self.ids[i]);
+                let nodes_on_path = 2 * (self.height - meta_lca(m)) - 1;
                 max_latency = max_latency.max(2 * nodes_on_path + cfg.payload_bits);
-            } else {
-                self.dropped.push(i as u32);
+            } else if self.wire[i] != CROSSED {
+                self.dropped.push(self.ids[i]);
             }
         }
-        clock.lap(rec, EnginePhase::Settle);
         CycleStats {
             delivered: self.delivered.len(),
             ticks: max_latency,
         }
     }
 
-    /// Narrow layout: swap every word's resident leaf with its peer
-    /// (source ↔ destination). Identity for the wide layout.
-    fn flip_leaves<W: MetaWord>(&mut self, meta: &mut [W]) {
-        if W::NARROW {
-            for (m, p) in meta.iter_mut().zip(self.peer32.iter_mut()) {
-                (*m, *p) = m.flip(*p);
-            }
-        }
-    }
-
-    /// One retry cycle over the survivors left in the arena by
-    /// [`Self::compact_retry`]: re-inject from the already-packed metadata
-    /// (no stream replay, no message rebuild) and run the passes.
-    fn retry_cycle<W: MetaWord, R: Recorder>(
-        &mut self,
-        ft: &FatTree,
-        cfg: &SimConfig,
-        meta: &mut [W],
-        rec: &mut R,
-    ) -> CycleStats {
-        let mut clock = PhaseClock::start::<R>();
-        self.inject(meta);
-        clock.lap(rec, EnginePhase::Ingest);
-        self.passes_and_settle(ft, cfg, meta, rec)
-    }
-
-    /// Between streamed delivery cycles: emit delivered original indices
+    /// Between streamed level-pass cycles: emit delivered original indices
     /// (via `orig`, the position → original-index map) and compact the
     /// survivors' metadata in place, preserving FIFO retry order. Dead
     /// words are revived and the arbitration ids are reset to the identity
@@ -1025,33 +847,20 @@ impl SimArena {
     /// [`run_to_completion`] load would produce for the same pending set,
     /// which is what keeps the streamed path byte-identical. Returns the
     /// number of survivors.
-    fn compact_retry<W: MetaWord>(
-        &mut self,
-        meta: &mut Vec<W>,
-        orig: &mut Vec<u32>,
-        delivery_order: &mut Vec<usize>,
-    ) -> usize {
-        let delivered = std::mem::take(&mut self.delivered);
-        let mut d = delivered.iter().peekable();
+    fn compact_retry(&mut self, orig: &mut Vec<u32>, delivery_order: &mut Vec<usize>) -> usize {
+        let mut d = self.delivered.iter().peekable();
         let mut w = 0usize;
-        for i in 0..meta.len() {
+        for i in 0..self.meta.len() {
             if d.next_if(|&&di| di as usize == i).is_some() {
                 delivery_order.push(orig[i] as usize);
             } else {
-                meta[w] = meta[i].revive();
-                if W::NARROW {
-                    self.peer32[w] = self.peer32[i];
-                }
+                self.meta[w] = self.meta[i] | META_ALIVE;
                 orig[w] = orig[i];
                 w += 1;
             }
         }
-        self.delivered = delivered;
-        meta.truncate(w);
+        self.meta.truncate(w);
         orig.truncate(w);
-        if W::NARROW {
-            self.peer32.truncate(w);
-        }
         self.wire.truncate(w);
         self.ids.clear();
         self.ids.extend(0..w as u32);
@@ -1069,14 +878,7 @@ impl SimArena {
     /// Correctness leans on slots within a bucket being distinct (wires on
     /// a channel are unique ranks, injection wires are unique per leaf);
     /// the walk visits exactly `count` stamped entries.
-    fn level_pass<W: MetaWord>(
-        &mut self,
-        ft: &FatTree,
-        cfg: &SimConfig,
-        up: bool,
-        node_level: u32,
-        meta: &mut [W],
-    ) {
+    fn level_pass(&mut self, ft: &FatTree, cfg: &SimConfig, up: bool, node_level: u32) {
         let height = self.height;
         // Bucket keys: the switching node for the up phase, the destination
         // child (which already encodes the `goes_right` side) for the down.
@@ -1115,15 +917,17 @@ impl SimArena {
         self.bucket_meta.resize(nk, EMPTY_BUCKET);
 
         let mut any = false;
-        for (i, &m) in meta.iter().enumerate() {
-            if !m.eligible() {
+        for (i, &m) in self.meta.iter().enumerate() {
+            if !meta_eligible(m) {
                 continue;
             }
-            let ll = m.lca();
+            let ll = meta_lca(m);
             if (up && ll >= node_level) || (!up && ll > node_level) {
                 continue;
             }
-            let k = ((m.key_leaf(up) >> shift) - lo) as usize;
+            // Keyed on the source leaf going up, the destination coming down.
+            let key_leaf = if up { meta_src(m) } else { meta_dst(m) };
+            let k = ((key_leaf >> shift) - lo) as usize;
             let slot = params.slot(m, self.wire[i]);
             let idx = k * r + slot as usize;
             debug_assert!(self.tbl.get(idx).is_none(), "duplicate slot in bucket");
@@ -1139,6 +943,7 @@ impl SimArena {
         let SimArena {
             ports,
             eff,
+            meta,
             wire,
             ids,
             channel_use,
@@ -1181,7 +986,7 @@ impl SimArena {
                                     wire[i] = rank;
                                     channel_use.add_one(chan);
                                 } else {
-                                    meta[i] = meta[i].kill();
+                                    meta[i] &= !META_ALIVE;
                                 }
                                 rank += 1;
                             }
@@ -1239,7 +1044,7 @@ impl SimArena {
                                     wire[i] = j as u32;
                                     channel_use.add_one(chan);
                                 } else {
-                                    meta[i] = meta[i].kill();
+                                    meta[i] &= !META_ALIVE;
                                 }
                             }
                         }
@@ -1266,15 +1071,6 @@ impl SimArena {
         }
     }
 
-    /// Wide-only level pass over the arena's own `meta` buffer — the shard
-    /// phases use this (claims carry u64 words on the wire, so shard cycles
-    /// always run the wide layout regardless of [`SimConfig::meta`]).
-    fn level_pass_wide(&mut self, ft: &FatTree, cfg: &SimConfig, up: bool, node_level: u32) {
-        let mut meta = std::mem::take(&mut self.meta);
-        self.level_pass(ft, cfg, up, node_level, &mut meta);
-        self.meta = meta;
-    }
-
     /// The whole up phase, injection included, in one sweep over the
     /// source-sorted metadata — ideal switches, slot-order arbitration.
     ///
@@ -1295,7 +1091,7 @@ impl SimArena {
     /// node's contiguous span. No wire is recorded:
     /// [`Self::down_phase_fused`] needs a survivor's rank among the
     /// survivors sharing its last channel, which is their array order.
-    fn up_phase_fused(&mut self, meta: &mut [u32]) {
+    fn up_phase_fused(&mut self) {
         let height = self.height as usize;
         debug_assert!(height < 32, "narrow layout caps height below 32");
         let mut cur_node = [u32::MAX; 32];
@@ -1309,9 +1105,9 @@ impl SimArena {
             channel_use.clear();
         }
 
-        for word in meta.iter_mut().filter(|m| m.eligible()) {
+        for word in self.meta32.iter_mut().filter(|m| nmeta_eligible(**m)) {
             let m = *word;
-            let (s, lca) = (m.key_leaf(true), m.lca() as usize);
+            let (s, lca) = (nmeta_src(m), nmeta_lca(m) as usize);
             for lvl in levels.iter().map(|&l| l as usize).take_while(|&l| l > lca) {
                 let node = s >> (height - lvl);
                 if cur_node[lvl] != node {
@@ -1323,7 +1119,7 @@ impl SimArena {
                     wincap[lvl] = eff[ChannelId::up(node).index()] as u32;
                 }
                 if count[lvl] >= wincap[lvl] {
-                    *word = m.kill();
+                    *word = m & !NMETA_ALIVE;
                     break;
                 }
                 count[lvl] += 1;
@@ -1338,10 +1134,10 @@ impl SimArena {
 
     /// The whole down phase in one sweep — same configurations as
     /// [`Self::up_phase_fused`], whose survivors (the eligible entries of
-    /// the source-sorted `meta`) it consumes.
+    /// the source-sorted `meta32`) it consumes.
     ///
     /// Let ≺ order those survivors by *(LCA level ascending — root first —
-    /// then position in `meta`)*. **Lemma** (proved in DESIGN.md §10): on
+    /// then position in `meta32`)*. **Lemma** (proved in DESIGN.md §10): on
     /// every down channel, slot order is ≺ restricted to the channel's
     /// contenders — descenders precede turners, and each group inherits ≺
     /// from the channel it arrived on. An ideal port admits a contender iff
@@ -1354,15 +1150,15 @@ impl SimArena {
     /// by LCA level into `turn` (that concatenation is ≺) and runs them
     /// against `down_cnt`. Byte-identical to the per-level passes — pinned
     /// by the goldens and `tests/proptests.rs`.
-    fn down_phase_fused(&mut self, ft: &FatTree, meta: &mut [u32]) {
+    fn down_phase_fused(&mut self, ft: &FatTree) {
         let height = self.height as usize;
         debug_assert!(height < 32, "narrow layout caps height below 32");
         let healthy = self.faults == FaultModel::none();
 
         // Bucket boundaries: `start[l]..start[l + 1]` holds LCA level `l`.
         let mut start = [0usize; 33];
-        for m in meta.iter().filter(|m| m.eligible()) {
-            start[m.lca() as usize + 1] += 1;
+        for &m in self.meta32.iter().filter(|&&m| nmeta_eligible(m)) {
+            start[nmeta_lca(m) as usize + 1] += 1;
         }
         for l in 0..height {
             start[l + 1] += start[l];
@@ -1370,8 +1166,9 @@ impl SimArena {
         self.turn.clear();
         self.turn.resize(start[height], 0);
         let mut cursor = start;
-        for (p, m) in meta.iter().enumerate().filter(|(_, m)| m.eligible()) {
-            let at = &mut cursor[m.lca() as usize];
+        let words = self.meta32.iter().enumerate();
+        for (p, &m) in words.filter(|&(_, &m)| nmeta_eligible(m)) {
+            let at = &mut cursor[nmeta_lca(m) as usize];
             self.turn[*at] = (self.peer32[p] as u64) << 32 | p as u64;
             *at += 1;
         }
@@ -1390,8 +1187,7 @@ impl SimArena {
                         self.eff[ChannelId::down(node).index()]
                     };
                     if self.down_cnt[node as usize] as u64 >= cap {
-                        let i = word as u32 as usize;
-                        meta[i] = meta[i].kill();
+                        self.meta32[word as u32 as usize] &= !NMETA_ALIVE;
                         break;
                     }
                     self.down_cnt[node as usize] += 1;
@@ -1415,14 +1211,6 @@ fn level_outputs(ft: &FatTree) -> [u64; 33] {
         outputs[l as usize] = ft.cap_at_level(l);
     }
     outputs
-}
-
-/// `meta` (a `Vec` of either [`MetaWord`]) as the fused body's words, if
-/// that body applies: narrow metadata, ideal switches, slot-order arbitration.
-fn fused<'a>(meta: &'a mut dyn std::any::Any, cfg: &SimConfig) -> Option<&'a mut Vec<u32>> {
-    meta.downcast_mut().filter(|_| {
-        matches!(cfg.switch, SwitchKind::Ideal) && matches!(cfg.arbitration, Arbitration::SlotOrder)
-    })
 }
 
 /// A root-crossing message suspended at a shard boundary: everything the
@@ -1538,13 +1326,13 @@ impl SimArena {
         debug_assert_eq!(self.faults, cfg.faults);
         assert_eq!(msgs.len(), ids.len());
         assert!(boundary <= self.height, "boundary below the leaves");
-        self.load_and_inject(ft, msgs, Some(ids));
+        self.load(ft, &SliceSource(msgs), Some(ids));
         for node_level in (boundary..self.height).rev() {
-            self.level_pass_wide(ft, cfg, true, node_level);
+            self.level_pass(ft, cfg, true, node_level);
         }
         for i in 0..self.meta.len() {
             let m = self.meta[i];
-            if m & (META_ALIVE | META_LOCAL) != META_ALIVE {
+            if !meta_eligible(m) {
                 continue;
             }
             if meta_lca(m) < boundary {
@@ -1587,10 +1375,10 @@ impl SimArena {
         }
         self.channel_use.clear();
         for node_level in (0..boundary).rev() {
-            self.level_pass_wide(ft, cfg, true, node_level);
+            self.level_pass(ft, cfg, true, node_level);
         }
         for node_level in 0..boundary {
-            self.level_pass_wide(ft, cfg, false, node_level);
+            self.level_pass(ft, cfg, false, node_level);
         }
         for (i, c) in claims.iter_mut().enumerate() {
             c.meta = self.meta[i];
@@ -1621,29 +1409,9 @@ impl SimArena {
             self.ids.push(c.id);
         }
         for node_level in boundary..self.height {
-            self.level_pass_wide(ft, cfg, false, node_level);
+            self.level_pass(ft, cfg, false, node_level);
         }
-        self.delivered.clear();
-        self.dropped.clear();
-        let mut max_latency = 0u32;
-        for i in 0..self.meta.len() {
-            let m = self.meta[i];
-            if m & META_LOCAL != 0 {
-                self.delivered.push(self.ids[i]);
-                continue;
-            }
-            if m & META_ALIVE != 0 {
-                self.delivered.push(self.ids[i]);
-                let nodes_on_path = 2 * (self.height - meta_lca(m)) - 1;
-                max_latency = max_latency.max(2 * nodes_on_path + cfg.payload_bits);
-            } else if self.wire[i] != CROSSED {
-                self.dropped.push(self.ids[i]);
-            }
-        }
-        CycleStats {
-            delivered: self.delivered.len(),
-            ticks: max_latency,
-        }
+        self.settle(cfg)
     }
 
     /// Coordinator-global ids delivered by the last [`Self::shard_down`]
@@ -1664,13 +1432,12 @@ impl SimArena {
 /// Apply one concentrator outcome to a message: a routed wire under the
 /// effective capacity advances, anything else dies.
 #[inline]
-#[allow(clippy::too_many_arguments)]
-fn apply_outcome<W: MetaWord>(
+fn apply_outcome(
     i: usize,
     routed: Option<u32>,
     e: u64,
     chan: ChannelId,
-    meta: &mut [W],
+    meta: &mut [u64],
     wire: &mut [u32],
     channel_use: &mut LoadMap,
 ) {
@@ -1679,7 +1446,7 @@ fn apply_outcome<W: MetaWord>(
             wire[i] = w;
             channel_use.add_one(chan);
         }
-        _ => meta[i] = meta[i].kill(),
+        _ => meta[i] &= !META_ALIVE,
     }
 }
 
@@ -1769,7 +1536,7 @@ pub fn run_to_completion_with<R: Recorder>(
         // place, preserving order (the retry queue of §II is FIFO). The
         // arena's delivered list is ascending, so a merge-walk against it
         // classifies every pending index without touching arena metadata
-        // (which may be either width).
+        // (whose layout depends on the cycle body).
         let mut clock = PhaseClock::start::<R>();
         let mut w = 0usize;
         let mut d = arena.delivered_indices().iter().peekable();
@@ -1801,8 +1568,8 @@ pub fn run_to_completion_with<R: Recorder>(
 /// `u32` original-index map — no `Vec<Message>` of the stream's length
 /// exists at any point). Retry cycles run from the compacted metadata
 /// without replaying the stream. Byte-identical to [`run_to_completion`] on
-/// [`MessageStream::collect_set`] for the same arena width, and — via the
-/// width goldens — to the wide reference engine.
+/// [`MessageStream::collect_set`] on either cycle body, and — via the
+/// goldens — to the reference engine.
 ///
 /// # Panics
 /// If the stream is longer than [`MAX_MESSAGES`] (checked before anything
@@ -1831,26 +1598,10 @@ pub fn run_stream_to_completion_with<R: Recorder>(
         rec.run_start(ft.height());
         rec.stream_ingest(stream.family(), stream.len() as u64);
     }
-    // The arena is this run's own: its metadata buffer need not live in it.
-    if arena.narrow {
-        run_stream_inner(&mut arena, ft, stream, cfg, rec, &mut Vec::<u32>::new())
-    } else {
-        run_stream_inner(&mut arena, ft, stream, cfg, rec, &mut Vec::<u64>::new())
-    }
-}
-
-fn run_stream_inner<W: MetaWord, R: Recorder>(
-    arena: &mut SimArena,
-    ft: &FatTree,
-    stream: &dyn MessageStream,
-    cfg: &SimConfig,
-    rec: &mut R,
-    meta: &mut Vec<W>,
-) -> RunReport {
     let total = stream.len();
     // The fused body keeps its own position → original-index map.
-    let is_fused = fused(meta, cfg).is_some();
-    let mut orig: Vec<u32> = (0..if is_fused { 0 } else { total as u32 }).collect();
+    let fused = arena.fused(cfg);
+    let mut orig: Vec<u32> = (0..if fused { 0 } else { total as u32 }).collect();
     let mut cycles = 0usize;
     let mut delivered_per_cycle = Vec::new();
     let mut delivery_order = Vec::with_capacity(total);
@@ -1869,15 +1620,22 @@ fn run_stream_inner<W: MetaWord, R: Recorder>(
         if R::ENABLED {
             rec.cycle_start(cycles as u32, pending as u32);
         }
-        let stats = if let Some(meta) = fused(meta, &cycle_cfg) {
+        let stats = if fused {
             if cycles == 0 {
-                arena.load_fused(ft, &StreamSource(stream), meta, rec);
+                arena.load_fused(ft, &StreamSource(stream), rec);
             }
-            arena.cycle_fused(ft, &cycle_cfg, meta, rec)
-        } else if cycles == 0 {
-            arena.cycle_generic(ft, &StreamSource(stream), &cycle_cfg, meta, rec)
+            arena.cycle_fused(ft, &cycle_cfg, rec)
         } else {
-            arena.retry_cycle(ft, &cycle_cfg, meta, rec)
+            // Cycle 0 packs the stream; a retry re-injects the survivors
+            // `compact_retry` left in place (no replay, no rebuild).
+            let mut clock = PhaseClock::start::<R>();
+            if cycles == 0 {
+                arena.load(ft, &StreamSource(stream), None);
+            } else {
+                arena.inject();
+            }
+            clock.lap(rec, EnginePhase::Ingest);
+            arena.passes_and_settle(ft, &cycle_cfg, rec)
         };
         assert!(
             stats.delivered > 0,
@@ -1891,11 +1649,11 @@ fn run_stream_inner<W: MetaWord, R: Recorder>(
         delivered_per_cycle.push(stats.delivered);
         total_ticks += stats.ticks as u64;
         let mut clock = PhaseClock::start::<R>();
-        pending = if is_fused {
+        pending = if fused {
             delivery_order.extend(arena.delivered.iter().map(|&i| i as usize));
-            meta.len()
+            arena.meta32.len()
         } else {
-            arena.compact_retry(meta, &mut orig, &mut delivery_order)
+            arena.compact_retry(&mut orig, &mut delivery_order)
         };
         clock.lap(rec, EnginePhase::Compaction);
     }
@@ -2269,15 +2027,18 @@ mod tests {
             let own = !matches!(p, EnginePhase::Refine | EnginePhase::Emit);
             assert_eq!(phase(&fused, p) > 0, own, "{p:?}");
         }
-        // Level-pass body: no source sort.
-        let wide = SimConfig {
-            meta: MetaWidth::Wide,
-            ..SimConfig::default()
-        };
-        let mut walked = MetricsRecorder::new();
-        run_to_completion_with(&t, &msgs, &wide, &mut walked);
-        assert_eq!(phase(&walked, EnginePhase::SourceSort), 0);
-        assert!(phase(&walked, EnginePhase::DownSweep) > 0);
+        // Level-pass body: no source sort — under `Wide`, and under `Auto`
+        // once the arbitration or the switches rule the fused sweeps out.
+        let mut turned_away = [SimConfig::default(); 3];
+        turned_away[0].meta = MetaWidth::Wide;
+        turned_away[1].arbitration = Arbitration::Random(3);
+        turned_away[2].switch = SwitchKind::Partial;
+        for cfg in turned_away {
+            let mut walked = MetricsRecorder::new();
+            run_to_completion_with(&t, &msgs, &cfg, &mut walked);
+            assert_eq!(phase(&walked, EnginePhase::SourceSort), 0, "{cfg:?}");
+            assert!(phase(&walked, EnginePhase::DownSweep) > 0, "{cfg:?}");
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub use compiled::{compile_cycle, execute_compiled, CompiledCycle, CompiledRun};
 pub use engine::{
     run_stream_to_completion, run_stream_to_completion_with, run_to_completion,
     run_to_completion_with, simulate_cycle, Arbitration, CycleReport, CycleStats, MetaWidth,
-    RunReport, ShardClaim, SimArena, SimConfig, SwitchKind, MAX_MESSAGES, NARROW_MAX_HEIGHT,
+    RunReport, ShardClaim, SimArena, SimConfig, SwitchKind, MAX_MESSAGES,
 };
 pub use faults::FaultModel;
 pub use protocol::MessageFrame;

@@ -77,26 +77,29 @@ fn main() {
         run.cycles
     );
 
-    // --- Part 3: the streamed ingest on the packed u32 path is just as
-    // disciplined. Once the counting-sort offsets, narrow metadata words,
-    // peer halves, and live list have grown, replaying the generator cycle
+    // --- Part 3: the streamed ingest is just as disciplined on both
+    // cycle bodies. Once the fused sweeps' u32 words, destination side
+    // array and turn list (`Auto`), or the level passes' u64 words, wires
+    // and slot table (`Wide`), have grown, replaying the generator cycle
     // after cycle allocates nothing — the lazy stream really does go
     // straight into reused buffers.
-    let narrow_cfg = SimConfig {
-        meta: MetaWidth::Narrow,
-        ..SimConfig::default()
-    };
     let stream = PermutationStream::new(n, 0x5EED);
-    let mut arena = SimArena::new(&ft, &narrow_cfg);
-    arena.cycle_stream(&ft, &stream, &narrow_cfg); // warm-up
-    arena.cycle_stream(&ft, &stream, &narrow_cfg);
-    let before = allocs();
-    for _ in 0..10 {
-        arena.cycle_stream(&ft, &stream, &narrow_cfg);
+    for meta in [MetaWidth::Auto, MetaWidth::Wide] {
+        let cfg = SimConfig {
+            meta,
+            ..SimConfig::default()
+        };
+        let mut arena = SimArena::new(&ft, &cfg);
+        arena.cycle_stream(&ft, &stream, &cfg); // warm-up
+        arena.cycle_stream(&ft, &stream, &cfg);
+        let before = allocs();
+        for _ in 0..10 {
+            arena.cycle_stream(&ft, &stream, &cfg);
+        }
+        let grew = allocs() - before;
+        assert_eq!(
+            grew, 0,
+            "steady-state streamed {meta:?} cycle allocated {grew} times in 10 cycles"
+        );
     }
-    let grew = allocs() - before;
-    assert_eq!(
-        grew, 0,
-        "steady-state streamed narrow cycle allocated {grew} times in 10 cycles"
-    );
 }

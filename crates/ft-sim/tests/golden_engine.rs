@@ -22,10 +22,12 @@ fn trees() -> Vec<FatTree> {
     ]
 }
 
-/// The engine configurations under test. Both metadata widths are pinned
-/// against the (wide, HashMap-based) reference — `Narrow` is what `Auto`
-/// picks on these small trees, `Wide` keeps the u64 path honest, and their
-/// shared oracle makes the two layouts byte-identical to each other.
+/// The engine configurations under test, each pinned against the
+/// HashMap-based reference. Ideal switches under slot order are what the
+/// fused sweeps take (`Auto` on these small trees), so that combination
+/// also runs `Wide` — the level passes on the same inputs — and the shared
+/// oracle makes the two bodies byte-identical to each other. Every other
+/// combination runs the level passes whatever `meta` says, once.
 fn configs() -> Vec<SimConfig> {
     let mut cfgs = Vec::new();
     for switch in [SwitchKind::Ideal, SwitchKind::Partial] {
@@ -37,7 +39,11 @@ fn configs() -> Vec<SimConfig> {
                     seed: 3,
                 },
             ] {
-                for meta in [MetaWidth::Narrow, MetaWidth::Wide] {
+                let fused = switch == SwitchKind::Ideal && arbitration == Arbitration::SlotOrder;
+                for meta in [MetaWidth::Auto, MetaWidth::Wide] {
+                    if meta == MetaWidth::Wide && !fused {
+                        continue;
+                    }
                     cfgs.push(SimConfig {
                         payload_bits: 16,
                         switch,

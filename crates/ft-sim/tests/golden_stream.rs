@@ -1,8 +1,8 @@
 //! Streamed-ingest equivalence: running a lazy generator through
 //! `run_stream_to_completion` / `SimArena::cycle_stream` must be
 //! byte-identical to materializing the same stream and running the classic
-//! path — per family, per metadata width, per arbitration policy. Together
-//! with `golden_engine.rs` (both widths vs. the reference engine) this pins
+//! path — per family, per cycle body, per arbitration policy. Together
+//! with `golden_engine.rs` (both bodies vs. the reference engine) this pins
 //! the entire streamed+packed path to the original semantics.
 
 use ft_core::{FatTree, MessageStream};
@@ -28,11 +28,18 @@ fn streams(n: u32, seed: u64) -> Vec<Box<dyn MessageStream>> {
     ]
 }
 
+/// Ideal switches under slot order run `Auto` (the fused sweeps) and `Wide`
+/// (the level passes on the same inputs); the other combinations run the
+/// level passes whatever `meta` says, once.
 fn configs() -> Vec<SimConfig> {
     let mut cfgs = Vec::new();
     for switch in [SwitchKind::Ideal, SwitchKind::Partial] {
         for arbitration in [Arbitration::SlotOrder, Arbitration::Random(0xABCD)] {
-            for meta in [MetaWidth::Narrow, MetaWidth::Wide] {
+            let fused = switch == SwitchKind::Ideal && arbitration == Arbitration::SlotOrder;
+            for meta in [MetaWidth::Auto, MetaWidth::Wide] {
+                if meta == MetaWidth::Wide && !fused {
+                    continue;
+                }
                 cfgs.push(SimConfig {
                     switch,
                     arbitration,
@@ -51,7 +58,7 @@ fn streamed_run_matches_materialized_everywhere() {
     for n in [32u32, 64] {
         let ft = FatTree::universal(n, (n as u64 / 4).max(1));
         for cfg in configs() {
-            for seed in [7u64, 1009] {
+            for seed in [7u64, 1009, 52_361] {
                 for stream in streams(n, seed) {
                     let set = stream.collect_set();
                     let tag = format!("family={} n={n} cfg={cfg:?} seed={seed}", stream.family());
@@ -99,11 +106,11 @@ fn streamed_cycle_matches_materialized() {
 
 #[test]
 fn same_arena_alternates_widths_and_sources_safely() {
-    // One arena per width, reused across families and cycles — the
+    // One arena per cycle body, reused across families and cycles — the
     // grow-only buffers must not leak state between streamed loads.
     let n = 64u32;
     let ft = FatTree::universal(n, 16);
-    for meta in [MetaWidth::Narrow, MetaWidth::Wide] {
+    for meta in [MetaWidth::Auto, MetaWidth::Wide] {
         let cfg = SimConfig {
             meta,
             ..Default::default()
@@ -129,17 +136,15 @@ fn same_arena_alternates_widths_and_sources_safely() {
 
 #[test]
 fn narrow_is_the_default_below_the_height_cap() {
-    // Auto must agree with Narrow (and with Wide, transitively through the
-    // goldens) on a tree within the narrow height bound.
+    // Auto (the u32 fused sweeps on a tree within their height bound) must
+    // agree with Wide (the level passes) directly, not only through the
+    // goldens' shared oracle.
     let ft = FatTree::universal(256, 64);
     let stream = PermutationStream::new(256, 77);
     let auto = run_stream_to_completion(&ft, &stream, &SimConfig::default());
-    for meta in [MetaWidth::Narrow, MetaWidth::Wide] {
-        let cfg = SimConfig {
-            meta,
-            ..Default::default()
-        };
-        let explicit = run_stream_to_completion(&ft, &stream, &cfg);
-        assert_eq!(auto, explicit, "meta={meta:?}");
-    }
+    let wide = SimConfig {
+        meta: MetaWidth::Wide,
+        ..Default::default()
+    };
+    assert_eq!(auto, run_stream_to_completion(&ft, &stream, &wide));
 }

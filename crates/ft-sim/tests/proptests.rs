@@ -1,7 +1,7 @@
 //! Property tests for the bit-serial machine (seeded SplitMix64 loops,
 //! std-only): conservation, capacity respect, retry completeness,
 //! compile/simulate agreement, and — the law the fused sweeps rest on —
-//! narrow (fused) == wide (table walk) == reference, channel by channel.
+//! `Auto` (fused) == `Wide` (table walk) == reference, channel by channel.
 
 use ft_core::rng::SplitMix64;
 use ft_core::{load_factor, CapacityProfile, ChannelId, FatTree, Message, MessageSet};
@@ -167,13 +167,13 @@ fn fused_equals_table_walk_equals_reference_every_cycle() {
             meta,
             ..SimConfig::default()
         };
-        let (narrow, wide) = (cfg(MetaWidth::Narrow), cfg(MetaWidth::Wide));
+        let (auto, wide) = (cfg(MetaWidth::Auto), cfg(MetaWidth::Wide));
         let mut pending = random_multiset(&mut rng, ft.n());
         let mut cycle = 0;
         while !pending.is_empty() {
             let tag = format!("case {case} cycle {cycle} n={}", ft.n());
             let want = simulate_cycle_reference(&ft, &pending, &wide);
-            for (name, cfg) in [("narrow", &narrow), ("wide", &wide)] {
+            for (name, cfg) in [("auto", &auto), ("wide", &wide)] {
                 let got = simulate_cycle(&ft, &pending, cfg);
                 assert_eq!(got.delivered, want.delivered, "{name} delivered [{tag}]");
                 assert_eq!(got.dropped, want.dropped, "{name} dropped [{tag}]");
@@ -201,7 +201,7 @@ fn a_message_dropped_deep_still_occupies_the_channels_it_won_above() {
     // been counted on the two channels above.
     let ft = FatTree::new(8, CapacityProfile::FullDoubling);
     let msgs = [Message::new(0, 7), Message::new(1, 7)];
-    for meta in [MetaWidth::Narrow, MetaWidth::Wide] {
+    for meta in [MetaWidth::Auto, MetaWidth::Wide] {
         let cfg = SimConfig {
             meta,
             ..SimConfig::default()

@@ -65,6 +65,18 @@ case "$million_json" in
      echo "$million_json" >&2
      exit 1 ;;
 esac
+# One level past the fused body's height cap (21 > 20): here, and on no
+# other input any test or script runs, `MetaWidth::Auto` takes the level
+# passes because of the tree's height alone. The pin holds their result at
+# that height; it cannot tell which body produced it (~1.8s).
+tall_json="$(timeout 120 target/release/ftsim simulate \
+  --n 2097152 --w 524288 --workload streamperm --format json)"
+case "$tall_json" in
+  '{"schema":"ftsim-simulate/v1"'*'"messages":2097152,"streamed":true,"cycles":3,'*'"order_fnv":"d4c5ef5cefedc519"}') ;;
+  *) echo "ftsim simulate at n = 2^21 (taller than the fused body's cap) left the pinned result" >&2
+     echo "$tall_json" >&2
+     exit 1 ;;
+esac
 # A long retry tail with out-of-order, repeated sources: 8 200 delivery
 # cycles, most of them over a few thousand pending messages (~0.8s).
 bursty_json="$(timeout 120 target/release/ftsim simulate \

@@ -253,31 +253,31 @@ impl Machine {
     }
 }
 
-/// The one shared `--topology` resolver: every subcommand gets its machine
-/// here, so bad specs die identically everywhere (exit 2).
-fn machine_from(opts: &HashMap<String, String>) -> Machine {
+/// The one shared machine resolver: every subcommand gets its topology
+/// here, so bad specs die identically everywhere (exit 2). `--n`/`--w` are
+/// shorthand for `universal:n=..,w=..` and go through the spec parser too:
+/// a size it refuses is a usage error, never an assertion in a constructor.
+fn topology_from(opts: &HashMap<String, String>) -> Topology {
     match opts.get("topology") {
         Some(spec) => {
             if opts.contains_key("n") || opts.contains_key("w") {
                 eprintln!("--topology replaces --n/--w: sizes live in the spec ({spec})");
                 exit(2);
             }
-            Machine {
-                emb: Embedded::new(parse_topology(spec)),
-                explicit: true,
-            }
+            parse_topology(spec)
         }
         None => {
             let n = get_u32(opts, "n", 256);
-            let w = get_u32(opts, "w", (n / 4).max(1)) as u64;
-            Machine {
-                emb: Embedded::new(Topology::binary(
-                    n,
-                    CapacityProfile::Universal { root_capacity: w },
-                )),
-                explicit: false,
-            }
+            let w = get_u32(opts, "w", (n / 4).max(1));
+            parse_topology(&format!("universal:n={n},w={w}"))
         }
+    }
+}
+
+fn machine_from(opts: &HashMap<String, String>) -> Machine {
+    Machine {
+        emb: Embedded::new(topology_from(opts)),
+        explicit: opts.contains_key("topology"),
     }
 }
 
@@ -301,27 +301,19 @@ fn reject_topology(opts: &HashMap<String, String>, cmd: &str, why: &str) {
 /// wire protocol: accept `--topology universal:n=..,w=..` for uniformity
 /// and reject other families with a clear error.
 fn universal_nw_from(opts: &HashMap<String, String>, cmd: &str) -> (u32, u64) {
-    if let Some(spec) = opts.get("topology") {
-        if opts.contains_key("n") || opts.contains_key("w") {
-            eprintln!("--topology replaces --n/--w: sizes live in the spec ({spec})");
+    let topo = topology_from(opts);
+    match topo.binary_profile() {
+        Some(CapacityProfile::Universal { root_capacity }) => {
+            (topo.leaves() as u32, *root_capacity)
+        }
+        _ => {
+            eprintln!(
+                "`{cmd}` serves the binary universal family only; --topology {} \
+                 is not servable (use universal:n=..,w=..)",
+                topo.spec()
+            );
             exit(2);
         }
-        let topo = parse_topology(spec);
-        match topo.binary_profile() {
-            Some(CapacityProfile::Universal { root_capacity }) => {
-                (topo.leaves() as u32, *root_capacity)
-            }
-            _ => {
-                eprintln!(
-                    "`{cmd}` serves the binary universal family only; --topology {spec} \
-                     is not servable (use universal:n=..,w=..)"
-                );
-                exit(2);
-            }
-        }
-    } else {
-        let n = get_u32(opts, "n", 256);
-        (n, get_u32(opts, "w", (n / 4).max(1)) as u64)
     }
 }
 
@@ -1277,10 +1269,6 @@ fn cmd_serve(opts: &HashMap<String, String>) {
         metrics: get_u32(opts, "metrics", 1) != 0,
         metrics_addr: opts.get("metrics-addr").cloned(),
     };
-    if !cfg.n.is_power_of_two() || cfg.n < 2 {
-        eprintln!("--n must be a power of two ≥ 2, got {}", cfg.n);
-        exit(2);
-    }
     if !cfg.slots.is_power_of_two() {
         eprintln!("--slots must be a power of two, got {}", cfg.slots);
         exit(2);

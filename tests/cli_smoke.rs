@@ -801,6 +801,32 @@ fn bad_topology_specs_are_rejected() {
 }
 
 #[test]
+fn bad_n_and_w_are_usage_errors_not_panics() {
+    // `--n`/`--w` are shorthand for `universal:n=..,w=..` and are refused by
+    // the same parser. These sizes used to reach an assertion in
+    // `CapacityProfile` / `Embedded::new`: exit 101 and a backtrace.
+    let sizes = ["--n 100", "--n 1", "--n 0", "--n 134217728", "--n 64 --w 0"];
+    for cmd in [
+        "simulate", "tree", "schedule", "online", "report", "trace", "shard",
+    ] {
+        for size in sizes {
+            let out = Command::new(env!("CARGO_BIN_EXE_ftsim"))
+                .arg(cmd)
+                .args(size.split(' '))
+                .output()
+                .expect("spawn ftsim");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{cmd} {size:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{cmd} {size:?}");
+            assert_eq!(stderr.lines().count(), 1, "{cmd} {size:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{cmd} {size:?}: {stderr}");
+            let named = if size.contains("--w") { "`w`" } else { "`n`" };
+            assert!(stderr.contains(named), "{cmd} {size:?}: {stderr}");
+        }
+    }
+}
+
+#[test]
 fn topology_binary_simulate_matches_classic_path() {
     // The universal spec must be the --n/--w path bit for bit: same
     // cycles, same delivery-order fingerprint, same machine dimensions.
