@@ -30,14 +30,15 @@
 //! backoffs never sleep the loop — a late shard's retransmit is just
 //! another scheduled event.
 //!
-//! The steady-state loop is allocation-free: request frames come from a
-//! buffer pool, replies land in one reused receive buffer, and every
-//! per-cycle structure (merge runs, verdict bitmaps, remaps, delivery
-//! flags) is grow-only scratch.
+//! The steady-state loop allocates nothing of its own: request frames come
+//! from a buffer pool and every per-cycle structure (merge runs, verdict
+//! bitmaps, remaps, delivery flags) is grow-only scratch. What remains is
+//! the link's one `Vec` per frame handed across a queue
+//! ([`crate::transport`]) — per frame, never per cycle or per message.
 
 use crate::fault::{FaultPlan, FaultState, SendFate};
-use crate::proto::{ClaimsV2, CycleView, InitMsg, LoadMsg, OutcomesView};
-use crate::transport::{InProcTransport, PipeTransport, ShmTransport, Transport, TransportError};
+use crate::proto::{ClaimCheck, ClaimsV2, CycleView, InitMsg, LoadMsg, OutcomesView};
+use crate::transport::Transport;
 use crate::wire::{self, FrameKind};
 use ft_core::{FatTree, Message, MessageSet};
 use ft_sim::{Arbitration, RunReport, ShardClaim, SimArena, SimConfig};
@@ -49,10 +50,8 @@ use std::time::{Duration, Instant};
 /// How the coordinator reaches its workers.
 #[derive(Clone, Debug)]
 pub enum TransportKind {
-    /// Worker threads in this process (channels).
+    /// Worker threads in this process.
     InProcess,
-    /// Worker threads behind zero-copy shared-memory rings.
-    Shm,
     /// One worker child process per shard; `cmd[0]` is the executable,
     /// `cmd[1..]` its arguments — typically `[<ftsim>, "shard-worker"]`.
     Pipe { cmd: Vec<String> },
@@ -136,7 +135,7 @@ impl LinkCounters {
 pub enum ShardError {
     /// The configuration cannot describe a valid sharding.
     BadConfig(String),
-    /// A worker process could not be spawned.
+    /// A worker thread or process could not be spawned.
     Spawn(String),
     /// A shard never answered within the retry budget.
     Timeout { shard: u32, seq: u32, attempts: u32 },
@@ -195,7 +194,7 @@ impl ShardError {
 #[derive(Clone, Debug, Default)]
 pub struct ShardRunStats {
     pub shards: u32,
-    /// Transport name (`"inproc"` / `"shm"` / `"pipe"`).
+    /// Transport name (`"inproc"` / `"pipe"`).
     pub transport: &'static str,
     /// Physical frames put on the wire (after fault drops/duplicates).
     pub frames_sent: u64,
@@ -275,20 +274,11 @@ pub fn run_sharded_with<R: Recorder>(
             1u64 << ft.height()
         )));
     }
-    let transport: Box<dyn Transport> = match &cfg.transport {
-        TransportKind::InProcess => Box::new(InProcTransport::spawn(cfg.shards as usize)),
-        TransportKind::Shm => {
-            // Each ring must hold the largest single frame (LOAD, at two
-            // words per message when one shard owns everything) with room
-            // for a duplicate behind it.
-            let ring_words = (4 * msgs.len() + 4096).next_power_of_two();
-            Box::new(ShmTransport::spawn(cfg.shards as usize, ring_words))
-        }
-        TransportKind::Pipe { cmd } => Box::new(
-            PipeTransport::spawn(cmd, cfg.shards as usize)
-                .map_err(|e| ShardError::Spawn(e.to_string()))?,
-        ),
-    };
+    let transport = match &cfg.transport {
+        TransportKind::InProcess => Transport::inproc(cfg.shards as usize),
+        TransportKind::Pipe { cmd } => Transport::pipe(cmd, cfg.shards as usize),
+    }
+    .map_err(ShardError::Spawn)?;
     let links = Links::new(transport, cfg);
     run_loop(ft, cfg, boundary, links, msgs, rec)
 }
@@ -330,7 +320,7 @@ struct OutReq {
 /// per-link sequence numbers, outstanding requests, fault state, a frame
 /// pool, and the shared receive buffer.
 struct Links {
-    transport: Box<dyn Transport>,
+    transport: Transport,
     seq_next: Vec<u32>,
     outstanding: Vec<Vec<OutReq>>,
     faults: Vec<Option<FaultState>>,
@@ -353,7 +343,7 @@ struct Links {
 const IDLE_WAIT: Duration = Duration::from_millis(100);
 
 impl Links {
-    fn new(transport: Box<dyn Transport>, cfg: &ShardConfig) -> Self {
+    fn new(transport: Transport, cfg: &ShardConfig) -> Self {
         let shards = cfg.shards as usize;
         let stats = ShardRunStats {
             shards: cfg.shards,
@@ -421,39 +411,34 @@ impl Links {
         Ok(())
     }
 
-    /// Put one logical frame on shard `s`'s link, through fault rolls.
+    /// Put one logical frame on shard `s`'s link, through fault rolls: a
+    /// healthy link sends `logical` itself, a fault plan sends its (possibly
+    /// corrupted) scratch copy zero to two times.
     fn send_faulted(&mut self, s: usize, logical: &[u64]) -> Result<(), ShardError> {
-        let closed = |e: TransportError| ShardError::Protocol {
-            shard: s as u32,
-            what: e.to_string(),
-        };
-        let copies = match &mut self.faults[s] {
-            None => 1,
+        let mut scratch = std::mem::take(&mut self.fault_scratch);
+        let (copies, frame) = match &mut self.faults[s] {
+            None => (1, logical),
             Some(fs) => {
-                self.fault_scratch.clear();
-                self.fault_scratch.extend_from_slice(logical);
-                match fs.next(&mut self.fault_scratch) {
+                scratch.clear();
+                scratch.extend_from_slice(logical);
+                let copies = match fs.next(&mut scratch) {
                     SendFate::Drop => 0,
                     SendFate::Send => 1,
                     SendFate::SendTwice => 2,
-                }
+                };
+                (copies, &scratch[..])
             }
         };
-        let faulted = self.faults[s].is_some();
         for _ in 0..copies {
-            let words = if faulted {
-                self.fault_scratch.len()
-            } else {
-                logical.len()
-            };
-            self.note_sent(s, words);
-            let sent = if faulted {
-                self.transport.send(s, &self.fault_scratch)
-            } else {
-                self.transport.send(s, logical)
-            };
-            sent.map_err(closed)?;
+            self.note_sent(s, frame.len());
+            self.transport
+                .send(s, frame)
+                .map_err(|what| ShardError::Protocol {
+                    shard: s as u32,
+                    what,
+                })?;
         }
+        self.fault_scratch = scratch;
         Ok(())
     }
 
@@ -508,17 +493,14 @@ impl Links {
             let got = self.transport.recv_any(wait, &mut self.rbuf);
             self.stats.barrier_wait_ns += t0.elapsed().as_nanos() as u64;
             let s = match got {
-                Ok(s) => s,
-                Err(TransportError::Timeout) => continue,
-                Err(e @ TransportError::Closed(_)) => {
+                Ok(Some(s)) => s,
+                Ok(None) => continue,
+                Err(what) => {
                     // Attribute the dead transport to the earliest waiter.
                     let shard = (0..self.outstanding.len())
                         .find(|&s| !self.outstanding[s].is_empty())
                         .unwrap_or(0) as u32;
-                    return Err(ShardError::Protocol {
-                        shard,
-                        what: e.to_string(),
-                    });
+                    return Err(ShardError::Protocol { shard, what });
                 }
             };
             self.stats.frames_received += 1;
@@ -679,6 +661,7 @@ fn run_loop<R: Recorder>(
     let mut run_scratch: Vec<ShardClaim> = Vec::new();
     let mut incoming: Vec<Vec<ShardClaim>> = vec![Vec::new(); shards];
     let mut delivered: Vec<bool> = Vec::new();
+    let mut claim_check = ClaimCheck::new(ft, boundary);
 
     for (s, r) in remap.iter_mut().enumerate() {
         r.extend_from_slice(&load_ids[s]);
@@ -720,6 +703,11 @@ fn run_loop<R: Recorder>(
             run_scratch.clear();
             let ns =
                 ClaimsV2::decode_into(links.payload(), &mut run_scratch).map_err(proto_err(s))?;
+            // The top arena indexes its slot tables by these leaves and
+            // wires: a list no boundary channel could carry stops here.
+            claim_check
+                .check(&run_scratch, s as u32, true)
+                .map_err(proto_err(s))?;
             links.stats.shard_up_ns[s] += ns;
             exports_count[s] = run_scratch.len();
             verdict_bits[s].clear();

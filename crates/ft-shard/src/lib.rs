@@ -4,7 +4,7 @@
 //! communicating shards, one per top-level subtree, coordinated by a
 //! deterministic cross-shard barrier — and produces results **byte-identical
 //! to the single-arena engine** ([`ft_sim::run_to_completion`]) for every
-//! shard count and every transport.
+//! shard count and both ways of spawning the workers.
 //!
 //! The decomposition follows the tree: with `N = 2^k` shards, shard `s`
 //! owns the subtree rooted at heap node `2^k + s`. Each delivery cycle runs
@@ -22,25 +22,29 @@
 //! the full engine would route through its subtree), and random arbitration
 //! hashes coordinator-global message ids, so outcomes cannot depend on how
 //! the work is split or in which order claims arrive. `tests/shard_golden.rs`
-//! enforces equality across shard counts and transports.
+//! enforces equality across shard counts and spawn modes.
 //!
-//! Shards talk through a pluggable [`Transport`]: worker threads over
-//! channels ([`InProcTransport`]), worker threads behind zero-copy
-//! shared-memory rings ([`ShmTransport`]), or worker *processes* over
-//! stdin/stdout pipes ([`PipeTransport`], speaking the little-endian frame
-//! encoding of [`wire`]). The protocol is robust by construction — frames
-//! carry checksums and sequence numbers, requests are idempotent, lost or
+//! Shards talk through one [`Transport`] — a pair of frame queues per shard
+//! — spawned one of two ways: worker threads draining the queues directly
+//! ([`Transport::inproc`]), or worker *processes* on stdin/stdout pipes
+//! ([`Transport::pipe`], speaking the little-endian frame encoding of
+//! [`wire`]). The protocol is robust by construction — frames carry
+//! checksums and sequence numbers, requests are idempotent, lost or
 //! corrupted exchanges are retried with bounded backoff, and anything
 //! unanswerable degrades into a structured [`ShardError`] instead of a
 //! hang. [`FaultPlan`] injects deterministic drops, duplicates, bit flips,
-//! and slow shards to prove it.
+//! and slow shards to prove it. A frame that passes its checksum is still
+//! untrusted: every payload decoder ([`proto`]) and the worker behind it
+//! reject what they cannot run, and neither side panics on bytes it did not
+//! write (`tests/wire_bomb.rs` holds the mutation loop).
 //!
 //! Since protocol v2 the coordinator is an overlapped event loop rather
 //! than a lock-step barrier: messages are loaded onto shards once, each
 //! cycle exchanges only deltas (verdict bitmaps, id remaps, compact claim
 //! descriptors), claim frames are merged as they arrive, and down-frames
-//! stream out as they are encoded. The steady-state cycle loop performs no
-//! heap allocation (`tests/alloc_steady.rs` pins this).
+//! stream out as they are encoded. In steady state the only heap
+//! allocation is the link's one `Vec` per frame handed across a queue —
+//! nothing per cycle or per message (`tests/alloc_steady.rs` pins this).
 
 pub mod coordinator;
 pub mod fault;
@@ -54,7 +58,7 @@ pub use coordinator::{
     ShardRunStats, TransportKind,
 };
 pub use fault::{FaultPlan, FaultState, SendFate};
-pub use transport::{InProcTransport, PipeTransport, ShmTransport, Transport, TransportError};
+pub use transport::Transport;
 pub use worker::{run_channel, run_pipe, WorkerCore};
 
 #[cfg(test)]

@@ -21,11 +21,30 @@ fn err<T>(what: &str) -> Result<T, ProtoError> {
     Err(ProtoError(what.to_string()))
 }
 
+/// Is the payload exactly `head + per * count` words long? `count` is the
+/// peer's claim, not a fact, so the arithmetic must not wrap; once this
+/// holds, `count` is bounded by the words that actually arrived and is
+/// safe to `reserve`.
+fn len_is(p: &[u64], head: u64, per: u64, count: u64) -> bool {
+    count
+        .checked_mul(per)
+        .and_then(|body| body.checked_add(head))
+        == Some(p.len() as u64)
+}
+
+/// Most wires (`2^k · cap(k)`) an INIT may put on one tree level: twice the
+/// full-doubling tree on the engine's largest `n`. A worker's slot tables
+/// are a few words per wire of the widest level, so this is what keeps a
+/// crafted capacity from turning 17 payload words into an allocation no
+/// machine has.
+pub const MAX_LEVEL_WIRES: u64 = 1 << 27;
+
 /// Worker-side error codes carried by an `Error` frame.
 pub const ERR_UNINITIALIZED: u64 = 1;
 pub const ERR_SEQ_DESYNC: u64 = 2;
 pub const ERR_BAD_PAYLOAD: u64 = 3;
-/// A `Cycle` arrived before the pending set was shipped with `Load`.
+/// A `Cycle` arrived before the pending set was shipped with `Load`, or
+/// an `Incoming2` with no up phase of its cycle to finish.
 pub const ERR_NOT_LOADED: u64 = 4;
 
 /// The INIT request: everything a worker needs to build its arena.
@@ -85,36 +104,57 @@ impl InitMsg {
         p
     }
 
+    /// Decode and validate: bytes off a pipe are not a config someone
+    /// checked. Every value `FatTree::new` / `from_level_caps` /
+    /// `SimArena::new` would assert on, or a later shift or sum would
+    /// overflow on, is a [`ProtoError`] here — [`Self::tree`] and the arena
+    /// constructor cannot panic on a decoded INIT.
     pub fn decode(p: &[u64]) -> Result<InitMsg, ProtoError> {
         if p.len() < 17 {
             return err("INIT too short");
         }
-        let profile = match p[14] {
-            0 => CapacityProfile::Universal {
-                root_capacity: p[15],
-            },
-            1 => CapacityProfile::Constant(p[15]),
-            2 => CapacityProfile::FullDoubling,
-            3 => {
-                let len = p[15] as usize;
-                if p.len() != 17 + len {
-                    return err("INIT per-level capacity count mismatch");
-                }
+        let (n, boundary) = (p[0], p[1]);
+        if !(2..=1 << 26).contains(&n) || !n.is_power_of_two() {
+            return err("INIT n is not a power of two in [2, 2^26]");
+        }
+        let levels = n.trailing_zeros() as u64 + 1;
+        if boundary >= levels || p[2] as u32 as u64 >= 1 << boundary {
+            return err("INIT shard boundary or index outside the tree");
+        }
+        // Zero capacities assert in the tree constructors, and a degree
+        // past the wire bound would overflow `d · n/2^k` before the level
+        // check below could see it.
+        let profile = match (p[14], p[15], p[16]) {
+            (0, root_capacity @ 1.., _) => CapacityProfile::Universal { root_capacity },
+            (1, c @ 1.., _) => CapacityProfile::Constant(c),
+            (2, ..) => CapacityProfile::FullDoubling,
+            (3, len, _) if len == levels && len_is(p, 17, 1, len) && !p[17..].contains(&0) => {
                 CapacityProfile::PerLevel(p[17..].to_vec())
             }
-            4 => CapacityProfile::UniversalWithDegree {
-                root_capacity: p[15],
-                degree: p[16],
-            },
-            _ => return err("INIT unknown capacity profile"),
+            (4, root_capacity @ 1.., degree @ 1..) if degree <= MAX_LEVEL_WIRES / n => {
+                CapacityProfile::UniversalWithDegree {
+                    root_capacity,
+                    degree,
+                }
+            }
+            _ => return err("INIT capacity profile unknown, mis-sized or zero"),
         };
         let proto = (p[2] >> 32) as u32;
         if proto != crate::wire::PROTO_VERSION {
             return err("INIT protocol version mismatch");
         }
-        Ok(InitMsg {
-            n: p[0] as u32,
-            boundary: p[1] as u32,
+        // NaN fails the range test too.
+        let fraction = |w: u64| (0.0..=1.0).contains(&f64::from_bits(w));
+        if ![p[7], p[9], p[10], p[11]].into_iter().all(fraction) {
+            return err("INIT fraction outside [0, 1]");
+        }
+        // Cycle ticks are `payload_bits` plus a path term, summed in u32.
+        if p[3] >= 1 << 31 {
+            return err("INIT payload bits out of range");
+        }
+        let init = InitMsg {
+            n: n as u32,
+            boundary: boundary as u32,
             shard: p[2] as u32,
             proto,
             sim: SimConfig {
@@ -145,7 +185,12 @@ impl InitMsg {
                 seed: p[13],
             },
             profile,
-        })
+        };
+        let ft = init.tree();
+        if (0..=ft.height()).any(|k| ft.cap_at_level(k) > MAX_LEVEL_WIRES >> k) {
+            return err("INIT tree exceeds the per-level wire bound");
+        }
+        Ok(init)
     }
 
     /// Rebuild the tree this INIT describes. Per-level tables go through
@@ -160,46 +205,11 @@ impl InitMsg {
     }
 }
 
-/// A shard's settled cycle: delivered global ids and the local tick max.
-pub struct OutcomesMsg {
-    pub compute_ns: u64,
-    pub ticks: u32,
-    pub delivered: Vec<u32>,
-}
-
-impl OutcomesMsg {
-    pub fn encode(compute_ns: u64, ticks: u32, delivered: &[u32]) -> Vec<u64> {
-        let mut p = Vec::with_capacity(3 + delivered.len());
-        Self::encode_into(&mut p, compute_ns, ticks, delivered);
-        p
-    }
-
-    /// Append the OUTCOMES payload to an open frame.
-    pub fn encode_into(out: &mut Vec<u64>, compute_ns: u64, ticks: u32, delivered: &[u32]) {
-        out.reserve(3 + delivered.len());
-        out.extend([compute_ns, ticks as u64, delivered.len() as u64]);
-        out.extend(delivered.iter().map(|&d| d as u64));
-    }
-
-    pub fn decode(p: &[u64]) -> Result<OutcomesMsg, ProtoError> {
-        if p.len() < 3 {
-            return err("OUTCOMES too short");
-        }
-        if p.len() != 3 + p[2] as usize {
-            return err("OUTCOMES length mismatch");
-        }
-        Ok(OutcomesMsg {
-            compute_ns: p[0],
-            ticks: p[1] as u32,
-            delivered: p[3..].iter().map(|&d| d as u32).collect(),
-        })
-    }
-}
-
 /// The LOAD request: a shard's complete pending-message set, shipped
-/// once per run. `total` is the coordinator-global message count, which
-/// bounds every id the worker will ever see (its own and incoming claims'),
-/// so the worker can size its membership table up front.
+/// once per run. `total` (the coordinator-global message count) and `ids`
+/// (each message's position in the coordinator's array) are the
+/// coordinator's bookkeeping riding the v2 layout; the worker keys its
+/// retained set by position *in this frame* and sizes nothing from them.
 pub struct LoadMsg {
     pub total: u32,
     pub ids: Vec<u32>,
@@ -223,12 +233,11 @@ impl LoadMsg {
         if p.len() < 2 {
             return err("LOAD too short");
         }
-        let count = p[1] as usize;
-        if p.len() != 2 + 2 * count {
+        if !len_is(p, 2, 2, p[1]) {
             return err("LOAD length mismatch");
         }
-        let mut ids = Vec::with_capacity(count);
-        let mut msgs = Vec::with_capacity(count);
+        let mut ids = Vec::with_capacity(p[1] as usize);
+        let mut msgs = Vec::with_capacity(p[1] as usize);
         for pair in p[2..].chunks_exact(2) {
             ids.push(pair[0] as u32);
             msgs.push(Message::new((pair[1] >> 32) as u32, pair[1] as u32));
@@ -293,7 +302,8 @@ impl<'a> CycleView<'a> {
         let verdicts = (p[2] >> 32) as u32;
         let nids = p[2] as u32;
         let nbits = verdicts.div_ceil(64) as usize;
-        if p.len() != 3 + nbits + (nids as usize).div_ceil(2) {
+        // Both counts are u32 fields: the sum cannot wrap in u64.
+        if p.len() as u64 != 3 + nbits as u64 + (nids as u64).div_ceil(2) {
             return err("CYCLE length mismatch");
         }
         Ok(CycleView {
@@ -343,11 +353,10 @@ impl ClaimsV2 {
         if p.len() < 2 {
             return err("CLAIMS2 too short");
         }
-        let count = p[1] as usize;
-        if p.len() != 2 + 2 * count {
+        if !len_is(p, 2, 2, p[1]) {
             return err("CLAIMS2 length mismatch");
         }
-        out.reserve(count);
+        out.reserve(p[1] as usize);
         for pair in p[2..].chunks_exact(2) {
             out.push(ShardClaim::from_descriptor(
                 (pair[0] >> 32) as u32,
@@ -356,6 +365,72 @@ impl ClaimsV2 {
             ));
         }
         Ok(p[0])
+    }
+}
+
+/// What a healthy peer can put in a claim list crossing one shard's
+/// boundary channel. [`ClaimsV2::decode_into`] only shapes words into
+/// claims; the level passes then index slot tables by their leaves and
+/// wires, so both ends run a decoded list through this before an arena
+/// sees it. A claim passes when the leaf on the shard's side lies under its
+/// boundary node, the other leaf under a different one (so the path turns
+/// above the boundary), the descriptor names exactly that turn, and its
+/// wire is a rank of the boundary channel no other claim of the list holds.
+pub struct ClaimCheck {
+    height: u32,
+    boundary: u32,
+    /// `taken[w]` — wire `w` of the boundary channel is held by a claim of
+    /// the list being checked; all clear between lists.
+    taken: Vec<bool>,
+}
+
+impl ClaimCheck {
+    pub fn new(ft: &FatTree, boundary: u32) -> Self {
+        ClaimCheck {
+            height: ft.height(),
+            boundary,
+            taken: vec![false; ft.cap_at_level(boundary) as usize],
+        }
+    }
+
+    /// Does heap leaf `leaf` lie under `shard`'s boundary node?
+    pub fn owns(&self, shard: u32, leaf: u32) -> bool {
+        leaf >> (self.height - self.boundary) == (1 << self.boundary) + shard
+    }
+
+    /// Check a list that left `shard` (`outbound`: CLAIMS2, sources inside
+    /// it) or enters it (INCOMING2, destinations inside it).
+    pub fn check(
+        &mut self,
+        claims: &[ShardClaim],
+        shard: u32,
+        outbound: bool,
+    ) -> Result<(), ProtoError> {
+        let ok = claims.iter().all(|c| {
+            let (s, d) = (c.src_leaf(), c.dst_leaf());
+            let (own, other) = if outbound { (s, d) } else { (d, s) };
+            // Two leaves' heap ids differ first at their LCA's child bit;
+            // the word layout is `ShardClaim::descriptor`'s.
+            let turn = self.height.wrapping_sub(32 - (s ^ d).leading_zeros());
+            self.owns(shard, own)
+                && other >> self.height == 1
+                && !self.owns(shard, other)
+                && c.descriptor() == turn as u64 | (s as u64) << 6 | (d as u64) << 34
+                && self
+                    .taken
+                    .get_mut(c.wire as usize)
+                    .is_some_and(|t| !std::mem::replace(t, true))
+        });
+        for c in claims {
+            if let Some(t) = self.taken.get_mut(c.wire as usize) {
+                *t = false;
+            }
+        }
+        if ok {
+            Ok(())
+        } else {
+            err("claim outside its shard boundary channel")
+        }
     }
 }
 
@@ -368,11 +443,18 @@ pub struct OutcomesView<'a> {
 }
 
 impl<'a> OutcomesView<'a> {
+    /// Append the OUTCOMES payload to an open frame.
+    pub fn encode_into(out: &mut Vec<u64>, compute_ns: u64, ticks: u32, delivered: &[u32]) {
+        out.reserve(3 + delivered.len());
+        out.extend([compute_ns, ticks as u64, delivered.len() as u64]);
+        out.extend(delivered.iter().map(|&d| d as u64));
+    }
+
     pub fn parse(p: &'a [u64]) -> Result<OutcomesView<'a>, ProtoError> {
         if p.len() < 3 {
             return err("OUTCOMES too short");
         }
-        if p.len() != 3 + p[2] as usize {
+        if !len_is(p, 3, 1, p[2]) {
             return err("OUTCOMES length mismatch");
         }
         Ok(OutcomesView {
@@ -393,7 +475,8 @@ mod tests {
             CapacityProfile::Universal { root_capacity: 16 },
             CapacityProfile::Constant(2),
             CapacityProfile::FullDoubling,
-            CapacityProfile::PerLevel(vec![8, 4, 2, 1]),
+            // lg 64 + 1 levels: a shorter table is refused (worker tests).
+            CapacityProfile::PerLevel(vec![8, 8, 4, 4, 2, 1, 1]),
             CapacityProfile::UniversalWithDegree {
                 root_capacity: 32,
                 degree: 3,
@@ -435,15 +518,6 @@ mod tests {
             assert_eq!(back.plan.delay_ms, 9);
             assert_eq!(back.profile, profile);
         }
-    }
-
-    #[test]
-    fn outcomes_roundtrip() {
-        let o = OutcomesMsg::decode(&OutcomesMsg::encode(9, 88, &[2, 4, 6])).unwrap();
-        assert_eq!((o.compute_ns, o.ticks), (9, 88));
-        assert_eq!(o.delivered, vec![2, 4, 6]);
-
-        assert!(OutcomesMsg::decode(&[0, 0, 9]).is_err());
     }
 
     #[test]
@@ -500,12 +574,46 @@ mod tests {
         assert_eq!(p.len(), 2 + 2 * claims.len());
         assert!(ClaimsV2::decode_into(&p[..3], &mut back).is_err());
 
-        let p = OutcomesMsg::encode(9, 88, &[2, 4, 6]);
+        let mut p = Vec::new();
+        OutcomesView::encode_into(&mut p, 9, 88, &[2, 4, 6]);
         let v = OutcomesView::parse(&p).unwrap();
         assert_eq!((v.compute_ns, v.ticks), (9, 88));
         assert_eq!(v.delivered, &[2, 4, 6]);
+        assert!(OutcomesView::parse(&[0, 0, 9]).is_err());
 
         assert!(LoadMsg::decode(&[5]).is_err());
         assert!(CycleView::parse(&[0, 0, 65, 1]).is_err());
+        // A count chosen so that `head + per * count` wraps back to the
+        // real length must fail the length check, not reach `reserve`.
+        assert!(LoadMsg::decode(&[0, 1 << 63]).is_err());
+        assert!(ClaimsV2::decode_into(&[0, 1 << 63], &mut back).is_err());
+        assert!(OutcomesView::parse(&[0, 0, u64::MAX - 2]).is_err());
+    }
+
+    #[test]
+    fn claim_check_accepts_only_lists_a_boundary_channel_can_carry() {
+        // n = 16 sharded in four: shard 1 owns leaves 20..24, and its
+        // boundary channel has 16 >> 2 = 4 wires.
+        let ft = FatTree::new(16, CapacityProfile::FullDoubling);
+        let mut check = ClaimCheck::new(&ft, 2);
+        let claim = |wire, turn: u64, src: u64, dst: u64| {
+            ShardClaim::from_descriptor(7, wire, turn | src << 6 | dst << 34)
+        };
+        let good = [claim(0, 0, 21, 30), claim(3, 1, 22, 16)];
+        check.check(&good, 1, true).unwrap();
+        check
+            .check(&good, 1, true)
+            .expect("wires released after a list");
+        check.check(&good[..1], 3, false).unwrap();
+        for bad in [
+            claim(0, 0, 25, 30), // source under shard 2's node
+            claim(0, 0, 21, 40), // destination past the last leaf
+            claim(0, 2, 21, 23), // turns inside the shard
+            claim(0, 1, 21, 30), // descriptor names the wrong turn
+            claim(4, 0, 21, 30), // wire past the channel
+            claim(3, 0, 21, 30), // wire already held by `good[1]`
+        ] {
+            assert!(check.check(&[good[1], bad], 1, true).is_err(), "{bad:?}");
+        }
     }
 }

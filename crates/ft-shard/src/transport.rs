@@ -1,545 +1,187 @@
-//! Pluggable shard transports.
+//! The shard link: one channel transport, two ways to spawn what sits
+//! behind it.
 //!
 //! A [`Transport`] owns one duplex link per shard and moves whole frames
-//! (flat `u64` vectors, see [`crate::wire`]). Three implementations:
+//! (flat `u64` vectors, see [`crate::wire`]). A link is a pair of `mpsc`
+//! queues — requests to the shard, replies multiplexed onto one shared
+//! receive queue — and the two constructors differ only in who drains them:
 //!
-//! * [`InProcTransport`] — each shard is a thread running the worker loop,
-//!   linked by `mpsc` channels; what most tests use.
-//! * [`PipeTransport`] — each shard is a child *process* (`ftsim
+//! * [`Transport::inproc`] — each shard is a thread running the worker loop
+//!   ([`crate::worker::run_channel`]) straight on its queues; what most
+//!   tests, the CLI default and `benchmark/`'s `shard_run` use.
+//! * [`Transport::pipe`] — each shard is a child *process* (`ftsim
 //!   shard-worker`) speaking little-endian frames over stdin/stdout. A
-//!   writer thread per child absorbs pipe back-pressure so the coordinator
-//!   never blocks in `send`; a reader thread per child feeds the shared
-//!   receive queue so receives can time out; children are killed on drop,
-//!   so a wedged worker cannot outlive the coordinator.
-//! * [`ShmTransport`] — each shard is a thread, but the links are
-//!   zero-copy shared-memory rings (plain `Vec`-backed SPSC queues of
-//!   `AtomicU64` shared via `Arc`, no `memmap`): frames are written
-//!   word-by-word into the ring and read straight into the caller's
-//!   reusable buffer, so steady-state traffic allocates nothing on either
-//!   side. The layout (ring of `[len, words…]` records, acquire/release
-//!   head/tail, condvar doorbells) is exactly what an OS shared-memory
-//!   segment with futex doorbells would use — this is the in-process model
-//!   for that future transport.
+//!   writer thread per child drains the request queue into the pipe, so
+//!   pipe back-pressure never blocks the coordinator in `send`; a reader
+//!   thread per child feeds the shared receive queue, so receives can time
+//!   out. This is the only link that crosses a process boundary, and the
+//!   one frame-level fault injection ([`crate::fault`]) is meant to harden.
 //!
-//! Receives are *any-shard*: the coordinator multiplexes every link onto
-//! one queue and reacts to whichever worker answers first — the enabling
-//! primitive for the overlapped barrier. Every receive is bounded by a
-//! timeout; the coordinator's retry loop, not the transport, decides what
-//! a missed deadline means.
+//! One `Drop` reaps both: close the request queues, kill and wait the
+//! children (none in-process), join the threads — a wedged worker cannot
+//! outlive the coordinator.
+//!
+//! Receives are *any-shard*: the coordinator reacts to whichever worker
+//! answers first — the enabling primitive for the overlapped barrier. Every
+//! receive is bounded by a timeout (`Ok(None)`, not an error: the
+//! coordinator's retry loop, not the transport, decides what a missed
+//! deadline means); an `Err` says why the link is gone. Each frame hand-off
+//! costs one `Vec` (the queue owns what it carries); nothing else on the
+//! link allocates per frame, per cycle or per message
+//! (`tests/alloc_steady.rs`).
 
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// Transport-level failure.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TransportError {
-    /// No frame arrived within the timeout.
-    Timeout,
-    /// The link is gone (worker exited, pipe closed, spawn failed).
-    Closed(String),
-}
-
-impl std::fmt::Display for TransportError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TransportError::Timeout => write!(f, "receive timed out"),
-            TransportError::Closed(why) => write!(f, "link closed: {why}"),
-        }
-    }
-}
+use std::time::Duration;
 
 /// One duplex frame link per shard, multiplexed onto a single receive
 /// queue.
-pub trait Transport {
-    /// Number of shard links.
-    fn shards(&self) -> usize;
-    /// Deliver a frame to shard `shard`. The transport copies what it
-    /// needs; the caller keeps (and reuses) the buffer.
-    fn send(&mut self, shard: usize, frame: &[u64]) -> Result<(), TransportError>;
-    /// Next frame from *any* shard, written into `buf` (cleared first);
-    /// returns the shard it came from. Waits at most `timeout`.
-    fn recv_any(&mut self, timeout: Duration, buf: &mut Vec<u64>) -> Result<usize, TransportError>;
-    /// Human-readable transport name for reports.
-    fn name(&self) -> &'static str;
-}
-
-/// Worker threads linked by in-process channels.
-pub struct InProcTransport {
-    to_worker: Vec<Sender<Vec<u64>>>,
-    from_workers: Receiver<(usize, Vec<u64>)>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl InProcTransport {
-    /// Spawn `shards` worker threads running the standard worker loop.
-    pub fn spawn(shards: usize) -> Self {
-        let mut to_worker = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        let (resp_tx, resp_rx) = mpsc::channel::<(usize, Vec<u64>)>();
-        for s in 0..shards {
-            let (req_tx, req_rx) = mpsc::channel::<Vec<u64>>();
-            let tx = resp_tx.clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("ft-shard-worker-{s}"))
-                    .spawn(move || crate::worker::run_channel(s, req_rx, tx))
-                    .expect("spawn shard worker thread"),
-            );
-            to_worker.push(req_tx);
-        }
-        InProcTransport {
-            to_worker,
-            from_workers: resp_rx,
-            handles,
-        }
-    }
-}
-
-impl Transport for InProcTransport {
-    fn shards(&self) -> usize {
-        self.to_worker.len()
-    }
-
-    fn send(&mut self, shard: usize, frame: &[u64]) -> Result<(), TransportError> {
-        self.to_worker[shard]
-            .send(frame.to_vec())
-            .map_err(|_| TransportError::Closed("worker thread exited".into()))
-    }
-
-    fn recv_any(&mut self, timeout: Duration, buf: &mut Vec<u64>) -> Result<usize, TransportError> {
-        match self.from_workers.recv_timeout(timeout) {
-            Ok((shard, frame)) => {
-                buf.clear();
-                buf.extend_from_slice(&frame);
-                Ok(shard)
-            }
-            Err(RecvTimeoutError::Timeout) => Err(TransportError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(TransportError::Closed("all worker threads exited".into()))
-            }
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "inproc"
-    }
-}
-
-impl Drop for InProcTransport {
-    fn drop(&mut self) {
-        // Closing the request channels makes every worker loop exit; the
-        // joins then cannot block (workers only sleep for bounded fault
-        // delays).
-        self.to_worker.clear();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Child processes speaking length-prefixed frames over stdin/stdout.
-pub struct PipeTransport {
+pub struct Transport {
+    to_shard: Vec<Sender<Vec<u64>>>,
+    from_shards: Receiver<(usize, Vec<u64>)>,
+    /// Worker threads (in-process) or pipe writer + reader threads.
+    threads: Vec<JoinHandle<()>>,
+    /// Worker processes; empty in-process.
     children: Vec<Child>,
-    to_child: Vec<Sender<Vec<u64>>>,
-    from_workers: Receiver<(usize, Vec<u64>)>,
-    writers: Vec<JoinHandle<()>>,
-    readers: Vec<JoinHandle<()>>,
+    name: &'static str,
 }
 
-impl PipeTransport {
+impl Transport {
+    /// A transport with no links yet, and the reply sender its shards clone.
+    /// Links are pushed as they come up, so a constructor that fails half
+    /// way returns through `Drop` and leaves nothing running.
+    fn unlinked(name: &'static str) -> (Self, Sender<(usize, Vec<u64>)>) {
+        let (reply_tx, from_shards) = mpsc::channel();
+        let t = Transport {
+            to_shard: Vec::new(),
+            from_shards,
+            threads: Vec::new(),
+            children: Vec::new(),
+            name,
+        };
+        (t, reply_tx)
+    }
+
+    fn spawn_thread(
+        &mut self,
+        name: String,
+        body: impl FnOnce() + Send + 'static,
+    ) -> Result<(), String> {
+        let spawned = std::thread::Builder::new().name(name.clone()).spawn(body);
+        self.threads
+            .push(spawned.map_err(|e| format!("spawn thread {name}: {e}"))?);
+        Ok(())
+    }
+
+    /// Spawn `shards` worker threads running the standard worker loop.
+    pub fn inproc(shards: usize) -> Result<Self, String> {
+        let (mut t, reply_tx) = Transport::unlinked("inproc");
+        for s in 0..shards {
+            let (req_tx, req_rx) = mpsc::channel();
+            let tx = reply_tx.clone();
+            t.spawn_thread(format!("ft-shard-worker-{s}"), move || {
+                crate::worker::run_channel(s, req_rx, tx)
+            })?;
+            t.to_shard.push(req_tx);
+        }
+        Ok(t)
+    }
+
     /// Spawn one worker process per shard: `cmd[0]` is the executable,
     /// `cmd[1..]` its arguments (typically `[ftsim, "shard-worker"]`).
-    pub fn spawn(cmd: &[String], shards: usize) -> Result<Self, TransportError> {
-        if cmd.is_empty() {
-            return Err(TransportError::Closed("empty worker command".into()));
-        }
-        let mut children = Vec::with_capacity(shards);
-        let mut to_child = Vec::with_capacity(shards);
-        let mut writers = Vec::with_capacity(shards);
-        let mut readers = Vec::with_capacity(shards);
-        let (resp_tx, resp_rx) = mpsc::channel::<(usize, Vec<u64>)>();
+    pub fn pipe(cmd: &[String], shards: usize) -> Result<Self, String> {
+        let Some((exe, args)) = cmd.split_first() else {
+            return Err("empty worker command".into());
+        };
+        let (mut t, reply_tx) = Transport::unlinked("pipe");
         for s in 0..shards {
-            let mut child = Command::new(&cmd[0])
-                .args(&cmd[1..])
+            let mut child = Command::new(exe)
+                .args(args)
                 .stdin(Stdio::piped())
                 .stdout(Stdio::piped())
                 .stderr(Stdio::inherit())
                 .spawn()
-                .map_err(|e| TransportError::Closed(format!("spawn {}: {e}", cmd[0])))?;
+                .map_err(|e| format!("spawn {exe}: {e}"))?;
+            // Cannot fail: both were requested as `Stdio::piped()` above.
             let mut child_in = child.stdin.take().expect("piped stdin");
             let mut child_out = child.stdout.take().expect("piped stdout");
-            let (req_tx, req_rx): (Sender<Vec<u64>>, Receiver<Vec<u64>>) = mpsc::channel();
+            t.children.push(child);
+            let (req_tx, req_rx) = mpsc::channel::<Vec<u64>>();
             // The writer thread absorbs pipe back-pressure: the
             // coordinator's `send` only enqueues, so a slow or wedged
             // child can never stall the event loop mid-cycle.
-            writers.push(
-                std::thread::Builder::new()
-                    .name(format!("ft-shard-pipe-writer-{s}"))
-                    .spawn(move || {
-                        let mut bytes = Vec::new();
-                        while let Ok(frame) = req_rx.recv() {
-                            if crate::wire::write_frame_buf(&mut child_in, &frame, &mut bytes)
-                                .is_err()
-                            {
-                                break;
-                            }
-                        }
-                        // Dropping `child_in` here closes the child's
-                        // stdin: a clean EOF at the next frame boundary.
-                    })
-                    .expect("spawn pipe writer thread"),
-            );
-            let tx = resp_tx.clone();
-            readers.push(
-                std::thread::Builder::new()
-                    .name(format!("ft-shard-pipe-reader-{s}"))
-                    .spawn(move || {
-                        // Exits on EOF, stream error, or the receiver side
-                        // hanging up — all of which end the link.
-                        while let Ok(Some(frame)) = crate::wire::read_frame(&mut child_out) {
-                            if tx.send((s, frame)).is_err() {
-                                break;
-                            }
-                        }
-                    })
-                    .expect("spawn pipe reader thread"),
-            );
-            children.push(child);
-            to_child.push(req_tx);
+            t.spawn_thread(format!("ft-shard-pipe-writer-{s}"), move || {
+                let mut bytes = Vec::new();
+                while let Ok(frame) = req_rx.recv() {
+                    if crate::wire::write_frame_buf(&mut child_in, &frame, &mut bytes).is_err() {
+                        break;
+                    }
+                }
+                // Dropping `child_in` here closes the child's stdin: a
+                // clean EOF at the next frame boundary.
+            })?;
+            let tx = reply_tx.clone();
+            t.spawn_thread(format!("ft-shard-pipe-reader-{s}"), move || {
+                // Exits on EOF, stream error, or the receiver side hanging
+                // up — all of which end the link.
+                while let Ok(Some(frame)) = crate::wire::read_frame(&mut child_out) {
+                    if tx.send((s, frame)).is_err() {
+                        break;
+                    }
+                }
+            })?;
+            t.to_shard.push(req_tx);
         }
-        Ok(PipeTransport {
-            children,
-            to_child,
-            from_workers: resp_rx,
-            writers,
-            readers,
-        })
-    }
-}
-
-impl Transport for PipeTransport {
-    fn shards(&self) -> usize {
-        self.children.len()
+        Ok(t)
     }
 
-    fn send(&mut self, shard: usize, frame: &[u64]) -> Result<(), TransportError> {
-        self.to_child[shard]
+    /// Deliver a frame to shard `shard`. The queue takes its own copy; the
+    /// caller keeps (and reuses) the buffer.
+    pub fn send(&mut self, shard: usize, frame: &[u64]) -> Result<(), String> {
+        self.to_shard[shard]
             .send(frame.to_vec())
-            .map_err(|_| TransportError::Closed("worker stdin writer exited".into()))
+            .map_err(|_| format!("link closed: {} worker {shard} exited", self.name))
     }
 
-    fn recv_any(&mut self, timeout: Duration, buf: &mut Vec<u64>) -> Result<usize, TransportError> {
-        match self.from_workers.recv_timeout(timeout) {
+    /// Next frame from *any* shard, moved into `buf`; returns the shard it
+    /// came from, or `None` when `timeout` passed with nothing to read.
+    pub fn recv_any(
+        &mut self,
+        timeout: Duration,
+        buf: &mut Vec<u64>,
+    ) -> Result<Option<usize>, String> {
+        match self.from_shards.recv_timeout(timeout) {
             Ok((shard, frame)) => {
-                buf.clear();
-                buf.extend_from_slice(&frame);
-                Ok(shard)
+                *buf = frame;
+                Ok(Some(shard))
             }
-            Err(RecvTimeoutError::Timeout) => Err(TransportError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(TransportError::Closed(
-                "all worker processes closed their pipes".into(),
-            )),
+            Err(RecvTimeoutError::Timeout) => Ok(None),
+            Err(RecvTimeoutError::Disconnected) => {
+                Err(format!("link closed: every {} worker hung up", self.name))
+            }
         }
     }
 
-    fn name(&self) -> &'static str {
-        "pipe"
+    /// Human-readable transport name for reports (`"inproc"` / `"pipe"`).
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 }
 
-impl Drop for PipeTransport {
+impl Drop for Transport {
     fn drop(&mut self) {
-        // Closing the request queues lets each writer drain and close the
-        // child's stdin; the kill guarantees no orphan (and no writer
-        // blocked on a full pipe to a dead child) survives.
-        self.to_child.clear();
+        // Closing the request queues ends every in-process worker loop and
+        // lets each pipe writer drain and close its child's stdin; the kill
+        // guarantees no orphan (and no writer blocked on a full pipe to a
+        // dead child) survives. After that no join can block: workers only
+        // sleep for bounded fault delays, readers see EOF.
+        self.to_shard.clear();
         for child in &mut self.children {
             let _ = child.kill();
             let _ = child.wait();
         }
-        for h in self.writers.drain(..) {
-            let _ = h.join();
-        }
-        for h in self.readers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// A mutex/condvar doorbell. Producers publish to the ring *first*, then
-/// ring the bell while holding the mutex — a waiter is therefore either
-/// still before its re-check (and will see the data) or already parked
-/// (and will be woken), so no wakeup is ever lost.
-struct Bell {
-    m: Mutex<()>,
-    cv: Condvar,
-}
-
-impl Bell {
-    fn new() -> Self {
-        Bell {
-            m: Mutex::new(()),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn ring(&self) {
-        let _g = self.m.lock().unwrap();
-        self.cv.notify_all();
-    }
-}
-
-/// One direction of a shared-memory link: an SPSC ring of `u64` words
-/// holding `[len, words…]` records. `head`/`tail` are monotonically
-/// increasing word counts (masked on access); a record becomes visible
-/// only when the producer's release-store of `tail` publishes it whole,
-/// so the consumer never observes a partial frame.
-struct Ring {
-    buf: Box<[AtomicU64]>,
-    mask: usize,
-    head: AtomicUsize,
-    tail: AtomicUsize,
-}
-
-impl Ring {
-    fn new(words_pow2: usize) -> Self {
-        debug_assert!(words_pow2.is_power_of_two());
-        let buf: Box<[AtomicU64]> = (0..words_pow2).map(|_| AtomicU64::new(0)).collect();
-        Ring {
-            mask: words_pow2 - 1,
-            buf,
-            head: AtomicUsize::new(0),
-            tail: AtomicUsize::new(0),
-        }
-    }
-
-    /// Producer side. Returns false when the ring lacks space (caller
-    /// waits on the space doorbell and retries).
-    fn try_push(&self, frame: &[u64]) -> bool {
-        let needed = frame.len() + 1;
-        debug_assert!(needed <= self.buf.len(), "frame exceeds ring capacity");
-        let head = self.head.load(Ordering::Acquire);
-        let tail = self.tail.load(Ordering::Relaxed);
-        if self.buf.len() - (tail - head) < needed {
-            return false;
-        }
-        self.buf[tail & self.mask].store(frame.len() as u64, Ordering::Relaxed);
-        for (i, &w) in frame.iter().enumerate() {
-            self.buf[(tail + 1 + i) & self.mask].store(w, Ordering::Relaxed);
-        }
-        self.tail.store(tail + needed, Ordering::Release);
-        true
-    }
-
-    /// Consumer side: pops the next record into `buf` (cleared first).
-    /// Allocation-free once `buf` has grown to the largest frame.
-    fn try_pop(&self, buf: &mut Vec<u64>) -> bool {
-        let tail = self.tail.load(Ordering::Acquire);
-        let head = self.head.load(Ordering::Relaxed);
-        if tail == head {
-            return false;
-        }
-        let len = self.buf[head & self.mask].load(Ordering::Relaxed) as usize;
-        buf.clear();
-        buf.reserve(len);
-        for i in 0..len {
-            buf.push(self.buf[(head + 1 + i) & self.mask].load(Ordering::Relaxed));
-        }
-        self.head.store(head + 1 + len, Ordering::Release);
-        true
-    }
-}
-
-/// One shard's duplex shared-memory link.
-struct ShmLink {
-    /// Coordinator → worker ring and its data doorbell (worker waits).
-    c2w: Ring,
-    c2w_bell: Bell,
-    /// Space doorbell for `c2w` (coordinator waits when the ring is full;
-    /// the worker rings it after consuming).
-    c2w_space: Bell,
-    /// Worker → coordinator ring. Its data doorbell is the transport-wide
-    /// `coord_bell`; its space doorbell is here (worker waits when full).
-    w2c: Ring,
-    w2c_space: Bell,
-}
-
-struct ShmShared {
-    links: Vec<ShmLink>,
-    /// Rung by any worker after publishing a reply — the coordinator's
-    /// single any-shard wakeup.
-    coord_bell: Bell,
-    closed: AtomicBool,
-}
-
-/// Worker threads linked by zero-copy shared-memory rings.
-pub struct ShmTransport {
-    shared: Arc<ShmShared>,
-    handles: Vec<JoinHandle<()>>,
-    /// Round-robin scan cursor so a chatty shard cannot starve the rest.
-    scan: usize,
-}
-
-/// How long a parked side sleeps between re-checks even if nobody rings —
-/// a backstop against missed shutdowns, not the normal wake path.
-const SHM_PARK: Duration = Duration::from_millis(10);
-
-impl ShmTransport {
-    /// Spawn `shards` worker threads linked by rings of `ring_words` words
-    /// each way (rounded up to a power of two, floor 4096). The ring must
-    /// hold the largest single frame — size it from the workload (the
-    /// coordinator uses ~6 words per message plus slack).
-    pub fn spawn(shards: usize, ring_words: usize) -> Self {
-        let words = ring_words.next_power_of_two().max(4096);
-        let links = (0..shards)
-            .map(|_| ShmLink {
-                c2w: Ring::new(words),
-                c2w_bell: Bell::new(),
-                c2w_space: Bell::new(),
-                w2c: Ring::new(words),
-                w2c_space: Bell::new(),
-            })
-            .collect();
-        let shared = Arc::new(ShmShared {
-            links,
-            coord_bell: Bell::new(),
-            closed: AtomicBool::new(false),
-        });
-        let handles = (0..shards)
-            .map(|s| {
-                let sh = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("ft-shard-shm-worker-{s}"))
-                    .spawn(move || run_shm_worker(sh, s))
-                    .expect("spawn shm worker thread")
-            })
-            .collect();
-        ShmTransport {
-            shared,
-            handles,
-            scan: 0,
-        }
-    }
-}
-
-/// Push with back-pressure: wait on `space` until the ring accepts the
-/// frame or the transport closes.
-fn push_wait(ring: &Ring, frame: &[u64], space: &Bell, closed: &AtomicBool) -> bool {
-    loop {
-        if ring.try_push(frame) {
-            return true;
-        }
-        if closed.load(Ordering::Relaxed) {
-            return false;
-        }
-        let g = space.m.lock().unwrap();
-        if ring.try_push(frame) {
-            return true;
-        }
-        let _ = space.cv.wait_timeout(g, SHM_PARK).unwrap();
-    }
-}
-
-/// The shared-memory worker loop: pop a request, step the core, publish
-/// the replies, ring the coordinator.
-fn run_shm_worker(shared: Arc<ShmShared>, shard: usize) {
-    let mut core = crate::worker::WorkerCore::new();
-    let mut buf = Vec::new();
-    let link = &shared.links[shard];
-    loop {
-        // Wait for a request.
-        loop {
-            if link.c2w.try_pop(&mut buf) {
-                link.c2w_space.ring();
-                break;
-            }
-            if shared.closed.load(Ordering::Relaxed) {
-                return;
-            }
-            let g = link.c2w_bell.m.lock().unwrap();
-            if link.c2w.try_pop(&mut buf) {
-                drop(g);
-                link.c2w_space.ring();
-                break;
-            }
-            let _ = link.c2w_bell.cv.wait_timeout(g, SHM_PARK).unwrap();
-        }
-        let (replies, quit) = core.step(&buf);
-        for f in replies {
-            if !push_wait(&link.w2c, f, &link.w2c_space, &shared.closed) {
-                return;
-            }
-            shared.coord_bell.ring();
-        }
-        if quit {
-            return;
-        }
-    }
-}
-
-impl Transport for ShmTransport {
-    fn shards(&self) -> usize {
-        self.shared.links.len()
-    }
-
-    fn send(&mut self, shard: usize, frame: &[u64]) -> Result<(), TransportError> {
-        let link = &self.shared.links[shard];
-        if !push_wait(&link.c2w, frame, &link.c2w_space, &self.shared.closed) {
-            return Err(TransportError::Closed("shm transport closed".into()));
-        }
-        link.c2w_bell.ring();
-        Ok(())
-    }
-
-    fn recv_any(&mut self, timeout: Duration, buf: &mut Vec<u64>) -> Result<usize, TransportError> {
-        let deadline = Instant::now() + timeout;
-        let n = self.shared.links.len();
-        loop {
-            for k in 0..n {
-                let s = (self.scan + k) % n;
-                if self.shared.links[s].w2c.try_pop(buf) {
-                    self.shared.links[s].w2c_space.ring();
-                    self.scan = s + 1;
-                    return Ok(s);
-                }
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(TransportError::Timeout);
-            }
-            let g = self.shared.coord_bell.m.lock().unwrap();
-            // Re-check under the bell mutex: a producer publishing now
-            // must either be seen here or wake us below.
-            let ready = (0..n).any(|s| {
-                let l = &self.shared.links[s];
-                l.w2c.tail.load(Ordering::Acquire) != l.w2c.head.load(Ordering::Relaxed)
-            });
-            if !ready {
-                let wait = (deadline - now).min(SHM_PARK);
-                let _ = self.shared.coord_bell.cv.wait_timeout(g, wait).unwrap();
-            }
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "shm"
-    }
-}
-
-impl Drop for ShmTransport {
-    fn drop(&mut self) {
-        self.shared.closed.store(true, Ordering::Relaxed);
-        for l in &self.shared.links {
-            l.c2w_bell.ring();
-            l.c2w_space.ring();
-            l.w2c_space.ring();
-        }
-        self.shared.coord_bell.ring();
-        for h in self.handles.drain(..) {
+        for h in self.threads.drain(..) {
             let _ = h.join();
         }
     }
@@ -550,42 +192,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ring_roundtrips_and_reports_full() {
-        let r = Ring::new(16);
-        assert!(r.try_push(&[1, 2, 3]));
-        assert!(r.try_push(&[4]));
-        let mut buf = Vec::new();
-        assert!(r.try_pop(&mut buf));
-        assert_eq!(buf, vec![1, 2, 3]);
-        assert!(r.try_pop(&mut buf));
-        assert_eq!(buf, vec![4]);
-        assert!(!r.try_pop(&mut buf), "empty ring pops nothing");
-        // 15-word frame needs 16 slots: fits an empty 16-ring exactly.
-        assert!(r.try_push(&(0..15).collect::<Vec<u64>>()));
-        assert!(!r.try_push(&[9]), "full ring refuses");
-        assert!(r.try_pop(&mut buf));
-        assert_eq!(buf.len(), 15);
-    }
-
-    #[test]
-    fn ring_wraps_across_the_boundary() {
-        let r = Ring::new(8);
-        let mut buf = Vec::new();
-        // Advance head/tail so records straddle the physical end.
-        for round in 0..10u64 {
-            assert!(r.try_push(&[round, round + 100, round + 200]));
-            assert!(r.try_pop(&mut buf));
-            assert_eq!(buf, vec![round, round + 100, round + 200]);
-        }
-    }
-
-    #[test]
-    fn shm_transport_echoes_through_worker() {
-        // A real worker behind the rings: INIT must come back as InitAck.
+    fn inproc_transport_echoes_through_worker() {
+        // A real worker behind the queues: INIT must come back as InitAck,
+        // tagged with the link it was sent on.
         use crate::fault::FaultPlan;
         use crate::proto::InitMsg;
         use crate::wire::{self, FrameKind};
-        let mut t = ShmTransport::spawn(2, 1 << 12);
+        let mut t = Transport::inproc(2).unwrap();
+        assert_eq!(t.name(), "inproc");
         let init = InitMsg {
             n: 16,
             boundary: 1,
@@ -599,9 +213,12 @@ mod tests {
         t.send(1, &frame).unwrap();
         let mut buf = Vec::new();
         let s = t.recv_any(Duration::from_secs(5), &mut buf).unwrap();
-        assert_eq!(s, 1);
+        assert_eq!(s, Some(1));
         let f = wire::decode(&buf).unwrap();
         assert_eq!(f.kind, FrameKind::InitAck);
         assert_eq!(f.shard, 1);
+        // Nothing else is in flight: a bounded wait, not a hang.
+        let idle = t.recv_any(Duration::from_millis(5), &mut buf);
+        assert_eq!(idle, Ok(None));
     }
 }

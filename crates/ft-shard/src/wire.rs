@@ -222,15 +222,9 @@ pub fn decode(words: &[u64]) -> Result<Frame<'_>, WireError> {
     })
 }
 
-/// Write a frame as little-endian bytes (the pipe transport's encoding).
-pub fn write_frame<W: std::io::Write>(w: &mut W, words: &[u64]) -> std::io::Result<()> {
-    let mut bytes = Vec::with_capacity(words.len() * 8);
-    write_frame_buf(w, words, &mut bytes)
-}
-
-/// [`write_frame`] through a caller-owned scratch buffer, so a transport
-/// thread streaming many frames byte-encodes them without per-frame
-/// allocation.
+/// Write a frame as little-endian bytes (the pipe link's encoding) through
+/// a caller-owned scratch buffer, so a transport thread streaming many
+/// frames byte-encodes them without per-frame allocation.
 pub fn write_frame_buf<W: std::io::Write>(
     w: &mut W,
     words: &[u64],
@@ -266,6 +260,7 @@ pub fn read_frame<R: std::io::Read>(r: &mut R) -> std::io::Result<Option<Vec<u64
         0 => return Ok(None),
         _ => r.read_exact(&mut head[1..])?,
     }
+    // Cannot fail: `head` is 16 bytes, so each half is exactly a `[u8; 8]`.
     let w0 = u64::from_le_bytes(head[..8].try_into().unwrap());
     let len = u64::from_le_bytes(head[8..].try_into().unwrap());
     if w0 >> 48 != MAGIC {
@@ -285,6 +280,7 @@ pub fn read_frame<R: std::io::Read>(r: &mut R) -> std::io::Result<Option<Vec<u64
         words.extend(
             chunk[..take]
                 .chunks_exact(8)
+                // Cannot fail: `chunks_exact(8)` yields 8-byte slices only.
                 .map(|c| u64::from_le_bytes(c.try_into().unwrap())),
         );
         left -= take;
@@ -355,8 +351,8 @@ mod tests {
         let a = encode(FrameKind::Cycle, 1, 1, &[10, 20]);
         let b = encode(FrameKind::Shutdown, 1, 2, &[]);
         let mut buf = Vec::new();
-        write_frame(&mut buf, &a).unwrap();
-        write_frame(&mut buf, &b).unwrap();
+        write_frame_buf(&mut buf, &a, &mut Vec::new()).unwrap();
+        write_frame_buf(&mut buf, &b, &mut Vec::new()).unwrap();
         let mut r = &buf[..];
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), a);
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b);
@@ -391,8 +387,8 @@ mod tests {
             let payload: Vec<u64> = (0..len as u64).map(|i| i.wrapping_mul(MAGIC)).collect();
             let frame = encode(FrameKind::Load, 2, 7, &payload);
             let mut bytes = Vec::new();
-            write_frame(&mut bytes, &frame).unwrap();
-            write_frame(&mut bytes, &frame).unwrap();
+            write_frame_buf(&mut bytes, &frame, &mut Vec::new()).unwrap();
+            write_frame_buf(&mut bytes, &frame, &mut Vec::new()).unwrap();
             let mut r = CountingReader(&bytes, 0);
             assert_eq!(read_frame(&mut r).unwrap().unwrap(), frame, "len={len}");
             // Two header reads (first byte, rest), then the body.

@@ -1,12 +1,12 @@
 //! The shard worker: one subtree's half of the cycle protocol.
 //!
 //! A worker is a pure request/response state machine over frames — the same
-//! [`WorkerCore`] runs as a thread behind channels
-//! ([`crate::transport::InProcTransport`]), behind the shared-memory rings
-//! ([`crate::transport::ShmTransport`]), or as a child process behind pipes
-//! (`ftsim shard-worker`). It holds the shard's [`SimArena`] between the up
-//! and down phases of a cycle, so suspended root-crossers keep their slots
-//! while the coordinator arbitrates the top.
+//! [`WorkerCore`] runs as a thread on the link's queues ([`run_channel`],
+//! [`crate::transport::Transport::inproc`]) or as a child process on
+//! stdin/stdout ([`run_pipe`], `ftsim shard-worker`,
+//! [`crate::transport::Transport::pipe`]). It holds the shard's
+//! [`SimArena`] between the up and down phases of a cycle, so suspended
+//! root-crossers keep their slots while the coordinator arbitrates the top.
 //!
 //! The worker also *retains the shard's pending set*: `Load` ships the
 //! messages once, and each `Cycle` request carries only the arbitration
@@ -25,11 +25,16 @@
 //! predecessor will be retransmitted and order restored); anything further
 //! ahead is an unrecoverable desync. Corrupted requests are dropped
 //! silently — the coordinator's timeout owns recovery.
+//!
+//! A frame that passes its checksum is still bytes this process did not
+//! write: every value that would index, shift, size or assert inside the
+//! arena is checked first, and a request that fails answers an `Error`
+//! frame ([`ERR_BAD_PAYLOAD`]). No request can panic [`WorkerCore::step`].
 
 use crate::fault::{FaultPlan, FaultState, SendFate};
 use crate::proto::{
-    ClaimsV2, CycleView, InitMsg, LoadMsg, OutcomesMsg, ERR_BAD_PAYLOAD, ERR_NOT_LOADED,
-    ERR_SEQ_DESYNC, ERR_UNINITIALIZED,
+    ClaimCheck, ClaimsV2, CycleView, InitMsg, LoadMsg, OutcomesView, ERR_BAD_PAYLOAD,
+    ERR_NOT_LOADED, ERR_SEQ_DESYNC, ERR_UNINITIALIZED,
 };
 use crate::wire::{self, Frame, FrameKind};
 use ft_core::{FatTree, Message};
@@ -62,9 +67,12 @@ struct ShardState {
     claims: Vec<ShardClaim>,
     /// Retained pending set (`Load` received), FIFO in load order.
     loaded: bool,
+    /// An up phase ran and its down phase has not: the one state in which
+    /// `Incoming2` may append to the arena.
+    up_done: bool,
     pending_msgs: Vec<Message>,
     /// Stable per-message keys: each pending message's *original* id (its
-    /// position at `Load` time), parallel to `pending_msgs`.
+    /// position in the `Load` frame), parallel to `pending_msgs`.
     orig_ids: Vec<u32>,
     /// This cycle's arbitration ids (positions in the coordinator's
     /// compacted pending array, from the `Cycle` remap), parallel to
@@ -74,10 +82,12 @@ struct ShardState {
     /// the next `Cycle` verdict bitmap retires.
     exported_orig: Vec<u32>,
     /// `pend_flag[orig]` — original id currently in this shard's pending
-    /// set. Sized by the coordinator-global message count from `Load`.
+    /// set. One flag per loaded message.
     pend_flag: Vec<bool>,
-    /// Decode scratch for `Incoming2`.
+    /// Decode scratch for `Incoming2`, and the gate it passes before the
+    /// arena sees it.
     incoming: Vec<ShardClaim>,
+    check: ClaimCheck,
     /// Remembered from INIT so `step` can (re)arm fault injection.
     plan: FaultPlan,
     shard_idx: u32,
@@ -268,9 +278,11 @@ impl WorkerCore {
                     sim: init.sim,
                     boundary: init.boundary,
                     arena,
+                    check: ClaimCheck::new(&ft, init.boundary),
                     ft,
                     claims: Vec::new(),
                     loaded: false,
+                    up_done: false,
                     pending_msgs: Vec::new(),
                     orig_ids: Vec::new(),
                     cur_ids: Vec::new(),
@@ -294,22 +306,29 @@ impl WorkerCore {
                     Ok(l) => l,
                     Err(_) => return error(compose, ERR_BAD_PAYLOAD),
                 };
-                st.pend_flag.clear();
-                st.pend_flag.resize(load.total as usize, false);
-                for &id in &load.ids {
-                    if (id as usize) < st.pend_flag.len() {
-                        st.pend_flag[id as usize] = true;
-                    }
+                // The up passes index per-leaf and per-node tables by these
+                // endpoints: both on the tree, the source under this
+                // shard's boundary node.
+                let (n, check, me) = (st.ft.n(), &st.check, st.shard_idx);
+                let inside =
+                    |m: &Message| m.src.0 < n && m.dst.0 < n && check.owns(me, n + m.src.0);
+                if !load.msgs.iter().all(inside) {
+                    return error(compose, ERR_BAD_PAYLOAD);
                 }
-                // Before the first compaction, this cycle's ids ARE the
-                // original ids.
+                // Keyed by position in this frame, not by the wire's ids:
+                // the table is as long as what arrived. The first `Cycle`
+                // remap supplies the arbitration ids.
+                let count = load.msgs.len();
+                st.pend_flag.clear();
+                st.pend_flag.resize(count, true);
+                st.orig_ids.clear();
+                st.orig_ids.extend(0..count as u32);
                 st.cur_ids.clear();
-                st.cur_ids.extend_from_slice(&load.ids);
-                st.orig_ids = load.ids;
                 st.pending_msgs = load.msgs;
                 st.claims.clear();
                 st.exported_orig.clear();
                 st.loaded = true;
+                st.up_done = false;
                 wire::begin_frame(compose, FrameKind::LoadAck, shard, seq);
                 wire::end_frame(compose);
                 false
@@ -353,9 +372,12 @@ impl WorkerCore {
                 if cv.nids as usize != w {
                     return error(compose, ERR_BAD_PAYLOAD);
                 }
+                // Ascending, as positions in the coordinator's array are: the
+                // export walk below and the settle's binary search lean on it.
                 st.cur_ids.clear();
-                for i in 0..w {
-                    st.cur_ids.push(cv.id(i));
+                st.cur_ids.extend((0..w).map(|i| cv.id(i)));
+                if st.cur_ids.windows(2).any(|p| p[0] >= p[1]) {
+                    return error(compose, ERR_BAD_PAYLOAD);
                 }
                 st.cycle_cfg = st.sim;
                 if let Arbitration::Random(_) = st.sim.arbitration {
@@ -372,6 +394,7 @@ impl WorkerCore {
                     &mut st.claims,
                 );
                 let ns = t0.elapsed().as_nanos() as u64;
+                st.up_done = true;
                 // Remember which originals we exported: claims and
                 // `cur_ids` are both ascending, so one merge walk maps
                 // arbitration id → pending position → original id.
@@ -393,8 +416,14 @@ impl WorkerCore {
                     Some(s) => s,
                     None => return error(compose, ERR_UNINITIALIZED),
                 };
+                // A second descent would re-enter the first one's claims.
+                if !std::mem::take(&mut st.up_done) {
+                    return error(compose, ERR_NOT_LOADED);
+                }
                 st.incoming.clear();
-                if ClaimsV2::decode_into(frame.payload, &mut st.incoming).is_err() {
+                if ClaimsV2::decode_into(frame.payload, &mut st.incoming).is_err()
+                    || st.check.check(&st.incoming, st.shard_idx, false).is_err()
+                {
                     return error(compose, ERR_BAD_PAYLOAD);
                 }
                 let t0 = Instant::now();
@@ -414,7 +443,7 @@ impl WorkerCore {
                     }
                 }
                 wire::begin_frame(compose, FrameKind::Outcomes, shard, seq);
-                OutcomesMsg::encode_into(compose, ns, stats.ticks, st.arena.delivered_ids());
+                OutcomesView::encode_into(compose, ns, stats.ticks, st.arena.delivered_ids());
                 wire::end_frame(compose);
                 false
             }
@@ -435,7 +464,7 @@ impl Default for WorkerCore {
     }
 }
 
-/// Worker loop over in-process channels ([`crate::transport::InProcTransport`]).
+/// Worker loop on the link's queues ([`crate::transport::Transport::inproc`]).
 /// Replies are tagged with the shard's link index so the coordinator can
 /// multiplex every worker onto one receive queue. Exits when the request
 /// channel closes, the response channel closes, or a shutdown is
@@ -638,6 +667,80 @@ mod tests {
         let f = wire::decode(&out[0]).unwrap();
         assert_eq!(f.kind, FrameKind::Error);
         assert_eq!(f.payload, &[ERR_SEQ_DESYNC]);
+    }
+
+    /// Play `script` to one fresh worker, seq 0 upward: each request must
+    /// answer an `Error` frame carrying its code, or (code 0) any other kind.
+    fn play(script: &[(FrameKind, &[u64], u64)]) {
+        let mut core = WorkerCore::new();
+        for (seq, &(kind, p, code)) in script.iter().enumerate() {
+            let (out, quit) = core.step(&wire::encode(kind, 0, seq as u32, p));
+            let f = wire::decode(&out[0]).unwrap();
+            let refused = f.kind == FrameKind::Error && f.payload == [code];
+            assert!(
+                !quit && refused == (code != 0),
+                "{seq}: {kind:?} {p:?} -> {f:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn checksummed_nonsense_is_refused_not_run() {
+        use FrameKind::{Cycle, Incoming2, Init, Load};
+        // Every INIT here panicked the worker (tree or arena assertion,
+        // `capacity overflow`) before `InitMsg::decode` validated it.
+        let pristine = init_frame(0);
+        let with = |at: usize, v: u64| {
+            let mut p = wire::decode(&pristine).unwrap().payload.to_vec();
+            p[at] = v;
+            p
+        };
+        let table = |caps: &[u64]| {
+            let mut p = with(14, 3)[..17].to_vec();
+            p[15] = caps.len() as u64;
+            p.extend_from_slice(caps);
+            p
+        };
+        let mut bad: Vec<Vec<u64>> = [0, 1, 100, 1 << 27, (1 << 32) + 16]
+            .map(|n| with(0, n))
+            .into();
+        bad.extend([
+            with(1, 40),
+            with(2, 2 | 2 << 32),
+            with(7, f64::NAN.to_bits()),
+        ]);
+        // A per-level table one short of lg n + 1 entries, one holding a
+        // zero, and (profile 1 reads word 15) a constant capacity of 2^40.
+        bad.extend([table(&[8, 4, 2, 1]), table(&[8, 4, 2, 0, 1])]);
+        bad.push(with(14, 1));
+        bad.last_mut().unwrap()[15] = 1 << 40;
+        for p in &bad {
+            play(&[(Init, p, ERR_BAD_PAYLOAD)]);
+        }
+
+        // Shard 0 of two on 16 leaves owns processors 0..8, leaves 16..24.
+        let mut load = Vec::new();
+        let msgs = [Message::new(0, 9), Message::new(1, 8)];
+        LoadMsg::encode_into(&mut load, u32::MAX, &[7, 9], &msgs);
+        let (mut unsorted, mut sorted) = (Vec::new(), Vec::new());
+        CycleView::encode_into(&mut unsorted, 0, 0, 0, &[], &[5, 5]);
+        CycleView::encode_into(&mut sorted, 0, 0, 0, &[], &[0, 1]);
+        play(&[
+            (Init, &table(&[8, 4, 2, 1, 1]), 0),
+            // A count that wraps the length check, a source in the other
+            // shard, a destination off the tree.
+            (Load, &[0, 1 << 63], ERR_BAD_PAYLOAD),
+            (Load, &[1, 1, 0, 9 << 32 | 1], ERR_BAD_PAYLOAD),
+            (Load, &[1, 1, 0, 1 << 32 | 16], ERR_BAD_PAYLOAD),
+            // A global count of u32::MAX is accepted and sizes nothing.
+            (Load, &load, 0),
+            (Incoming2, &[0, 0], ERR_NOT_LOADED),
+            (Cycle, &unsorted, ERR_BAD_PAYLOAD),
+            (Cycle, &sorted, 0),
+            // An incoming claim bound for leaf 25, the other shard's: the
+            // down pass would index past this shard's slot table.
+            (Incoming2, &[0, 1, 0, 25 << 34 | 16 << 6], ERR_BAD_PAYLOAD),
+        ]);
     }
 
     #[test]

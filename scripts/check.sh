@@ -112,13 +112,13 @@ case "$shard_json" in
      exit 1 ;;
 esac
 
-echo "==> ftsim shard shm smoke (shared-memory rings)"
-shm_json="$(cargo run --release --quiet --bin ftsim -- \
-  shard --n 64 --w 16 --workload perm --shards 4 --transport shm --format json)"
-case "$shm_json" in
-  '{"schema":"ftsim-shard/v1"'*'"transport":"shm"'*'"matches_single_arena":true'*'"merge_ns":'*'}') ;;
-  *) echo "ftsim shard --transport shm emitted an unexpected document" >&2
-     echo "$shm_json" >&2
+echo "==> ftsim shard pipe smoke (worker processes)"
+pipe_json="$(cargo run --release --quiet --bin ftsim -- \
+  shard --n 64 --w 16 --workload perm --shards 4 --transport pipe --format json)"
+case "$pipe_json" in
+  '{"schema":"ftsim-shard/v1"'*'"transport":"pipe"'*'"matches_single_arena":true'*'"merge_ns":'*'}') ;;
+  *) echo "ftsim shard --transport pipe emitted an unexpected document" >&2
+     echo "$pipe_json" >&2
      exit 1 ;;
 esac
 

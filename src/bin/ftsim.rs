@@ -11,7 +11,7 @@
 //! ftsim trace      --n 64 --workload perm [--engine online|simulate|schedule]
 //!                  [--events 4096] [--format jsonl|csv] [--verify 1]
 //! ftsim shard      --n 256 --w 64 --workload perm --shards 4
-//!                  [--transport inproc|shm|pipe] [--drop 0.1] [--dup 0.1]
+//!                  [--transport inproc|pipe] [--drop 0.1] [--dup 0.1]
 //!                  [--corrupt 0.1] [--delay-ms 5] [--fault-seed 7]
 //!                  [--timeout-ms 5000] [--retries 4] [--format text|json]
 //!                  [--metrics-addr HOST:PORT]
@@ -67,12 +67,12 @@
 //! from one engine in a ring buffer and writes them as JSONL or CSV;
 //! `--verify 1` re-parses the JSONL and fails on any mismatch (with any
 //! output format). `shard` runs the workload through the distributed
-//! sharded engine — worker threads over channels (`--transport inproc`)
-//! or zero-copy shared-memory rings (`--transport shm`), or worker
-//! processes speaking frames over pipes (`--transport pipe`), optionally
-//! under injected frame faults — and checks the result is byte-identical
-//! to the single-arena engine. The internal `shard-worker` command is what
-//! `--transport pipe` spawns; it is not for interactive use.
+//! sharded engine — one frame link per shard, spawned as worker threads
+//! (`--transport inproc`) or as worker processes speaking the same frames
+//! over pipes (`--transport pipe`), optionally under injected frame faults
+//! — and checks the result is byte-identical to the single-arena engine.
+//! The internal `shard-worker` command is what `--transport pipe` spawns;
+//! it is not for interactive use.
 //!
 //! `serve` runs the streaming scheduler service: concurrent clients submit
 //! routing requests over checksummed frames, small requests coalesce into
@@ -1091,7 +1091,6 @@ fn cmd_shard(opts: &HashMap<String, String>) {
         .unwrap_or("inproc")
     {
         "inproc" => TransportKind::InProcess,
-        "shm" => TransportKind::Shm,
         "pipe" => {
             let exe = std::env::current_exe().unwrap_or_else(|e| {
                 eprintln!("cannot locate own executable for pipe workers: {e}");
@@ -1102,7 +1101,7 @@ fn cmd_shard(opts: &HashMap<String, String>) {
             }
         }
         other => {
-            eprintln!("unknown transport: {other} (expected inproc|shm|pipe)");
+            eprintln!("unknown transport: {other} (expected inproc|pipe)");
             exit(2);
         }
     };

@@ -221,7 +221,7 @@ fn shard_json_smoke_and_structured_fault_error() {
         assert!(line.contains(key), "missing {key} in {line}");
     }
 
-    // The shared-memory transport must produce the same document shape
+    // Worker processes behind pipes must produce the same document shape
     // (and the same bytes of simulation output, asserted in-process by
     // matches_single_arena).
     let (ok, stdout, stderr) = ftsim(&[
@@ -235,7 +235,7 @@ fn shard_json_smoke_and_structured_fault_error() {
         "--shards",
         "4",
         "--transport",
-        "shm",
+        "pipe",
         "--format",
         "json",
     ]);
@@ -243,12 +243,24 @@ fn shard_json_smoke_and_structured_fault_error() {
     let line = stdout.trim();
     for key in [
         "\"schema\":\"ftsim-shard/v1\"",
-        "\"transport\":\"shm\"",
+        "\"transport\":\"pipe\"",
         "\"matches_single_arena\":true",
         "\"merge_ns\":",
     ] {
         assert!(line.contains(key), "missing {key} in {line}");
     }
+
+    // The shared-memory rings are gone: one usage line, exit 2.
+    let out = Command::new(env!("CARGO_BIN_EXE_ftsim"))
+        .args(["shard", "--n", "32", "--transport", "shm"])
+        .output()
+        .expect("spawn ftsim");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert_eq!(
+        stderr.trim(),
+        "unknown transport: shm (expected inproc|pipe)"
+    );
 
     // A fully dead link must terminate with a structured error, not hang.
     let (ok, stdout, _) = ftsim(&[
@@ -271,6 +283,48 @@ fn shard_json_smoke_and_structured_fault_error() {
         stdout.contains("\"error\":{\"kind\":\"timeout\""),
         "{stdout}"
     );
+}
+
+/// A worker process reads bytes it did not write: a checksummed INIT for a
+/// 100-leaf "tree" (it used to die in `FatTree::new`'s assertion) must come
+/// back as one `Error` frame, and the worker must still exit cleanly on EOF.
+#[test]
+fn shard_worker_answers_a_crafted_init_with_an_error_frame_not_a_panic() {
+    use fat_tree::shard::proto::{InitMsg, ERR_BAD_PAYLOAD};
+    use fat_tree::shard::wire::{self, FrameKind};
+    use std::process::Stdio;
+    let mut init = InitMsg {
+        n: 128,
+        boundary: 1,
+        shard: 0,
+        proto: wire::PROTO_VERSION,
+        sim: fat_tree::sim::SimConfig::default(),
+        plan: fat_tree::shard::FaultPlan::none(),
+        profile: fat_tree::core::CapacityProfile::FullDoubling,
+    }
+    .encode();
+    init[0] = 100;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ftsim"))
+        .arg("shard-worker")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn ftsim shard-worker");
+    let mut stdin = child.stdin.take().unwrap();
+    let frame = wire::encode(FrameKind::Init, 0, 0, &init);
+    wire::write_frame_buf(&mut stdin, &frame, &mut Vec::new()).unwrap();
+    let reply = wire::read_frame(child.stdout.as_mut().unwrap())
+        .unwrap()
+        .expect("one reply frame before EOF");
+    let reply = wire::decode(&reply).unwrap();
+    assert_eq!(reply.kind, FrameKind::Error);
+    assert_eq!(reply.payload, &[ERR_BAD_PAYLOAD]);
+    drop(stdin);
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

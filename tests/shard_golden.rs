@@ -1,10 +1,9 @@
 //! Golden equivalence for the sharded engine: `delivered_per_cycle`,
 //! `delivery_order`, cycle count, and total ticks must be byte-identical to
-//! the single-arena engine for every shard count and every transport —
-//! worker threads over channels, worker threads behind shared-memory
-//! rings, and real worker *processes* reached over pipes (the
-//! `ftsim shard-worker` binary, located via `CARGO_BIN_EXE_ftsim`) — with
-//! and without injected frame faults.
+//! the single-arena engine for every shard count and both spawn modes of
+//! the link — worker threads, and real worker *processes* reached over
+//! pipes (the `ftsim shard-worker` binary, located via
+//! `CARGO_BIN_EXE_ftsim`) — with and without injected frame faults.
 
 use fat_tree::core::rng::SplitMix64;
 use fat_tree::prelude::*;
@@ -62,7 +61,6 @@ fn sharded_runs_are_byte_identical_across_shard_counts_and_transports() {
             for shards in [1u32, 2, 4, 8] {
                 for transport in [
                     TransportKind::InProcess,
-                    TransportKind::Shm,
                     TransportKind::Pipe { cmd: worker_cmd() },
                 ] {
                     let mut cfg = ShardConfig::new(shards, sim);
