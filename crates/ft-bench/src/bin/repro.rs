@@ -10,18 +10,19 @@ use ft_bench::{run_experiment, ALL_EXPERIMENTS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let all: Vec<&str> = ALL_EXPERIMENTS.iter().map(|(id, _)| *id).collect();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: repro [--list] [all | e1 e2 … a3]");
+        eprintln!("usage: repro [--list] [all | {}]", all.join(" "));
         std::process::exit(2);
     }
     if args.iter().any(|a| a == "--list") {
-        for id in ALL_EXPERIMENTS {
+        for id in all {
             println!("{id}");
         }
         return;
     }
     let ids: Vec<&str> = if args.iter().any(|a| a == "all") {
-        ALL_EXPERIMENTS.to_vec()
+        all
     } else {
         args.iter().map(|s| s.as_str()).collect()
     };

@@ -78,6 +78,7 @@ mod tests {
     #[test]
     fn a1_four_profiles() {
         let t = super::run();
+        crate::experiments::assert_committed(&t);
         assert_eq!(t[0].rows.len(), 4);
     }
 }

@@ -1,26 +1,18 @@
 //! A2 — ablation: the matching-and-tracing scheduler (Theorem 1) vs the
-//! greedy first-fit baseline, in schedule length and wall time.
+//! greedy first-fit baseline, in schedule length. (Scheduler timings live
+//! in `benchmark/`'s `sched_batch`, not in a committed table.)
 
 use crate::tables::{f, Table};
 use ft_core::{load_factor, FatTree};
 use ft_sched::{schedule_greedy, schedule_theorem1};
 use ft_workloads::{balanced_k_relation, cross_root};
-use std::time::Instant;
 
 /// Run A2.
 pub fn run() -> Vec<Table> {
     let mut rng = super::rng();
     let mut t = Table::new(
         "A2 — scheduler ablation: Theorem 1 (matching+tracing) vs greedy first-fit",
-        &[
-            "n",
-            "workload",
-            "⌈λ⌉",
-            "d thm1",
-            "d greedy",
-            "thm1 ms",
-            "greedy ms",
-        ],
+        &["n", "workload", "⌈λ⌉", "d thm1", "d greedy"],
     );
     for &n in &[256u32, 1024] {
         let ft = FatTree::universal(n, (n / 8).max(4) as u64);
@@ -33,13 +25,9 @@ pub fn run() -> Vec<Table> {
         ];
         for (name, msgs) in cases {
             let lambda = load_factor(&ft, &msgs).ceil();
-            let t0 = Instant::now();
             let (s1, _) = schedule_theorem1(&ft, &msgs);
-            let d1 = t0.elapsed().as_secs_f64() * 1e3;
             s1.validate(&ft, &msgs).expect("thm1 valid");
-            let t0 = Instant::now();
             let sg = schedule_greedy(&ft, &msgs);
-            let dg = t0.elapsed().as_secs_f64() * 1e3;
             sg.validate(&ft, &msgs).expect("greedy valid");
             t.row(vec![
                 n.to_string(),
@@ -47,14 +35,11 @@ pub fn run() -> Vec<Table> {
                 f(lambda),
                 s1.num_cycles().to_string(),
                 sg.num_cycles().to_string(),
-                f(d1),
-                f(dg),
             ]);
         }
     }
     t.note("Greedy packs well on random traffic but has no guarantee; Theorem 1 is provably");
     t.note("within 2·lg n of ⌈λ⌉ and its per-channel even splits show on adversarial sets.");
-    t.note("Wall-clock: matching+tracing is near-linear; greedy pays O(d·|M|·lg n) probing.");
     vec![t]
 }
 
@@ -63,6 +48,7 @@ mod tests {
     #[test]
     fn a2_both_schedulers_close_to_lower_bound() {
         let t = super::run();
+        crate::experiments::assert_committed(&t);
         for row in &t[0].rows {
             let lam: f64 = row[2].parse().unwrap();
             let d1: f64 = row[3].parse().unwrap();

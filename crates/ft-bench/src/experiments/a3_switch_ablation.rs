@@ -81,6 +81,7 @@ mod tests {
     #[test]
     fn a3_partial_penalty_is_constant() {
         let t = super::run();
+        crate::experiments::assert_committed(&t);
         for row in &t[0].rows {
             let penalty: f64 = row[4].parse().unwrap();
             assert!(penalty >= 0.4, "implausible speedup: {row:?}");

@@ -21,44 +21,36 @@ pub fn run() -> Vec<Table> {
             "gap to LB",
         ],
     );
+    let mut cases: Vec<(u32, &str, ft_core::MessageSet)> = Vec::new();
     for &n in &[256u32, 1024] {
+        cases.push((
+            n,
+            "balanced 8-relation",
+            balanced_k_relation(n, 8, &mut rng),
+        ));
+        cases.push((n, "local traffic k=4", local_traffic(n, 4, 0.3, &mut rng)));
+    }
+    // n(n−1) messages: one small tree is enough to show the effect.
+    cases.push((128, "total exchange", total_exchange(128)));
+    for (n, name, msgs) in cases {
         let ft = FatTree::universal(n, (n / 4) as u64);
-        let cases: Vec<(String, ft_core::MessageSet)> = vec![
-            (
-                "balanced 8-relation".into(),
-                balanced_k_relation(n, 8, &mut rng),
+        let lb = cycle_lower_bound(&ft, &msgs);
+        let (schedule, _) = schedule_theorem1(&ft, &msgs);
+        let before = schedule.num_cycles();
+        let compressed = compress_schedule(&ft, schedule);
+        compressed.validate(&ft, &msgs).expect("still valid");
+        t.row(vec![
+            n.to_string(),
+            name.into(),
+            lb.to_string(),
+            before.to_string(),
+            compressed.num_cycles().to_string(),
+            format!(
+                "{:.0}%",
+                100.0 * (1.0 - compressed.num_cycles() as f64 / before as f64)
             ),
-            (
-                "local traffic k=4".into(),
-                local_traffic(n, 4, 0.3, &mut rng),
-            ),
-            ("total exchange".into(), total_exchange(n.min(128))),
-        ];
-        for (name, msgs) in cases {
-            // total_exchange uses a smaller n; build a matching tree.
-            let ftree = if name == "total exchange" {
-                FatTree::universal(n.min(128), (n.min(128) / 4) as u64)
-            } else {
-                ft.clone()
-            };
-            let lb = cycle_lower_bound(&ftree, &msgs);
-            let (schedule, _) = schedule_theorem1(&ftree, &msgs);
-            let before = schedule.num_cycles();
-            let compressed = compress_schedule(&ftree, schedule);
-            compressed.validate(&ftree, &msgs).expect("still valid");
-            t.row(vec![
-                ftree.n().to_string(),
-                name,
-                lb.to_string(),
-                before.to_string(),
-                compressed.num_cycles().to_string(),
-                format!(
-                    "{:.0}%",
-                    100.0 * (1.0 - compressed.num_cycles() as f64 / before as f64)
-                ),
-                f(compressed.num_cycles() as f64 / lb as f64),
-            ]);
-        }
+            f(compressed.num_cycles() as f64 / lb as f64),
+        ]);
     }
     t.note("Merging recovers the slack Theorem 1's level-by-level analysis leaves (cycles");
     t.note("from different levels rarely conflict). After compression the schedule sits");
@@ -71,7 +63,12 @@ mod tests {
     #[test]
     fn a4_compression_never_hurts() {
         let t = super::run();
-        for row in &t[0].rows {
+        crate::experiments::assert_committed(&t);
+        let rows = &t[0].rows;
+        for (i, row) in rows.iter().enumerate() {
+            assert!(!rows[..i].contains(row), "duplicate row: {row:?}");
+        }
+        for row in rows {
             let before: usize = row[3].parse().unwrap();
             let after: usize = row[4].parse().unwrap();
             let lb: usize = row[2].parse().unwrap();

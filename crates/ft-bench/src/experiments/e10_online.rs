@@ -81,6 +81,7 @@ mod tests {
     #[test]
     fn e10_within_constant_of_shape() {
         let t = super::run();
+        crate::experiments::assert_committed(&t);
         for row in &t[0].rows {
             let ratio: f64 = row[7].parse().unwrap();
             assert!(ratio <= 6.0, "online routing exceeded shape: {row:?}");

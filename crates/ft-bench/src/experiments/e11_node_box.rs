@@ -61,6 +61,7 @@ mod tests {
     #[test]
     fn e11_volume_linear_in_h() {
         let t = super::run();
+        crate::experiments::assert_committed(&t);
         for row in &t[0].rows {
             let h: f64 = row[1].parse().unwrap();
             let ratio: f64 = row[4].parse().unwrap();

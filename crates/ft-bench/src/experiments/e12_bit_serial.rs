@@ -52,6 +52,7 @@ mod tests {
     #[test]
     fn e12_ticks_match_model() {
         let t = super::run();
+        crate::experiments::assert_committed(&t);
         for row in &t[0].rows {
             let ticks: u32 = row[2].parse().unwrap();
             let model: u32 = row[3].parse().unwrap();

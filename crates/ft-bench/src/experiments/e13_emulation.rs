@@ -65,6 +65,7 @@ mod tests {
     #[test]
     fn e13_everything_compiles() {
         let t = super::run();
+        crate::experiments::assert_committed(&t);
         for row in &t[0].rows {
             assert_eq!(row[6], "✓", "edge set failed to compile: {row:?}");
             let lam: f64 = row[5].parse().unwrap();

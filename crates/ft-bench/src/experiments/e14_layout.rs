@@ -50,6 +50,7 @@ mod tests {
     #[test]
     fn e14_ratio_band_per_scaling() {
         let t = super::run();
+        crate::experiments::assert_committed(&t);
         // Group rows by w-selection (3 per n): ratio across n within 50×.
         for sel in 0..3 {
             let ratios: Vec<f64> = t[0]

@@ -61,6 +61,7 @@ mod tests {
     #[test]
     fn e15_trunk_usage_monotone_in_p_far() {
         let t = super::run();
+        crate::experiments::assert_committed(&t);
         let cross: Vec<f64> = t[0]
             .rows
             .iter()

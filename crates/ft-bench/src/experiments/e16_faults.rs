@@ -61,6 +61,7 @@ mod tests {
     #[test]
     fn e16_graceful_degradation() {
         let t = super::run();
+        crate::experiments::assert_committed(&t);
         for row in &t[0].rows {
             let s1: f64 = row[3].parse().unwrap();
             let s2: f64 = row[5].parse().unwrap();

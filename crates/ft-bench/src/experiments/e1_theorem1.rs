@@ -53,6 +53,7 @@ mod tests {
     #[test]
     fn e1_produces_rows() {
         let tables = super::run();
+        crate::experiments::assert_committed(&tables);
         assert_eq!(tables.len(), 1);
         assert!(tables[0].rows.len() >= 12);
     }

@@ -52,6 +52,7 @@ mod tests {
     #[test]
     fn e2_within_bound() {
         let tables = super::run();
+        crate::experiments::assert_committed(&tables);
         for row in &tables[0].rows {
             let d: f64 = row[4].parse().unwrap();
             let bound: f64 = row[5].parse().unwrap();

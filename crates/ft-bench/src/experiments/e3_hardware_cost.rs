@@ -96,6 +96,7 @@ mod tests {
     #[test]
     fn e3_has_three_tables() {
         let t = super::run();
+        crate::experiments::assert_committed(&t);
         assert_eq!(t.len(), 3);
         assert!(t.iter().all(|x| !x.rows.is_empty()));
     }

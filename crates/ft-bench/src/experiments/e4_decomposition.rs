@@ -59,6 +59,7 @@ mod tests {
     #[test]
     fn e4_ratio_column_is_one() {
         let t = super::run();
+        crate::experiments::assert_committed(&t);
         for row in &t[0].rows {
             let ratio: f64 = row[5].parse().unwrap();
             assert!((ratio - 1.0).abs() < 0.01, "quartering ratio {ratio}");

@@ -92,6 +92,7 @@ mod tests {
     #[test]
     fn e5_bounds_hold() {
         let t = super::run();
+        crate::experiments::assert_committed(&t);
         for row in &t[1].rows {
             assert_eq!(row[2], "true");
             let ratio: f64 = row[3].parse().unwrap();

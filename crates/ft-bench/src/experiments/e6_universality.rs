@@ -1,9 +1,9 @@
 //! E6 — Theorem 10: simulate equal-volume competitor networks on the
 //! universal fat-tree; slowdown must stay within O(lg³ n).
 //!
-//! The sweep over networks runs in parallel (std scoped threads),
-//! collecting rows under a mutex — the experiment harness's
-//! only concurrency, exercised here because this is the slowest table.
+//! The sweep over networks runs in parallel (std scoped threads, one per
+//! network, joined in order) — the experiment harness's only concurrency,
+//! exercised here because this is the slowest table.
 
 use crate::tables::{f, Table};
 use ft_core::rng::SplitMix64;
@@ -13,7 +13,6 @@ use ft_networks::{
 };
 use ft_universal::simulate_on_fat_tree;
 use ft_workloads::{cross_root, random_permutation};
-use std::sync::Mutex;
 
 fn fleet(scale: u32) -> Vec<Box<dyn FixedConnectionNetwork + Send + Sync>> {
     // scale 0: ~64 procs; scale 1: ~256; scale 2: ~1024.
@@ -57,25 +56,24 @@ pub fn run() -> Vec<Table> {
                 "ok",
             ],
         );
-        let rows = Mutex::new(Vec::new());
         for scale in 0..3u32 {
             let nets = fleet(scale);
             std::thread::scope(|s| {
-                for (i, net) in nets.iter().enumerate() {
-                    let rows = &rows;
-                    s.spawn(move || {
-                        let mut rng =
-                            SplitMix64::seed_from_u64(0xE6 ^ (scale as u64) << 8 ^ i as u64);
-                        let n = net.n() as u32;
-                        let msgs = if make_msgs == 0 {
-                            random_permutation(n, &mut rng)
-                        } else {
-                            cross_root(n & !1, 2, &mut rng)
-                        };
-                        let rep = simulate_on_fat_tree(net.as_ref(), &msgs, 1.0, &mut rng);
-                        let ok = rep.slowdown <= 8.0 * rep.slowdown_bound.max(1.0);
-                        rows.lock().unwrap().push((
-                            (scale, i),
+                let workers: Vec<_> = nets
+                    .iter()
+                    .enumerate()
+                    .map(|(i, net)| {
+                        s.spawn(move || {
+                            let mut rng =
+                                SplitMix64::seed_from_u64(0xE6 ^ (scale as u64) << 8 ^ i as u64);
+                            let n = net.n() as u32;
+                            let msgs = if make_msgs == 0 {
+                                random_permutation(n, &mut rng)
+                            } else {
+                                cross_root(n & !1, 2, &mut rng)
+                            };
+                            let rep = simulate_on_fat_tree(net.as_ref(), &msgs, 1.0, &mut rng);
+                            let ok = rep.slowdown <= 8.0 * rep.slowdown_bound.max(1.0);
                             vec![
                                 rep.network.clone(),
                                 rep.n.to_string(),
@@ -87,16 +85,15 @@ pub fn run() -> Vec<Table> {
                                 f(rep.slowdown),
                                 f(rep.slowdown_bound),
                                 if ok { "✓".into() } else { "✗".into() },
-                            ],
-                        ));
-                    });
+                            ]
+                        })
+                    })
+                    .collect();
+                // Joined in spawn order, so rows keep the fleet's order.
+                for w in workers {
+                    t.row(w.join().expect("E6 worker panicked"));
                 }
             });
-        }
-        let mut collected = rows.into_inner().expect("no poisoned rows");
-        collected.sort_by_key(|(k, _)| *k);
-        for (_, row) in collected {
-            t.row(row);
         }
         t.note("slowdown = (d·lg n)/t_R; bound = lg(n/v^(2/3))·lg²n. Who wins: the fat-tree is");
         t.note("never worse than polylog — even against the hypercube, whose n^(3/2) volume the");
@@ -111,6 +108,7 @@ mod tests {
     #[test]
     fn e6_all_rows_within_bound() {
         let tables = super::run();
+        crate::experiments::assert_committed(&tables);
         for t in &tables {
             for row in &t.rows {
                 assert_eq!(row[9], "✓", "row out of bound: {row:?}");

@@ -57,6 +57,7 @@ mod tests {
     #[test]
     fn e7_cheap_tree_matches_rich_tree_cycles() {
         let t = super::run();
+        crate::experiments::assert_committed(&t);
         // Within each n group (3 rows), cycles differ by at most ~2×.
         for chunk in t[0].rows.chunks(3) {
             let d_min: f64 = chunk[0][4].parse().unwrap();

@@ -62,6 +62,7 @@ mod tests {
     #[test]
     fn e8_failure_rates_are_small() {
         let tables = super::run();
+        crate::experiments::assert_committed(&tables);
         for row in &tables[0].rows {
             let rate: f64 = row[5].parse().unwrap();
             assert!(rate <= 0.10, "failure rate too high: {row:?}");

@@ -15,47 +15,50 @@
 //! * E10 — on-line routing (§VI, ref \[8\]),
 //! * E11 — node layout boxes (Lemma 3),
 //! * E12 — bit-serial delivery-cycle timing (§II, Fig. 2),
-//! * A1–A3 — ablations (capacity profile, scheduler, switch hardware).
+//! * E13–E16 — emulation, constructive layout, locality, wire faults,
+//! * E21 — generalized topologies (k-ary pods, two-layer trees),
+//! * A1–A4 — ablations (capacity profile, scheduler, switches, compression).
 //!
-//! Run them all: `cargo run --release -p ft-bench --bin repro -- all`.
+//! Run them all: `cargo run --release -p ft-bench --bin repro -- all`. The
+//! tables carry no timings (those live in `benchmark/`), and each
+//! experiment's test pins its tables to EXPERIMENTS.md.
 
 pub mod experiments;
-pub mod json;
 pub mod tables;
-pub mod timing;
 
+use experiments::*;
 pub use tables::Table;
 
-/// All experiment ids, in presentation order.
-pub const ALL_EXPERIMENTS: &[&str] = &[
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
-    "e16", "a1", "a2", "a3", "a4",
+/// Renders one experiment's tables.
+pub type Generator = fn() -> Vec<Table>;
+
+/// Every experiment: its id and its table generator, in presentation order.
+pub const ALL_EXPERIMENTS: &[(&str, Generator)] = &[
+    ("e1", e1_theorem1::run),
+    ("e2", e2_corollary2::run),
+    ("e3", e3_hardware_cost::run),
+    ("e4", e4_decomposition::run),
+    ("e5", e5_balance::run),
+    ("e6", e6_universality::run),
+    ("e7", e7_finite_element::run),
+    ("e8", e8_concentrators::run),
+    ("e9", e9_permutation::run),
+    ("e10", e10_online::run),
+    ("e11", e11_node_box::run),
+    ("e12", e12_bit_serial::run),
+    ("e13", e13_emulation::run),
+    ("e14", e14_layout::run),
+    ("e15", e15_locality::run),
+    ("e16", e16_faults::run),
+    ("a1", a1_capacity_ablation::run),
+    ("a2", a2_scheduler_ablation::run),
+    ("a3", a3_switch_ablation::run),
+    ("a4", a4_compression::run),
+    ("e21", e21_topology::run),
 ];
 
 /// Run one experiment by id.
 pub fn run_experiment(id: &str) -> Option<Vec<Table>> {
-    use experiments::*;
-    Some(match id {
-        "e1" => e1_theorem1::run(),
-        "e2" => e2_corollary2::run(),
-        "e3" => e3_hardware_cost::run(),
-        "e4" => e4_decomposition::run(),
-        "e5" => e5_balance::run(),
-        "e6" => e6_universality::run(),
-        "e7" => e7_finite_element::run(),
-        "e8" => e8_concentrators::run(),
-        "e9" => e9_permutation::run(),
-        "e10" => e10_online::run(),
-        "e11" => e11_node_box::run(),
-        "e12" => e12_bit_serial::run(),
-        "e13" => e13_emulation::run(),
-        "e14" => e14_layout::run(),
-        "e15" => e15_locality::run(),
-        "e16" => e16_faults::run(),
-        "a1" => a1_capacity_ablation::run(),
-        "a2" => a2_scheduler_ablation::run(),
-        "a3" => a3_switch_ablation::run(),
-        "a4" => a4_compression::run(),
-        _ => return None,
-    })
+    let (_, run) = ALL_EXPERIMENTS.iter().find(|(e, _)| *e == id)?;
+    Some(run())
 }

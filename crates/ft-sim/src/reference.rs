@@ -5,8 +5,8 @@
 //! produce byte-identical [`CycleReport`]s and [`RunReport`]s (see
 //! `tests/golden_engine.rs`). It is deliberately simple — per-port groups
 //! are built with hash maps and every cycle allocates fresh state — which
-//! makes it easy to audit against §II of the paper but slow; `ft-perf`
-//! measures the gap.
+//! makes it easy to audit against §II of the paper but slow; the frozen
+//! `BENCH_engine.json` records the gap.
 //!
 //! Do not "optimize" this module. Its value is that it stays dumb.
 

@@ -711,9 +711,9 @@ impl MetricsRecorder {
     }
 
     /// Hand-rolled JSON object with every table (no trailing newline). This
-    /// is what `ftsim report --format json` prints per engine and what
-    /// ft-perf attaches to `BENCH_engine.json` for each of its three
-    /// reference-duel gate points (`telemetry.gate_runs[].metrics`).
+    /// is what `ftsim report --format json` prints per engine (the frozen
+    /// `BENCH_engine.json` carries the same shape under
+    /// `telemetry.gate_runs[].metrics`).
     pub fn to_json(&self) -> String {
         fn nums<T: ToString>(v: impl IntoIterator<Item = T>) -> String {
             let items: Vec<String> = v.into_iter().map(|x| x.to_string()).collect();

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo gate: build, test, format check, and a quick benchmark smoke pass.
+# Repo gate: build, test, format check, the committed experiment tables,
+# the examples, and CLI / benchmark smokes.
 # Everything runs offline — no network, no external dependencies.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -43,13 +44,16 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> ft-perf --smoke (+ bench_check schema validation)"
-smoke_json="$(mktemp --suffix .json)"
-trap 'rm -f "$smoke_json"' EXIT
-cargo run --release -p ft-bench --bin ft-perf -- --smoke --out "$smoke_json"
-cargo run --release -p ft-bench --bin bench_check -- "$smoke_json"
-# The committed ledger must satisfy the schema the writer has now.
-cargo run --release -p ft-bench --bin bench_check -- BENCH_engine.json
+echo "==> repro all vs EXPERIMENTS.md (every committed table, in order, byte for byte)"
+# Each experiment's test pins its own blocks; this also catches a stale,
+# missing or reordered block in the committed section.
+diff <(target/release/repro all) \
+  <(awk '/^<!-- repro all ends/ { exit } on; /^<!-- repro all begins/ { on = 1 }' EXPERIMENTS.md)
+
+echo "==> examples (each must exit 0)"
+for example in examples/*.rs; do
+  cargo run --release --quiet --example "$(basename "$example" .rs)" > /dev/null
+done
 
 echo "==> streamed million-leaf smoke (n = 2^20, lazy ingest, time-capped)"
 # One full streamed permutation at 2^20 leaves through the packed engine:
@@ -135,7 +139,7 @@ echo "==> ftsim serve smoke (coalescing service, verified clients, reaping)"
 # bug, not slowness.
 serve_fifo="$(mktemp -u).fifo"; mkfifo "$serve_fifo"
 serve_log="$(mktemp --suffix .serve)"
-trap 'rm -f "$smoke_json" "$serve_fifo" "$serve_log"' EXIT
+trap 'rm -f "$serve_fifo" "$serve_log"' EXIT
 target/release/ftsim serve --n 64 --w 16 --slots 4 --idle-ms 500 \
   --addr 127.0.0.1:0 --metrics-addr 127.0.0.1:0 < "$serve_fifo" > "$serve_log" &
 serve_pid=$!
