@@ -50,6 +50,22 @@
 //! The original HashMap-based engine is retained verbatim in
 //! [`crate::reference`] and the equivalence is enforced by
 //! `tests/golden_engine.rs`.
+//!
+//! # Warm arena
+//!
+//! The run drivers ([`run_to_completion_with`],
+//! [`run_stream_to_completion_with`] and everything built on them) keep one
+//! [`SimArena`] per thread in a private `thread_local!` slot, so repeated
+//! runs on one tree skip the construction and the page faults of its
+//! tables and per-message buffers. The key is exactly what
+//! [`SimArena::new`] bakes in — `n`, the per-level capacities and the
+//! [`FaultModel`]; switch kind, arbitration, `meta` and `payload_bits` are
+//! read per cycle. A driver takes the arena out of the slot for the whole
+//! run (a re-entrant run builds its own; a panic drops it) and puts it
+//! back on return, so each thread that ran a driver retains one arena,
+//! sized by the largest run on its current tree, until the thread exits
+//! or runs on another tree. [`simulate_cycle`] keeps a fresh arena: its
+//! [`CycleReport`] takes the arena's [`LoadMap`] by value.
 
 use crate::faults::FaultModel;
 use crate::node::PortSwitch;
@@ -57,6 +73,7 @@ use ft_concentrator::{Concentrator, MatchingArena};
 use ft_core::rng::splitmix64;
 use ft_core::{ChannelId, FatTree, GenTable, LoadMap, Message, MessageSet, MessageStream};
 use ft_telemetry::{EnginePhase, NoopRecorder, PhaseClock, Recorder};
+use std::cell::Cell;
 
 /// Re-export for configuration convenience.
 pub use crate::node::SwitchFlavor as SwitchKind;
@@ -336,10 +353,14 @@ pub struct SimArena {
     n: u32,
     height: u32,
     faults: FaultModel,
+    /// Per-level capacities ([`level_outputs`]) of the tree `new` saw:
+    /// with `n` and `faults`, the key every cycle checks.
+    caps: [u64; 33],
     /// Effective capacity per dense channel index (fault pattern applied).
     eff: Vec<u64>,
-    /// Port-switch cache keyed by (inputs, outputs); at most a few per level.
-    ports: Vec<((usize, usize), PortSwitch)>,
+    /// Port-switch cache keyed by (kind, inputs, outputs); at most a few
+    /// per level and kind.
+    ports: Vec<((SwitchKind, usize, usize), PortSwitch)>,
     // --- per-message state, indexed by position in the submitted slice ---
     /// Level passes (plain cycles and shard phases): packed alive / local /
     /// LCA-level / both-leaves words (layout at the packing constants).
@@ -431,6 +452,7 @@ impl SimArena {
             n,
             height,
             faults: cfg.faults,
+            caps: level_outputs(ft),
             eff,
             ports: Vec::new(),
             meta: Vec::new(),
@@ -485,15 +507,18 @@ impl SimArena {
     /// switches are sampled from a seed derived from the shape, so creation
     /// order cannot change their wiring.
     fn port_index(&mut self, kind: SwitchKind, r: usize, s: usize) -> usize {
-        if let Some(p) = self
-            .ports
-            .iter()
-            .position(|&((pr, ps), _)| pr == r && ps == s)
-        {
+        if let Some(p) = self.ports.iter().position(|&(key, _)| key == (kind, r, s)) {
             return p;
         }
-        self.ports.push(((r, s), PortSwitch::new(kind, r, s)));
+        self.ports.push(((kind, r, s), PortSwitch::new(kind, r, s)));
         self.ports.len() - 1
+    }
+
+    /// Was this arena built for `ft` under `faults`? `n`, the per-level
+    /// capacities and the fault pattern are everything [`Self::new`] bakes
+    /// in; the rest of a [`SimConfig`] is read per cycle.
+    fn built_for(&self, ft: &FatTree, faults: &FaultModel) -> bool {
+        self.n == ft.n() && self.caps == level_outputs(ft) && self.faults == *faults
     }
 
     /// Run one delivery cycle of `msgs` on `ft`, reusing all scratch.
@@ -502,8 +527,11 @@ impl SimArena {
     /// accessors until the next call.
     ///
     /// # Panics
-    /// If there are more than [`MAX_MESSAGES`] messages (as every `cycle*`
-    /// entry point does, before anything is allocated).
+    /// As every `cycle*` entry point does, before anything is allocated: if
+    /// there are more than [`MAX_MESSAGES`] messages, or if `ft` or
+    /// `cfg.faults` is not what the arena was built for (another `n`,
+    /// another per-level capacity, another fault pattern) — an O(height)
+    /// check in every build.
     pub fn cycle(&mut self, ft: &FatTree, msgs: &[Message], cfg: &SimConfig) -> CycleStats {
         self.cycle_with(ft, msgs, cfg, &mut NoopRecorder)
     }
@@ -577,10 +605,9 @@ impl SimArena {
         rec: &mut R,
     ) -> CycleStats {
         check_len(src.len());
-        debug_assert_eq!(self.n, ft.n(), "arena built for a different tree");
-        debug_assert_eq!(
-            self.faults, cfg.faults,
-            "arena built for a different fault pattern"
+        assert!(
+            self.built_for(ft, &cfg.faults),
+            "arena built for a different tree or fault pattern"
         );
         let stats = if self.fused(cfg) {
             self.load_fused(ft, src, rec);
@@ -1466,6 +1493,8 @@ struct ArbScratch {
 ///
 /// One-shot convenience over [`SimArena`]; callers running many cycles
 /// should hold an arena and call [`SimArena::cycle`] to reuse its buffers.
+/// Always a fresh arena, never the run drivers' warm one: the report takes
+/// the arena's [`LoadMap`] by value.
 pub fn simulate_cycle(ft: &FatTree, msgs: &[Message], cfg: &SimConfig) -> CycleReport {
     let mut arena = SimArena::new(ft, cfg);
     let stats = arena.cycle(ft, msgs, cfg);
@@ -1475,6 +1504,24 @@ pub fn simulate_cycle(ft: &FatTree, msgs: &[Message], cfg: &SimConfig) -> CycleR
         ticks: stats.ticks,
         channel_use: arena.channel_use,
     }
+}
+
+thread_local! {
+    /// The calling thread's warm arena: see [`with_warm_arena`].
+    static WARM: Cell<Option<SimArena>> = const { Cell::new(None) };
+}
+
+/// Run `run` on this thread's warm arena (module docs, "Warm arena"),
+/// taken out of the slot for the whole run; rebuilt by [`SimArena::new`]
+/// when the slot is empty or holds another key's (dropped first). A run
+/// while the thread's locals are being destroyed runs cold, not panics.
+fn with_warm_arena<T>(ft: &FatTree, cfg: &SimConfig, run: impl FnOnce(&mut SimArena) -> T) -> T {
+    let warm = WARM.try_with(Cell::take).ok().flatten();
+    let warm = warm.filter(|a| a.built_for(ft, &cfg.faults));
+    let mut arena = warm.unwrap_or_else(|| SimArena::new(ft, cfg));
+    let out = run(&mut arena);
+    let _ = WARM.try_with(|slot| slot.set(Some(arena)));
+    out
 }
 
 /// Run repeated delivery cycles (with acknowledgments and retries) until
@@ -1492,73 +1539,79 @@ pub fn run_to_completion(ft: &FatTree, msgs: &MessageSet, cfg: &SimConfig) -> Ru
 /// and [`Recorder::channel_load`] per channel per cycle (via
 /// [`SimArena::cycle_with`]). With [`NoopRecorder`] this is exactly
 /// [`run_to_completion`].
+///
+/// Runs on the thread's warm [`SimArena`] (module docs, "Warm arena"):
+/// kept between runs, keyed by `n`, per-level capacities and
+/// `cfg.faults`, retained until the thread exits or runs on another tree.
+/// [`simulate_cycle`] builds fresh: its report owns the arena's loads.
 pub fn run_to_completion_with<R: Recorder>(
     ft: &FatTree,
     msgs: &MessageSet,
     cfg: &SimConfig,
     rec: &mut R,
 ) -> RunReport {
-    let mut arena = SimArena::new(ft, cfg);
-    arena.loads_read = R::ENABLED;
-    if R::ENABLED {
-        rec.run_start(ft.height());
-    }
-    let mut pending: Vec<Message> = msgs.iter().copied().collect();
-    let mut ids: Vec<u32> = (0..pending.len() as u32).collect();
-    let mut cycles = 0usize;
-    let mut delivered_per_cycle = Vec::new();
-    let mut delivery_order = Vec::with_capacity(pending.len());
-    let mut total_ticks = 0u64;
-    while !pending.is_empty() {
-        // Reseed random arbitration every cycle so drops are independent.
-        let mut cycle_cfg = *cfg;
-        if let Arbitration::Random(seed) = cfg.arbitration {
-            cycle_cfg.arbitration = Arbitration::Random(
-                seed.wrapping_add(cycles as u64)
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
-        }
+    with_warm_arena(ft, cfg, |arena| {
+        arena.loads_read = R::ENABLED;
         if R::ENABLED {
-            rec.cycle_start(cycles as u32, pending.len() as u32);
+            rec.run_start(ft.height());
         }
-        let stats = arena.cycle_with(ft, &pending, &cycle_cfg, rec);
-        assert!(
-            stats.delivered > 0,
-            "no progress in a delivery cycle — switch cannot route even one message"
-        );
-        if R::ENABLED {
-            rec.cycle_end(cycles as u32, stats.delivered as u32);
-        }
-        cycles += 1;
-        delivered_per_cycle.push(stats.delivered);
-        total_ticks += stats.ticks as u64;
-        // One pass: emit delivered identities and compact survivors in
-        // place, preserving order (the retry queue of §II is FIFO). The
-        // arena's delivered list is ascending, so a merge-walk against it
-        // classifies every pending index without touching arena metadata
-        // (whose layout depends on the cycle body).
-        let mut clock = PhaseClock::start::<R>();
-        let mut w = 0usize;
-        let mut d = arena.delivered_indices().iter().peekable();
-        for i in 0..pending.len() {
-            if d.next_if(|&&di| di as usize == i).is_some() {
-                delivery_order.push(ids[i] as usize);
-            } else {
-                pending[w] = pending[i];
-                ids[w] = ids[i];
-                w += 1;
+        let mut pending: Vec<Message> = msgs.iter().copied().collect();
+        let mut ids: Vec<u32> = (0..pending.len() as u32).collect();
+        let mut cycles = 0usize;
+        let mut delivered_per_cycle = Vec::new();
+        let mut delivery_order = Vec::with_capacity(pending.len());
+        let mut total_ticks = 0u64;
+        while !pending.is_empty() {
+            // Reseed random arbitration every cycle so drops are independent.
+            let mut cycle_cfg = *cfg;
+            if let Arbitration::Random(seed) = cfg.arbitration {
+                cycle_cfg.arbitration = Arbitration::Random(
+                    seed.wrapping_add(cycles as u64)
+                        .wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                );
             }
+            if R::ENABLED {
+                rec.cycle_start(cycles as u32, pending.len() as u32);
+            }
+            let stats = arena.cycle_with(ft, &pending, &cycle_cfg, rec);
+            assert!(
+                stats.delivered > 0,
+                "no progress in a delivery cycle — switch cannot route even one message"
+            );
+            if R::ENABLED {
+                rec.cycle_end(cycles as u32, stats.delivered as u32);
+            }
+            cycles += 1;
+            delivered_per_cycle.push(stats.delivered);
+            total_ticks += stats.ticks as u64;
+            // One pass: emit delivered identities and compact survivors in
+            // place, preserving order (the retry queue of §II is FIFO). The
+            // arena's delivered list is ascending, so a merge-walk against it
+            // classifies every pending index without touching arena metadata
+            // (whose layout depends on the cycle body).
+            let mut clock = PhaseClock::start::<R>();
+            let mut w = 0usize;
+            let mut d = arena.delivered_indices().iter().peekable();
+            for i in 0..pending.len() {
+                if d.next_if(|&&di| di as usize == i).is_some() {
+                    delivery_order.push(ids[i] as usize);
+                } else {
+                    pending[w] = pending[i];
+                    ids[w] = ids[i];
+                    w += 1;
+                }
+            }
+            pending.truncate(w);
+            ids.truncate(w);
+            clock.lap(rec, EnginePhase::Compaction);
         }
-        pending.truncate(w);
-        ids.truncate(w);
-        clock.lap(rec, EnginePhase::Compaction);
-    }
-    RunReport {
-        cycles,
-        delivered_per_cycle,
-        total_ticks,
-        delivery_order,
-    }
+        RunReport {
+            cycles,
+            delivered_per_cycle,
+            total_ticks,
+            delivery_order,
+        }
+    })
 }
 
 /// [`run_to_completion`] over a lazily generated stream.
@@ -1584,7 +1637,9 @@ pub fn run_stream_to_completion(
 
 /// [`run_stream_to_completion`] with a telemetry [`Recorder`] observing the
 /// run: [`Recorder::stream_ingest`] once, then the same per-cycle hooks as
-/// [`run_to_completion_with`].
+/// [`run_to_completion_with`], on the same warm [`SimArena`]: keyed by
+/// `n`, per-level capacities and `cfg.faults`, retained until the thread
+/// exits or runs on another tree ([`simulate_cycle`] builds fresh).
 pub fn run_stream_to_completion_with<R: Recorder>(
     ft: &FatTree,
     stream: &dyn MessageStream,
@@ -1592,77 +1647,78 @@ pub fn run_stream_to_completion_with<R: Recorder>(
     rec: &mut R,
 ) -> RunReport {
     check_len(stream.len());
-    let mut arena = SimArena::new(ft, cfg);
-    arena.loads_read = R::ENABLED;
-    if R::ENABLED {
-        rec.run_start(ft.height());
-        rec.stream_ingest(stream.family(), stream.len() as u64);
-    }
-    let total = stream.len();
-    // The fused body keeps its own position → original-index map.
-    let fused = arena.fused(cfg);
-    let mut orig: Vec<u32> = (0..if fused { 0 } else { total as u32 }).collect();
-    let mut cycles = 0usize;
-    let mut delivered_per_cycle = Vec::new();
-    let mut delivery_order = Vec::with_capacity(total);
-    let mut total_ticks = 0u64;
-    let mut pending = total;
-    while pending > 0 {
-        // Reseed random arbitration every cycle so drops are independent —
-        // same schedule as `run_to_completion`.
-        let mut cycle_cfg = *cfg;
-        if let Arbitration::Random(seed) = cfg.arbitration {
-            cycle_cfg.arbitration = Arbitration::Random(
-                seed.wrapping_add(cycles as u64)
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
-        }
+    with_warm_arena(ft, cfg, |arena| {
+        arena.loads_read = R::ENABLED;
         if R::ENABLED {
-            rec.cycle_start(cycles as u32, pending as u32);
+            rec.run_start(ft.height());
+            rec.stream_ingest(stream.family(), stream.len() as u64);
         }
-        let stats = if fused {
-            if cycles == 0 {
-                arena.load_fused(ft, &StreamSource(stream), rec);
+        let total = stream.len();
+        // The fused body keeps its own position → original-index map.
+        let fused = arena.fused(cfg);
+        let mut orig: Vec<u32> = (0..if fused { 0 } else { total as u32 }).collect();
+        let mut cycles = 0usize;
+        let mut delivered_per_cycle = Vec::new();
+        let mut delivery_order = Vec::with_capacity(total);
+        let mut total_ticks = 0u64;
+        let mut pending = total;
+        while pending > 0 {
+            // Reseed random arbitration every cycle so drops are independent —
+            // same schedule as `run_to_completion`.
+            let mut cycle_cfg = *cfg;
+            if let Arbitration::Random(seed) = cfg.arbitration {
+                cycle_cfg.arbitration = Arbitration::Random(
+                    seed.wrapping_add(cycles as u64)
+                        .wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                );
             }
-            arena.cycle_fused(ft, &cycle_cfg, rec)
-        } else {
-            // Cycle 0 packs the stream; a retry re-injects the survivors
-            // `compact_retry` left in place (no replay, no rebuild).
-            let mut clock = PhaseClock::start::<R>();
-            if cycles == 0 {
-                arena.load(ft, &StreamSource(stream), None);
+            if R::ENABLED {
+                rec.cycle_start(cycles as u32, pending as u32);
+            }
+            let stats = if fused {
+                if cycles == 0 {
+                    arena.load_fused(ft, &StreamSource(stream), rec);
+                }
+                arena.cycle_fused(ft, &cycle_cfg, rec)
             } else {
-                arena.inject();
+                // Cycle 0 packs the stream; a retry re-injects the survivors
+                // `compact_retry` left in place (no replay, no rebuild).
+                let mut clock = PhaseClock::start::<R>();
+                if cycles == 0 {
+                    arena.load(ft, &StreamSource(stream), None);
+                } else {
+                    arena.inject();
+                }
+                clock.lap(rec, EnginePhase::Ingest);
+                arena.passes_and_settle(ft, &cycle_cfg, rec)
+            };
+            assert!(
+                stats.delivered > 0,
+                "no progress in a delivery cycle — switch cannot route even one message"
+            );
+            if R::ENABLED {
+                arena.record_loads(ft, rec);
+                rec.cycle_end(cycles as u32, stats.delivered as u32);
             }
-            clock.lap(rec, EnginePhase::Ingest);
-            arena.passes_and_settle(ft, &cycle_cfg, rec)
-        };
-        assert!(
-            stats.delivered > 0,
-            "no progress in a delivery cycle — switch cannot route even one message"
-        );
-        if R::ENABLED {
-            arena.record_loads(ft, rec);
-            rec.cycle_end(cycles as u32, stats.delivered as u32);
+            cycles += 1;
+            delivered_per_cycle.push(stats.delivered);
+            total_ticks += stats.ticks as u64;
+            let mut clock = PhaseClock::start::<R>();
+            pending = if fused {
+                delivery_order.extend(arena.delivered.iter().map(|&i| i as usize));
+                arena.meta32.len()
+            } else {
+                arena.compact_retry(&mut orig, &mut delivery_order)
+            };
+            clock.lap(rec, EnginePhase::Compaction);
         }
-        cycles += 1;
-        delivered_per_cycle.push(stats.delivered);
-        total_ticks += stats.ticks as u64;
-        let mut clock = PhaseClock::start::<R>();
-        pending = if fused {
-            delivery_order.extend(arena.delivered.iter().map(|&i| i as usize));
-            arena.meta32.len()
-        } else {
-            arena.compact_retry(&mut orig, &mut delivery_order)
-        };
-        clock.lap(rec, EnginePhase::Compaction);
-    }
-    RunReport {
-        cycles,
-        delivered_per_cycle,
-        total_ticks,
-        delivery_order,
-    }
+        RunReport {
+            cycles,
+            delivered_per_cycle,
+            total_ticks,
+            delivery_order,
+        }
+    })
 }
 
 #[cfg(test)]
@@ -1880,23 +1936,59 @@ mod tests {
 
     #[test]
     fn arena_reuse_matches_one_shot() {
-        let t = FatTree::universal(64, 16);
-        let msgs: Vec<Message> = (0..64).map(|i| Message::new(i, (i + 13) % 64)).collect();
-        let cfg = SimConfig::default();
-        let one_shot = simulate_cycle(&t, &msgs, &cfg);
-        let mut arena = SimArena::new(&t, &cfg);
-        for _ in 0..3 {
-            let stats = arena.cycle(&t, &msgs, &cfg);
-            assert_eq!(stats.delivered, one_shot.delivered.len());
-            assert_eq!(stats.ticks, one_shot.ticks);
-            let got: Vec<usize> = arena
-                .delivered_indices()
-                .iter()
-                .map(|&i| i as usize)
-                .collect();
-            assert_eq!(got, one_shot.delivered);
-            assert_eq!(arena.channel_use(), &one_shot.channel_use);
+        let perm: Vec<Message> = (0..64).map(|i| Message::new(i, (i + 13) % 64)).collect();
+        let rel4 = ft_workloads::RelationStream::new(256, 4, 3).collect_set();
+        let ideal_random = SimConfig {
+            arbitration: Arbitration::Random(7),
+            ..Default::default()
+        };
+        let partial = SimConfig {
+            switch: SwitchKind::Partial,
+            ..Default::default()
+        };
+        // Every cycle of an arena fed this sequence of configurations must
+        // equal a fresh arena's. The second input runs an ideal cycle, then
+        // a partial one on ports of the same shapes: the port cache must not
+        // hand the partial cycle the ideal crossbar.
+        let cases = [
+            (
+                FatTree::universal(64, 16),
+                &perm[..],
+                vec![SimConfig::default(); 3],
+            ),
+            (
+                FatTree::universal(256, 16),
+                rel4.as_slice(),
+                vec![ideal_random, partial],
+            ),
+        ];
+        for (t, msgs, cfgs) in &cases {
+            let mut arena = SimArena::new(t, &cfgs[0]);
+            for cfg in cfgs {
+                let one_shot = simulate_cycle(t, msgs, cfg);
+                let stats = arena.cycle(t, msgs, cfg);
+                assert_eq!(stats.delivered, one_shot.delivered.len(), "{cfg:?}");
+                assert_eq!(stats.ticks, one_shot.ticks);
+                let got: Vec<usize> = arena
+                    .delivered_indices()
+                    .iter()
+                    .map(|&i| i as usize)
+                    .collect();
+                assert_eq!(got, one_shot.delivered);
+                assert_eq!(arena.channel_use(), &one_shot.channel_use);
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "arena built for a different tree or fault pattern")]
+    fn cycle_on_another_capacity_profile_panics() {
+        // Same n, another profile: the arena's `eff` would be wrong.
+        let built = FatTree::universal(64, 16);
+        let other = FatTree::new(64, CapacityProfile::Constant(2));
+        let cfg = SimConfig::default();
+        let msgs = [Message::new(0, 63)];
+        SimArena::new(&built, &cfg).cycle(&other, &msgs, &cfg);
     }
 
     /// Run one delivery cycle through the three shard phases, manually

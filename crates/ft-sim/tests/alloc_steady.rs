@@ -1,7 +1,8 @@
 //! Steady-state allocation discipline: once a [`SimArena`]'s buffers have
 //! grown to a workload's size, further cycles on the ideal-switch serial
-//! path must perform **zero** heap allocation, and a `run_to_completion`
-//! must not allocate per cycle (only setup and a few amortized growths).
+//! path must perform **zero** heap allocation, a `run_to_completion`
+//! must not allocate per cycle (only setup and a few amortized growths),
+//! and a run on a thread's warm arena allocates only its report.
 //!
 //! Measured with a counting global allocator, so this file is its own
 //! integration-test binary and runs with `harness = false`: the libtest
@@ -10,7 +11,7 @@
 //! would read as a spurious steady-state allocation.
 
 use ft_core::{CapacityProfile, FatTree, Message, MessageSet};
-use ft_sim::{run_to_completion, MetaWidth, SimArena, SimConfig};
+use ft_sim::{run_stream_to_completion, run_to_completion, MetaWidth, SimArena, SimConfig};
 use ft_workloads::PermutationStream;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -100,6 +101,25 @@ fn main() {
         assert_eq!(
             grew, 0,
             "steady-state streamed {meta:?} cycle allocated {grew} times in 10 cycles"
+        );
+    }
+
+    // --- Part 4: the run drivers reuse this thread's warm arena. Once a
+    // run has warmed it, a second run of the same stream allocates only
+    // the returned report's two vectors (`delivered_per_cycle` fits its
+    // first allocation: a permutation here takes ≤ 4 cycles), whatever the
+    // stream's length.
+    for n in [256u32, 4096] {
+        let ft = FatTree::universal(n, n as u64 / 4);
+        let stream = PermutationStream::new(n, 0x5EED);
+        run_stream_to_completion(&ft, &stream, &cfg); // warm-up
+        let before = allocs();
+        let run = run_stream_to_completion(&ft, &stream, &cfg);
+        let grew = allocs() - before;
+        assert!(run.cycles <= 4, "{} cycles at n = {n}", run.cycles);
+        assert_eq!(
+            grew, 2,
+            "a warm run_stream_to_completion at n = {n} allocated {grew} times"
         );
     }
 }

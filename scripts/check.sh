@@ -32,6 +32,31 @@ shard_gate() {
   }
 }
 
+# The prose's citations must resolve: every backticked benchmark metric in
+# README.md, DESIGN.md or EXPERIMENTS.md (`sim.rel2_us`, or the metric of
+# `lat_p02_us @ sim_stream`) is one of BENCHMARK.json's end_to_end /
+# per_layer names, and every E<n> / A<n> README.md or DESIGN.md cites has
+# an EXPERIMENTS.md heading (E3 resolves to E3a, E3b, ...). Reports every
+# miss, then fails if there was one.
+cited_names_check() {
+  local metrics namespaces name id miss=0
+  metrics="$(sed -n 's/.*"name": "\([^"]*\)", "unit".*/\1/p' BENCHMARK.json)"
+  namespaces="$(printf '%s\n' "$metrics" | sed -n 's/^\([a-z]*\)\..*/\1/p' | sort -u | paste -sd'|')"
+  for name in $(grep -ohE "\`(($namespaces)\.[A-Za-z0-9_.]+|[A-Za-z0-9_.]+ @ [A-Za-z0-9_]+)\`" \
+      README.md DESIGN.md EXPERIMENTS.md | tr -d '`' | sed 's/ @ .*//' | sort -u); do
+    printf '%s\n' "$metrics" | grep -qxF "$name" || {
+      echo "cited metric \`$name\` is not in BENCHMARK.json" >&2; miss=1; }
+  done
+  for id in $(grep -ohE '\b[EA][0-9]+[a-z]?\b' README.md DESIGN.md | sort -u); do
+    grep -qE "^#+ ${id}[a-z]?\b" EXPERIMENTS.md || {
+      echo "cited experiment $id has no EXPERIMENTS.md heading" >&2; miss=1; }
+  done
+  return "$miss"
+}
+
+echo "==> cited metric and experiment names resolve"
+cited_names_check
+
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
