@@ -14,8 +14,11 @@
 //! The engines in `ft-sim`/`ft-sched` ingest streams directly into their
 //! flat arenas, so at no point does a length-`m` `Vec<Message>` exist on
 //! those paths; `ft-workloads` provides the lazy generators (permutations,
-//! hotspots, k-relations, and datacenter patterns). [`MessageSet`]
-//! implements the trait too, as the trivial materialized stream.
+//! hotspots, k-relations, and datacenter patterns). `[Message]` and
+//! [`MessageSet`] implement the trait too, as the trivial materialized
+//! streams. The engines pull messages in chunks through
+//! [`MessageStream::fill`], so a stream behind `&dyn` costs one dynamic call
+//! per chunk.
 //!
 //! The trait is object-safe: runtime-selected workloads travel as
 //! `&dyn MessageStream` (the CLI does this), while hot paths monomorphize.
@@ -36,6 +39,17 @@ pub trait MessageStream {
 
     /// The `j`-th message (`j < len()`), as a pure function of `(self, j)`.
     fn message(&self, j: usize) -> Message;
+
+    /// Messages `start .. start + out.len()` into `out`, in order: exactly
+    /// what [`Self::message`] returns for each index (`start + out.len() ≤
+    /// len()`). The default is the per-message loop; a generator with a
+    /// cheaper batch kernel overrides it, and a consumer that pulls chunks
+    /// pays one dynamic call per chunk instead of one per message.
+    fn fill(&self, start: usize, out: &mut [Message]) {
+        for (j, slot) in (start..).zip(out) {
+            *slot = self.message(j);
+        }
+    }
 
     /// True if the stream holds no messages.
     fn is_empty(&self) -> bool {
@@ -92,7 +106,27 @@ impl<S: MessageStream + ?Sized> Iterator for StreamIter<'_, S> {
 
 impl<S: MessageStream + ?Sized> ExactSizeIterator for StreamIter<'_, S> {}
 
-/// A `MessageSet` is the trivial (already materialized) stream.
+/// A message slice is the trivial (already materialized) stream; `fill`
+/// copies.
+impl MessageStream for [Message] {
+    fn len(&self) -> usize {
+        <[Message]>::len(self)
+    }
+
+    fn family(&self) -> &'static str {
+        "materialized"
+    }
+
+    fn message(&self, j: usize) -> Message {
+        self[j]
+    }
+
+    fn fill(&self, start: usize, out: &mut [Message]) {
+        out.copy_from_slice(&self[start..start + out.len()]);
+    }
+}
+
+/// A `MessageSet` is a materialized stream too: its slice's.
 impl MessageStream for MessageSet {
     fn len(&self) -> usize {
         MessageSet::len(self)
@@ -104,6 +138,10 @@ impl MessageStream for MessageSet {
 
     fn message(&self, j: usize) -> Message {
         self.as_slice()[j]
+    }
+
+    fn fill(&self, start: usize, out: &mut [Message]) {
+        MessageStream::fill(self.as_slice(), start, out)
     }
 }
 

@@ -29,8 +29,9 @@
 //!   so outcomes are byte-identical to
 //!   [`crate::reference::route_online_reference`];
 //! * the per-cycle used-wire table is split by level and direction into
-//!   *compact remaining-wire counters*: u32 slots for any level whose
-//!   capacity exceeds `u16::MAX` (none, on simulable trees) and u16 slots
+//!   *compact remaining-wire counters*: u32 slots for every level from the
+//!   root down to the deepest one whose capacity exceeds `u16::MAX` (the
+//!   top levels of `universal(n, n/4)` from n = 2¹⁸ on) and u16 slots
 //!   below, holding wires *left* so a probe is load / test-zero / decrement
 //!   with no capacity lookup. The u16 tables for a 4096-leaf universal tree
 //!   total ~32 KiB and stay cache-resident across a cycle's random probes —
@@ -156,15 +157,18 @@ fn unpack(m: u64) -> (u32, u32, u32) {
 pub struct OnlineArena {
     n: u32,
     height: u32,
-    /// First node id whose level uses the byte counters: node `u` sits at
+    /// Per-level capacities of the tree [`Self::new`] saw, baked into
+    /// `init16` / `init32`: with `n`, the key every run checks.
+    caps: Vec<u64>,
+    /// First node id whose level uses the `u16` counters: node `u` sits at
     /// level `lg u`, so `u >= usplit` is exactly "level ≥ `lsplit`", the
-    /// shallowest level from which every capacity fits a byte.
+    /// shallowest level from which every capacity fits a `u16`.
     usplit: u32,
     /// Packed path metadata of the still-undelivered messages, in the
     /// current cycle's shuffled order; compacted in place after each cycle.
     alive: Vec<u64>,
     /// Per-cycle *remaining-wire* counters, one slot per directed channel,
-    /// indexed directly by heap node id: byte slots (tables of length 2n)
+    /// indexed directly by heap node id: `u16` slots (tables of length 2n)
     /// for nodes ≥ `usplit`, exact u32 slots (tables of length `usplit`)
     /// for the wide top levels. Each slot starts a cycle at its channel's
     /// capacity (copied from `init16`/`init32`) and counts down; a claim is
@@ -181,7 +185,7 @@ pub struct OnlineArena {
     /// start (both directions share one template per width).
     init16: Vec<u16>,
     init32: Vec<u32>,
-    /// `2n − 1` (byte tables) and `usplit − 1` (wide tables).
+    /// `2n − 1` (`u16` tables) and `usplit − 1` (wide tables).
     mask16: u32,
     mask32: u32,
     /// Contention counters of the current run (recorder-enabled runs only).
@@ -203,17 +207,18 @@ impl OnlineArena {
         );
         let height = ft.height();
         let caps: Vec<u64> = (0..=height).map(|k| ft.cap_at_level(k)).collect();
-        // Shallowest level from which every deeper capacity fits a byte
+        // Shallowest level from which every deeper capacity fits a u16
         // (capacities need not be monotone, so scan the whole suffix).
         let mut lsplit = height + 1;
         while lsplit > 1 && caps[lsplit as usize - 1] <= u16::MAX as u64 {
             lsplit -= 1;
         }
         let usplit = 1u32 << lsplit;
-        let nodes = 2 * ft.n(); // heap node ids are 1..2n; 1 is the root
-                                // Narrow tables are allocated full-length even when every level is
-                                // wide, so `len == mask + 1` holds unconditionally — the claim
-                                // kernels re-slice on that identity to drop per-probe bounds checks.
+        // Heap node ids are 1..2n; 1 is the root. Narrow tables are
+        // allocated full-length even when every level is wide, so `len ==
+        // mask + 1` holds unconditionally — the claim kernels re-slice on
+        // that identity to drop per-probe bounds checks.
+        let nodes = 2 * ft.n();
         let narrow = nodes as usize;
         let wide = usplit.min(nodes) as usize;
         let mut cap16 = [0u16; 32];
@@ -235,6 +240,7 @@ impl OnlineArena {
         OnlineArena {
             n: ft.n(),
             height,
+            caps,
             usplit,
             alive: Vec::new(),
             up16: init16.clone(),
@@ -250,6 +256,12 @@ impl OnlineArena {
             delivered_per_cycle: Vec::new(),
             truncated: false,
         }
+    }
+
+    /// Was this arena built for `ft`? `n` and the per-level capacities are
+    /// everything [`Self::new`] bakes in.
+    fn built_for(&self, ft: &FatTree) -> bool {
+        self.n == ft.n() && (0..=self.height).all(|k| ft.cap_at_level(k) == self.caps[k as usize])
     }
 
     /// Delivery cycles used by the last run (0 before any run).
@@ -273,6 +285,12 @@ impl OnlineArena {
     }
 
     /// Run the process and clone the outcome into an [`OnlineResult`].
+    ///
+    /// # Panics
+    /// As every run entry point does, before anything is packed: if `ft` is
+    /// not the tree the arena was built for — another `n` or another
+    /// per-level capacity, both baked into its counter templates — an
+    /// O(height) check in every build.
     pub fn route(
         &mut self,
         ft: &FatTree,
@@ -302,6 +320,9 @@ impl OnlineArena {
 
     /// Run the process, leaving the outcome readable through the accessors
     /// until the next call. Once warm, this allocates nothing.
+    ///
+    /// # Panics
+    /// If `ft` is not the tree the arena was built for ([`Self::route`]).
     pub fn run(
         &mut self,
         ft: &FatTree,
@@ -340,6 +361,9 @@ impl OnlineArena {
     /// list, so no `Vec<Message>` of the stream's length ever exists here.
     /// Byte-identical to [`Self::run`] on `stream.collect_set()` — the alive
     /// list and hence the Fisher–Yates stream are the same either way.
+    ///
+    /// # Panics
+    /// If `ft` is not the tree the arena was built for ([`Self::route`]).
     pub fn run_stream(
         &mut self,
         ft: &FatTree,
@@ -377,7 +401,7 @@ impl OnlineArena {
         config: OnlineConfig,
         rec: &mut R,
     ) {
-        debug_assert_eq!(self.n, ft.n(), "arena built for a different tree");
+        assert!(self.built_for(ft), "arena built for a different tree");
         let height = self.height;
         self.cnt.reset(height, R::ENABLED);
         self.prev.reset(height, R::ENABLED);
@@ -525,7 +549,7 @@ impl OnlineArena {
 /// contention counters. Returns true if fully delivered.
 ///
 /// A node id at level `l` lies in `[2^l, 2^{l+1})`, so each run splits into
-/// a byte-counter segment and a wide-counter segment with a single branch
+/// a `u16`-counter segment and a wide-counter segment with a single branch
 /// flip, and the loop guards reduce to one node-id compare against a
 /// precomputed stop node (up) or one shift-count compare (down). A probe is
 /// "load, test-zero, decrement": capacities are baked into the cycle-start
@@ -549,7 +573,7 @@ fn try_claim_counted(
     let (sleaf, dleaf, lca_d) = unpack(meta);
     let lca_node = sleaf >> (height - lca_d);
 
-    // Up run: edges at depths height .. lca_d+1, byte segment down to the
+    // Up run: edges at depths height .. lca_d+1, u16 segment down to the
     // deeper of the LCA and the wide-table boundary.
     let stop16 = lca_node.max(usplit - 1);
     let mut u = sleaf;
@@ -585,7 +609,7 @@ fn try_claim_counted(
 
     // Down run, top-down: the node at depth d is dleaf >> (height − d), so
     // the shift count s runs from height − lca_d − 1 down to 0, crossing
-    // from the wide tables into the byte tables at `v >= usplit`, i.e.
+    // from the wide tables into the u16 tables at `v >= usplit`, i.e.
     // s ≤ height − lg usplit (computed in i32: every level may be wide).
     let mut s = height - lca_d;
     let s_split = height as i32 - usplit.trailing_zeros() as i32;
@@ -762,6 +786,25 @@ mod tests {
         let res = route_online(&t, &m, &mut rng(), cfg);
         assert!(res.truncated);
         assert_eq!(res.cycles, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "arena built for a different tree")]
+    fn run_on_another_capacity_profile_panics() {
+        // Same n, another profile: the counter templates would be wrong.
+        let built = FatTree::universal(64, 16);
+        let other = FatTree::new(64, CapacityProfile::Constant(2));
+        let m: MessageSet = [Message::new(0, 63)].into_iter().collect();
+        OnlineArena::new(&built).run(&other, &m, &mut rng(), OnlineConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "arena built for a different tree")]
+    fn stream_on_another_n_panics() {
+        let built = FatTree::universal(64, 16);
+        let other = FatTree::universal(128, 32);
+        let m: MessageSet = [Message::new(0, 127)].into_iter().collect();
+        OnlineArena::new(&built).run_stream(&other, &m, &mut rng(), OnlineConfig::default());
     }
 
     #[test]

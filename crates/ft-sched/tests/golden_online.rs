@@ -36,11 +36,22 @@ fn cross_root(n: u32, k: u32, rng: &mut SplitMix64) -> MessageSet {
         .collect()
 }
 
+/// The tree shapes every golden runs on. The last two reach the arena's
+/// wide (`u32`) counters, which no paper-shaped tree of these sizes does:
+/// top capacities above `u16::MAX`, and a non-monotone table whose wide
+/// levels include a small, fillable capacity between two huge ones.
 fn trees(n: u32) -> Vec<FatTree> {
+    let h = n.trailing_zeros() as usize;
+    let mut wide_top: Vec<u64> = (0..=h).map(|k| (n as u64) >> k).collect();
+    wide_top[..3].copy_from_slice(&[1 << 20, 100_000, 65_536]);
+    let mut mixed = vec![2u64; h + 1];
+    (mixed[1], mixed[3], mixed[h]) = (70_000, 80_000, 1);
     vec![
         FatTree::universal(n, (n as u64 / 4).max(1)),
         FatTree::new(n, CapacityProfile::Constant(1)),
         FatTree::new(n, CapacityProfile::FullDoubling),
+        FatTree::new(n, CapacityProfile::PerLevel(wide_top)),
+        FatTree::from_level_caps(n, mixed),
     ]
 }
 

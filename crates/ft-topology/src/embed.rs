@@ -250,6 +250,13 @@ impl MessageStream for MappedStream<'_> {
     fn message(&self, j: usize) -> Message {
         self.emb.map_message(self.inner.message(j))
     }
+
+    fn fill(&self, start: usize, out: &mut [Message]) {
+        self.inner.fill(start, out);
+        for m in out {
+            *m = self.emb.map_message(*m);
+        }
+    }
 }
 
 #[cfg(test)]

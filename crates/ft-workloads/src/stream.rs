@@ -73,26 +73,77 @@ fn scramble(x: u32, bits: u32, seed: u64) -> u32 {
 /// `scramble(j, lg n, seed)` with the four rounds' values read from a
 /// table built once (`4 · 2^⌈lg n / 2⌉` words: 2 KiB at n = 2¹³, 16 KiB at
 /// 2²⁰) instead of hashed per message.
+///
+/// `message` and `fill` share one kernel: at odd `lg n` it applies the
+/// round network twice unconditionally and selects ([`Self::two_steps`]),
+/// so only the quarter of inputs whose first two images both leave `0..n`
+/// walk on ([`Self::walk`]); `fill` runs the branch-free half over the
+/// whole chunk first.
 #[derive(Clone, Debug)]
 pub struct PermutationStream {
     n: u32,
-    bits: u32,
-    /// `round_value(seed, round, r)` at index `round << ⌈bits/2⌉ | r`.
+    /// `⌈lg n / 2⌉`: the Feistel half width.
+    half: u32,
+    /// `round_value(seed, round, r)` at index `round << half | r`.
     rounds: Vec<u32>,
 }
 
 impl PermutationStream {
     /// Permutation on `n` processors (a power of two), decided by `seed`.
     pub fn new(n: u32, seed: u64) -> Self {
-        let bits = lg_pow2(n);
-        let half = bits.div_ceil(2);
+        let half = lg_pow2(n).div_ceil(2);
         PermutationStream {
             n,
-            bits,
+            half,
             rounds: (0..4u32 << half)
                 .map(|i| round_value(seed, i >> half, i & ((1 << half) - 1)))
                 .collect(),
         }
+    }
+
+    /// One pass of the four-round network over `2·half` bits: [`feistel`]'s
+    /// loop body with the round values read from the table.
+    #[inline]
+    fn network(&self, v: u32) -> u32 {
+        let (half, mask) = (self.half, (1u32 << self.half) - 1);
+        let (mut l, mut r) = (v >> half, v & mask);
+        for round in 0..4 {
+            (l, r) = (r, l ^ (self.rounds[(round << half | r) as usize] & mask));
+        }
+        (l << half) | r
+    }
+
+    /// Does the network's domain, `0..2^(2·half)`, exceed `0..n`?
+    #[inline]
+    fn odd(&self) -> bool {
+        self.n.trailing_zeros() % 2 == 1
+    }
+
+    /// The first two steps of [`feistel`]'s cycle walk from `j`, selected
+    /// without a branch: `π(j)` unless both leave `0..n`. At even `lg n`
+    /// one pass is `π(j)`.
+    #[inline]
+    fn two_steps(&self, j: u32) -> u32 {
+        let a = self.network(j);
+        if !self.odd() {
+            return a;
+        }
+        let b = self.network(a);
+        if a < self.n {
+            a
+        } else {
+            b
+        }
+    }
+
+    /// The rest of the cycle walk from a point of it: the first image in
+    /// `0..n`.
+    #[inline]
+    fn walk(&self, mut v: u32) -> u32 {
+        while v >= self.n {
+            v = self.network(v);
+        }
+        v
     }
 }
 
@@ -106,11 +157,18 @@ impl MessageStream for PermutationStream {
     }
 
     fn message(&self, j: usize) -> Message {
-        let half = self.bits.div_ceil(2);
-        let dst = feistel(j as u32, self.bits, |round, r| {
-            self.rounds[(round << half | r) as usize]
-        });
-        Message::new(j as u32, dst)
+        Message::new(j as u32, self.walk(self.two_steps(j as u32)))
+    }
+
+    fn fill(&self, start: usize, out: &mut [Message]) {
+        for (j, slot) in (start as u32..).zip(out.iter_mut()) {
+            *slot = Message::new(j, self.two_steps(j));
+        }
+        if self.odd() {
+            for slot in out {
+                slot.dst.0 = self.walk(slot.dst.0);
+            }
+        }
     }
 }
 

@@ -116,6 +116,29 @@ case "$bursty_json" in
      printf '%s\n' "$bursty_json" | cut -c1-300 >&2
      exit 1 ;;
 esac
+# The run-level lemma (DESIGN.md §10): a permutation on a degree-2 tree
+# sends and receives one message per leaf, so besides the static list's
+# free levels it skips levels 16, 8, 7 and 6 going up and 6-16 coming
+# down, visiting 5 of 16 levels each way (~0.02s). A ring all-reduce in
+# pods of 16 arrives with unsorted sources, so its busiest source comes
+# from the load sort's buckets; 30 messages per leaf free nothing more
+# (~0.4s). Both pins were taken before the lemma landed.
+degree_json="$(timeout 120 target/release/ftsim simulate \
+  --topology degree:n=65536,w=16384,d=2 --workload streamperm --format json)"
+case "$degree_json" in
+  '{"schema":"ftsim-simulate/v1"'*'"messages":65536,"streamed":true,"cycles":3,'*'"order_fnv":"8afd8a8bb8f7c69d"}') ;;
+  *) echo "ftsim simulate streamperm on a degree-2 tree at n = 2^16 left the pinned result" >&2
+     echo "$degree_json" >&2
+     exit 1 ;;
+esac
+allreduce_json="$(timeout 120 target/release/ftsim simulate \
+  --n 65536 --w 16384 --workload allreduce:16 --format json)"
+case "$allreduce_json" in
+  '{"schema":"ftsim-simulate/v1"'*'"messages":1966080,"streamed":true,"cycles":30,'*'"order_fnv":"e6e0405e3d3b5b25"}') ;;
+  *) echo "ftsim simulate allreduce:16 at n = 2^16 left the pinned result" >&2
+     printf '%s\n' "$allreduce_json" | cut -c1-300 >&2
+     exit 1 ;;
+esac
 
 echo "==> ftsim report / trace smoke (telemetry)"
 report_json="$(cargo run --release --quiet --bin ftsim -- \

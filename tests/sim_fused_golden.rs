@@ -9,11 +9,14 @@
 //! `crates/ft-sim/tests/`; this one makes plain `cargo test` fail if a
 //! body is wrong.
 //!
-//! The fused body rests on two lemmas (DESIGN.md §10), each with its own
-//! test here: *order* — the pending set, sorted by source leaf once at load
-//! and compacted in place, is in every later cycle the list a fresh load
-//! would build; *free levels* — an up level whose ports cannot refuse a
-//! message may be skipped, and is climbed exactly when loads can be read.
+//! The fused body rests on three lemmas (DESIGN.md §10), each with its own
+//! tests here: *order* — the pending set, sorted by source leaf once at
+//! load and compacted in place, is in every later cycle the list a fresh
+//! load would build; *free levels* — an up level whose ports cannot refuse
+//! a message may be skipped, and is climbed exactly when loads can be read;
+//! *run levels* — a level the run's busiest source (up) or destination
+//! (down) leaf cannot fill may be skipped too, by the same rule, and the
+//! masks the load picks equal their definition.
 
 use fat_tree::core::rng::SplitMix64;
 use fat_tree::prelude::*;
@@ -262,6 +265,262 @@ fn free_level_lemma_skipped_levels_change_nothing_and_loads_stay_exact() {
                 pending = want.dropped.iter().map(|&i| pending[i]).collect();
             }
         }
+    }
+}
+
+/// The run's levels by the definition (`SimArena::run_levels`): with
+/// `D_up` / `D_down` the most messages on one source / destination leaf,
+/// up level `k` is visited iff it binds statically and `D_up · 2^(h − k)`
+/// exceeds the smallest `eff` of the level's up channels, down level `k`
+/// iff `D_down · 2^(h − k)` exceeds the smallest `eff` of its down ones.
+fn run_levels_by_definition(ft: &FatTree, faults: &FaultModel, msgs: &[Message]) -> [u32; 2] {
+    let h = ft.height();
+    let most = |end: fn(&Message) -> u32| {
+        let mut per_leaf = vec![0u64; ft.n() as usize];
+        msgs.iter().for_each(|m| per_leaf[end(m) as usize] += 1);
+        per_leaf.into_iter().max().unwrap_or(0)
+    };
+    let d = [most(|m| m.src.0), most(|m| m.dst.0)];
+    let binding = binding_by_definition(ft, faults);
+    let mut masks = [0u32; 2];
+    for k in 1..=h {
+        for (dir, chan) in [ChannelId::up, ChannelId::down].into_iter().enumerate() {
+            let min_eff = (1u32 << k..2 << k)
+                .map(|v| faults.effective_cap(ft, chan(v)))
+                .min();
+            let fillable = d[dir] << (h - k) > min_eff.unwrap();
+            if fillable && (dir == 1 || binding.contains(&k)) {
+                masks[dir] |= 1 << k;
+            }
+        }
+    }
+    masks
+}
+
+/// Every level the fused body can visit: `1..=height`.
+fn all_levels(ft: &FatTree) -> u32 {
+    (2 << ft.height()) - 2
+}
+
+/// `d` random permutations' union: every leaf sends and receives exactly
+/// `d` messages. Source-major (sorted sources) or permutation-major.
+fn d_regular(n: u32, d: u32, seed: u64, source_major: bool) -> MessageSet {
+    let mut msgs: Vec<Message> = (0..d as u64)
+        .flat_map(|i| {
+            PermutationStream::new(n, seed ^ i << 8)
+                .collect_set()
+                .into_vec()
+        })
+        .collect();
+    if source_major {
+        msgs.sort_by_key(|m| m.src.0);
+    }
+    MessageSet::from_vec(msgs)
+}
+
+/// The messages of a permutation whose source passes a seeded coin, in
+/// reverse source order: injective at both ends, sources unsorted.
+fn injective_subset(n: u32, seed: u64) -> MessageSet {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let perm = PermutationStream::new(n, seed).collect_set();
+    let mut msgs: Vec<Message> = perm
+        .iter()
+        .copied()
+        .filter(|_| rng.gen_range(0..3u32) > 0)
+        .collect();
+    msgs.reverse();
+    MessageSet::from_vec(msgs)
+}
+
+/// The public single-cycle API reads loads, so it must visit every level:
+/// cycle by cycle, the same drops and the same load on every channel as the
+/// reference, until the set drains.
+fn assert_cycles_fill_every_load(ft: &FatTree, cfg: &SimConfig, set: &MessageSet, tag: &str) {
+    let mut arena = SimArena::new(ft, cfg);
+    let mut pending: Vec<Message> = set.iter().copied().collect();
+    while !pending.is_empty() {
+        let want = simulate_cycle_reference(ft, &pending, cfg);
+        arena.cycle(ft, &pending, cfg);
+        for c in ft.channels() {
+            let (got, want) = (arena.channel_use().get(c), want.channel_use.get(c));
+            assert_eq!(got, want, "{tag}: channel_use {c}");
+        }
+        let dropped: Vec<usize> = arena
+            .dropped_indices()
+            .iter()
+            .map(|&i| i as usize)
+            .collect();
+        assert_eq!(dropped, want.dropped, "{tag}");
+        pending = want.dropped.iter().map(|&i| pending[i]).collect();
+    }
+}
+
+/// One run-level case: the masks equal their definition (and, where the
+/// case says so, free something the static list does not, or nothing),
+/// and both drivers, with and without a recorder, and the single-cycle API
+/// reproduce the reference.
+fn assert_run_level_case(
+    ft: &FatTree,
+    faults: FaultModel,
+    set: &MessageSet,
+    tag: &str,
+) -> [u32; 2] {
+    let cfg = SimConfig {
+        faults,
+        ..SimConfig::default()
+    };
+    let want_levels = run_levels_by_definition(ft, &faults, set.as_slice());
+    let mut arena = SimArena::new(ft, &cfg);
+    assert_eq!(arena.run_levels(ft, set), want_levels, "{tag}: run levels");
+    let want = run_to_completion_reference(ft, set, &cfg);
+    assert_eq!(
+        run_stream_to_completion(ft, set, &cfg),
+        want,
+        "{tag}: streamed"
+    );
+    assert_eq!(
+        run_to_completion(ft, set, &cfg),
+        want,
+        "{tag}: materialized"
+    );
+    let mut rec = MetricsRecorder::new();
+    assert_eq!(
+        run_stream_to_completion_with(ft, set, &cfg, &mut rec),
+        want,
+        "{tag}: recorded"
+    );
+    assert_cycles_fill_every_load(ft, &cfg, set, tag);
+    want_levels
+}
+
+#[test]
+fn run_level_lemma_masks_match_their_definition_and_runs_match_the_reference() {
+    let none = FaultModel::none();
+    // Root capacity d·n/2: a ∛4 crossover near the root, d wires per leaf.
+    let degree = |n: u32, d: u64| {
+        FatTree::new(
+            n,
+            CapacityProfile::UniversalWithDegree {
+                root_capacity: d * n as u64 / 2,
+                degree: d,
+            },
+        )
+    };
+    let mut retried = 0;
+    for seed in 0..4u64 {
+        for n in [64u32, 256] {
+            let universal = FatTree::universal(n, n as u64 / 4);
+            let static_up = binding_by_definition(&universal, &none)
+                .iter()
+                .fold(0u32, |m, &k| m | 1 << k);
+            let tag = |what: &str| format!("{what} n={n} seed={seed}");
+            let runs = [
+                ("perm", PermutationStream::new(n, seed).collect_set()),
+                ("injective", injective_subset(n, seed)),
+            ];
+            for (what, set) in &runs {
+                // D = 1 frees the leaf level going up (it binds statically)
+                // and every doubling level coming down.
+                let [up, down] = assert_run_level_case(&universal, none, set, &tag(what));
+                assert_eq!(up, static_up & !(1 << universal.height()), "{}", tag(what));
+                assert_ne!(down, all_levels(&universal), "{}", tag(what));
+            }
+            // A random 2-relation piles ≥ 2 messages on some destination,
+            // past the most any level admits per leaf: nothing is freed.
+            let rel2 = RelationStream::new(n, 2, seed).collect_set();
+            let levels = assert_run_level_case(&universal, none, &rel2, &tag("rel2"));
+            assert_eq!(
+                levels,
+                [static_up, all_levels(&universal)],
+                "{}",
+                tag("rel2")
+            );
+            // Degree-d trees give every leaf d wires: a D ≤ d run frees the
+            // doubling levels at both ends, D > d frees nothing more.
+            for (d, big) in [(2u64, 2u32), (4, 4), (4, 2), (2, 4)] {
+                let ft = degree(n, d);
+                for source_major in [true, false] {
+                    let set = d_regular(n, big, seed, source_major);
+                    let what = format!("degree {d}, D = {big}, source-major {source_major}");
+                    let [up, down] = assert_run_level_case(&ft, none, &set, &tag(&what));
+                    let freed = big as u64 <= d;
+                    assert_eq!(down != all_levels(&ft), freed, "{}", tag(&what));
+                    assert_eq!(up & 1 << ft.height() == 0, freed, "{}", tag(&what));
+                    retried +=
+                        (run_to_completion(&ft, &set, &SimConfig::default()).cycles > 1) as u32;
+                }
+            }
+        }
+    }
+    assert!(
+        retried >= 16,
+        "only {retried} of 64 degree-tree runs retried"
+    );
+}
+
+#[test]
+fn run_level_lemma_takes_a_level_minimum_over_every_node() {
+    // A degree-2 tree whose leaves have 2 wires each, minus a few dead ones:
+    // the first seed whose faults cut a leaf other than the first to one
+    // wire makes the leaf level bind for a D = 2 run — through a node its
+    // first channel does not show.
+    let n = 256u32;
+    let ft = FatTree::new(
+        n,
+        CapacityProfile::UniversalWithDegree {
+            root_capacity: n as u64 / 2,
+            degree: 2,
+        },
+    );
+    let leaf_effs = |f: &FaultModel, chan: fn(u32) -> ChannelId| -> Vec<u64> {
+        (n..2 * n).map(|v| f.effective_cap(&ft, chan(v))).collect()
+    };
+    let faults = (0..64u64)
+        .map(|seed| FaultModel {
+            dead_wire_fraction: 0.02,
+            seed,
+        })
+        .find(|f| {
+            [ChannelId::up, ChannelId::down].into_iter().all(|chan| {
+                let effs = leaf_effs(f, chan);
+                effs[0] == 2 && effs.contains(&1)
+            })
+        })
+        .expect("a fault seed within 64 that cuts a later leaf at both ends");
+    for source_major in [true, false] {
+        for seed in 0..3u64 {
+            let set = d_regular(n, 2, seed, source_major);
+            let tag = format!("seed={seed} source-major {source_major}");
+            let [up, down] = assert_run_level_case(&ft, faults, &set, &tag);
+            assert_ne!(up & 1 << ft.height(), 0, "{tag}: leaf level freed going up");
+            assert_ne!(
+                down & 1 << ft.height(),
+                0,
+                "{tag}: leaf level freed coming down"
+            );
+            // Healthy, the same run frees the leaf level at both ends.
+            let [up, down] = assert_run_level_case(&ft, FaultModel::none(), &set, &tag);
+            assert_eq!((up | down) & 1 << ft.height(), 0, "{tag}: healthy");
+        }
+    }
+}
+
+#[test]
+fn run_levels_differ_by_end_when_the_ends_differ() {
+    // Each end gets its own mask: sources and destinations are loaded
+    // differently (sorted runs or the counting sort, a capped count).
+    let n = 64u32;
+    let ft = FatTree::universal(n, 16);
+    let sets: [(&str, MessageSet); 3] = [
+        // D_up = 2, D_down = 1: the leaf level binds going up only.
+        ("fan-out", (0..n).map(|j| Message::new(j / 2, j)).collect()),
+        // D_up = 1, D_down = 2: every level binds coming down.
+        ("fan-in", (0..n).map(|j| Message::new(j, j / 2)).collect()),
+        ("hot spot", (1..n).map(|s| Message::new(s, 0)).collect()),
+    ];
+    for (what, set) in &sets {
+        let [up, down] = assert_run_level_case(&ft, FaultModel::none(), set, what);
+        assert_ne!(up, down, "{what}");
     }
 }
 
