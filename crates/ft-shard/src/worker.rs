@@ -437,13 +437,13 @@ impl WorkerCore {
                 // are incoming claims, which belong to their *source*
                 // shard's pending and are retired there via the verdict
                 // bitmap.
-                for &id in st.arena.delivered_ids() {
+                for &id in st.arena.delivered_indices() {
                     if let Ok(pos) = st.cur_ids.binary_search(&id) {
                         st.pend_flag[st.orig_ids[pos] as usize] = false;
                     }
                 }
                 wire::begin_frame(compose, FrameKind::Outcomes, shard, seq);
-                OutcomesView::encode_into(compose, ns, stats.ticks, st.arena.delivered_ids());
+                OutcomesView::encode_into(compose, ns, stats.ticks, st.arena.delivered_indices());
                 wire::end_frame(compose);
                 false
             }

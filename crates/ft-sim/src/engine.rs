@@ -25,7 +25,18 @@
 //! ideal-switch path (asserted by `tests/alloc_steady.rs`; partial
 //! concentrators run Hopcroft–Karp matchings, which allocate).
 //!
-//! A cycle runs one of two bodies, chosen from the tree height and the
+//! The retry loop of §II exists once, in one private function behind both
+//! public run functions, over two private arena steps. `SimArena::load`
+//! packs the submitted messages — a stream or a materialised set, pulled
+//! through [`MessageStream::fill`] — and chooses the cycle body for the
+//! whole run: the one place the choice is made. `SimArena::step` then runs
+//! one cycle on the resident pending set, lists its deliveries by
+//! ascending submitted index and compacts the survivors in place, in FIFO
+//! order, so each retry costs its pending messages, not `n`, and never
+//! replays or re-packs the source. [`SimArena::cycle`] is a load plus one
+//! step.
+//!
+//! A run takes one of two bodies, chosen from the tree height and the
 //! configuration alone:
 //!
 //! * **Fused sweeps** ([`SimConfig::default`]: [`MetaWidth::Auto`] on a
@@ -37,19 +48,20 @@
 //!   no per-level scans (`SimArena::up_phase_fused` /
 //!   `SimArena::down_phase_fused`; DESIGN.md §10 carries the proofs). The
 //!   pending set is sorted by source leaf once, at load, and in-place
-//!   compaction keeps it sorted, so a retry cycle costs its pending
-//!   messages, not `n`. When nobody reads the loads, each sweep visits
-//!   only the levels that can refuse a message: the up sweep the binding
-//!   ones ([`SimArena::binding_up_levels`]), and both sweeps only those the
-//!   run's busiest source or destination leaf can fill
-//!   ([`SimArena::run_levels`]). Loads arrive in chunks through
-//!   [`MessageStream::fill`].
+//!   compaction keeps it sorted. When nobody reads the loads, each sweep
+//!   visits only the levels that can refuse a message: the up sweep the
+//!   binding ones ([`SimArena::binding_up_levels`]), and both sweeps only
+//!   those the run's busiest source or destination leaf can fill
+//!   ([`SimArena::run_levels`]; masks taken at load hold for every retry,
+//!   since the pending set only shrinks).
 //! * **Level passes** (everything else: partial switches, random
 //!   arbitration, [`MetaWidth::Wide`], taller trees, and the shard
 //!   phases), on u64 words holding both leaves. Each pass scatters its
 //!   contenders straight into a generation-stamped (node, slot) table and
 //!   arbitrates by walking it — ascending-slot order falls out of the
-//!   layout, with no sorting and no intermediate bucket arrays.
+//!   layout, with no sorting and no intermediate bucket arrays. A step
+//!   re-injects the survivors, in submitted order, under identity
+//!   arbitration ids, so a retry is exactly a fresh load of the survivors.
 //!
 //! The original HashMap-based engine is retained verbatim in
 //! [`crate::reference`] and the equivalence is enforced by
@@ -63,13 +75,14 @@
 //! runs on one tree skip the construction and the page faults of its
 //! tables and per-message buffers. The key is exactly what
 //! [`SimArena::new`] bakes in — `n`, the per-level capacities and the
-//! [`FaultModel`]; switch kind, arbitration, `meta` and `payload_bits` are
-//! read per cycle. A driver takes the arena out of the slot for the whole
-//! run (a re-entrant run builds its own; a panic drops it) and puts it
-//! back on return, so each thread that ran a driver retains one arena,
-//! sized by the largest run on its current tree, until the thread exits
-//! or runs on another tree. [`simulate_cycle`] keeps a fresh arena: its
-//! [`CycleReport`] takes the arena's [`LoadMap`] by value.
+//! [`FaultModel`]; the rest of a [`SimConfig`] is read per run, by the load
+//! (which body) and by every step. A run takes the arena out of the slot
+//! for its whole length (a re-entrant run builds its own; a panic drops
+//! it) and puts it back on return, so each thread that ran one retains
+//! one arena, sized by the largest run on its current tree, until
+//! the thread exits or runs on another tree. [`simulate_cycle`] keeps a
+//! fresh arena: its [`CycleReport`] takes the arena's [`LoadMap`] by
+//! value.
 
 use crate::faults::FaultModel;
 use crate::node::PortSwitch;
@@ -279,14 +292,6 @@ fn for_each_message<S: MessageStream + ?Sized>(src: &S, mut each: impl FnMut(Mes
 /// Most messages one load accepts: the arena indexes them with `u32`s.
 pub const MAX_MESSAGES: usize = u32::MAX as usize;
 
-/// Refuse a longer load before anything is sized by its length.
-fn check_len(len: usize) {
-    assert!(
-        len <= MAX_MESSAGES,
-        "{len} messages exceed the engine's limit of {MAX_MESSAGES} per run (u32 message indices)"
-    );
-}
-
 /// Parameters of one level pass (up or down).
 struct PhaseParams {
     /// Up phase (toward the root) or down phase.
@@ -348,9 +353,13 @@ pub struct SimArena {
     /// Port-switch cache keyed by (kind, inputs, outputs); at most a few
     /// per level and kind.
     ports: Vec<((SwitchKind, usize, usize), PortSwitch)>,
-    // --- per-message state, indexed by position in the submitted slice ---
+    /// The body [`Self::load`] chose for the resident pending set: the
+    /// fused sweeps, else the level passes.
+    fused_body: bool,
+    // --- per-message state, indexed by position in the pending set ---
     /// Level passes (plain cycles and shard phases): packed alive / local /
     /// LCA-level / both-leaves words (layout at the packing constants).
+    /// Plain cycles keep them, `wire` and `orig` in submitted order.
     meta: Vec<u64>,
     /// Fused cycles only: the u32 metadata words. The fused body keeps
     /// these, `peer32` and `orig` sorted by source leaf, ascending
@@ -359,7 +368,7 @@ pub struct SimArena {
     meta32: Vec<u32>,
     /// Fused cycles only: destination leaf of the message at each position.
     peer32: Vec<u32>,
-    /// Fused cycles only: submitted index of the message at each position.
+    /// Plain cycles: submitted index of the message at each position.
     orig: Vec<u32>,
     /// Fused cycles only: this cycle's deliveries, one bit per submitted
     /// index; all clear between cycles.
@@ -368,10 +377,11 @@ pub struct SimArena {
     /// the per-level passes only; the fused sweeps never need it.
     wire: Vec<u32>,
     /// Arbitration identity of each message. For plain cycles this is the
-    /// identity map (position in the submitted slice, matching the
-    /// reference engine); the shard entry points load coordinator-global
-    /// ids here instead, so random arbitration hashes the same key no
-    /// matter which arena a message currently sits in.
+    /// identity map (position in the pending set, matching the reference
+    /// engine, which re-indexes the survivors of every cycle); the shard
+    /// entry points load coordinator-global ids here instead, so random
+    /// arbitration hashes the same key no matter which arena a message
+    /// currently sits in.
     ids: Vec<u32>,
     /// Fused cycles only: the up-phase survivors as `dst_leaf << 32 |
     /// position` words, stable-bucketed by LCA level (root first) — the
@@ -459,6 +469,7 @@ impl SimArena {
             caps: level_outputs(ft),
             eff,
             ports: Vec::new(),
+            fused_body: false,
             meta: Vec::new(),
             meta32: Vec::new(),
             peer32: Vec::new(),
@@ -483,12 +494,17 @@ impl SimArena {
         }
     }
 
-    /// Delivered message indices from the last cycle, ascending.
+    /// Delivered message indices from the last cycle: submitted indices,
+    /// ascending — or, after [`Self::shard_down`], the coordinator-global
+    /// ids of the locals, intra-shard survivors and incoming claims that
+    /// survived the final descent.
     pub fn delivered_indices(&self) -> &[u32] {
         &self.delivered
     }
 
-    /// Dropped message indices from the last cycle, ascending.
+    /// Dropped message indices from the last cycle, as
+    /// [`Self::delivered_indices`] lists deliveries (after
+    /// [`Self::shard_down`], exported claims are in neither list).
     pub fn dropped_indices(&self) -> &[u32] {
         &self.dropped
     }
@@ -535,13 +551,12 @@ impl SimArena {
             self.height <= NARROW_MAX_HEIGHT,
             "the fused body runs trees of height ≤ 20"
         );
-        assert!(
-            self.built_for(ft, &self.faults),
-            "arena built for a different tree or fault pattern"
-        );
-        check_len(src.len());
+        let cfg = SimConfig {
+            faults: self.faults,
+            ..SimConfig::default()
+        };
         let read = std::mem::replace(&mut self.loads_read, false);
-        self.load_fused(ft, src, &mut NoopRecorder);
+        self.load(ft, src, &cfg, &mut NoopRecorder);
         self.loads_read = read;
         self.levels
     }
@@ -602,7 +617,8 @@ impl SimArena {
         self.n == ft.n() && self.caps == level_outputs(ft) && self.faults == *faults
     }
 
-    /// Run one delivery cycle of `msgs` on `ft`, reusing all scratch.
+    /// Run one delivery cycle of `msgs` on `ft`, reusing all scratch: a
+    /// fresh load and one step of the body `cfg` selects.
     ///
     /// Winner/loser indices and channel usage are readable through the
     /// accessors until the next call.
@@ -614,25 +630,7 @@ impl SimArena {
     /// another per-level capacity, another fault pattern) — an O(height)
     /// check in every build.
     pub fn cycle(&mut self, ft: &FatTree, msgs: &[Message], cfg: &SimConfig) -> CycleStats {
-        self.cycle_with(ft, msgs, cfg, &mut NoopRecorder)
-    }
-
-    /// [`Self::cycle`] with a telemetry [`Recorder`] observing the cycle.
-    ///
-    /// After the cycle completes (and only when `R::ENABLED` — the no-op
-    /// path compiles to exactly [`Self::cycle`]), every channel's load is
-    /// fed to [`Recorder::channel_load`] against its capacity, giving the
-    /// per-level load-vs-capacity histograms of `ftsim report`. The engine
-    /// itself is untouched: recording reads the same [`LoadMap`] the
-    /// accessors expose, after arbitration is done.
-    pub fn cycle_with<R: Recorder>(
-        &mut self,
-        ft: &FatTree,
-        msgs: &[Message],
-        cfg: &SimConfig,
-        rec: &mut R,
-    ) -> CycleStats {
-        self.cycle_source(ft, msgs, cfg, rec)
+        self.cycle_source(ft, msgs, cfg)
     }
 
     /// Run one delivery cycle of a lazily generated stream: metadata is
@@ -647,28 +645,29 @@ impl SimArena {
         stream: &dyn MessageStream,
         cfg: &SimConfig,
     ) -> CycleStats {
-        self.cycle_stream_with(ft, stream, cfg, &mut NoopRecorder)
+        self.cycle_source(ft, stream, cfg)
     }
 
-    /// [`Self::cycle_stream`] with a telemetry [`Recorder`] observing the
-    /// cycle ([`Recorder::stream_ingest`] once, then per-channel loads as
-    /// in [`Self::cycle_with`]).
-    pub fn cycle_stream_with<R: Recorder>(
+    /// One cycle from a fresh load of either message source, then the
+    /// dropped list: submitted and not delivered (both lists ascend).
+    fn cycle_source<S: MessageStream + ?Sized>(
         &mut self,
         ft: &FatTree,
-        stream: &dyn MessageStream,
+        src: &S,
         cfg: &SimConfig,
-        rec: &mut R,
     ) -> CycleStats {
-        if R::ENABLED {
-            rec.stream_ingest(stream.family(), stream.len() as u64);
-        }
-        self.cycle_source(ft, stream, cfg, rec)
+        self.load(ft, src, cfg, &mut NoopRecorder);
+        let stats = self.step(ft, cfg, &mut NoopRecorder);
+        let mut d = self.delivered.iter().peekable();
+        self.dropped.clear();
+        self.dropped
+            .extend((0..src.len() as u32).filter(|i| d.next_if_eq(&i).is_none()));
+        stats
     }
 
-    /// Does a plain cycle under `cfg` run the fused sweeps (else the level
-    /// passes)? Random-arbitration reseeding aside, a run's `cfg` never
-    /// changes, so neither does the answer.
+    /// Does a run under `cfg` take the fused sweeps (else the level
+    /// passes)? Read by [`Self::load`] alone: random-arbitration reseeding
+    /// aside, a run's `cfg` never changes, so neither does the answer.
     fn fused(&self, cfg: &SimConfig) -> bool {
         cfg.meta == MetaWidth::Auto
             && self.height <= NARROW_MAX_HEIGHT
@@ -676,54 +675,56 @@ impl SimArena {
             && matches!(cfg.arbitration, Arbitration::SlotOrder)
     }
 
-    /// One cycle from a fresh load of either message source, on the body
-    /// `cfg` selects, then (recorder enabled) the per-channel loads.
-    fn cycle_source<S: MessageStream + ?Sized, R: Recorder>(
+    /// Make `src` the pending set, packed for the body `cfg` selects — the
+    /// one place that choice is made; every [`Self::step`] until the next
+    /// load runs that body. Checks the arena's key and the length first
+    /// (see [`Self::cycle`]'s panics).
+    fn load<S: MessageStream + ?Sized, R: Recorder>(
         &mut self,
         ft: &FatTree,
         src: &S,
         cfg: &SimConfig,
         rec: &mut R,
-    ) -> CycleStats {
-        check_len(src.len());
+    ) {
+        // Refuse a longer load before anything is sized by its length.
+        let len = src.len();
+        assert!(
+            len <= MAX_MESSAGES,
+            "{len} messages exceed the engine's limit of {MAX_MESSAGES} per run (u32 message indices)"
+        );
         assert!(
             self.built_for(ft, &cfg.faults),
             "arena built for a different tree or fault pattern"
         );
-        let stats = if self.fused(cfg) {
+        self.fused_body = self.fused(cfg);
+        if self.fused_body {
             self.load_fused(ft, src, rec);
-            let stats = self.cycle_fused(ft, cfg, rec);
-            // Dropped = submitted and not delivered; both lists ascend.
-            let mut d = self.delivered.iter().peekable();
-            self.dropped.clear();
-            self.dropped
-                .extend((0..src.len() as u32).filter(|i| d.next_if_eq(&i).is_none()));
-            stats
         } else {
             let mut clock = PhaseClock::start::<R>();
-            self.load(ft, src, None);
+            self.pack(ft, src);
+            self.orig.clone_from(&self.ids);
             clock.lap(rec, EnginePhase::Ingest);
-            self.passes_and_settle(ft, cfg, rec)
-        };
-        if R::ENABLED {
-            self.record_loads(ft, rec);
-        }
-        stats
-    }
-
-    /// Feed every channel's load of the last cycle to the recorder.
-    fn record_loads<R: Recorder>(&self, ft: &FatTree, rec: &mut R) {
-        for c in ft.channels() {
-            rec.channel_load(c.level(), self.channel_use.get(c), ft.cap(c));
         }
     }
 
-    /// Load for the level passes: pack `meta` straight from a message
-    /// source (a slice or a lazy stream — no intermediate `Vec<Message>`),
-    /// set the arbitration ids (`None` = identity map, matching the
-    /// reference engine; the shard entry points pass coordinator-global
-    /// ids), and inject every message onto its source leaf's up-wires.
-    fn load<S: MessageStream + ?Sized>(&mut self, ft: &FatTree, src: &S, ids: Option<&[u32]>) {
+    /// One delivery cycle on the resident pending set, on the body the
+    /// load chose. Afterwards `delivered` lists the cycle's deliveries by
+    /// ascending submitted index, and the survivors are compacted in place,
+    /// in their order and revived: exactly the state a fresh load of them
+    /// would build.
+    fn step<R: Recorder>(&mut self, ft: &FatTree, cfg: &SimConfig, rec: &mut R) -> CycleStats {
+        if self.fused_body {
+            self.step_fused(ft, cfg, rec)
+        } else {
+            self.step_passes(ft, cfg, rec)
+        }
+    }
+
+    /// Pack `meta` for the level passes straight from a message source (a
+    /// slice or a lazy stream — no intermediate `Vec<Message>`), with
+    /// identity arbitration ids, matching the reference engine (the shard
+    /// entry points overwrite them with coordinator-global ids).
+    fn pack<S: MessageStream + ?Sized>(&mut self, ft: &FatTree, src: &S) {
         let n_msgs = src.len();
         self.wire.clear();
         self.wire.resize(n_msgs, 0);
@@ -740,11 +741,7 @@ impl SimArena {
             ));
         });
         self.ids.clear();
-        match ids {
-            Some(ids) => self.ids.extend_from_slice(ids),
-            None => self.ids.extend(0..n_msgs as u32),
-        }
-        self.inject();
+        self.ids.extend(0..n_msgs as u32);
     }
 
     /// Injection: each processor assigns its (alive, non-local) messages to
@@ -861,14 +858,14 @@ impl SimArena {
         d_up
     }
 
-    /// One fused cycle over the resident pending set: both sweeps, then one
-    /// settle pass that marks the delivered submitted indices in `done` and
-    /// compacts the survivors in place, revived — order-preserving, so the
-    /// arrays are exactly what a fresh load of the survivors would build.
+    /// [`Self::step`] on the fused body: both sweeps, then one settle pass
+    /// that marks the delivered submitted indices in `done` and compacts
+    /// the survivors in place, revived — order-preserving, so the arrays
+    /// are exactly what a fresh load of the survivors would build.
     /// Draining the touched words of `done` lists the deliveries by
     /// ascending submitted index: the FIFO order of
     /// [`Self::delivered_indices`] and [`RunReport::delivery_order`].
-    fn cycle_fused<R: Recorder>(
+    fn step_fused<R: Recorder>(
         &mut self,
         ft: &FatTree,
         cfg: &SimConfig,
@@ -891,9 +888,7 @@ impl SimArena {
             let (m, i) = (meta[p], orig[p]);
             if m & NMETA_ALIVE != 0 {
                 if m & NMETA_LOCAL == 0 {
-                    // 2·(nodes on the path) + payload, as the level passes settle it.
-                    ticks =
-                        ticks.max(2 * (2 * (self.height - nmeta_lca(m)) - 1) + cfg.payload_bits);
+                    ticks = ticks.max(latency(self.height, nmeta_lca(m), cfg.payload_bits));
                 }
                 let w = (i >> 6) as usize;
                 self.done[w] |= 1 << (i & 63);
@@ -918,18 +913,24 @@ impl SimArena {
         CycleStats { delivered, ticks }
     }
 
-    /// Run the up and down phases of one injected cycle of the level-pass
-    /// body (whatever [`Self::fused`] turns away) and settle the outcome.
-    /// Shared by fresh cycles and streamed-retry cycles. One
-    /// [`Self::level_pass`] per level and direction over a plain scan of
-    /// the metadata.
-    fn passes_and_settle<R: Recorder>(
+    /// [`Self::step`] on the level passes (whatever [`Self::fused`] turns
+    /// away): injection, one [`Self::level_pass`] per level and direction
+    /// over a plain scan of the metadata, then one settle pass that lists
+    /// the deliveries through `orig` (positions stay in submitted order, so
+    /// the list ascends) and compacts the survivors in place, revived — a
+    /// fresh load of the survivors. `ids` is left alone: the load's identity
+    /// map, whose prefix is the identity over the survivors' positions,
+    /// which is what random arbitration hashes (as the reference engine
+    /// does after re-indexing them).
+    fn step_passes<R: Recorder>(
         &mut self,
         ft: &FatTree,
         cfg: &SimConfig,
         rec: &mut R,
     ) -> CycleStats {
         let mut clock = PhaseClock::start::<R>();
+        self.inject();
+        clock.lap(rec, EnginePhase::Ingest);
         for node_level in (0..self.height).rev() {
             self.level_pass(ft, cfg, true, node_level);
         }
@@ -938,63 +939,48 @@ impl SimArena {
             self.level_pass(ft, cfg, false, node_level);
         }
         clock.lap(rec, EnginePhase::DownSweep);
-        let stats = self.settle(cfg);
+        let (meta, orig) = (&mut self.meta[..], &mut self.orig[..]);
+        let (mut k, mut ticks) = (0, 0);
+        self.delivered.clear();
+        for p in 0..meta.len() {
+            let (m, i) = (meta[p], orig[p]);
+            if m & META_ALIVE != 0 {
+                if m & META_LOCAL == 0 {
+                    ticks = ticks.max(latency(self.height, meta_lca(m), cfg.payload_bits));
+                }
+                self.delivered.push(i);
+            } else {
+                (meta[k], orig[k]) = (m | META_ALIVE, i);
+                k += 1;
+            }
+        }
+        self.meta.truncate(k);
+        self.orig.truncate(k);
+        self.wire.truncate(k);
         clock.lap(rec, EnginePhase::Settle);
-        stats
+        let delivered = self.delivered.len();
+        CycleStats { delivered, ticks }
     }
 
-    /// Bookkeeping after the last level pass: the delivered / dropped lists
-    /// by arbitration id (the position, in a plain cycle) and the cycle's
-    /// ticks. A claim exported by [`Self::shard_up`] is in neither list.
+    /// A shard cycle's bookkeeping after its last level pass: the delivered
+    /// / dropped lists by arbitration id and the cycle's ticks. A claim
+    /// exported by [`Self::shard_up`] is in neither list.
     fn settle(&mut self, cfg: &SimConfig) -> CycleStats {
         self.delivered.clear();
         self.dropped.clear();
-        let mut max_latency = 0u32;
+        let mut ticks = 0;
         for (i, &m) in self.meta.iter().enumerate() {
-            if m & META_LOCAL != 0 {
-                self.delivered.push(self.ids[i]);
-                continue;
-            }
             if m & META_ALIVE != 0 {
                 self.delivered.push(self.ids[i]);
-                let nodes_on_path = 2 * (self.height - meta_lca(m)) - 1;
-                max_latency = max_latency.max(2 * nodes_on_path + cfg.payload_bits);
+                if m & META_LOCAL == 0 {
+                    ticks = ticks.max(latency(self.height, meta_lca(m), cfg.payload_bits));
+                }
             } else if self.wire[i] != CROSSED {
                 self.dropped.push(self.ids[i]);
             }
         }
-        CycleStats {
-            delivered: self.delivered.len(),
-            ticks: max_latency,
-        }
-    }
-
-    /// Between streamed level-pass cycles: emit delivered original indices
-    /// (via `orig`, the position → original-index map) and compact the
-    /// survivors' metadata in place, preserving FIFO retry order. Dead
-    /// words are revived and the arbitration ids are reset to the identity
-    /// over the compacted range — exactly the state a fresh
-    /// [`run_to_completion`] load would produce for the same pending set,
-    /// which is what keeps the streamed path byte-identical. Returns the
-    /// number of survivors.
-    fn compact_retry(&mut self, orig: &mut Vec<u32>, delivery_order: &mut Vec<usize>) -> usize {
-        let mut d = self.delivered.iter().peekable();
-        let mut w = 0usize;
-        for i in 0..self.meta.len() {
-            if d.next_if(|&&di| di as usize == i).is_some() {
-                delivery_order.push(orig[i] as usize);
-            } else {
-                self.meta[w] = self.meta[i] | META_ALIVE;
-                orig[w] = orig[i];
-                w += 1;
-            }
-        }
-        self.meta.truncate(w);
-        orig.truncate(w);
-        self.wire.truncate(w);
-        self.ids.clear();
-        self.ids.extend(0..w as u32);
-        w
+        let delivered = self.delivered.len();
+        CycleStats { delivered, ticks }
     }
 
     /// One level pass: one scan scatters every contender straight into a
@@ -1373,6 +1359,13 @@ fn level_outputs(ft: &FatTree) -> [u64; 33] {
     outputs
 }
 
+/// Bit ticks of a delivered non-local message whose LCA is at `lca`:
+/// 2·(nodes on its path) + payload (Fig. 2).
+#[inline]
+fn latency(height: u32, lca: u32, payload_bits: u32) -> u32 {
+    2 * (2 * (height - lca) - 1) + payload_bits
+}
+
 /// A root-crossing message suspended at a shard boundary: everything the
 /// coordinator needs to finish routing it. `id` is the coordinator-global
 /// arbitration id (position in the coordinator's pending slice), `meta` the
@@ -1486,7 +1479,9 @@ impl SimArena {
         debug_assert_eq!(self.faults, cfg.faults);
         assert_eq!(msgs.len(), ids.len());
         assert!(boundary <= self.height, "boundary below the leaves");
-        self.load(ft, msgs, Some(ids));
+        self.pack(ft, msgs);
+        self.ids.copy_from_slice(ids);
+        self.inject();
         for node_level in (boundary..self.height).rev() {
             self.level_pass(ft, cfg, true, node_level);
         }
@@ -1550,7 +1545,7 @@ impl SimArena {
     /// lies in this shard's subtree, run the down passes from the boundary
     /// to the leaves, and settle the cycle. Must follow this arena's
     /// [`Self::shard_up`] of the same cycle. Afterwards
-    /// [`Self::delivered_ids`] and [`Self::dropped_ids`] report
+    /// [`Self::delivered_indices`] and [`Self::dropped_indices`] report
     /// coordinator-global ids; claims this shard exported are in neither
     /// list (their fate is decided by the top and destination arenas).
     pub fn shard_down(
@@ -1572,20 +1567,6 @@ impl SimArena {
             self.level_pass(ft, cfg, false, node_level);
         }
         self.settle(cfg)
-    }
-
-    /// Coordinator-global ids delivered by the last [`Self::shard_down`]
-    /// (locals, intra-shard survivors, and incoming claims that survived
-    /// the final descent).
-    pub fn delivered_ids(&self) -> &[u32] {
-        &self.delivered
-    }
-
-    /// Coordinator-global ids this arena dropped to congestion in the last
-    /// [`Self::shard_down`] cycle (injection, up-pass, or down-pass losses
-    /// of messages it owned — exported claims excluded).
-    pub fn dropped_ids(&self) -> &[u32] {
-        &self.dropped
     }
 }
 
@@ -1660,106 +1641,40 @@ fn with_warm_arena<T>(ft: &FatTree, cfg: &SimConfig, run: impl FnOnce(&mut SimAr
 /// Run repeated delivery cycles (with acknowledgments and retries) until
 /// every message is delivered.
 ///
-/// The pending set is compacted in place between cycles (no rebuild through
-/// a hash set), and the identity of every delivered message is recorded in
-/// [`RunReport::delivery_order`].
+/// The set is loaded once; every retry runs on the arena's compacted
+/// pending set (module docs, "Engine structure"), and the identity of
+/// every delivered message is recorded in [`RunReport::delivery_order`].
 pub fn run_to_completion(ft: &FatTree, msgs: &MessageSet, cfg: &SimConfig) -> RunReport {
     run_to_completion_with(ft, msgs, cfg, &mut NoopRecorder)
 }
 
 /// [`run_to_completion`] with a telemetry [`Recorder`] observing the run:
-/// [`Recorder::cycle_start`] / [`Recorder::cycle_end`] per delivery cycle
-/// and [`Recorder::channel_load`] per channel per cycle (via
-/// [`SimArena::cycle_with`]). With [`NoopRecorder`] this is exactly
-/// [`run_to_completion`].
-///
-/// Runs on the thread's warm [`SimArena`] (module docs, "Warm arena"):
-/// kept between runs, keyed by `n`, per-level capacities and
-/// `cfg.faults`, retained until the thread exits or runs on another tree.
-/// [`simulate_cycle`] builds fresh: its report owns the arena's loads.
+/// [`Recorder::cycle_start`] / [`Recorder::cycle_end`] per delivery cycle,
+/// [`Recorder::channel_load`] per channel per cycle and the engine phases.
+/// With [`NoopRecorder`] this is exactly [`run_to_completion`]. Runs on
+/// the thread's warm [`SimArena`] (module docs, "Warm arena").
 pub fn run_to_completion_with<R: Recorder>(
     ft: &FatTree,
     msgs: &MessageSet,
     cfg: &SimConfig,
     rec: &mut R,
 ) -> RunReport {
-    with_warm_arena(ft, cfg, |arena| {
-        arena.loads_read = R::ENABLED;
-        if R::ENABLED {
-            rec.run_start(ft.height());
-        }
-        let mut pending: Vec<Message> = msgs.iter().copied().collect();
-        let mut ids: Vec<u32> = (0..pending.len() as u32).collect();
-        let mut cycles = 0usize;
-        let mut delivered_per_cycle = Vec::new();
-        let mut delivery_order = Vec::with_capacity(pending.len());
-        let mut total_ticks = 0u64;
-        while !pending.is_empty() {
-            // Reseed random arbitration every cycle so drops are independent.
-            let mut cycle_cfg = *cfg;
-            if let Arbitration::Random(seed) = cfg.arbitration {
-                cycle_cfg.arbitration = Arbitration::Random(
-                    seed.wrapping_add(cycles as u64)
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                );
-            }
-            if R::ENABLED {
-                rec.cycle_start(cycles as u32, pending.len() as u32);
-            }
-            let stats = arena.cycle_with(ft, &pending, &cycle_cfg, rec);
-            assert!(
-                stats.delivered > 0,
-                "no progress in a delivery cycle — switch cannot route even one message"
-            );
-            if R::ENABLED {
-                rec.cycle_end(cycles as u32, stats.delivered as u32);
-            }
-            cycles += 1;
-            delivered_per_cycle.push(stats.delivered);
-            total_ticks += stats.ticks as u64;
-            // One pass: emit delivered identities and compact survivors in
-            // place, preserving order (the retry queue of §II is FIFO). The
-            // arena's delivered list is ascending, so a merge-walk against it
-            // classifies every pending index without touching arena metadata
-            // (whose layout depends on the cycle body).
-            let mut clock = PhaseClock::start::<R>();
-            let mut w = 0usize;
-            let mut d = arena.delivered_indices().iter().peekable();
-            for i in 0..pending.len() {
-                if d.next_if(|&&di| di as usize == i).is_some() {
-                    delivery_order.push(ids[i] as usize);
-                } else {
-                    pending[w] = pending[i];
-                    ids[w] = ids[i];
-                    w += 1;
-                }
-            }
-            pending.truncate(w);
-            ids.truncate(w);
-            clock.lap(rec, EnginePhase::Compaction);
-        }
-        RunReport {
-            cycles,
-            delivered_per_cycle,
-            total_ticks,
-            delivery_order,
-        }
-    })
+    run_source(ft, msgs, cfg, rec)
 }
 
 /// [`run_to_completion`] over a lazily generated stream.
 ///
-/// The first cycle packs per-message metadata straight from the generator
-/// (the only per-message state is the arena's flat metadata arrays plus a
-/// `u32` original-index map — no `Vec<Message>` of the stream's length
-/// exists at any point). Retry cycles run from the compacted metadata
-/// without replaying the stream. Byte-identical to [`run_to_completion`] on
+/// The load packs per-message metadata straight from the generator (the
+/// only per-message state is the arena's flat metadata arrays plus a `u32`
+/// original-index map — no `Vec<Message>` of the stream's length exists at
+/// any point), and the stream is never replayed. The same loop as
+/// [`run_to_completion`], so byte-identical to it on
 /// [`MessageStream::collect_set`] on either cycle body, and — via the
 /// goldens — to the reference engine.
 ///
 /// # Panics
 /// If the stream is longer than [`MAX_MESSAGES`] (checked before anything
-/// is allocated), or a cycle delivers nothing.
+/// is sized by its length), or a cycle delivers nothing.
 pub fn run_stream_to_completion(
     ft: &FatTree,
     stream: &dyn MessageStream,
@@ -1769,88 +1684,76 @@ pub fn run_stream_to_completion(
 }
 
 /// [`run_stream_to_completion`] with a telemetry [`Recorder`] observing the
-/// run: [`Recorder::stream_ingest`] once, then the same per-cycle hooks as
-/// [`run_to_completion_with`], on the same warm [`SimArena`]: keyed by
-/// `n`, per-level capacities and `cfg.faults`, retained until the thread
-/// exits or runs on another tree ([`simulate_cycle`] builds fresh).
+/// run: [`Recorder::stream_ingest`] once, then exactly the hooks of
+/// [`run_to_completion_with`], on the same warm [`SimArena`].
 pub fn run_stream_to_completion_with<R: Recorder>(
     ft: &FatTree,
     stream: &dyn MessageStream,
     cfg: &SimConfig,
     rec: &mut R,
 ) -> RunReport {
-    check_len(stream.len());
+    if R::ENABLED {
+        rec.stream_ingest(stream.family(), stream.len() as u64);
+    }
+    run_source(ft, stream, cfg, rec)
+}
+
+/// The retry loop of §II, the one function that iterates delivery cycles:
+/// [`SimArena::load`] `src` once on the thread's warm arena, then
+/// [`SimArena::step`] until nothing is pending. Random arbitration is
+/// reseeded every cycle so drops are independent.
+fn run_source<S: MessageStream + ?Sized, R: Recorder>(
+    ft: &FatTree,
+    src: &S,
+    cfg: &SimConfig,
+    rec: &mut R,
+) -> RunReport {
     with_warm_arena(ft, cfg, |arena| {
         arena.loads_read = R::ENABLED;
         if R::ENABLED {
             rec.run_start(ft.height());
-            rec.stream_ingest(stream.family(), stream.len() as u64);
         }
-        let total = stream.len();
-        // The fused body keeps its own position → original-index map.
-        let fused = arena.fused(cfg);
-        let mut orig: Vec<u32> = (0..if fused { 0 } else { total as u32 }).collect();
-        let mut cycles = 0usize;
-        let mut delivered_per_cycle = Vec::new();
-        let mut delivery_order = Vec::with_capacity(total);
-        let mut total_ticks = 0u64;
-        let mut pending = total;
+        arena.load(ft, src, cfg, rec);
+        let mut pending = src.len();
+        let mut run = RunReport {
+            cycles: 0,
+            delivered_per_cycle: Vec::new(),
+            total_ticks: 0,
+            delivery_order: Vec::with_capacity(pending),
+        };
         while pending > 0 {
-            // Reseed random arbitration every cycle so drops are independent —
-            // same schedule as `run_to_completion`.
+            let cycle = run.cycles as u32;
             let mut cycle_cfg = *cfg;
             if let Arbitration::Random(seed) = cfg.arbitration {
                 cycle_cfg.arbitration = Arbitration::Random(
-                    seed.wrapping_add(cycles as u64)
+                    seed.wrapping_add(cycle as u64)
                         .wrapping_mul(0x9E37_79B9_7F4A_7C15),
                 );
             }
             if R::ENABLED {
-                rec.cycle_start(cycles as u32, pending as u32);
+                rec.cycle_start(cycle, pending as u32);
             }
-            let stats = if fused {
-                if cycles == 0 {
-                    arena.load_fused(ft, stream, rec);
-                }
-                arena.cycle_fused(ft, &cycle_cfg, rec)
-            } else {
-                // Cycle 0 packs the stream; a retry re-injects the survivors
-                // `compact_retry` left in place (no replay, no rebuild).
-                let mut clock = PhaseClock::start::<R>();
-                if cycles == 0 {
-                    arena.load(ft, stream, None);
-                } else {
-                    arena.inject();
-                }
-                clock.lap(rec, EnginePhase::Ingest);
-                arena.passes_and_settle(ft, &cycle_cfg, rec)
-            };
+            let stats = arena.step(ft, &cycle_cfg, rec);
             assert!(
                 stats.delivered > 0,
                 "no progress in a delivery cycle — switch cannot route even one message"
             );
             if R::ENABLED {
-                arena.record_loads(ft, rec);
-                rec.cycle_end(cycles as u32, stats.delivered as u32);
+                for c in ft.channels() {
+                    rec.channel_load(c.level(), arena.channel_use.get(c), ft.cap(c));
+                }
+                rec.cycle_end(cycle, stats.delivered as u32);
             }
-            cycles += 1;
-            delivered_per_cycle.push(stats.delivered);
-            total_ticks += stats.ticks as u64;
+            run.cycles += 1;
+            run.delivered_per_cycle.push(stats.delivered);
+            run.total_ticks += stats.ticks as u64;
+            pending -= stats.delivered;
             let mut clock = PhaseClock::start::<R>();
-            pending = if fused {
-                delivery_order.extend(arena.delivered.iter().map(|&i| i as usize));
-                arena.meta32.len()
-            } else {
-                arena.compact_retry(&mut orig, &mut delivery_order)
-            };
+            run.delivery_order
+                .extend(arena.delivered.iter().map(|&i| i as usize));
             clock.lap(rec, EnginePhase::Compaction);
         }
-        RunReport {
-            cycles,
-            delivered_per_cycle,
-            total_ticks,
-            delivery_order,
-        }
+        run
     })
 }
 
@@ -2163,7 +2066,7 @@ mod tests {
         for (s, arena) in arenas.iter_mut().enumerate() {
             let stats = arena.shard_down(ft, cfg, boundary, &incoming[s]);
             ticks = ticks.max(stats.ticks);
-            delivered.extend_from_slice(arena.delivered_ids());
+            delivered.extend_from_slice(arena.delivered_indices());
         }
         delivered.sort_unstable();
         (delivered, ticks)

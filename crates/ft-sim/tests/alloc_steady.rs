@@ -2,7 +2,8 @@
 //! grown to a workload's size, further cycles on the ideal-switch serial
 //! path must perform **zero** heap allocation, a `run_to_completion`
 //! must not allocate per cycle (only setup and a few amortized growths),
-//! and a run on a thread's warm arena allocates only its report.
+//! and a run on a thread's warm arena — either run function, either cycle body —
+//! allocates only its report.
 //!
 //! Measured with a counting global allocator, so this file is its own
 //! integration-test binary and runs with `harness = false`: the libtest
@@ -10,8 +11,10 @@
 //! (its mpsc receiver lazily initializes a thread-local context), which
 //! would read as a spurious steady-state allocation.
 
-use ft_core::{CapacityProfile, FatTree, Message, MessageSet};
-use ft_sim::{run_stream_to_completion, run_to_completion, MetaWidth, SimArena, SimConfig};
+use ft_core::{CapacityProfile, FatTree, Message, MessageSet, MessageStream};
+use ft_sim::{
+    run_stream_to_completion, run_to_completion, MetaWidth, RunReport, SimArena, SimConfig,
+};
 use ft_workloads::PermutationStream;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -121,5 +124,40 @@ fn main() {
             grew, 2,
             "a warm run_stream_to_completion at n = {n} allocated {grew} times"
         );
+    }
+
+    // --- Part 5: both run functions are one loop over a set loaded once, on
+    // either body. A warm `run_to_completion` (default body and `Wide`) and
+    // a warm `Wide` `run_stream_to_completion` allocate the report's two
+    // vectors and nothing else: no pending copy of the set, no id map, no
+    // position → submitted-index map outside the arena.
+    for n in [256u32, 4096] {
+        let ft = FatTree::universal(n, n as u64 / 4);
+        let stream = PermutationStream::new(n, 0x5EED);
+        let set = stream.collect_set();
+        for meta in [MetaWidth::Auto, MetaWidth::Wide] {
+            let cfg = SimConfig {
+                meta,
+                ..SimConfig::default()
+            };
+            let materialised = || run_to_completion(&ft, &set, &cfg);
+            let streamed = || run_stream_to_completion(&ft, &stream, &cfg);
+            let mut runs: Vec<(&str, &dyn Fn() -> RunReport)> =
+                vec![("run_to_completion", &materialised)];
+            if meta == MetaWidth::Wide {
+                runs.push(("run_stream_to_completion", &streamed));
+            }
+            for (name, run) in runs {
+                run(); // warm-up
+                let before = allocs();
+                let report = run();
+                let grew = allocs() - before;
+                assert!(report.cycles <= 4, "{} cycles at n = {n}", report.cycles);
+                assert_eq!(
+                    grew, 2,
+                    "a warm {meta:?} {name} at n = {n} allocated {grew} times"
+                );
+            }
+        }
     }
 }

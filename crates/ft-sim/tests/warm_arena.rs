@@ -4,7 +4,8 @@
 //! (switch kind, arbitration, cycle body, recorder, streamed or
 //! materialised input); every `RunReport` must equal a fresh thread's run
 //! and the reference engine's. Re-entrant runs, a run that panics mid-way
-//! and two threads running side by side must not disturb it either.
+//! and two threads running side by side must not disturb it either. Both
+//! run functions are one loop, so a recorder sees the same run from either.
 
 use ft_core::rng::SplitMix64;
 use ft_core::{CapacityProfile, FatTree, MessageSet, MessageStream};
@@ -13,7 +14,7 @@ use ft_sim::{
     run_stream_to_completion, run_stream_to_completion_with, run_to_completion,
     run_to_completion_with, Arbitration, FaultModel, MetaWidth, RunReport, SimConfig, SwitchKind,
 };
-use ft_telemetry::{MetricsRecorder, Recorder};
+use ft_telemetry::{EnginePhase, MetricsRecorder, Recorder};
 use ft_workloads::{PermutationStream, RelationStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread;
@@ -218,4 +219,89 @@ fn two_threads_get_identical_results() {
     });
     assert_eq!(a, b);
     assert_eq!(a, sequence());
+}
+
+/// A [`MetricsRecorder`] that also counts each engine phase's laps.
+struct Laps {
+    metrics: MetricsRecorder,
+    laps: [u32; EnginePhase::ALL.len()],
+}
+
+impl Recorder for Laps {
+    fn run_start(&mut self, height: u32) {
+        self.metrics.run_start(height);
+    }
+    fn cycle_start(&mut self, cycle: u32, live: u32) {
+        self.metrics.cycle_start(cycle, live);
+    }
+    fn cycle_end(&mut self, cycle: u32, delivered: u32) {
+        self.metrics.cycle_end(cycle, delivered);
+    }
+    fn channel_load(&mut self, level: u32, load: u64, cap: u64) {
+        self.metrics.channel_load(level, load, cap);
+    }
+    fn stream_ingest(&mut self, family: &'static str, messages: u64) {
+        self.metrics.stream_ingest(family, messages);
+    }
+    fn engine_phase(&mut self, phase: EnginePhase, ns: u64) {
+        self.laps[phase as usize] += 1;
+        self.metrics.engine_phase(phase, ns);
+    }
+}
+
+#[test]
+fn both_run_functions_show_a_recorder_the_same_run() {
+    let ft = FatTree::universal(128, 32);
+    let stream = RelationStream::new(ft.n(), 3, 5);
+    let set = stream.collect_set();
+    let base = SimConfig::default();
+    let faults = FaultModel {
+        dead_wire_fraction: 0.2,
+        seed: 3,
+    };
+    for cfg in [
+        base,
+        SimConfig {
+            meta: MetaWidth::Wide,
+            ..base
+        },
+        SimConfig {
+            switch: SwitchKind::Partial,
+            ..base
+        },
+        SimConfig {
+            arbitration: Arbitration::Random(0xC0DE),
+            ..base
+        },
+        SimConfig { faults, ..base },
+    ] {
+        let laps = || Laps {
+            metrics: MetricsRecorder::new(),
+            laps: [0; EnginePhase::ALL.len()],
+        };
+        let (mut of_set, mut of_stream) = (laps(), laps());
+        let run = run_to_completion_with(&ft, &set, &cfg, &mut of_set);
+        assert_eq!(
+            run_stream_to_completion_with(&ft, &stream, &cfg, &mut of_stream),
+            run,
+            "{cfg:?}"
+        );
+        assert!(run.cycles > 1, "{cfg:?}: the run must retry");
+        let (a, b) = (&of_set.metrics, &of_stream.metrics);
+        assert_eq!(a.cycles, b.cycles, "{cfg:?}");
+        assert_eq!(a.delivered_per_cycle, b.delivered_per_cycle, "{cfg:?}");
+        assert_eq!(a.load_hist, b.load_hist, "{cfg:?}");
+        assert_eq!(of_set.laps, of_stream.laps, "{cfg:?}");
+        // Every cycle laps the sweeps once; the source is packed once.
+        let cycles = run.cycles as u32;
+        assert_eq!(of_set.laps[EnginePhase::UpSweep as usize], cycles);
+        assert!(of_set.laps[EnginePhase::Ingest as usize] <= cycles + 1);
+        // The one difference: only the streamed run reports its stream.
+        assert!(a.stream_families.is_empty(), "{cfg:?}");
+        assert_eq!(
+            b.stream_families,
+            [("random-relation", 1, set.len() as u64)],
+            "{cfg:?}"
+        );
+    }
 }

@@ -130,9 +130,10 @@ pub enum EnginePhase {
     UpSweep,
     /// The down phase: the fused sweep, or the per-level down passes.
     DownSweep,
-    /// Build the delivered / dropped lists and the cycle's tick count.
+    /// Build the delivered / dropped lists and the cycle's tick count
+    /// (`ft-sim`: and compact the retry set in place).
     Settle,
-    /// Emit delivered identities and compact the retry set.
+    /// Append the cycle's delivered identities to the run's delivery order.
     Compaction,
     /// `ft-sched`: split one tree level's buckets into one-cycle parts.
     Refine,

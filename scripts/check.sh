@@ -139,6 +139,26 @@ case "$allreduce_json" in
      printf '%s\n' "$allreduce_json" | cut -c1-300 >&2
      exit 1 ;;
 esac
+# Materialised runs that retry, one per cycle body: a 2-relation at 2^14 on
+# the fused sweeps, and on the level passes under partial switches and
+# under random arbitration (6-7 cycles, < 0.2s each). The set is loaded
+# once and every retry runs on the arena's compacted pending set; the pins
+# were taken when `run_to_completion` still re-loaded its survivors each
+# cycle.
+while read -r cycles fnv flags; do
+  set_json="$(timeout 120 target/release/ftsim simulate \
+    --n 16384 --w 4096 --workload krel:2 $flags --format json)"
+  case "$set_json" in
+    '{"schema":"ftsim-simulate/v1"'*'"messages":32768,"streamed":false,"cycles":'"$cycles"','*'"order_fnv":"'"$fnv"'"}') ;;
+    *) echo "ftsim simulate krel:2 at n = 2^14 ${flags:-(default body)} left the pinned result" >&2
+       printf '%s\n' "$set_json" | cut -c1-300 >&2
+       exit 1 ;;
+  esac
+done <<'PINS'
+7 89b49b87b1c80d81
+6 29407b6fc4172f05 --switch partial
+7 23ccc50cc57fae91 --arb random
+PINS
 
 echo "==> ftsim report / trace smoke (telemetry)"
 report_json="$(cargo run --release --quiet --bin ftsim -- \

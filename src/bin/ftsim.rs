@@ -30,8 +30,12 @@
 //! ```
 //!
 //! Workloads: `perm`, `complement`, `reversal`, `transpose`, `shuffle`,
-//! `fem`, `hotspot`, `krel:K`, `local:P` (P = far-probability percent),
-//! `exchange`.
+//! `fem`, `hotspot`, `krel:K` (an integer K ≥ 1), `local:P` (P =
+//! far-probability percent, an integer in 1..=99), `exchange`.
+//!
+//! Each subcommand reads only the flags listed beside it in `COMMANDS`;
+//! any other `--key` is a usage error (exit 2) that names the key and
+//! lists the flags the subcommand does read.
 //!
 //! Every tree-running subcommand (`tree`, `topology`, `schedule`, `online`,
 //! `simulate`, `report`, `trace`, `shard`, `layout`) accepts
@@ -116,44 +120,76 @@ use fat_tree::workloads::{
 use std::collections::HashMap;
 use std::process::exit;
 
+/// A subcommand's entry point.
+type Command = fn(&HashMap<String, String>);
+
+/// Every subcommand with the flags it reads — the only `--key`s it accepts.
+/// (`metrics-scrape`, `universality` and `emulate` read `--topology` only
+/// to refuse it with a reason.)
+#[rustfmt::skip]
+const COMMANDS: &[(&str, Command, &[&str])] = &[
+    ("tree", cmd_tree, &["topology", "n", "w"]),
+    ("topology", cmd_topology, &["topology", "n", "w", "format"]),
+    ("schedule", cmd_schedule, &["topology", "n", "w", "workload", "seed", "scheduler"]),
+    ("online", cmd_online, &["topology", "n", "w", "workload", "seed"]),
+    ("simulate", cmd_simulate, &["topology", "n", "w", "workload", "seed", "switch", "arb",
+        "payload", "format"]),
+    ("report", cmd_report, &["topology", "n", "w", "workload", "seed", "shards", "format"]),
+    ("trace", cmd_trace, &["topology", "n", "w", "workload", "seed", "events", "engine",
+        "format", "verify"]),
+    ("shard", cmd_shard, &["topology", "n", "w", "workload", "seed", "switch", "arb", "payload",
+        "shards", "transport", "drop", "dup", "corrupt", "delay-ms", "fault-seed", "timeout-ms",
+        "retries", "format", "metrics-addr"]),
+    ("shard-worker", cmd_shard_worker, &[]),
+    ("serve", cmd_serve, &["topology", "n", "w", "addr", "slots", "window-us", "inflight",
+        "idle-ms", "max-requests", "metrics", "metrics-addr"]),
+    ("bench-client", cmd_bench_client, &["topology", "n", "w", "addr", "engine", "mode", "depth",
+        "hold-ms", "clients", "requests", "messages", "seed", "verify"]),
+    ("metrics-scrape", cmd_metrics_scrape, &["topology", "addr", "path"]),
+    ("universality", cmd_universality, &["topology", "net", "side", "dim", "seed"]),
+    ("emulate", cmd_emulate, &["topology", "net", "side", "dim"]),
+    ("layout", cmd_layout, &["topology", "n", "w"]),
+    ("help", |_| usage(), &[]),
+];
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let Some(cmd) = args.next() else {
         usage();
         exit(2);
     };
+    let name = match cmd.as_str() {
+        "--help" | "-h" => "help",
+        other => other,
+    };
+    let Some(&(_, run, reads)) = COMMANDS.iter().find(|(c, ..)| *c == name) else {
+        eprintln!("unknown command: {cmd}");
+        usage();
+        exit(2);
+    };
     let opts = parse_opts(args.collect());
-    match cmd.as_str() {
-        "tree" => cmd_tree(&opts),
-        "topology" => cmd_topology(&opts),
-        "schedule" => cmd_schedule(&opts),
-        "online" => cmd_online(&opts),
-        "simulate" => cmd_simulate(&opts),
-        "report" => cmd_report(&opts),
-        "trace" => cmd_trace(&opts),
-        "shard" => cmd_shard(&opts),
-        "shard-worker" => {
-            // Internal: the pipe-transport worker half. Speaks frames on
-            // stdin/stdout until shutdown or EOF.
-            if let Err(e) =
-                fat_tree::shard::run_pipe(std::io::stdin().lock(), std::io::stdout().lock())
-            {
-                eprintln!("shard-worker: {e}");
-                exit(1);
-            }
-        }
-        "serve" => cmd_serve(&opts),
-        "bench-client" => cmd_bench_client(&opts),
-        "metrics-scrape" => cmd_metrics_scrape(&opts),
-        "universality" => cmd_universality(&opts),
-        "emulate" => cmd_emulate(&opts),
-        "layout" => cmd_layout(&opts),
-        "help" | "--help" | "-h" => usage(),
-        other => {
-            eprintln!("unknown command: {other}");
-            usage();
-            exit(2);
-        }
+    let mut unread: Vec<&str> = opts.keys().map(String::as_str).collect();
+    unread.retain(|k| !reads.contains(k));
+    if !unread.is_empty() {
+        unread.sort_unstable();
+        let dashed = |keys: &[&str]| keys.iter().map(|k| format!("--{k}")).collect::<Vec<_>>();
+        let known = dashed(reads).join(" ");
+        eprintln!(
+            "`{name}` does not read {}; it reads {}",
+            dashed(&unread).join(" "),
+            if known.is_empty() { "no flags" } else { &known }
+        );
+        exit(2);
+    }
+    run(&opts);
+}
+
+/// Internal: the pipe-transport worker half. Speaks frames on stdin/stdout
+/// until shutdown or EOF.
+fn cmd_shard_worker(_: &HashMap<String, String>) {
+    if let Err(e) = fat_tree::shard::run_pipe(std::io::stdin().lock(), std::io::stdout().lock()) {
+        eprintln!("shard-worker: {e}");
+        exit(1);
     }
 }
 
@@ -332,14 +368,27 @@ fn require_pow2_procs(n: u32, what: &str, m: &Machine) {
 
 /// Generate the workload over the machine's *real* processor ids. Callers
 /// map the result through [`Machine::map`] before handing it to an engine.
+/// `krel:K` takes an integer K ≥ 1 with K·n ≤ [`MAX_MESSAGES`], `local:P`
+/// an integer percentage in 1..=99; anything else is a usage error (exit 2).
 fn workload_from(opts: &HashMap<String, String>, m: &Machine, rng: &mut SplitMix64) -> MessageSet {
     let n = m.leaves();
     let spec = opts.get("workload").map(String::as_str).unwrap_or("perm");
     match spec.split_once(':') {
-        Some(("krel", k)) => workloads::balanced_k_relation(n, k.parse().unwrap_or(4), rng),
+        Some(("krel", k)) => {
+            let k = spec_int(spec, k, 1, u32::MAX);
+            let len = k as u64 * n as u64;
+            if len > MAX_MESSAGES as u64 {
+                eprintln!(
+                    "workload {spec} is {len} messages; the simulator takes at most \
+                     {MAX_MESSAGES} per run (try a smaller K or --n)"
+                );
+                exit(2);
+            }
+            workloads::balanced_k_relation(n, k, rng)
+        }
         Some(("local", p)) => {
-            let pf = p.parse::<f64>().unwrap_or(30.0) / 100.0;
-            workloads::local_traffic(n, 2, pf.clamp(0.01, 0.99), rng)
+            let p = spec_int(spec, p, 1, 99);
+            workloads::local_traffic(n, 2, p as f64 / 100.0, rng)
         }
         _ => match spec {
             "perm" => workloads::random_permutation(n, rng),
@@ -373,6 +422,18 @@ fn workload_from(opts: &HashMap<String, String>, m: &Machine, rng: &mut SplitMix
     }
 }
 
+/// The integer after a workload spec's `:`, which must lie in `lo..=hi`;
+/// anything else is a usage error naming the spec (exit 2).
+fn spec_int(spec: &str, arg: &str, lo: u32, hi: u32) -> u32 {
+    match arg.parse() {
+        Ok(v) if (lo..=hi).contains(&v) => v,
+        _ => {
+            eprintln!("workload {spec}: expected an integer in {lo}..={hi} after ':', got {arg:?}");
+            exit(2)
+        }
+    }
+}
+
 /// Parse a streamed-workload spec into a lazy generator over *real*
 /// processor ids, or `None` when the spec names one of the materialized
 /// workloads above. Specs take an optional `:ARG` suffix (burst size,
@@ -387,16 +448,9 @@ fn stream_from(opts: &HashMap<String, String>, m: &Machine) -> Option<Box<dyn Me
         Some((name, arg)) => (name, Some(arg)),
         None => (spec, None),
     };
-    let arg_or = |default: u32| -> u32 {
-        arg.map_or(default, |v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("workload {name}: expected an integer after ':', got {v:?}");
-                exit(2)
-            })
-        })
-    };
+    let arg_or = |default: u32| arg.map_or(default, |v| spec_int(spec, v, 0, u32::MAX));
     Some(match name {
-        "streamperm" => {
+        "streamperm" if arg.is_none() => {
             require_pow2_procs(n, "streamperm", m);
             Box::new(PermutationStream::new(n, seed))
         }

@@ -1012,3 +1012,93 @@ fn topology_is_rejected_where_it_cannot_apply() {
     assert!(!ok);
     assert!(stderr.contains("--topology"), "{stderr}");
 }
+
+/// Exit status, stdout and stderr of one `ftsim` invocation.
+fn ftsim_status(args: &[&str]) -> (Option<i32>, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_ftsim"))
+        .args(args)
+        .output()
+        .expect("spawn ftsim");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn workload_suffixes_are_checked_before_anything_is_generated() {
+    // Each of these used to run: `krel:abc` as k = 4, `local:zz` as 30 %,
+    // `krel:0` as an empty workload, `krel:"` into a JSON line that was not
+    // JSON; `krel:4294967295` aborted on a 34 GB allocation.
+    for (spec, says) in [
+        ("krel:abc", "expected an integer in 1..=4294967295"),
+        ("local:zz", "expected an integer in 1..=99"),
+        ("krel:0", "expected an integer in 1..=4294967295"),
+        ("krel:\"", "expected an integer in 1..=4294967295"),
+        ("krel:4294967295", "274877906880 messages"),
+    ] {
+        let (code, stdout, stderr) = ftsim_status(&[
+            "simulate",
+            "--n",
+            "64",
+            "--workload",
+            spec,
+            "--format",
+            "json",
+        ]);
+        assert_eq!(code, Some(2), "{spec}: {stderr}");
+        assert!(stdout.is_empty(), "{spec}: {stdout}");
+        assert_eq!(stderr.lines().count(), 1, "{spec}: {stderr}");
+        assert!(stderr.contains(&format!("workload {spec}")), "{stderr}");
+        assert!(stderr.contains(says), "{spec}: {stderr}");
+    }
+}
+
+#[test]
+fn every_subcommand_refuses_a_flag_it_does_not_read() {
+    for cmd in [
+        "tree",
+        "topology",
+        "schedule",
+        "online",
+        "simulate",
+        "report",
+        "trace",
+        "shard",
+        "shard-worker",
+        "serve",
+        "bench-client",
+        "metrics-scrape",
+        "universality",
+        "emulate",
+        "layout",
+        "help",
+    ] {
+        let (code, stdout, stderr) = ftsim_status(&[cmd, "--bogus", "1"]);
+        assert_eq!(code, Some(2), "{cmd}: {stderr}");
+        assert!(stdout.is_empty(), "{cmd}: {stdout}");
+        assert_eq!(stderr.lines().count(), 1, "{cmd}: {stderr}");
+        assert!(
+            stderr.contains(&format!("`{cmd}` does not read --bogus")),
+            "{cmd}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn a_misspelled_flag_is_refused_not_ignored() {
+    // `--seeds 5` used to run the default seed and exit 0.
+    let (code, stdout, stderr) =
+        ftsim_status(&["simulate", "--n", "64", "--seeds", "5", "--format", "json"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(
+        stderr.contains("`simulate` does not read --seeds"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("--seed "),
+        "the flags it does read: {stderr}"
+    );
+}
