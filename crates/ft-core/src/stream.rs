@@ -6,7 +6,7 @@
 //!
 //! * **seeded** — generators derive message `j` from `(seed, j)` alone,
 //! * **restartable** — replaying the stream is just re-running the index
-//!   range; a two-pass consumer (count, then fill) re-runs the generator
+//!   range, so a consumer that needs a second pass re-runs the generator
 //!   instead of buffering its output,
 //! * **`size_hint`-exact** — [`MessageStream::iter`] reports the precise
 //!   remaining length, so consumers can size flat buffers up front.

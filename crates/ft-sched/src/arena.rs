@@ -8,14 +8,17 @@
 //! schedule time. This module rebuilds the pipeline the way `ft-sim`'s
 //! `SimArena` rebuilt delivery cycles:
 //!
-//! * **Counting-sort bucketing.** Messages are bucketed by the key
-//!   `2·lca + direction` — equivalently, by the child of the LCA holding the
-//!   source leaf — into flat source/destination leaf arrays with a
-//!   prefix-offset table. The sort is stable, so each bucket sees its
-//!   messages in input order, like the reference's lr/rl `partition`.
+//! * **One-pass bucketing by permutation.** The source is read once, in
+//!   `fill` chunks, into flat source/destination leaf and input-slot arrays
+//!   in input order while the bucket key `2·lca + direction` (the LCA's
+//!   child on the source side) is tallied. A counting sort then writes the
+//!   index array as the stable bucket permutation of those positions, so
+//!   no message is copied and each bucket lists its messages in input
+//!   order, like the reference's lr/rl `partition`.
 //! * **In-place refinement.** The split recursion permutes one global index
 //!   array; a segment `[s, e)` of it *is* a subset, so no recursion level
-//!   allocates. Feasible segments become parts recorded as end offsets.
+//!   allocates. Feasible segments become parts recorded as end offsets, and
+//!   each level's cycles are sized from the part table before any is filled.
 //! * **Sort-free matching-and-tracing.** Both inner kernels are sweeps over
 //!   two heap-indexed `u32` tables that are all-clear between calls. The
 //!   matching pairs ends inside a processor in one pass over the segment
@@ -23,9 +26,10 @@
 //!   leftover per leaf climb one tree level per round: two survivors that
 //!   meet under a node are mated, a lone one moves up. The feasibility walk
 //!   counts ends per leaf and pushes the counts up over the touched nodes
-//!   only, keeping one max load per level. Same partition as
-//!   [`crate::split::split_even_indices`] (equivalence arguments in
-//!   DESIGN.md §9), zero steady-state allocation (`tests/alloc_steady.rs`).
+//!   only, keeping one max load per level, and never branches on a count.
+//!   Same partition as [`crate::split::split_even_indices`] (equivalence
+//!   arguments in DESIGN.md §9), zero steady-state allocation
+//!   (`tests/alloc_steady.rs`).
 //! * **Deterministic fan-out.** Distinct LCA nodes at one tree level own
 //!   disjoint messages and channels, so per-node work is sharded over scoped
 //!   threads by chunking the bucket range — like the simulator's per-subtree
@@ -33,13 +37,23 @@
 //!   the schedule is byte-identical for any thread count (enforced by
 //!   `tests/golden_splitter.rs`).
 
+use crate::for_each_message;
 use crate::offline::Theorem1Stats;
 use crate::schedule::Schedule;
 use crate::split::CrossDirection;
-use ft_core::{ChannelId, FatTree, Message, MessageSet, MessageStream};
+use ft_core::{FatTree, Message, MessageSet, MessageStream};
 use ft_telemetry::{EnginePhase, NoopRecorder, PhaseClock, Recorder};
 
 const NONE: u32 = u32::MAX;
+
+/// Bucket key of a message between distinct heap leaves `u` and `v`. Both
+/// sit at the same depth, so shifting past their highest differing bit
+/// lands on the child of the LCA holding the source leaf: `2·lca +
+/// direction` (even = left child = LeftToRight, odd = RightToLeft).
+#[inline]
+fn bucket_key(u: u32, v: u32) -> u32 {
+    u >> (31 - (u ^ v).leading_zeros())
+}
 
 /// Sink for the scheduler's emission pass. The refinement is emission-
 /// agnostic; what varies is what a delivery-cycle placement *becomes*:
@@ -48,9 +62,11 @@ const NONE: u32 = u32::MAX;
 /// id into a caller-owned flat buffer without materializing anything —
 /// the zero-allocation path `ft-serve`'s request loop runs on.
 trait Emit {
+    /// The next `lens.len()` delivery cycles will receive `lens[t]`
+    /// messages each (locals included), before any of them is placed.
+    fn sized(&mut self, lens: &[u32]);
     /// Non-local input message `msg` (input slot `slot`) placed into
-    /// delivery cycle `cycle`. Cycles arrive in non-decreasing order and
-    /// are dense: every cycle id in `0..total` receives at least one call.
+    /// delivery cycle `cycle`, one already announced by [`Emit::sized`].
     fn place(&mut self, cycle: u32, slot: u32, msg: Message);
     /// Local messages (zero load) attached per the locals rule: they ride
     /// in cycle 0, or form a lone cycle 0 when the schedule is otherwise
@@ -60,17 +76,19 @@ trait Emit {
 
 /// Builds the classic [`Schedule`], byte-identical to the historical
 /// emission loop (cycle sets filled in bucket order, locals appended to
-/// cycle 0 last).
+/// cycle 0 last), each cycle allocated once at its exact size.
 #[derive(Default)]
 struct BuildSchedule {
     cycles: Vec<MessageSet>,
 }
 
 impl Emit for BuildSchedule {
+    fn sized(&mut self, lens: &[u32]) {
+        let sets = lens.iter().map(|&l| MessageSet::with_capacity(l as usize));
+        self.cycles.extend(sets);
+    }
+
     fn place(&mut self, cycle: u32, _slot: u32, msg: Message) {
-        if self.cycles.len() == cycle as usize {
-            self.cycles.push(MessageSet::new());
-        }
         self.cycles[cycle as usize].push(msg);
     }
 
@@ -91,6 +109,8 @@ struct AssignCycles<'a> {
 }
 
 impl Emit for AssignCycles<'_> {
+    fn sized(&mut self, _lens: &[u32]) {}
+
     fn place(&mut self, cycle: u32, slot: u32, _msg: Message) {
         self.out[slot as usize] = cycle;
     }
@@ -255,18 +275,21 @@ impl Worker {
     /// `⌊L/2^d⌋ > cap` (every depth-`d` descendant infeasible) and depths
     /// `d ≥ dfeas` have `⌈L/2^d⌉ ≤ cap` on all channels (every depth-`d`
     /// descendant feasible). `dfeas == 0` means the segment itself is a
-    /// one-cycle set. `dinf < dfeas` always holds.
+    /// one-cycle set. `dinf < dfeas` always holds. No step branches on a
+    /// count: each node is written to `front`, kept only if it was new.
     fn walk_classify(&mut self, ctx: &LevelCtx, node: u32, seg: &[u32]) -> (u32, u32) {
         let (cnt, front) = (&mut self.cnt, &mut self.front);
         front.clear();
+        front.resize(2 * seg.len(), 0);
+        let mut kept = 0;
         for &id in seg {
             for lf in [ctx.sleaf[id as usize], ctx.dleaf[id as usize]] {
-                if cnt[lf as usize] == 0 {
-                    front.push(lf);
-                }
+                front[kept] = lf;
+                kept += (cnt[lf as usize] == 0) as usize;
                 cnt[lf as usize] += 1;
             }
         }
+        front.truncate(kept);
         let mut dinf = 0u32;
         let mut dfeas = 0u32;
         let mut level = ctx.ft.height();
@@ -277,10 +300,8 @@ impl Worker {
                 let u = front[r] as usize;
                 let c = std::mem::take(&mut cnt[u]);
                 max = max.max(c);
-                if cnt[u >> 1] == 0 {
-                    front[kept] = (u >> 1) as u32;
-                    kept += 1;
-                }
+                front[kept] = (u >> 1) as u32;
+                kept += (cnt[u >> 1] == 0) as usize;
                 cnt[u >> 1] += c;
             }
             front.truncate(kept);
@@ -467,28 +488,28 @@ pub struct SchedArena {
     locals: Vec<Message>,
     /// Input slots of the local messages, aligned with `locals`.
     local_slots: Vec<u32>,
-    /// Bucket key (`2·lca + direction` = child of the LCA on the source
-    /// side) per non-local input message, in input order.
-    keys: Vec<u32>,
-    /// Prefix offsets into the bucket-sorted arrays per key (len `2n + 1`).
+    /// Prefix offsets into `idx` per bucket key (`2·lca + direction` = the
+    /// child of the LCA on the source side; len `2n + 1`).
     bucket_off: Vec<u32>,
     cursor: Vec<u32>,
-    /// Source / destination heap leaves of the non-local messages, stably
-    /// counting-sorted by bucket key.
+    /// Source / destination heap leaves of the non-local messages, in
+    /// input order.
     sleaf: Vec<u32>,
     dleaf: Vec<u32>,
-    /// Original input slot per bucket position, aligned with `sleaf`
-    /// (lets [`SchedArena::schedule_assign`] report cycles per input slot).
+    /// Input slot per non-local message, aligned with `sleaf` (lets
+    /// [`SchedArena::schedule_assign`] report cycles per input slot).
     slot: Vec<u32>,
     /// Per-level emitted cycle counts, reused across runs (the classic
     /// entry points clone it into [`Theorem1Stats`]).
     cpl: Vec<usize>,
-    /// The global index permutation the refinement works on.
+    /// Positions into `sleaf` grouped by bucket key, input order within a
+    /// bucket: the permutation the refinement works on.
     idx: Vec<u32>,
     /// Gathered per-level part table (absolute end offsets, bucket order).
     part_ends: Vec<u32>,
     nparts: Vec<u32>,
-    parts_start: Vec<u32>,
+    /// Message count per cycle of the level being emitted.
+    cycle_len: Vec<u32>,
     /// Heap-indexed subtree tallies for the λ(M) statistic: messages
     /// sourced / destined under each node, and messages whose LCA lies at
     /// or under it. `load(up(u)) = under_src[u] − lca_under[u]` (and the
@@ -511,7 +532,6 @@ impl SchedArena {
             n: ft.n(),
             locals: Vec::new(),
             local_slots: Vec::new(),
-            keys: Vec::new(),
             bucket_off: Vec::new(),
             cursor: Vec::new(),
             sleaf: Vec::new(),
@@ -521,7 +541,7 @@ impl SchedArena {
             idx: Vec::new(),
             part_ends: Vec::new(),
             nparts: Vec::new(),
-            parts_start: Vec::new(),
+            cycle_len: Vec::new(),
             under_src: Vec::new(),
             under_dst: Vec::new(),
             lca_under: Vec::new(),
@@ -628,12 +648,10 @@ impl SchedArena {
         (Schedule::from_cycles(emit.cycles), stats)
     }
 
-    /// Schedule a lazily generated stream per Theorem 1. The bucketing is
-    /// two-pass streamed: the count pass replays the generator to size the
-    /// buckets, the fill pass replays it again scattering straight into the
-    /// arena's flat bucket buffer — no intermediate input `Vec<Message>`
-    /// ever exists. Byte-identical to [`SchedArena::schedule`] on
-    /// [`MessageStream::collect_set`].
+    /// Schedule a lazily generated stream per Theorem 1. The generator runs
+    /// once, in `fill` chunks, straight into the arena's flat leaf arrays —
+    /// no intermediate input `Vec<Message>` ever exists. Byte-identical to
+    /// [`SchedArena::schedule`] on [`MessageStream::collect_set`].
     pub fn schedule_stream(
         &mut self,
         ft: &FatTree,
@@ -660,9 +678,9 @@ impl SchedArena {
 
     /// The scheduler body, generic over the message source — a materialized
     /// [`MessageSet`] (static dispatch, the classic path) or a lazy
-    /// `dyn MessageStream` replayed once per bucketing pass — and over the
-    /// emission sink (see [`Emit`]). Returns `(total_cycles, λ(M))`;
-    /// per-level cycle counts land in `self.cpl`.
+    /// `dyn MessageStream`, read once either way — and over the emission
+    /// sink (see [`Emit`]). Returns `(total_cycles, λ(M))`; per-level cycle
+    /// counts land in `self.cpl`.
     fn schedule_src<S: MessageStream + ?Sized, R: Recorder, E: Emit>(
         &mut self,
         ft: &FatTree,
@@ -679,10 +697,13 @@ impl SchedArena {
         let n = ft.n();
         let height = ft.height();
 
-        // ---- Counting-sort bucketing by (lca, direction). ----
+        // ---- One pass over the source: leaves and slots in input order,
+        // bucket sizes and leaf tallies on the way. ----
         self.locals.clear();
         self.local_slots.clear();
-        self.keys.clear();
+        self.sleaf.clear();
+        self.dleaf.clear();
+        self.slot.clear();
         self.bucket_off.clear();
         self.bucket_off.resize(2 * n as usize + 1, 0);
         self.under_src.clear();
@@ -691,88 +712,64 @@ impl SchedArena {
         self.under_dst.resize(2 * n as usize, 0);
         self.lca_under.clear();
         self.lca_under.resize(2 * n as usize, 0);
-        for j in 0..m.len() {
-            let msg = m.message(j);
+        for_each_message(m, |j, msg| {
             if msg.is_local() {
                 self.locals.push(msg);
-                self.local_slots.push(j as u32);
-                continue;
+                self.local_slots.push(j);
+                return;
             }
-            let u = n + msg.src.0;
-            let v = n + msg.dst.0;
+            let (u, v) = (n + msg.src.0, n + msg.dst.0);
             self.under_src[u as usize] += 1;
             self.under_dst[v as usize] += 1;
-            // Both leaves sit at the same heap depth, so the position of
-            // the highest differing bit gives the LCA directly: shifting
-            // past it lands on the child of the LCA containing the source
-            // leaf (`cu`): even = left child = LeftToRight, odd =
-            // RightToLeft.
-            let p = 31 - (u ^ v).leading_zeros();
-            let cu = u >> p;
-            self.keys.push(cu);
-            self.bucket_off[cu as usize + 1] += 1;
-        }
+            self.bucket_off[bucket_key(u, v) as usize + 1] += 1;
+            self.sleaf.push(u);
+            self.dleaf.push(v);
+            self.slot.push(j);
+        });
 
         // λ(M) from subtree tallies: summing leaf counts and LCA counts
         // bottom-up gives every channel's load without touching messages
         // again — load(up(u)) counts messages sourced under `u` whose LCA
-        // is a proper ancestor of `u` (locals contribute nothing).
+        // is a proper ancestor of `u` (locals contribute nothing). A level
+        // shares one capacity, so its heaviest channel decides.
         let mut lam = 0.0f64;
-        for u in (1..2 * n as usize).rev() {
-            if (u as u32) < n {
-                self.under_src[u] = self.under_src[2 * u] + self.under_src[2 * u + 1];
-                self.under_dst[u] = self.under_dst[2 * u] + self.under_dst[2 * u + 1];
-                // `bucket_off` still holds raw counts here (key k's count
-                // sits at k + 1; the prefix sum runs below).
-                self.lca_under[u] = self.bucket_off[2 * u + 1]
-                    + self.bucket_off[2 * u + 2]
-                    + self.lca_under[2 * u]
-                    + self.lca_under[2 * u + 1];
-            }
-            if u >= 2 {
+        for level in (1..=height).rev() {
+            let cap = ft.cap_at_level(level);
+            let mut max = 0u32;
+            for u in (1usize << level..2 << level).rev() {
+                if (u as u32) < n {
+                    self.under_src[u] = self.under_src[2 * u] + self.under_src[2 * u + 1];
+                    self.under_dst[u] = self.under_dst[2 * u] + self.under_dst[2 * u + 1];
+                    // `bucket_off` still holds raw counts here (key k's
+                    // count sits at k + 1; the prefix sum runs below).
+                    self.lca_under[u] = self.bucket_off[2 * u + 1]
+                        + self.bucket_off[2 * u + 2]
+                        + self.lca_under[2 * u]
+                        + self.lca_under[2 * u + 1];
+                }
                 let up = self.under_src[u] - self.lca_under[u];
                 let down = self.under_dst[u] - self.lca_under[u];
-                let edge = u as u32;
-                let up_cap = ft.cap(ChannelId::up(edge));
-                let down_cap = ft.cap(ChannelId::down(edge));
-                lam = lam
-                    .max(up as f64 / up_cap as f64)
-                    .max(down as f64 / down_cap as f64);
+                max = max.max(up).max(down);
                 if R::ENABLED {
-                    let lvl = ChannelId::up(edge).level();
-                    rec.lambda_site(lvl, up as u64, up_cap);
-                    rec.lambda_site(lvl, down as u64, down_cap);
+                    rec.lambda_site(level, up as u64, cap);
+                    rec.lambda_site(level, down as u64, cap);
                 }
             }
+            lam = lam.max(max as f64 / cap as f64);
         }
         for i in 1..self.bucket_off.len() {
             self.bucket_off[i] += self.bucket_off[i - 1];
         }
-        let nn = self.keys.len();
-        self.sleaf.clear();
-        self.sleaf.resize(nn, 0);
-        self.dleaf.clear();
-        self.dleaf.resize(nn, 0);
-        self.slot.clear();
-        self.slot.resize(nn, 0);
+        // Counting sort: `idx` lists each bucket's positions in input order.
         self.cursor.clear();
         self.cursor.extend_from_slice(&self.bucket_off);
-        let mut ki = 0usize;
-        for j in 0..m.len() {
-            let msg = m.message(j);
-            if msg.is_local() {
-                continue;
-            }
-            let key = self.keys[ki] as usize;
-            ki += 1;
-            let pos = self.cursor[key] as usize;
-            self.cursor[key] += 1;
-            self.sleaf[pos] = n + msg.src.0;
-            self.dleaf[pos] = n + msg.dst.0;
-            self.slot[pos] = j as u32;
-        }
         self.idx.clear();
-        self.idx.extend(0..nn as u32);
+        self.idx.resize(self.sleaf.len(), 0);
+        for (pos, (&u, &v)) in self.sleaf.iter().zip(&self.dleaf).enumerate() {
+            let c = &mut self.cursor[bucket_key(u, v) as usize];
+            self.idx[*c as usize] = pos as u32;
+            *c += 1;
+        }
         clock.lap(rec, EnginePhase::Ingest);
 
         // ---- Level-by-level refinement + emission. ----
@@ -849,12 +846,6 @@ impl SchedArena {
                 self.part_ends.extend_from_slice(&w.parts);
             }
             debug_assert_eq!(self.nparts.len(), nk);
-            self.parts_start.clear();
-            let mut acc = 0u32;
-            for &np in &self.nparts {
-                self.parts_start.push(acc);
-                acc += np;
-            }
             if R::ENABLED {
                 // Buckets at this refinement step live at channel level
                 // `level + 1` (their keys are nodes at heap depth
@@ -868,28 +859,36 @@ impl SchedArena {
                 }
             }
 
-            // Emission: cycle t of the level merges every bucket's t-th part.
+            // Emission: cycle t of the level merges every bucket's t-th part
+            // in bucket order. Parts tile the level's `idx` range: one walk
+            // sizes the cycles (cycle 0 also takes the locals), one fills.
             let level_cycles = self.nparts.iter().copied().max().unwrap_or(0) as usize;
-            for t in 0..level_cycles {
-                for (bi, &np) in self.nparts.iter().enumerate() {
-                    if (t as u32) >= np {
-                        continue;
-                    }
-                    let p = self.parts_start[bi] as usize + t;
-                    let start = if t == 0 {
-                        self.bucket_off[key_lo as usize + bi]
-                    } else {
-                        self.part_ends[p - 1]
-                    };
-                    let end = self.part_ends[p];
-                    for q in start..end {
-                        let pos = self.idx[q as usize] as usize;
-                        let msg = Message::new(self.sleaf[pos] - n, self.dleaf[pos] - n);
-                        emit.place(next_cycle, self.slot[pos], msg);
-                    }
+            self.cycle_len.clear();
+            self.cycle_len.resize(level_cycles, 0);
+            let (mut start, mut ends) = (lvl_start as u32, self.part_ends.iter());
+            for &np in &self.nparts {
+                for len in &mut self.cycle_len[..np as usize] {
+                    let end = *ends.next().unwrap();
+                    *len += end - start;
+                    start = end;
                 }
-                next_cycle += 1;
             }
+            if next_cycle == 0 {
+                self.cycle_len[0] += self.locals.len() as u32;
+            }
+            emit.sized(&self.cycle_len);
+            let (mut start, mut ends) = (lvl_start, self.part_ends.iter());
+            for &np in &self.nparts {
+                for t in next_cycle..next_cycle + np {
+                    let end = *ends.next().unwrap() as usize;
+                    for pos in self.idx[start..end].iter().map(|&p| p as usize) {
+                        let msg = Message::new(self.sleaf[pos] - n, self.dleaf[pos] - n);
+                        emit.place(t, self.slot[pos], msg);
+                    }
+                    start = end;
+                }
+            }
+            next_cycle += level_cycles as u32;
             self.cpl.push(level_cycles);
             clock.lap(rec, EnginePhase::Emit);
         }

@@ -8,8 +8,8 @@
 //!   most one on *every* channel (the engine of Theorem 1, reminiscent of
 //!   Beneš switch setting and Euler-tour routing),
 //! * [`arena`] — the flat, buffer-reusing [`SchedArena`] engine the Theorem-1
-//!   pipeline runs on: counting-sort bucketing, in-place index refinement,
-//!   packed-end matching, and deterministic scoped-thread fan-out,
+//!   pipeline runs on: one-pass bucketing by permutation, in-place index
+//!   refinement, sort-free matching, and deterministic scoped-thread fan-out,
 //! * [`offline`] — **Theorem 1**: any message set `M` can be scheduled
 //!   off-line in `d ≤ 2·λ(M)·⌈lg n⌉` delivery cycles,
 //! * [`bigcap`] — **Corollary 2**: when every capacity is at least `a·lg n`,
@@ -48,3 +48,25 @@ pub use split::{split_even, CrossDirection};
 pub use topology::{
     route_topology, route_topology_stream, schedule_topology, schedule_topology_stream,
 };
+
+use ft_core::{Message, MessageStream};
+
+/// Messages per [`MessageStream::fill`] call of an arena's ingest pass.
+const CHUNK: usize = 256;
+
+/// Hand `src`'s messages to `each` with their input slots, pulled `CHUNK`
+/// at a time through [`MessageStream::fill`]: one call per chunk (a
+/// dynamic one for a `dyn` stream), and the generator's batch kernel where
+/// it has one. [`SchedArena`] and [`OnlineArena`] ingest through it.
+#[inline]
+fn for_each_message<S: MessageStream + ?Sized>(src: &S, mut each: impl FnMut(u32, Message)) {
+    let mut buf = [Message::new(0, 0); CHUNK];
+    let len = src.len();
+    for start in (0..len).step_by(CHUNK) {
+        let chunk = &mut buf[..CHUNK.min(len - start)];
+        src.fill(start, chunk);
+        for (j, &m) in (start as u32..).zip(&*chunk) {
+            each(j, m);
+        }
+    }
+}

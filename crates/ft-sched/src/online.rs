@@ -59,6 +59,7 @@
 //! Once warmed, a steady-state [`OnlineArena::run`] performs **zero heap
 //! allocation** (asserted by `tests/alloc_online.rs`).
 
+use crate::for_each_message;
 use ft_core::rng::SplitMix64;
 use ft_core::{FatTree, MessageSet, MessageStream};
 use ft_telemetry::{NoopRecorder, Recorder};
@@ -390,9 +391,8 @@ impl OnlineArena {
     }
 
     /// The engine body, generic over the message source: `MessageSet` runs
-    /// statically dispatched (the classic path is unchanged instruction for
-    /// instruction), streams replay their generator for the single packing
-    /// pass.
+    /// statically dispatched, and either source is read once, in `fill`
+    /// chunks, by the single packing pass.
     fn run_src<S: MessageStream + ?Sized, R: Recorder>(
         &mut self,
         ft: &FatTree,
@@ -414,17 +414,16 @@ impl OnlineArena {
         // leaves agree on their top `height − bitlen(sleaf ^ dleaf)` levels.
         self.alive.clear();
         let mut locals = 0usize;
-        for j in 0..m.len() {
-            let msg = m.message(j);
+        for_each_message(m, |_, msg| {
             if msg.is_local() {
                 locals += 1;
-                continue;
+                return;
             }
             let (sleaf, dleaf) = (ft.leaf(msg.src), ft.leaf(msg.dst));
             let lca_d = height - (u32::BITS - (sleaf ^ dleaf).leading_zeros());
             debug_assert_eq!(lca_d, 31 - ft.lca(msg.src, msg.dst).leading_zeros());
             self.alive.push(pack(sleaf, dleaf, lca_d));
-        }
+        });
         self.delivered_per_cycle.clear();
         self.truncated = false;
 

@@ -1,7 +1,9 @@
 //! Steady-state allocation discipline for the scheduler arena: once a
-//! [`SchedArena`]'s buffers have grown to a workload's size, further split
-//! and refinement calls must perform **zero** heap allocation — the packed
-//! end tables, mate arrays, trace queues and segment stacks are all reused.
+//! [`SchedArena`]'s buffers have grown to a workload's size, further split,
+//! refinement and `schedule_assign` calls must perform **zero** heap
+//! allocation — the leaf arrays, mate tables, trace queues and segment
+//! stacks are all reused — and `schedule_stream` allocates only the
+//! schedule it returns, each cycle once.
 //!
 //! Measured with a counting global allocator, so this file is its own
 //! integration-test binary and runs with `harness = false`: the libtest
@@ -9,7 +11,7 @@
 //! (its mpsc receiver lazily initializes a thread-local context), which
 //! would read as a spurious steady-state allocation.
 
-use ft_core::{FatTree, Message};
+use ft_core::{FatTree, Message, MessageSet, MessageStream};
 use ft_sched::{CrossDirection, SchedArena};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,4 +80,48 @@ fn main() {
         grew, 0,
         "steady-state SchedArena::refine_even allocated {grew} times in 10 calls"
     );
+
+    // A whole multi-level schedule: crossings at every level, repeats and
+    // a few locals, longer than one ingest chunk and not a multiple of it.
+    let mut m: MessageSet = (0..5 * n + 37)
+        .map(|i| Message::new(i % n, (i * 7 + i / n) % n))
+        .collect();
+    m.push(Message::new(5, 5));
+    let stream: &dyn MessageStream = &m;
+    let mut out = Vec::new();
+    arena.schedule_assign(&ft, &m, 1, &mut out);
+    arena.schedule_assign(&ft, stream, 1, &mut out);
+
+    // --- Part 3: `schedule_assign` — ft-serve's request loop — allocates
+    // nothing once warm, on a set and on a `dyn` stream alike.
+    let before = allocs();
+    for _ in 0..10 {
+        arena.schedule_assign(&ft, &m, 1, &mut out);
+        arena.schedule_assign(&ft, stream, 1, &mut out);
+    }
+    let grew = allocs() - before;
+    assert_eq!(
+        grew, 0,
+        "steady-state SchedArena::schedule_assign allocated {grew} times in 20 calls"
+    );
+
+    // --- Part 4: `schedule_stream` allocates what it returns and nothing
+    // else: one buffer per cycle, sized exactly (cycle 0 with the locals),
+    // plus the outer vector — at most one allocation per doubling from its
+    // first capacity of 4 — and `cycles_per_level`.
+    arena.schedule_stream(&ft, stream, 1);
+    let before = allocs();
+    let (sched, _) = arena.schedule_stream(&ft, stream, 1);
+    let grew = allocs() - before;
+    let cycles = sched.num_cycles() as u64;
+    let outer = 1 + cycles.div_ceil(4).next_power_of_two().trailing_zeros() as u64;
+    assert!(cycles > 8, "{cycles} cycles: too few to tell");
+    assert!(
+        grew <= cycles + outer + 1,
+        "SchedArena::schedule_stream allocated {grew} times for {cycles} cycles"
+    );
+    for (c, set) in sched.into_cycles().into_iter().enumerate() {
+        let v = set.into_vec();
+        assert_eq!(v.capacity(), v.len(), "cycle {c} was not sized exactly");
+    }
 }

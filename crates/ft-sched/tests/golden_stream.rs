@@ -15,6 +15,8 @@ use ft_workloads::{
 };
 
 /// Every lazy generator family at a given size, boxed for uniform driving.
+/// The arenas ingest in 256-message chunks: at n = 1024 every family spans
+/// several (the collectives' pods are capped to keep them small).
 fn streams(n: u32, seed: u64) -> Vec<Box<dyn MessageStream>> {
     vec![
         Box::new(PermutationStream::new(n, seed)),
@@ -22,8 +24,8 @@ fn streams(n: u32, seed: u64) -> Vec<Box<dyn MessageStream>> {
         Box::new(RelationStream::new(n, 2, seed)),
         Box::new(BurstyStream::new(n, 2 * n as usize, 8, seed)),
         Box::new(IncastStream::new(n, (n / 2).max(1), 4, seed)),
-        Box::new(AllReduceStream::new(n, (n / 4).max(2).min(n), seed)),
-        Box::new(AllToAllStream::new(n, (n / 8).max(2).min(n))),
+        Box::new(AllReduceStream::new(n, (n / 4).clamp(2, 16), seed)),
+        Box::new(AllToAllStream::new(n, (n / 8).clamp(2, 8))),
     ]
 }
 
@@ -54,7 +56,7 @@ fn assert_schedules_equal(
 #[test]
 fn schedule_stream_matches_materialized_everywhere() {
     let mut cases = 0usize;
-    for n in [32u32, 64] {
+    for n in [32u32, 64, 1024] {
         let ft = FatTree::universal(n, (n as u64 / 4).max(1));
         let mut classic = SchedArena::new(&ft);
         let mut streamed = SchedArena::new(&ft);
@@ -84,7 +86,7 @@ fn schedule_stream_matches_materialized_everywhere() {
 
 #[test]
 fn run_stream_matches_materialized_everywhere() {
-    for n in [32u32, 64] {
+    for n in [32u32, 64, 1024] {
         let ft = FatTree::universal(n, (n as u64 / 4).max(1));
         let mut classic = OnlineArena::new(&ft);
         let mut streamed = OnlineArena::new(&ft);

@@ -102,6 +102,36 @@ impl MessageStream for PodAllToAll {
         let pos = src % self.pod;
         Message::new(src, pod_base + (pos + round) % self.pod)
     }
+
+    /// [`Self::message`] stepped incrementally: the source, its pod base
+    /// and the destination's position in the pod advance by one per
+    /// message and wrap, so only the chunk's first message divides.
+    fn fill(&self, start: usize, out: &mut [Message]) {
+        let (n, pod) = (self.n, self.pod);
+        let mut src = (start % n as usize) as u32;
+        let mut round = (start / n as usize) as u32 + 1;
+        let mut pos = src % pod;
+        let mut base = src - pos;
+        let mut dpos = (pos + round) % pod;
+        for slot in out {
+            *slot = Message::new(src, base + dpos);
+            src += 1;
+            pos += 1;
+            dpos += 1;
+            if dpos == pod {
+                dpos = 0;
+            }
+            if pos == pod {
+                pos = 0;
+                base += pod;
+            }
+            if src == n {
+                (src, pos, base) = (0, 0, 0);
+                round += 1;
+                dpos = round % pod;
+            }
+        }
+    }
 }
 
 #[cfg(test)]

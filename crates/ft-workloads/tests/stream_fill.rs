@@ -2,13 +2,14 @@
 //! implementation the engines pull chunks from: each generator family,
 //! the materialized `MessageSet` and `[Message]`, and ft-topology's lazily
 //! mapped view. Chunk boundaries are random and include empty and
-//! length-1 chunks; `PermutationStream`, which overrides `fill` with its
-//! own kernel, is checked exhaustively at every width up to 2¹⁴ and on
-//! samples at 2²⁰ and 2²⁶.
+//! length-1 chunks. Two generators override `fill` with their own kernel:
+//! `PermutationStream` is checked exhaustively at every width up to 2¹⁴
+//! and on samples at 2²⁰ and 2²⁶, `PodAllToAll` on pods of 2, 3, 12 and
+//! one pod spanning every processor.
 
 use ft_core::rng::SplitMix64;
 use ft_core::{Message, MessageSet, MessageStream};
-use ft_topology::{Embedded, LevelCaps, Topology};
+use ft_topology::{parse_spec, Embedded, LevelCaps, Topology};
 use ft_workloads::{
     AllReduceStream, AllToAllStream, BurstyStream, HotspotStream, IncastStream, PermutationStream,
     PodAllReduce, PodAllToAll, RelationStream,
@@ -72,6 +73,22 @@ fn every_generator_family_fills_what_it_messages() {
     let topo = Topology::kary_pods(6, 1);
     assert_fill_matches(&PodAllReduce::for_topology(&topo, 7), 1, "pod allreduce");
     assert_fill_matches(&PodAllToAll::for_topology(&topo), 2, "pod alltoall");
+}
+
+#[test]
+fn pod_alltoall_fill_steps_across_pods_and_rounds() {
+    // `PodAllToAll` overrides `fill`: pods of 12 on the 3 456 processors
+    // of `kary:k=24,over=2` (38 016 messages, every chunk start a fresh
+    // division), pods of 2 (one round, the destination wraps every
+    // message) and one pod spanning every processor.
+    let topo = parse_spec("kary:k=24,over=2").unwrap();
+    let aa = PodAllToAll::for_topology(&topo);
+    assert_eq!((aa.len(), topo.pod()), (38_016, 12));
+    assert_fill_matches(&aa, 8, "pods of 12");
+    for n in [2u32, 64, 1000] {
+        assert_fill_matches(&PodAllToAll::new(n, 2), 9, &format!("pods of 2, n={n}"));
+        assert_fill_matches(&PodAllToAll::new(n, n), 10, &format!("one pod, n={n}"));
+    }
 }
 
 #[test]

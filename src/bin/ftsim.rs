@@ -448,7 +448,11 @@ fn stream_from(opts: &HashMap<String, String>, m: &Machine) -> Option<Box<dyn Me
         Some((name, arg)) => (name, Some(arg)),
         None => (spec, None),
     };
-    let arg_or = |default: u32| arg.map_or(default, |v| spec_int(spec, v, 0, u32::MAX));
+    // The suffix if given (it must lie in `lo..=hi`), else the default
+    // clamped into that range.
+    let arg_in = |default: u32, lo: u32, hi: u32| {
+        arg.map_or(default.clamp(lo, hi), |v| spec_int(spec, v, lo, hi))
+    };
     Some(match name {
         "streamperm" if arg.is_none() => {
             require_pow2_procs(n, "streamperm", m);
@@ -456,24 +460,24 @@ fn stream_from(opts: &HashMap<String, String>, m: &Machine) -> Option<Box<dyn Me
         }
         "bursty" => {
             require_pow2_procs(n, "bursty", m);
-            let burst = arg_or(8).max(1);
+            let burst = arg_in(8, 1, u32::MAX);
             Box::new(BurstyStream::new(n, 2 * n as usize, burst, seed))
         }
         "incast" => {
             require_pow2_procs(n, "incast", m);
-            let fanin = arg_or((n / 2).max(1)).clamp(1, n.saturating_sub(1).max(1));
+            let fanin = arg_in(n / 2, 1, n.saturating_sub(1).max(1));
             Box::new(IncastStream::new(n, fanin, 4, seed))
         }
         "allreduce" => {
             if m.explicit {
-                let pod = arg_or(m.emb.topology().pod()).clamp(2, n);
+                let pod = arg_in(m.emb.topology().pod(), 2, n);
                 if !n.is_multiple_of(pod) {
                     eprintln!("workload allreduce: pod size {pod} does not divide {n} processors");
                     exit(2);
                 }
                 Box::new(PodAllReduce::new(n, pod, seed))
             } else {
-                let pod = arg_or((n / 4).max(2)).clamp(2, n);
+                let pod = arg_in(n / 4, 2, n);
                 if !pod.is_power_of_two() {
                     eprintln!("workload allreduce: pod size {pod} is not a power of two");
                     exit(2);
@@ -483,14 +487,14 @@ fn stream_from(opts: &HashMap<String, String>, m: &Machine) -> Option<Box<dyn Me
         }
         "alltoall" => {
             if m.explicit {
-                let pod = arg_or(m.emb.topology().pod()).clamp(2, n);
+                let pod = arg_in(m.emb.topology().pod(), 2, n);
                 if !n.is_multiple_of(pod) {
                     eprintln!("workload alltoall: pod size {pod} does not divide {n} processors");
                     exit(2);
                 }
                 Box::new(PodAllToAll::new(n, pod))
             } else {
-                let pod = arg_or((n / 8).max(2)).clamp(2, n);
+                let pod = arg_in(n / 8, 2, n);
                 if !pod.is_power_of_two() {
                     eprintln!("workload alltoall: pod size {pod} is not a power of two");
                     exit(2);

@@ -1030,13 +1030,24 @@ fn ftsim_status(args: &[&str]) -> (Option<i32>, String, String) {
 fn workload_suffixes_are_checked_before_anything_is_generated() {
     // Each of these used to run: `krel:abc` as k = 4, `local:zz` as 30 %,
     // `krel:0` as an empty workload, `krel:"` into a JSON line that was not
-    // JSON; `krel:4294967295` aborted on a 34 GB allocation.
+    // JSON; `krel:4294967295` aborted on a 34 GB allocation. The streamed
+    // suffixes were clamped: `incast:0` ran a fan-in of 1, `bursty:0`
+    // bursts of 1, `alltoall:0` / `alltoall:1` pods of 2 and
+    // `alltoall:128` / `allreduce:65` pods of 64.
     for (spec, says) in [
         ("krel:abc", "expected an integer in 1..=4294967295"),
         ("local:zz", "expected an integer in 1..=99"),
         ("krel:0", "expected an integer in 1..=4294967295"),
         ("krel:\"", "expected an integer in 1..=4294967295"),
         ("krel:4294967295", "274877906880 messages"),
+        ("incast:0", "expected an integer in 1..=63"),
+        ("incast:64", "expected an integer in 1..=63"),
+        ("bursty:0", "expected an integer in 1..=4294967295"),
+        ("alltoall:0", "expected an integer in 2..=64"),
+        ("alltoall:1", "expected an integer in 2..=64"),
+        ("alltoall:128", "expected an integer in 2..=64"),
+        ("allreduce:65", "expected an integer in 2..=64"),
+        ("allreduce:x", "expected an integer in 2..=64"),
     ] {
         let (code, stdout, stderr) = ftsim_status(&[
             "simulate",

@@ -14,7 +14,9 @@ use fat_tree::core::rng::SplitMix64;
 use fat_tree::prelude::*;
 use fat_tree::sched::reference::{route_online_reference, schedule_theorem1_reference};
 use fat_tree::sched::SchedArena;
-use fat_tree::workloads::{HotspotStream, PermutationStream, PodAllToAll, RelationStream};
+use fat_tree::workloads::{
+    BurstyStream, HotspotStream, PermutationStream, PodAllToAll, RelationStream,
+};
 
 /// `schedule_stream` == reference and `schedule_assign` consistent with
 /// it, for 1 and 2 threads on one warm arena; returns the cycle count.
@@ -182,6 +184,83 @@ fn odd_segment_keeps_one_unmatched_source_end() {
         .collect();
     let cycles = assert_matches_reference(&mut SchedArena::new(&ft), &ft, &m, "odd");
     assert_eq!(cycles, 7);
+}
+
+#[test]
+fn streamed_ingest_crosses_partial_chunks() {
+    // The arenas pull streams in 256-message chunks: a bursty stream whose
+    // length is no multiple of 256 ends on a partial chunk, and the pod
+    // all-to-all of `kary:k=12,over=2` (2 160 messages, pods of 6) reaches
+    // the scheduler through the padded embedding's mapped `fill`.
+    let ft = FatTree::universal(256, 64);
+    let mut arena = SchedArena::new(&ft);
+    for (len, seed) in [(257usize, 1u64), (777, 2), (1000, 3)] {
+        let bursty = BurstyStream::new(256, len, 8, seed);
+        let tag = format!("bursty len={len}");
+        assert!(assert_matches_reference(&mut arena, &ft, &bursty, &tag) > 1);
+    }
+    let emb = Embedded::new(parse_spec("kary:k=12,over=2").unwrap());
+    let kary = PodAllToAll::for_topology(emb.topology());
+    let mapped = emb.stream(&kary);
+    assert_eq!((mapped.len(), emb.topology().pod()), (2160, 6));
+    assert!(!emb.is_identity());
+    let mut arena = SchedArena::new(emb.tree());
+    assert!(assert_matches_reference(&mut arena, emb.tree(), &mapped, "kary:k=12") > 1);
+}
+
+/// FNV-1a over one 64-bit word at a time.
+fn fnv(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(0x0000_0100_0000_01B3)
+}
+
+/// Fingerprint of a schedule and its statistics: cycle count, every
+/// cycle's length and `(src, dst)` words in order, cycles per level, λ.
+fn fp_schedule(s: &Schedule, st: &fat_tree::sched::Theorem1Stats) -> u64 {
+    let mut h = fnv(0xCBF2_9CE4_8422_2325, s.num_cycles() as u64);
+    for c in s.cycles() {
+        h = fnv(h, c.len() as u64);
+        for m in c.iter() {
+            h = fnv(h, (m.src.0 as u64) << 32 | m.dst.0 as u64);
+        }
+    }
+    for &c in &st.cycles_per_level {
+        h = fnv(h, c as u64);
+    }
+    fnv(h, st.load_factor.to_bits())
+}
+
+#[test]
+fn theorem1_schedules_at_benchmark_scale_are_pinned() {
+    // The shapes the end-to-end benchmark schedules: a 2-relation and a
+    // hot spot on 2^12 leaves, and a pod all-to-all (pods of 12, 38 016
+    // messages) through the padded embedding of a 24-ary pod tree. The
+    // values were taken from the scheduler before its ingest was chunked.
+    let ft = FatTree::universal(4096, 1024);
+    let mut arena = SchedArena::new(&ft);
+    let mut got = Vec::new();
+    for seed in [1986u64, 1987] {
+        let rel2 = RelationStream::new(4096, 2, seed);
+        let hot = HotspotStream::new(4096, 1, 4, seed);
+        for stream in [&rel2 as &dyn MessageStream, &hot] {
+            let (s, st) = arena.schedule_stream(&ft, stream, 1);
+            got.push(fp_schedule(&s, &st));
+        }
+    }
+    let topo = parse_spec("kary:k=24,over=2").unwrap();
+    let kary = PodAllToAll::for_topology(&topo);
+    let emb = Embedded::new(topo);
+    let mapped = emb.stream(&kary);
+    assert_eq!(mapped.len(), 38_016);
+    let (s, st) = SchedArena::new(emb.tree()).schedule_stream(emb.tree(), &mapped, 1);
+    got.push(fp_schedule(&s, &st));
+    let want: [u64; 5] = [
+        7007866055997068637, // rel2, seed 1986
+        4894721795412114792, // hot spot, seed 1986
+        3782376346347994223, // rel2, seed 1987
+        3284131123021719508, // hot spot, seed 1987
+        8031994114429125401, // pod all-to-all
+    ];
+    assert_eq!(got, want);
 }
 
 #[test]
