@@ -45,5 +45,5 @@ pub use load::{
 pub use message::{Message, MessageSet};
 pub use rng::{splitmix64, SplitMix64};
 pub use route::{path_channels, path_len};
-pub use stream::{MessageStream, StreamIter};
+pub use stream::{for_each_message, MessageStream, StreamIter};
 pub use topology::{ChannelId, Direction, FatTree};

@@ -79,6 +79,28 @@ pub trait MessageStream {
     }
 }
 
+/// Messages per [`MessageStream::fill`] call of [`for_each_message`].
+const CHUNK: usize = 256;
+
+/// Hand `src`'s messages to `each` with their indices, in order, pulled
+/// `CHUNK` at a time through [`MessageStream::fill`]: one call per chunk (a
+/// dynamic one for a `dyn` stream), and the generator's batch kernel where
+/// it has one. A slice source copies through the same buffer. Every arena
+/// ingests through it; indices are `u32`s, as the arenas store them, so
+/// `src` holds at most 2^32 messages.
+#[inline]
+pub fn for_each_message<S: MessageStream + ?Sized>(src: &S, mut each: impl FnMut(u32, Message)) {
+    let mut buf = [Message::new(0, 0); CHUNK];
+    let len = src.len();
+    for start in (0..len).step_by(CHUNK) {
+        let chunk = &mut buf[..CHUNK.min(len - start)];
+        src.fill(start, chunk);
+        for (j, &m) in (start as u32..).zip(&*chunk) {
+            each(j, m);
+        }
+    }
+}
+
 /// Exact-size iterator over a [`MessageStream`].
 pub struct StreamIter<'a, S: ?Sized> {
     stream: &'a S,

@@ -102,19 +102,30 @@ pub struct FatTree {
     caps: Vec<u64>,
 }
 
+/// `lg n`, asserting what every constructor requires of `n`.
+fn checked_height(n: u32) -> u32 {
+    let max = FatTree::MAX_HEIGHT;
+    assert!(
+        (2..=1 << max).contains(&n) && is_pow2(n as u64),
+        "n must be a power of two in [2, 2^{max}], got {n}"
+    );
+    n.trailing_zeros()
+}
+
 impl FatTree {
-    /// Build a fat-tree on `n` processors (must be a power of two, `n ≥ 2`)
-    /// with the given capacity profile.
+    /// The tallest tree any constructor builds (`n ≤ 2^MAX_HEIGHT`), and
+    /// the one size limit spec parsers and decoders check: ft-sim's fused
+    /// u32 word holds a leaf heap id (`height + 1` bits) in 25 bits.
+    pub const MAX_HEIGHT: u32 = 24;
+
+    /// Build a fat-tree on `n` processors (must be a power of two, `2 ≤ n ≤
+    /// 2^`[`Self::MAX_HEIGHT`]) with the given capacity profile.
     ///
     /// # Panics
-    /// If `n` is not a power of two ≥ 2, or the profile is invalid for `n`
-    /// (see [`CapacityProfile::capacities`]).
+    /// If `n` is not a power of two in that range, or the profile is
+    /// invalid for `n` (see [`CapacityProfile::capacities`]).
     pub fn new(n: u32, profile: CapacityProfile) -> Self {
-        assert!(
-            n >= 2 && is_pow2(n as u64),
-            "n must be a power of two >= 2, got {n}"
-        );
-        let height = (n as u64).trailing_zeros();
+        let height = checked_height(n);
         let caps = profile.capacities(n);
         debug_assert_eq!(caps.len() as u32, height + 1);
         FatTree {
@@ -137,14 +148,10 @@ impl FatTree {
     /// the resulting tree reports a `PerLevel` profile.
     ///
     /// # Panics
-    /// If `n` is not a power of two ≥ 2, `caps.len() != lg n + 1`, or any
-    /// capacity is zero.
+    /// If `n` is not a power of two in [`Self::new`]'s range, `caps.len() !=
+    /// lg n + 1`, or any capacity is zero.
     pub fn from_level_caps(n: u32, caps: Vec<u64>) -> Self {
-        assert!(
-            n >= 2 && is_pow2(n as u64),
-            "n must be a power of two >= 2, got {n}"
-        );
-        let height = (n as u64).trailing_zeros();
+        let height = checked_height(n);
         assert_eq!(
             caps.len() as u32,
             height + 1,
@@ -194,6 +201,13 @@ impl FatTree {
     #[inline]
     pub fn cap_at_level(&self, k: u32) -> u64 {
         self.caps[k as usize]
+    }
+
+    /// Every level's channel capacity, root first: `level_caps()[k] ==
+    /// cap_at_level(k)`, `height + 1` entries.
+    #[inline]
+    pub fn level_caps(&self) -> &[u64] {
+        &self.caps
     }
 
     /// Capacity of a specific channel.

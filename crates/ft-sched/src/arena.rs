@@ -37,11 +37,10 @@
 //!   the schedule is byte-identical for any thread count (enforced by
 //!   `tests/golden_splitter.rs`).
 
-use crate::for_each_message;
 use crate::offline::Theorem1Stats;
 use crate::schedule::Schedule;
 use crate::split::CrossDirection;
-use ft_core::{FatTree, Message, MessageSet, MessageStream};
+use ft_core::{for_each_message, FatTree, Message, MessageSet, MessageStream};
 use ft_telemetry::{EnginePhase, NoopRecorder, PhaseClock, Recorder};
 
 const NONE: u32 = u32::MAX;

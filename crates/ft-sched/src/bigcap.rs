@@ -119,10 +119,7 @@ pub fn schedule_bigcap(ft: &FatTree, m: &MessageSet) -> Result<(Schedule, Bigcap
 /// capacity is `a·lg n` (with `a` inferred from the tree).
 pub fn corollary2_bound(ft: &FatTree, load_factor: f64) -> f64 {
     let lgn = lg(ft.n() as u64) as f64;
-    let min_cap = (0..=ft.height())
-        .map(|k| ft.cap_at_level(k))
-        .min()
-        .unwrap_or(1) as f64;
+    let min_cap = ft.level_caps().iter().copied().min().unwrap_or(1) as f64;
     let a = (min_cap / lgn).max(1.0 + 1e-9);
     2.0 * (a / (a - 1.0)) * load_factor.max(1.0)
 }

@@ -48,25 +48,3 @@ pub use split::{split_even, CrossDirection};
 pub use topology::{
     route_topology, route_topology_stream, schedule_topology, schedule_topology_stream,
 };
-
-use ft_core::{Message, MessageStream};
-
-/// Messages per [`MessageStream::fill`] call of an arena's ingest pass.
-const CHUNK: usize = 256;
-
-/// Hand `src`'s messages to `each` with their input slots, pulled `CHUNK`
-/// at a time through [`MessageStream::fill`]: one call per chunk (a
-/// dynamic one for a `dyn` stream), and the generator's batch kernel where
-/// it has one. [`SchedArena`] and [`OnlineArena`] ingest through it.
-#[inline]
-fn for_each_message<S: MessageStream + ?Sized>(src: &S, mut each: impl FnMut(u32, Message)) {
-    let mut buf = [Message::new(0, 0); CHUNK];
-    let len = src.len();
-    for start in (0..len).step_by(CHUNK) {
-        let chunk = &mut buf[..CHUNK.min(len - start)];
-        src.fill(start, chunk);
-        for (j, &m) in (start as u32..).zip(&*chunk) {
-            each(j, m);
-        }
-    }
-}

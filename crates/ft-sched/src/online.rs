@@ -59,9 +59,8 @@
 //! Once warmed, a steady-state [`OnlineArena::run`] performs **zero heap
 //! allocation** (asserted by `tests/alloc_online.rs`).
 
-use crate::for_each_message;
 use ft_core::rng::SplitMix64;
-use ft_core::{FatTree, MessageSet, MessageStream};
+use ft_core::{for_each_message, FatTree, MessageSet, MessageStream};
 use ft_telemetry::{NoopRecorder, Recorder};
 
 /// Configuration for the on-line routing process.
@@ -136,7 +135,7 @@ pub fn route_online(
 
 // Per-message path metadata packed into one u64: bits 0..28 source leaf,
 // bits 28..56 destination leaf, bits 56..62 LCA depth. 28-bit leaf fields
-// cap the engine at 2^26 processors, like the other flat engines.
+// hold every leaf heap id of a tree `FatTree` admits (`MAX_HEIGHT` = 24).
 #[inline]
 fn pack(sleaf: u32, dleaf: u32, lca_depth: u32) -> u64 {
     sleaf as u64 | (dleaf as u64) << 28 | (lca_depth as u64) << 56
@@ -202,12 +201,8 @@ pub struct OnlineArena {
 impl OnlineArena {
     /// Scratch sized for `ft`.
     pub fn new(ft: &FatTree) -> Self {
-        assert!(
-            ft.height() <= 26,
-            "flat engine supports up to 2^26 processors"
-        );
         let height = ft.height();
-        let caps: Vec<u64> = (0..=height).map(|k| ft.cap_at_level(k)).collect();
+        let caps = ft.level_caps();
         // Shallowest level from which every deeper capacity fits a u16
         // (capacities need not be monotone, so scan the whole suffix).
         let mut lsplit = height + 1;
@@ -241,7 +236,7 @@ impl OnlineArena {
         OnlineArena {
             n: ft.n(),
             height,
-            caps,
+            caps: caps.to_vec(),
             usplit,
             alive: Vec::new(),
             up16: init16.clone(),
@@ -262,7 +257,7 @@ impl OnlineArena {
     /// Was this arena built for `ft`? `n` and the per-level capacities are
     /// everything [`Self::new`] bakes in.
     fn built_for(&self, ft: &FatTree) -> bool {
-        self.n == ft.n() && (0..=self.height).all(|k| ft.cap_at_level(k) == self.caps[k as usize])
+        self.n == ft.n() && self.caps == ft.level_caps()
     }
 
     /// Delivery cycles used by the last run (0 before any run).

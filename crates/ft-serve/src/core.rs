@@ -385,13 +385,31 @@ pub struct ServeCompute {
 }
 
 impl ServeCompute {
+    /// Can `slots` requests on `n` leaves share one graft tree? `slots`
+    /// must be a power of two, and the graft tree's `n·slots` leaves may
+    /// not exceed `2^`[`FatTree::MAX_HEIGHT`].
+    pub fn check_slots(n: u32, slots: u32) -> Result<(), String> {
+        if !slots.is_power_of_two() {
+            return Err(format!("slots must be a power of two, got {slots}"));
+        }
+        if n as u64 * slots as u64 > 1 << FatTree::MAX_HEIGHT {
+            return Err(format!(
+                "the graft tree's n·slots = {n}·{slots} leaves exceed the 2^{} a fat-tree may have",
+                FatTree::MAX_HEIGHT
+            ));
+        }
+        Ok(())
+    }
+
     /// Build the compute state for solo shape `(n, w)` and batch width
-    /// `slots` (a power of two ≥ 1; `n·slots` must stay a valid tree).
+    /// `slots`.
+    ///
+    /// # Panics
+    /// If [`Self::check_slots`] refuses `(n, slots)`.
     pub fn new(n: u32, w: u64, slots: u32) -> Self {
-        assert!(
-            slots >= 1 && slots.is_power_of_two(),
-            "slots must be a power of two, got {slots}"
-        );
+        if let Err(e) = Self::check_slots(n, slots) {
+            panic!("{e}");
+        }
         assert!(w <= u32::MAX as u64, "root capacity must fit 32 bits");
         let solo = FatTree::universal(n, w);
         let g = slots.trailing_zeros();
@@ -400,7 +418,7 @@ impl ServeCompute {
         // has to keep the table monotone: the solo root capacity, not the
         // raw `w`, which the universal law clamps to min(n, w).
         let mut caps = vec![solo.cap_at_level(0); g as usize];
-        caps.extend((0..=solo.height()).map(|k| solo.cap_at_level(k)));
+        caps.extend_from_slice(solo.level_caps());
         let graft = FatTree::new(n * slots, CapacityProfile::PerLevel(caps));
         ServeCompute {
             sched: SchedArena::new(&graft),

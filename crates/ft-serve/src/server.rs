@@ -309,7 +309,14 @@ impl ServerHandle {
 
 /// Bind and start serving. Returns once the listener is live; everything
 /// else runs on background threads until [`ServerHandle::stop`].
+///
+/// # Errors
+/// [`io::ErrorKind::InvalidInput`], before anything is bound, if
+/// [`ServeCompute::check_slots`] refuses `cfg`'s `(n, slots)`; else any
+/// error binding `cfg.addr` or `cfg.metrics_addr`.
 pub fn spawn(cfg: ServerConfig) -> io::Result<ServerHandle> {
+    ServeCompute::check_slots(cfg.n, cfg.slots)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     let listener = TcpListener::bind(&cfg.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;

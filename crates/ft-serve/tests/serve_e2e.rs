@@ -162,6 +162,24 @@ fn shape_mismatch_is_rejected_at_handshake() {
 }
 
 #[test]
+fn spawn_refuses_slots_the_graft_tree_cannot_hold() {
+    // Not a power of two; n·slots = 2^25 leaves; and 2^37, which a u32
+    // product wraps to 0.
+    for slots in [3, 1 << 19, 1 << 31] {
+        let scfg = ServerConfig {
+            slots,
+            ..server_cfg()
+        };
+        let err = spawn(scfg).err().expect("spawned a server");
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidInput,
+            "slots = {slots}"
+        );
+    }
+}
+
+#[test]
 fn max_requests_stops_the_server() {
     let mut scfg = server_cfg();
     scfg.max_requests = 20;

@@ -114,8 +114,8 @@ impl InitMsg {
             return err("INIT too short");
         }
         let (n, boundary) = (p[0], p[1]);
-        if !(2..=1 << 26).contains(&n) || !n.is_power_of_two() {
-            return err("INIT n is not a power of two in [2, 2^26]");
+        if !(2..=1 << FatTree::MAX_HEIGHT).contains(&n) || !n.is_power_of_two() {
+            return err("INIT n is not a power of two in [2, 2^FatTree::MAX_HEIGHT]");
         }
         let levels = n.trailing_zeros() as u64 + 1;
         if boundary >= levels || p[2] as u32 as u64 >= 1 << boundary {
@@ -187,7 +187,10 @@ impl InitMsg {
             profile,
         };
         let ft = init.tree();
-        if (0..=ft.height()).any(|k| ft.cap_at_level(k) > MAX_LEVEL_WIRES >> k) {
+        if (0..)
+            .zip(ft.level_caps())
+            .any(|(k, &c)| c > MAX_LEVEL_WIRES >> k)
+        {
             return err("INIT tree exceeds the per-level wire bound");
         }
         Ok(init)
@@ -518,6 +521,23 @@ mod tests {
             assert_eq!(back.plan.delay_ms, 9);
             assert_eq!(back.profile, profile);
         }
+    }
+
+    #[test]
+    fn init_admits_exactly_the_trees_fattree_admits() {
+        let init = |n| InitMsg {
+            n,
+            boundary: 0,
+            shard: 0,
+            proto: crate::wire::PROTO_VERSION,
+            sim: SimConfig::default(),
+            plan: FaultPlan::none(),
+            profile: CapacityProfile::FullDoubling,
+        };
+        let max = 1 << FatTree::MAX_HEIGHT;
+        assert_eq!(InitMsg::decode(&init(max).encode()).unwrap().n, max);
+        let e = InitMsg::decode(&init(2 * max).encode()).unwrap_err();
+        assert!(e.0.contains("power of two"), "{e}");
     }
 
     #[test]

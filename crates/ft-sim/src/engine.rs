@@ -36,16 +36,15 @@
 //! replays or re-packs the source. [`SimArena::cycle`] is a load plus one
 //! step.
 //!
-//! A run takes one of two bodies, chosen from the tree height and the
-//! configuration alone:
+//! A run takes one of two bodies, chosen from the configuration alone:
 //!
-//! * **Fused sweeps** ([`SimConfig::default`]: [`MetaWidth::Auto`] on a
-//!   tree of height ≤ 20, ideal switches, slot-order arbitration), on u32
-//!   words plus a destination side array. Slot order on every channel
-//!   is the restriction of one global list — source order going up, (turn
-//!   level, source) order coming down — so each phase is a single sweep
-//!   that tests and bumps per-channel counters: no slot table, no buckets,
-//!   no per-level scans (`SimArena::up_phase_fused` /
+//! * **Fused sweeps** ([`SimConfig::default`]: [`MetaWidth::Auto`], ideal
+//!   switches, slot-order arbitration), on u32 words plus a destination
+//!   side array, on every tree [`FatTree`] admits. Slot order on every
+//!   channel is the restriction of one global list — source order going
+//!   up, (turn level, source) order coming down — so each phase is a
+//!   single sweep that tests and bumps per-channel counters: no slot
+//!   table, no buckets, no per-level scans (`SimArena::up_phase_fused` /
 //!   `SimArena::down_phase_fused`; DESIGN.md §10 carries the proofs). The
 //!   pending set is sorted by source leaf once, at load, and in-place
 //!   compaction keeps it sorted. When nobody reads the loads, each sweep
@@ -55,10 +54,10 @@
 //!   ([`SimArena::run_levels`]; masks taken at load hold for every retry,
 //!   since the pending set only shrinks).
 //! * **Level passes** (everything else: partial switches, random
-//!   arbitration, [`MetaWidth::Wide`], taller trees, and the shard
-//!   phases), on u64 words holding both leaves. Each pass scatters its
-//!   contenders straight into a generation-stamped (node, slot) table and
-//!   arbitrates by walking it — ascending-slot order falls out of the
+//!   arbitration, [`MetaWidth::Wide`], and the shard phases), on u64 words
+//!   holding both leaves. Each pass scatters its contenders straight
+//!   into a generation-stamped (node, slot) table and arbitrates by
+//!   walking it — ascending-slot order falls out of the
 //!   layout, with no sorting and no intermediate bucket arrays. A step
 //!   re-injects the survivors, in submitted order, under identity
 //!   arbitration ids, so a retry is exactly a fresh load of the survivors.
@@ -88,7 +87,9 @@ use crate::faults::FaultModel;
 use crate::node::PortSwitch;
 use ft_concentrator::{Concentrator, MatchingArena};
 use ft_core::rng::splitmix64;
-use ft_core::{ChannelId, FatTree, GenTable, LoadMap, Message, MessageSet, MessageStream};
+use ft_core::{
+    for_each_message, ChannelId, FatTree, GenTable, LoadMap, Message, MessageSet, MessageStream,
+};
 use ft_telemetry::{EnginePhase, NoopRecorder, PhaseClock, Recorder};
 use std::cell::Cell;
 
@@ -110,9 +111,8 @@ pub enum Arbitration {
 /// they arbitrate byte-identically, and each has its own metadata layout).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MetaWidth {
-    /// The fused sweeps (u32 words) whenever the tree fits them
-    /// (`height ≤ 20`, i.e. n ≤ 2²⁰ leaves) and the configuration allows
-    /// them (ideal switches, slot-order arbitration); the level passes
+    /// The fused sweeps (u32 words) whenever the configuration allows them
+    /// (ideal switches, slot-order arbitration); the level passes
     /// otherwise.
     #[default]
     Auto,
@@ -197,15 +197,14 @@ const CROSSED: u32 = u32::MAX;
 // sequential stream. One layout per cycle body:
 //
 // * **level passes (u64)**: bit 0 alive, bit 1 local, bits 2..8 LCA level,
-//   bits 8..36 source leaf, bits 36..64 destination leaf. 28-bit leaf
-//   fields cap the flat engine at 2^26 processors (asserted in
-//   `SimArena::new`) — far beyond any simulable size; the reference engine
-//   has no such limit. [`ShardClaim`] carries this word between arenas.
+//   bits 8..36 source leaf, bits 36..64 destination leaf. [`ShardClaim`]
+//   carries this word between arenas.
 // * **fused sweeps (u32)**: bit 0 alive, bit 1 local, bits 2..7 LCA level,
-//   bits 7..28 the source leaf; the destination leaf waits in the side
-//   array `SimArena::peer32`, which only the down sweep reads. 21-bit leaf
-//   fields fit `height ≤ 20` (n ≤ 2²⁰), and the up sweep streams 4 bytes
-//   per message.
+//   bits 7..32 the source leaf; the destination leaf waits in the side
+//   array `SimArena::peer32`, which only the down sweep reads. 25 leaf bits
+//   hold a leaf heap id (`height + 1` bits) for height ≤ 24, the
+//   `FatTree::MAX_HEIGHT` every tree obeys, and the up sweep streams 4
+//   bytes per message.
 //
 // Both bodies make the decisions of the same ports on the same contenders,
 // so outcomes are byte-identical — pinned by the golden tests.
@@ -242,10 +241,6 @@ fn meta_dst(m: u64) -> u32 {
     (m >> 36) as u32 & 0x0FFF_FFFF
 }
 
-/// Tallest tree the fused body's u32 words can address: leaf heap ids need
-/// `height + 1` bits and the word has 21 leaf bits.
-const NARROW_MAX_HEIGHT: u32 = 20;
-
 const NMETA_ALIVE: u32 = 1;
 const NMETA_LOCAL: u32 = 2;
 const NMETA_LEAF_SHIFT: u32 = 7;
@@ -269,24 +264,6 @@ fn nmeta_lca(m: u32) -> u32 {
 #[inline]
 fn nmeta_src(m: u32) -> u32 {
     m >> NMETA_LEAF_SHIFT
-}
-
-/// Messages per [`MessageStream::fill`] call of a load.
-const CHUNK: usize = 256;
-
-/// Hand `src`'s messages to `each` in order, pulled `CHUNK` at a time
-/// through [`MessageStream::fill`]: one call per chunk (a dynamic one for a
-/// `dyn` stream), and the generator's batch kernel where it has one. A
-/// slice source copies through the same buffer.
-#[inline]
-fn for_each_message<S: MessageStream + ?Sized>(src: &S, mut each: impl FnMut(Message)) {
-    let mut buf = [Message::new(0, 0); CHUNK];
-    let len = src.len();
-    for start in (0..len).step_by(CHUNK) {
-        let chunk = &mut buf[..CHUNK.min(len - start)];
-        src.fill(start, chunk);
-        chunk.iter().for_each(|&m| each(m));
-    }
 }
 
 /// Most messages one load accepts: the arena indexes them with `u32`s.
@@ -345,9 +322,9 @@ pub struct SimArena {
     n: u32,
     height: u32,
     faults: FaultModel,
-    /// Per-level capacities ([`level_outputs`]) of the tree `new` saw:
-    /// with `n` and `faults`, the key every cycle checks.
-    caps: [u64; 33],
+    /// [`FatTree::level_caps`] of the tree `new` saw: with `n` and
+    /// `faults`, the key every cycle checks.
+    caps: Vec<u64>,
     /// Effective capacity per dense channel index (fault pattern applied).
     eff: Vec<u64>,
     /// Port-switch cache keyed by (kind, inputs, outputs); at most a few
@@ -432,10 +409,6 @@ impl SimArena {
     /// effective capacities.
     pub fn new(ft: &FatTree, cfg: &SimConfig) -> Self {
         let n = ft.n();
-        assert!(
-            ft.height() <= 26,
-            "flat engine supports up to 2^26 processors"
-        );
         let height = ft.height();
         let mut eff = vec![0u64; ft.channel_index_bound()];
         let healthy = cfg.faults == FaultModel::none();
@@ -466,7 +439,7 @@ impl SimArena {
             n,
             height,
             faults: cfg.faults,
-            caps: level_outputs(ft),
+            caps: ft.level_caps().to_vec(),
             eff,
             ports: Vec::new(),
             fused_body: false,
@@ -544,13 +517,8 @@ impl SimArena {
     /// the run-level lemma).
     ///
     /// # Panics
-    /// If the tree is taller than the fused body allows (20 levels), or
-    /// is not the one the arena was built for.
+    /// If `ft` is not the tree the arena was built for.
     pub fn run_levels<S: MessageStream + ?Sized>(&mut self, ft: &FatTree, src: &S) -> [u32; 2] {
-        assert!(
-            self.height <= NARROW_MAX_HEIGHT,
-            "the fused body runs trees of height ≤ 20"
-        );
         let cfg = SimConfig {
             faults: self.faults,
             ..SimConfig::default()
@@ -614,7 +582,7 @@ impl SimArena {
     /// capacities and the fault pattern are everything [`Self::new`] bakes
     /// in; the rest of a [`SimConfig`] is read per cycle.
     fn built_for(&self, ft: &FatTree, faults: &FaultModel) -> bool {
-        self.n == ft.n() && self.caps == level_outputs(ft) && self.faults == *faults
+        self.n == ft.n() && self.caps == ft.level_caps() && self.faults == *faults
     }
 
     /// Run one delivery cycle of `msgs` on `ft`, reusing all scratch: a
@@ -670,7 +638,6 @@ impl SimArena {
     /// aside, a run's `cfg` never changes, so neither does the answer.
     fn fused(&self, cfg: &SimConfig) -> bool {
         cfg.meta == MetaWidth::Auto
-            && self.height <= NARROW_MAX_HEIGHT
             && matches!(cfg.switch, SwitchKind::Ideal)
             && matches!(cfg.arbitration, Arbitration::SlotOrder)
     }
@@ -731,7 +698,7 @@ impl SimArena {
         self.meta.clear();
         self.meta.reserve(n_msgs);
         let meta = &mut self.meta;
-        for_each_message(src, |m| {
+        for_each_message(src, |_, m| {
             let lca = ft.lca(m.src, m.dst);
             meta.push(meta_pack(
                 m.is_local(),
@@ -791,7 +758,7 @@ impl SimArena {
         // run, which is `D_up` if the sources come sorted.
         let (mut sorted, mut prev, mut run, mut d_up) = (true, 0, 0, 0);
         let (meta32, peer32) = (&mut self.meta32, &mut self.peer32);
-        for_each_message(src, |m| {
+        for_each_message(src, |_, m| {
             let s = m.src.0;
             sorted &= prev <= s;
             run = if s == prev { run + 1 } else { 1 };
@@ -1212,7 +1179,6 @@ impl SimArena {
     /// down sweep buckets by.
     fn up_phase_fused(&mut self) -> [u32; 32] {
         let height = self.height as usize;
-        debug_assert!(height < 32, "narrow layout caps height below 32");
         let mut cur_node = [u32::MAX; 32];
         let mut count = [0u32; 32];
         let mut wincap = [0u32; 32];
@@ -1286,7 +1252,6 @@ impl SimArena {
     /// `tests/proptests.rs`.
     fn down_phase_fused(&mut self, ft: &FatTree, survivors: &[u32; 32]) {
         let height = self.height as usize;
-        debug_assert!(height < 32, "narrow layout caps height below 32");
         let healthy = self.faults == FaultModel::none();
 
         // Bucket boundaries: `start[l]..start[l + 1]` holds LCA level `l`.
@@ -1304,7 +1269,7 @@ impl SimArena {
             *at += 1;
         }
 
-        let outputs = &level_outputs(ft)[..=height];
+        let outputs = ft.level_caps();
         let levels = self.levels[1];
         let (cnt, meta32, eff) = (&mut self.down_cnt[..], &mut self.meta32[..], &self.eff[..]);
         for lca in 0..height {
@@ -1347,16 +1312,6 @@ impl SimArena {
             cnt[1 << k..2 << k].fill(0);
         }
     }
-}
-
-/// Output wires of the ideal port feeding a level-`l` channel, per level
-/// (the `s` of [`SimArena::level_pass`]'s `(r, s)`).
-fn level_outputs(ft: &FatTree) -> [u64; 33] {
-    let mut outputs = [0u64; 33];
-    for l in 0..=ft.height() {
-        outputs[l as usize] = ft.cap_at_level(l);
-    }
-    outputs
 }
 
 /// Bit ticks of a delivered non-local message whose LCA is at `lca`:

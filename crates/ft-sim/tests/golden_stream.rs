@@ -136,7 +136,7 @@ fn same_arena_alternates_widths_and_sources_safely() {
 
 #[test]
 fn narrow_is_the_default_below_the_height_cap() {
-    // Auto (the u32 fused sweeps on a tree within their height bound) must
+    // Auto (the u32 fused sweeps, on every tree `FatTree` admits) must
     // agree with Wide (the level passes) directly, not only through the
     // goldens' shared oracle.
     let ft = FatTree::universal(256, 64);

@@ -53,8 +53,8 @@ impl Embedded {
     /// Compile `topo` into its padded binary tree.
     ///
     /// # Panics
-    /// If the padded tree exceeds 2²⁶ leaves (far beyond what the engines
-    /// are sized for) or the topology has fewer than 2 processors.
+    /// If the padded tree exceeds 2^[`FatTree::MAX_HEIGHT`] leaves or the
+    /// topology has fewer than 2 processors.
     pub fn new(topo: Topology) -> Self {
         let depth = topo.depth() as usize;
         let group_bits: Vec<u32> = topo
@@ -68,7 +68,7 @@ impl Embedded {
         }
         let height = boundaries[depth];
         assert!(
-            (1..=26).contains(&height),
+            (1..=FatTree::MAX_HEIGHT).contains(&height),
             "embedded tree would have 2^{height} padded leaves"
         );
         let padded_n = 1u32 << height;
@@ -296,8 +296,7 @@ mod tests {
         let emb = Embedded::new(Topology::kary_pods(4, 1));
         assert!(emb.is_identity());
         assert_eq!(emb.padded_n(), 16);
-        let caps: Vec<u64> = (0..=4).map(|k| emb.tree().cap_at_level(k)).collect();
-        assert_eq!(caps, vec![16, 8, 4, 2, 1]); // the FullDoubling law
+        assert_eq!(emb.tree().level_caps(), [16, 8, 4, 2, 1]); // the FullDoubling law
         assert_eq!(emb.real_level(0), Some(0));
         assert_eq!(emb.real_level(1), None); // core-internal aggregate
         assert_eq!(emb.real_level(2), Some(1));
@@ -312,8 +311,7 @@ mod tests {
         // table that the user-facing PerLevel profile rightly rejects.
         let emb = Embedded::new(Topology::kary_pods(8, 4));
         assert_eq!(emb.padded_n(), 128);
-        let caps: Vec<u64> = (0..=7).map(|k| emb.tree().cap_at_level(k)).collect();
-        assert_eq!(caps, vec![32, 16, 8, 4, 2, 1, 2, 1]);
+        assert_eq!(emb.tree().level_caps(), [32, 16, 8, 4, 2, 1, 2, 1]);
         assert_eq!(emb.real_level(5), Some(2));
         assert_eq!(emb.real_level(6), None);
     }

@@ -18,7 +18,7 @@
 
 use crate::model::Topology;
 use ft_core::ids::{ilog2_ceil, is_pow2};
-use ft_core::CapacityProfile;
+use ft_core::{CapacityProfile, FatTree};
 
 /// A malformed `--topology` spec, with a message naming the offending part.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -86,8 +86,11 @@ impl<'a> Params<'a> {
 }
 
 fn pow2_n(n: u64) -> Result<u32, SpecError> {
-    if !(2..=(1u64 << 26)).contains(&n) || !is_pow2(n) {
-        return err(format!("`n` must be a power of two in [2, 2^26], got {n}"));
+    let max = FatTree::MAX_HEIGHT;
+    if !(2..=(1u64 << max)).contains(&n) || !is_pow2(n) {
+        return err(format!(
+            "`n` must be a power of two in [2, 2^{max}], got {n}"
+        ));
     }
     Ok(n as u32)
 }
@@ -257,6 +260,7 @@ mod tests {
             ("kary:k=8,over=0", "`over` must be >= 1"),
             ("kary:k=8,foo=1", "unknown key `foo`"),
             ("universal:n=63", "power of two"),
+            ("universal:n=33554432", "[2, 2^24]"),
             ("universal:n=64,w=banana", "must be an integer"),
             ("universal:n=64,w", "expected key=value"),
             ("perlevel:n=8,caps=7/5/2", "lg n + 1"),

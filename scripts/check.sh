@@ -80,42 +80,36 @@ for example in examples/*.rs; do
   cargo run --release --quiet --example "$(basename "$example" .rs)" > /dev/null
 done
 
-echo "==> streamed million-leaf smoke (n = 2^20, lazy ingest, time-capped)"
-# One full streamed permutation at 2^20 leaves through the packed engine:
-# proves the lazy path works at the scale it exists for, that it does so
-# in interactive time (the cap is generous; ~0.15s on the validation
-# host), and that the result is the one every commit since PR 7 has
-# produced at the default seed: cycle count and delivery-order fingerprint.
-million_json="$(timeout 120 target/release/ftsim simulate \
-  --n 1048576 --w 262144 --workload streamperm --format json)"
-case "$million_json" in
-  '{"schema":"ftsim-simulate/v1"'*'"messages":1048576,"streamed":true,"cycles":3,'*'"order_fnv":"4235888c3627a8ad"}') ;;
-  *) echo "ftsim simulate at n = 2^20 did not stream 1048576 messages to the pinned result" >&2
-     echo "$million_json" >&2
-     exit 1 ;;
-esac
-# One level past the fused body's height cap (21 > 20): here, and on no
-# other input any test or script runs, `MetaWidth::Auto` takes the level
-# passes because of the tree's height alone. The pin holds their result at
-# that height; it cannot tell which body produced it (~1.8s).
-tall_json="$(timeout 120 target/release/ftsim simulate \
-  --n 2097152 --w 524288 --workload streamperm --format json)"
-case "$tall_json" in
-  '{"schema":"ftsim-simulate/v1"'*'"messages":2097152,"streamed":true,"cycles":3,'*'"order_fnv":"d4c5ef5cefedc519"}') ;;
-  *) echo "ftsim simulate at n = 2^21 (taller than the fused body's cap) left the pinned result" >&2
-     echo "$tall_json" >&2
-     exit 1 ;;
-esac
+echo "==> ftsim simulate pins (cycles and delivery-order fingerprint per run)"
+# Each row is one `ftsim simulate ... --format json` run and the result it
+# must print: message count, whether the workload streamed, cycles, and the
+# `order_fnv` delivery-order fingerprint. A `#` line explains the rows
+# below it (times are release builds on a 2-vCPU host).
+while read -r messages streamed cycles fnv flags; do
+  case "$messages" in '#'* | '') continue ;; esac
+  sim_json="$(timeout 120 target/release/ftsim simulate $flags --format json)"
+  case "$sim_json" in
+    '{"schema":"ftsim-simulate/v1"'*'"messages":'"$messages"',"streamed":'"$streamed"',"cycles":'"$cycles"','*'"order_fnv":"'"$fnv"'"}') ;;
+    *) echo "ftsim simulate $flags left the pinned result ($messages messages, $cycles cycles, order_fnv $fnv)" >&2
+       printf '%s\n' "$sim_json" | cut -c1-300 >&2
+       exit 1 ;;
+  esac
+done <<'PINS'
+# A full streamed permutation at 2^20 leaves through the fused body, lazy
+# ingest, in interactive time (~0.15s).
+1048576 true 3 4235888c3627a8ad --n 1048576 --w 262144 --workload streamperm
+# Heights 21-24 and a 2^21 all-reduce: every value was taken at commit
+# 0a639e7, where the default config ran the level passes on trees taller
+# than 2^20; the fused body must reproduce them byte for byte (2^24: 2-4s,
+# 1.0 GiB peak; the all-reduce's 62.9 M messages: 12-19s, 1.8 GiB peak).
+2097152 true 3 d4c5ef5cefedc519 --n 2097152 --w 524288 --workload streamperm
+4194304 true 3 797894a195af114d --n 4194304 --w 1048576 --workload streamperm
+8388608 true 3 d69d427c05ccdd6d --n 8388608 --w 2097152 --workload streamperm
+16777216 true 3 64bec0cac909276d --n 16777216 --w 4194304 --workload streamperm
+62914560 true 30 cc34586b8aba2b25 --n 2097152 --w 524288 --workload allreduce:16
 # A long retry tail with out-of-order, repeated sources: 8 200 delivery
 # cycles, most of them over a few thousand pending messages (~0.8s).
-bursty_json="$(timeout 120 target/release/ftsim simulate \
-  --n 65536 --w 16384 --workload bursty:8 --format json)"
-case "$bursty_json" in
-  '{"schema":"ftsim-simulate/v1"'*'"messages":131072,"streamed":true,"cycles":8200,'*'"order_fnv":"a7c4f1830e3ca57d"}') ;;
-  *) echo "ftsim simulate bursty:8 at n = 2^16 left the pinned result" >&2
-     printf '%s\n' "$bursty_json" | cut -c1-300 >&2
-     exit 1 ;;
-esac
+131072 true 8200 a7c4f1830e3ca57d --n 65536 --w 16384 --workload bursty:8
 # The run-level lemma (DESIGN.md §10): a permutation on a degree-2 tree
 # sends and receives one message per leaf, so besides the static list's
 # free levels it skips levels 16, 8, 7 and 6 going up and 6-16 coming
@@ -123,41 +117,17 @@ esac
 # pods of 16 arrives with unsorted sources, so its busiest source comes
 # from the load sort's buckets; 30 messages per leaf free nothing more
 # (~0.4s). Both pins were taken before the lemma landed.
-degree_json="$(timeout 120 target/release/ftsim simulate \
-  --topology degree:n=65536,w=16384,d=2 --workload streamperm --format json)"
-case "$degree_json" in
-  '{"schema":"ftsim-simulate/v1"'*'"messages":65536,"streamed":true,"cycles":3,'*'"order_fnv":"8afd8a8bb8f7c69d"}') ;;
-  *) echo "ftsim simulate streamperm on a degree-2 tree at n = 2^16 left the pinned result" >&2
-     echo "$degree_json" >&2
-     exit 1 ;;
-esac
-allreduce_json="$(timeout 120 target/release/ftsim simulate \
-  --n 65536 --w 16384 --workload allreduce:16 --format json)"
-case "$allreduce_json" in
-  '{"schema":"ftsim-simulate/v1"'*'"messages":1966080,"streamed":true,"cycles":30,'*'"order_fnv":"e6e0405e3d3b5b25"}') ;;
-  *) echo "ftsim simulate allreduce:16 at n = 2^16 left the pinned result" >&2
-     printf '%s\n' "$allreduce_json" | cut -c1-300 >&2
-     exit 1 ;;
-esac
+65536 true 3 8afd8a8bb8f7c69d --topology degree:n=65536,w=16384,d=2 --workload streamperm
+1966080 true 30 e6e0405e3d3b5b25 --n 65536 --w 16384 --workload allreduce:16
 # Materialised runs that retry, one per cycle body: a 2-relation at 2^14 on
 # the fused sweeps, and on the level passes under partial switches and
 # under random arbitration (6-7 cycles, < 0.2s each). The set is loaded
 # once and every retry runs on the arena's compacted pending set; the pins
 # were taken when `run_to_completion` still re-loaded its survivors each
 # cycle.
-while read -r cycles fnv flags; do
-  set_json="$(timeout 120 target/release/ftsim simulate \
-    --n 16384 --w 4096 --workload krel:2 $flags --format json)"
-  case "$set_json" in
-    '{"schema":"ftsim-simulate/v1"'*'"messages":32768,"streamed":false,"cycles":'"$cycles"','*'"order_fnv":"'"$fnv"'"}') ;;
-    *) echo "ftsim simulate krel:2 at n = 2^14 ${flags:-(default body)} left the pinned result" >&2
-       printf '%s\n' "$set_json" | cut -c1-300 >&2
-       exit 1 ;;
-  esac
-done <<'PINS'
-7 89b49b87b1c80d81
-6 29407b6fc4172f05 --switch partial
-7 23ccc50cc57fae91 --arb random
+32768 false 7 89b49b87b1c80d81 --n 16384 --w 4096 --workload krel:2
+32768 false 6 29407b6fc4172f05 --n 16384 --w 4096 --workload krel:2 --switch partial
+32768 false 7 23ccc50cc57fae91 --n 16384 --w 4096 --workload krel:2 --arb random
 PINS
 
 echo "==> ftsim report / trace smoke (telemetry)"

@@ -1307,7 +1307,7 @@ fn cmd_shard(opts: &HashMap<String, String>) {
 /// `--max-requests`). One JSON line announces the resolved listen address,
 /// one summarizes the run at shutdown — both `ftsim-serve/v1`.
 fn cmd_serve(opts: &HashMap<String, String>) {
-    use fat_tree::serve::{spawn, ServerConfig};
+    use fat_tree::serve::{spawn, ServeCompute, ServerConfig};
     use std::io::{Read, Write};
 
     let (n, w) = universal_nw_from(opts, "serve");
@@ -1326,8 +1326,8 @@ fn cmd_serve(opts: &HashMap<String, String>) {
         metrics: get_u32(opts, "metrics", 1) != 0,
         metrics_addr: opts.get("metrics-addr").cloned(),
     };
-    if !cfg.slots.is_power_of_two() {
-        eprintln!("--slots must be a power of two, got {}", cfg.slots);
+    if let Err(e) = ServeCompute::check_slots(cfg.n, cfg.slots) {
+        eprintln!("--slots: {e}");
         exit(2);
     }
     let server = spawn(cfg.clone()).unwrap_or_else(|e| {

@@ -756,6 +756,20 @@ fn serve_rejects_bad_invocations() {
     let (ok, _, stderr) = ftsim(&["serve", "--n", "63"]);
     assert!(!ok);
     assert!(stderr.contains("power of two"), "{stderr}");
+    // A graft tree of n·slots leaves past 2^24 — the first two products
+    // wrap a u32 — is refused before anything binds, not left to panic
+    // the compute thread behind a listening line.
+    for shape in [
+        "--n 1048576 --w 1024 --slots 4096",
+        "--n 64 --w 16 --slots 2147483648",
+        "--n 1048576 --slots 32",
+    ] {
+        let args: Vec<&str> = ["serve"].into_iter().chain(shape.split(' ')).collect();
+        let (code, stdout, stderr) = ftsim_status(&args);
+        assert_eq!(code, Some(2), "{shape}: {stderr}");
+        assert!(stdout.is_empty(), "{shape}: {stdout}");
+        assert!(stderr.contains("--slots"), "{shape}: {stderr}");
+    }
     let (ok, _, stderr) = ftsim(&["bench-client"]);
     assert!(!ok);
     assert!(stderr.contains("--addr"), "{stderr}");
@@ -859,7 +873,14 @@ fn bad_n_and_w_are_usage_errors_not_panics() {
     // `--n`/`--w` are shorthand for `universal:n=..,w=..` and are refused by
     // the same parser. These sizes used to reach an assertion in
     // `CapacityProfile` / `Embedded::new`: exit 101 and a backtrace.
-    let sizes = ["--n 100", "--n 1", "--n 0", "--n 134217728", "--n 64 --w 0"];
+    let sizes = [
+        "--n 100",
+        "--n 1",
+        "--n 0",
+        "--n 33554432",
+        "--n 134217728",
+        "--n 64 --w 0",
+    ];
     for cmd in [
         "simulate", "tree", "schedule", "online", "report", "trace", "shard",
     ] {

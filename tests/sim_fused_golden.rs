@@ -566,6 +566,38 @@ fn streamed_fused_run_sorts_by_source_in_cycle_zero_only() {
     }
 }
 
+#[test]
+fn default_body_runs_fused_on_a_tree_taller_than_2_to_the_20() {
+    // Height 21: every leaf heap id sets bit 21, bit 28 of the fused word,
+    // which no tree of height ≤ 20 reaches. Random sources, two messages
+    // into each of 1 024
+    // destinations: a destination's single leaf wire takes one per cycle,
+    // so the run retries. (A recorded cycle walks all 2^23 channels, hence
+    // only two.)
+    let n = 1u32 << 21;
+    let ft = FatTree::universal(n, (n / 4) as u64);
+    let mut rng = SplitMix64::seed_from_u64(21);
+    let set: MessageSet = (0..2048u32)
+        .map(|j| Message::new(rng.gen_range(0..n), j % 1024 * (n / 1024)))
+        .collect();
+    let base = SimConfig::default();
+    let mut log = PhaseLog::default();
+    let run = run_to_completion_with(&ft, &set, &base, &mut log);
+    assert_eq!(run.cycles, 2);
+    let sorts = log
+        .seen
+        .iter()
+        .filter(|(_, p)| *p == EnginePhase::SourceSort);
+    assert_eq!(sorts.count(), 1, "the default config took the level passes");
+    assert_eq!(run, run_to_completion(&ft, &set, &base));
+    let wide = SimConfig {
+        meta: MetaWidth::Wide,
+        ..base
+    };
+    assert_eq!(run, run_to_completion(&ft, &set, &wide));
+    assert_eq!(run, run_to_completion_reference(&ft, &set, &base));
+}
+
 /// A stream that only claims to be long: `message` is never reached.
 struct Endless(usize);
 
