@@ -39,9 +39,7 @@ pub mod topology;
 
 pub use capacity::CapacityProfile;
 pub use ids::{lg, ProcId};
-pub use load::{
-    cycle_lower_bound, load_factor, wire_time_lower_bound, GenTable, LoadMap, ScratchLoad,
-};
+pub use load::{cycle_lower_bound, load_factor, GenTable, LevelLoads, LoadMap, LoadTally};
 pub use message::{Message, MessageSet};
 pub use rng::{splitmix64, SplitMix64};
 pub use route::{path_channels, path_len};

@@ -71,38 +71,10 @@ pub fn for_each_path_channel<F: FnMut(ChannelId)>(ft: &FatTree, m: &Message, mut
     }
 }
 
-/// True if the path of `m` passes *through* internal node `node` (i.e. the
-/// node is the LCA or lies strictly between a leaf and the LCA).
-pub fn path_visits_node(ft: &FatTree, m: &Message, node: u32) -> bool {
-    if m.is_local() {
-        return false;
-    }
-    let lca = ft.lca(m.src, m.dst);
-    let on_spine = |mut leaf: u32| {
-        while leaf >= lca {
-            if leaf == node {
-                return true;
-            }
-            if leaf == lca {
-                break;
-            }
-            leaf >>= 1;
-        }
-        false
-    };
-    on_spine(ft.leaf(m.src)) || on_spine(ft.leaf(m.dst))
-}
-
-/// True if `node` is the least common ancestor of the endpoints of `m`.
-pub fn lca_is(ft: &FatTree, m: &Message, node: u32) -> bool {
-    !m.is_local() && ft.lca(m.src, m.dst) == node
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::capacity::CapacityProfile;
-    use crate::ids::ProcId;
     use crate::topology::Direction;
 
     fn ft(n: u32) -> FatTree {
@@ -191,22 +163,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn visits_node_and_lca() {
-        let t = ft(8);
-        let m = Message::new(0, 3); // leaves 8 and 11, LCA = 2
-        assert!(lca_is(&t, &m, 2));
-        assert!(!lca_is(&t, &m, 1));
-        assert!(path_visits_node(&t, &m, 2));
-        assert!(path_visits_node(&t, &m, 4)); // on up spine
-        assert!(path_visits_node(&t, &m, 5)); // on down spine
-        assert!(!path_visits_node(&t, &m, 1));
-        assert!(!path_visits_node(&t, &m, 3));
-        assert!(!path_visits_node(&t, &m, 6));
-        let local = Message::new(2, 2);
-        assert!(!path_visits_node(&t, &local, 1));
-        assert!(!lca_is(&t, &local, t.leaf(ProcId(2))));
     }
 }

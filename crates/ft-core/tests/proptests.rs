@@ -3,8 +3,8 @@
 
 use ft_core::rng::SplitMix64;
 use ft_core::{
-    capacity::universal_cap, load_factor, route, CapacityProfile, Direction, FatTree, LoadMap,
-    Message, MessageSet,
+    capacity::universal_cap, cycle_lower_bound, load_factor, route, CapacityProfile, Direction,
+    FatTree, LevelLoads, LoadMap, LoadTally, Message, MessageSet,
 };
 
 const CASES: u64 = 256;
@@ -129,5 +129,96 @@ fn total_wires_matches_channel_sum() {
         let ft = FatTree::new(n, CapacityProfile::Constant(c));
         let by_channels: u64 = ft.channels().map(|ch| ft.cap(ch)).sum();
         assert_eq!(ft.total_wires(), by_channels, "case {case}");
+    }
+}
+
+/// A random permutation of `0..n`.
+fn permutation(rng: &mut SplitMix64, n: u32) -> Vec<u32> {
+    let mut p: Vec<u32> = (0..n).collect();
+    rng.shuffle(&mut p);
+    p
+}
+
+/// The message sets the tally is checked on: a random k-relation (k
+/// stacked permutations, so locals and duplicates occur) with extra locals
+/// and duplicates, a permutation, an all-to-one, a few random messages
+/// (few enough that the tally sums only the nodes they reach from n = 16
+/// on), and the empty set.
+fn oracle_workloads(rng: &mut SplitMix64, n: u32) -> Vec<MessageSet> {
+    let k = rng.gen_range(1u32..=4);
+    let mut krel = MessageSet::new();
+    for _ in 0..k {
+        let p = permutation(rng, n);
+        for (s, &d) in p.iter().enumerate() {
+            krel.push(Message::new(s as u32, d));
+        }
+    }
+    for _ in 0..rng.gen_range(0..=n) {
+        let i = rng.gen_range(0..n);
+        krel.push(Message::new(i, i));
+        let j = rng.gen_range(0..krel.len());
+        krel.push(krel.as_slice()[j]);
+    }
+    let p = permutation(rng, n);
+    let perm: MessageSet = (0..n).map(|s| Message::new(s, p[s as usize])).collect();
+    let hot = rng.gen_range(0..n);
+    let all_to_one: MessageSet = (0..n).map(|s| Message::new(s, hot)).collect();
+    let few: MessageSet = (0..rng.gen_range(1..=(n / 16).max(1)))
+        .map(|_| Message::new(rng.gen_range(0..n), rng.gen_range(0..n)))
+        .collect();
+    vec![krel, perm, all_to_one, few, MessageSet::new()]
+}
+
+/// Every whole-set quantity the tally answers, read off the per-channel
+/// path walk instead: per-level maxima, total, λ, one-cycle feasibility and
+/// both lower bounds.
+#[test]
+fn tally_matches_the_path_walk_oracle() {
+    let mut rng = SplitMix64::seed_from_u64(0xC0DE5);
+    for height in 1..=12u32 {
+        let n = 1u32 << height;
+        let w = 1u64 << (2 * height).div_ceil(3);
+        let profiles = [
+            CapacityProfile::Universal { root_capacity: w },
+            CapacityProfile::Constant(1),
+            CapacityProfile::Constant(3),
+            CapacityProfile::FullDoubling,
+            CapacityProfile::UniversalWithDegree {
+                root_capacity: w,
+                degree: 2,
+            },
+        ];
+        for profile in profiles {
+            let ft = FatTree::new(n, profile.clone());
+            let mut reused = LoadTally::new(&ft);
+            for (w_i, m) in oracle_workloads(&mut rng, n).iter().enumerate() {
+                let case = format!("n={n} {profile:?} workload {w_i}");
+                let lm = LoadMap::of(&ft, m);
+                let mut max = vec![0u64; height as usize + 1];
+                for c in ft.channels() {
+                    let k = c.level() as usize;
+                    max[k] = max[k].max(lm.get(c));
+                }
+                let total: u64 = ft.channels().map(|c| lm.get(c)).sum();
+                let wire = total.div_ceil(ft.total_wires());
+                let lower = (lm.load_factor(&ft).ceil() as u64).max(wire);
+
+                let loads = LevelLoads::of(&ft, m);
+                for msg in m {
+                    reused.add(msg);
+                }
+                assert_eq!(reused.sum(), &loads, "{case}: reused tally");
+                assert_eq!(loads.max_per_level(), max, "{case}");
+                assert_eq!(loads.total(), total, "{case}");
+                assert_eq!(
+                    load_factor(&ft, m).to_bits(),
+                    lm.load_factor(&ft).to_bits(),
+                    "{case}"
+                );
+                assert_eq!(loads.is_one_cycle(&ft), lm.is_one_cycle(&ft), "{case}");
+                assert_eq!(loads.wire_time_lower_bound(&ft), wire, "{case}");
+                assert_eq!(cycle_lower_bound(&ft, m), lower, "{case}");
+            }
+        }
     }
 }

@@ -40,7 +40,7 @@
 use crate::offline::Theorem1Stats;
 use crate::schedule::Schedule;
 use crate::split::CrossDirection;
-use ft_core::{for_each_message, FatTree, Message, MessageSet, MessageStream};
+use ft_core::{for_each_message, FatTree, LoadTally, Message, MessageSet, MessageStream};
 use ft_telemetry::{EnginePhase, NoopRecorder, PhaseClock, Recorder};
 
 const NONE: u32 = u32::MAX;
@@ -509,14 +509,9 @@ pub struct SchedArena {
     nparts: Vec<u32>,
     /// Message count per cycle of the level being emitted.
     cycle_len: Vec<u32>,
-    /// Heap-indexed subtree tallies for the λ(M) statistic: messages
-    /// sourced / destined under each node, and messages whose LCA lies at
-    /// or under it. `load(up(u)) = under_src[u] − lca_under[u]` (and the
-    /// `dst` twin for down channels), so λ falls out of one O(n) bottom-up
-    /// pass instead of an O(m·lg n) per-message walk.
-    under_src: Vec<u32>,
-    under_dst: Vec<u32>,
-    lca_under: Vec<u32>,
+    /// The λ(M) statistic: the ingest pass counts each message into it,
+    /// and ft-core's bottom-up sum turns the counts into per-level loads.
+    tally: LoadTally,
     workers: Vec<Worker>,
     /// Scratch for the public single-split / single-bucket entry points.
     tmp_sleaf: Vec<u32>,
@@ -541,9 +536,7 @@ impl SchedArena {
             part_ends: Vec::new(),
             nparts: Vec::new(),
             cycle_len: Vec::new(),
-            under_src: Vec::new(),
-            under_dst: Vec::new(),
-            lca_under: Vec::new(),
+            tally: LoadTally::new(ft),
             workers: vec![Worker::new(ft)],
             tmp_sleaf: Vec::new(),
             tmp_dleaf: Vec::new(),
@@ -705,60 +698,40 @@ impl SchedArena {
         self.slot.clear();
         self.bucket_off.clear();
         self.bucket_off.resize(2 * n as usize + 1, 0);
-        self.under_src.clear();
-        self.under_src.resize(2 * n as usize, 0);
-        self.under_dst.clear();
-        self.under_dst.resize(2 * n as usize, 0);
-        self.lca_under.clear();
-        self.lca_under.resize(2 * n as usize, 0);
         for_each_message(m, |j, msg| {
             if msg.is_local() {
                 self.locals.push(msg);
                 self.local_slots.push(j);
                 return;
             }
-            let (u, v) = (n + msg.src.0, n + msg.dst.0);
-            self.under_src[u as usize] += 1;
-            self.under_dst[v as usize] += 1;
-            self.bucket_off[bucket_key(u, v) as usize + 1] += 1;
-            self.sleaf.push(u);
-            self.dleaf.push(v);
+            self.tally.add(&msg);
+            self.sleaf.push(n + msg.src.0);
+            self.dleaf.push(n + msg.dst.0);
             self.slot.push(j);
         });
+        // The tally's turn counts are the bucket sizes: its turn node of a
+        // message is the message's `bucket_key`.
+        let mut end = 0;
+        for (off, &c) in self.bucket_off[1..].iter_mut().zip(self.tally.turns()) {
+            end += c;
+            *off = end;
+        }
 
-        // λ(M) from subtree tallies: summing leaf counts and LCA counts
-        // bottom-up gives every channel's load without touching messages
-        // again — load(up(u)) counts messages sourced under `u` whose LCA
-        // is a proper ancestor of `u` (locals contribute nothing). A level
-        // shares one capacity, so its heaviest channel decides.
-        let mut lam = 0.0f64;
-        for level in (1..=height).rev() {
-            let cap = ft.cap_at_level(level);
-            let mut max = 0u32;
-            for u in (1usize << level..2 << level).rev() {
-                if (u as u32) < n {
-                    self.under_src[u] = self.under_src[2 * u] + self.under_src[2 * u + 1];
-                    self.under_dst[u] = self.under_dst[2 * u] + self.under_dst[2 * u + 1];
-                    // `bucket_off` still holds raw counts here (key k's
-                    // count sits at k + 1; the prefix sum runs below).
-                    self.lca_under[u] = self.bucket_off[2 * u + 1]
-                        + self.bucket_off[2 * u + 2]
-                        + self.lca_under[2 * u]
-                        + self.lca_under[2 * u + 1];
-                }
-                let up = self.under_src[u] - self.lca_under[u];
-                let down = self.under_dst[u] - self.lca_under[u];
-                max = max.max(up).max(down);
+        // λ(M) from the tally. A recorder sees every channel's load, level
+        // by level from the leaves, nodes in reverse heap order.
+        let lam = self
+            .tally
+            .sum_with(|level, t| {
                 if R::ENABLED {
-                    rec.lambda_site(level, up as u64, cap);
-                    rec.lambda_site(level, down as u64, cap);
+                    let cap = ft.cap_at_level(level);
+                    for u in (1 << level..2 << level).rev() {
+                        let (up, down) = t.channel_loads(u);
+                        rec.lambda_site(level, up, cap);
+                        rec.lambda_site(level, down, cap);
+                    }
                 }
-            }
-            lam = lam.max(max as f64 / cap as f64);
-        }
-        for i in 1..self.bucket_off.len() {
-            self.bucket_off[i] += self.bucket_off[i - 1];
-        }
+            })
+            .load_factor(ft);
         // Counting sort: `idx` lists each bucket's positions in input order.
         self.cursor.clear();
         self.cursor.extend_from_slice(&self.bucket_off);

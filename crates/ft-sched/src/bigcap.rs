@@ -15,7 +15,7 @@
 use crate::arena::SchedArena;
 use crate::schedule::Schedule;
 use crate::split::{is_under, CrossDirection};
-use ft_core::{lg, FatTree, LoadMap, Message, MessageSet};
+use ft_core::{lg, FatTree, LevelLoads, Message, MessageSet};
 
 /// Result details from [`schedule_bigcap`].
 #[derive(Clone, Debug)]
@@ -46,16 +46,11 @@ pub fn schedule_bigcap(ft: &FatTree, m: &MessageSet) -> Result<(Schedule, Bigcap
         }
     }
 
-    let lm = LoadMap::of(ft, m);
-    let lam = lm.load_factor(ft);
+    let loads = LevelLoads::of(ft, m);
+    let lam = loads.load_factor(ft);
     // λ′ with fictitious capacities.
-    let mut lam_fict: f64 = 0.0;
-    for c in ft.channels() {
-        let l = lm.get(c);
-        if l > 0 {
-            lam_fict = lam_fict.max(l as f64 / (ft.cap(c) - lgn) as f64);
-        }
-    }
+    let fict: Vec<u64> = ft.level_caps().iter().map(|&c| c - lgn).collect();
+    let lam_fict = loads.factor(&fict);
 
     // r = smallest power of two ≥ λ′, at least 1; then every bucket's load on
     // channel c is ≤ ⌈load(M,c)/r⌉ + (lg n − 1) ≤ cap′(c) + lg n = cap(c).

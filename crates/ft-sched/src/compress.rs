@@ -7,46 +7,50 @@
 //! lengthens the schedule. It quantifies how loose the `2·λ·lg n` analysis
 //! is in practice (the theorem itself needs no merging).
 
+use crate::greedy::CycleLoads;
 use crate::schedule::Schedule;
-use ft_core::{FatTree, LoadMap, MessageSet, ScratchLoad};
+use ft_core::{route::for_each_path_channel, FatTree, MessageSet};
+use std::collections::HashMap;
 
 /// Greedily merge compatible delivery cycles. Cycles are considered in
 /// decreasing size and packed first-fit into merged slots.
 ///
-/// The fit test inspects only the channels the candidate cycle actually
-/// touches (via a sparse [`ScratchLoad`]) rather than sweeping all `4n`
-/// channels per pair: each merged slot's loads already respect every
-/// capacity (the input cycles are one-cycle sets), so untouched channels
-/// cannot newly overflow.
+/// The fit test inspects only the channels the candidate cycle touches
+/// rather than sweeping all `4n` channels per pair: each merged slot's
+/// loads already respect every capacity (the input cycles are one-cycle
+/// sets), so untouched channels cannot newly overflow. The slots' loads
+/// are kept only on the channels they use.
 pub fn compress_schedule(ft: &FatTree, schedule: Schedule) -> Schedule {
     let mut cycles = schedule.into_cycles();
     cycles.sort_by_key(|c| std::cmp::Reverse(c.len()));
 
-    let mut merged: Vec<(MessageSet, LoadMap)> = Vec::new();
-    let mut add = ScratchLoad::new(ft);
-    'outer: for cyc in cycles {
+    let mut merged: Vec<MessageSet> = Vec::new();
+    let mut loads = CycleLoads::default();
+    let mut add = HashMap::new();
+    for cyc in cycles {
         for m in &cyc {
-            add.add(ft, m);
+            for_each_path_channel(ft, m, |c| *add.entry(c).or_insert(0) += 1);
         }
-        for (set, lm) in merged.iter_mut() {
-            let fits = add.iter_touched().all(|(c, l)| lm.get(c) + l <= ft.cap(c));
-            if fits {
-                for m in &cyc {
-                    lm.add(ft, m);
-                }
-                set.extend_from(&cyc);
-                add.clear();
-                continue 'outer;
-            }
+        // Deepest channels first: capacities grow toward the root, so a
+        // full channel is usually found at the first probes.
+        let mut touched: Vec<_> = add.drain().collect();
+        touched.sort_unstable_by_key(|(c, _)| (std::cmp::Reverse(c.level()), c.index()));
+        let k = (0..merged.len())
+            .find(|&k| {
+                touched
+                    .iter()
+                    .all(|&(c, l)| loads.get(k, c) + l <= ft.cap(c))
+            })
+            .unwrap_or_else(|| {
+                merged.push(MessageSet::new());
+                merged.len() - 1
+            });
+        for &(c, l) in &touched {
+            loads.add(k, c, l);
         }
-        let mut lm = LoadMap::zeros(ft);
-        for m in &cyc {
-            lm.add(ft, m);
-        }
-        add.clear();
-        merged.push((cyc, lm));
+        merged[k].extend_from(&cyc);
     }
-    Schedule::from_cycles(merged.into_iter().map(|(s, _)| s).collect())
+    Schedule::from_cycles(merged)
 }
 
 #[cfg(test)]

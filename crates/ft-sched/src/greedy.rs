@@ -7,38 +7,62 @@
 //! how it compares with the matching-and-tracing scheduler in practice.
 
 use crate::schedule::Schedule;
-use ft_core::{path_len, route::for_each_path_channel, FatTree, LoadMap, Message, MessageSet};
+use ft_core::{path_len, route::for_each_path_channel, ChannelId, FatTree, Message, MessageSet};
+use std::collections::HashMap;
+
+/// The channel loads of every open cycle, stored only for the channels
+/// its messages use: memory follows the paths placed, not cycles × `n`.
+#[derive(Default)]
+pub(crate) struct CycleLoads(HashMap<(u32, u32), u64>);
+
+impl CycleLoads {
+    /// `load(c)` in cycle `k`.
+    pub(crate) fn get(&self, k: usize, c: ChannelId) -> u64 {
+        self.0
+            .get(&(k as u32, c.index() as u32))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// Add `l` messages to channel `c` in cycle `k`.
+    pub(crate) fn add(&mut self, k: usize, c: ChannelId, l: u64) {
+        *self.0.entry((k as u32, c.index() as u32)).or_insert(0) += l;
+    }
+}
 
 /// Schedule `m` on `ft` by first-fit decreasing.
 pub fn schedule_greedy(ft: &FatTree, m: &MessageSet) -> Schedule {
     let mut msgs: Vec<Message> = m.iter().copied().collect();
     msgs.sort_by_key(|msg| std::cmp::Reverse(path_len(ft, msg)));
 
-    let mut cycles: Vec<(MessageSet, LoadMap)> = Vec::new();
-    'outer: for msg in msgs {
-        for (set, lm) in cycles.iter_mut() {
-            if fits(ft, lm, &msg) {
-                lm.add(ft, &msg);
-                set.push(msg);
-                continue 'outer;
-            }
-        }
-        let mut lm = LoadMap::zeros(ft);
-        lm.add(ft, &msg);
-        cycles.push((MessageSet::from_vec(vec![msg]), lm));
+    let mut cycles: Vec<MessageSet> = Vec::new();
+    let mut loads = CycleLoads::default();
+    for msg in msgs {
+        let k = (0..cycles.len())
+            .find(|&k| fits(ft, &loads, k, &msg))
+            .unwrap_or_else(|| {
+                cycles.push(MessageSet::new());
+                cycles.len() - 1
+            });
+        for_each_path_channel(ft, &msg, |c| loads.add(k, c, 1));
+        cycles[k].push(msg);
     }
-    Schedule::from_cycles(cycles.into_iter().map(|(s, _)| s).collect())
+    Schedule::from_cycles(cycles)
 }
 
-/// Would adding `msg` keep every channel within capacity?
-fn fits(ft: &FatTree, lm: &LoadMap, msg: &Message) -> bool {
-    let mut ok = true;
-    for_each_path_channel(ft, msg, |c| {
-        if lm.get(c) + 1 > ft.cap(c) {
-            ok = false;
+/// Would adding `msg` to cycle `k` keep every channel within capacity?
+/// The walk starts at the leaves and stops at the first full channel.
+fn fits(ft: &FatTree, loads: &CycleLoads, k: usize, msg: &Message) -> bool {
+    let (mut u, mut v) = (ft.leaf(msg.src), ft.leaf(msg.dst));
+    while u != v {
+        let (up, down) = (ChannelId::up(u), ChannelId::down(v));
+        if loads.get(k, up) >= ft.cap(up) || loads.get(k, down) >= ft.cap(down) {
+            return false;
         }
-    });
-    ok
+        u >>= 1;
+        v >>= 1;
+    }
+    true
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@
 
 use crate::model::Topology;
 use ft_core::ids::ilog2_ceil;
-use ft_core::{FatTree, LoadMap, Message, MessageSet, MessageStream};
+use ft_core::{FatTree, LevelLoads, Message, MessageSet, MessageStream};
 
 /// A [`Topology`] compiled onto a padded binary [`FatTree`], plus the leaf
 /// and level maps between the two views.
@@ -219,10 +219,10 @@ impl Embedded {
     /// quantity the topology's own λ bound speaks about.
     pub fn lambda(&self, real: &MessageSet) -> (f64, f64) {
         let mapped = self.map_set(real);
-        let load = LoadMap::of(&self.ft, &mapped);
+        let load = LevelLoads::of(&self.ft, &mapped);
         let full = load.load_factor(&self.ft);
-        let per = load.max_per_level(&self.ft);
-        let real_only = per
+        let real_only = load
+            .max_per_level()
             .iter()
             .enumerate()
             .filter(|&(b, _)| self.real_level[b].is_some())

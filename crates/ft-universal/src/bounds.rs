@@ -13,7 +13,7 @@
 //! `λ(M) = O(t·lg(n/v^(2/3)))` — the quantity this module measures.
 
 use crate::identify::Identification;
-use ft_core::{LoadMap, MessageSet};
+use ft_core::{LevelLoads, MessageSet};
 
 /// Empirical check of the Theorem 10 flux bounds for a translated message
 /// set with measured delivery time `t` on the competitor network.
@@ -40,19 +40,21 @@ pub fn flux_report(
     degree: usize,
 ) -> FluxReport {
     let ft = &id.fat_tree;
-    let lm = LoadMap::of(ft, translated);
+    let loads = LevelLoads::of(ft, translated);
     let t = t_net.max(1) as f64;
     let v23 = id.volume.powf(2.0 / 3.0);
     let n = ft.n() as f64;
 
     let mut surface_constant: f64 = 0.0;
     let mut pin_constant: f64 = 0.0;
-    for c in ft.channels() {
-        let load = lm.get(c) as f64;
+    // One level's channels share both denominators, so its heaviest
+    // channel decides.
+    for (k, &load) in loads.max_per_level().iter().enumerate() {
+        let load = load as f64;
         if load == 0.0 {
             continue;
         }
-        let k = c.level() as f64;
+        let k = k as f64;
         // Surface bandwidth of a level-k region: Θ(v^(2/3)/4^(k/3)).
         let surface_bw = 6.0 * v23 / 4f64.powf(k / 3.0);
         surface_constant = surface_constant.max(load / (t * surface_bw));
@@ -66,7 +68,7 @@ pub fn flux_report(
     FluxReport {
         surface_constant,
         pin_constant,
-        load_factor: lm.load_factor(ft),
+        load_factor: loads.load_factor(ft),
         lambda_bound,
     }
 }

@@ -16,7 +16,7 @@
 //! step of the guest network then costs one O(lg n) delivery cycle.
 
 use crate::identify::Identification;
-use ft_core::{CapacityProfile, FatTree, LoadMap, Message, MessageSet};
+use ft_core::{CapacityProfile, FatTree, LevelLoads, Message, MessageSet};
 use ft_networks::FixedConnectionNetwork;
 
 /// A fixed-connection emulation: the host fat-tree and its guarantees.
@@ -53,13 +53,22 @@ impl Emulation {
         let translated = id.translate(&edges);
 
         // Binary-search the smallest root capacity w with λ(edges) ≤ 1 under
-        // the degree-d profile. λ is monotone nonincreasing in w.
+        // the degree-d profile. λ is monotone nonincreasing in w. Loads do
+        // not depend on capacities: count them once, fold per probe.
+        let loads = LevelLoads::of(&id.fat_tree, &translated);
+        let lambda_for = |w: u64| {
+            let profile = CapacityProfile::UniversalWithDegree {
+                root_capacity: w.max(1),
+                degree,
+            };
+            loads.factor(&profile.capacities(n_ft))
+        };
         let mut lo = 1u64;
         let mut hi = degree * n_ft as u64;
-        debug_assert!(lambda_for(n_ft, hi, degree, &translated) <= 1.0);
+        debug_assert!(lambda_for(hi) <= 1.0);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if lambda_for(n_ft, mid, degree, &translated) <= 1.0 {
+            if lambda_for(mid) <= 1.0 {
                 hi = mid;
             } else {
                 lo = mid + 1;
@@ -72,7 +81,7 @@ impl Emulation {
                 degree,
             },
         );
-        let lam = LoadMap::of(&host, &translated).load_factor(&host);
+        let lam = loads.load_factor(&host);
         Emulation {
             identification: id,
             host,
@@ -95,7 +104,7 @@ impl Emulation {
     /// edges or be local) and check it fits in a single cycle.
     pub fn round_is_one_cycle(&self, round: &MessageSet) -> bool {
         let translated = self.identification.translate(round);
-        LoadMap::of(&self.host, &translated).is_one_cycle(&self.host)
+        LevelLoads::of(&self.host, &translated).is_one_cycle(&self.host)
     }
 
     /// Host capacity overhead: root capacity relative to the guest's
@@ -105,17 +114,6 @@ impl Emulation {
         let v23 = self.identification.volume.powf(2.0 / 3.0);
         self.root_capacity as f64 / v23.max(1.0)
     }
-}
-
-fn lambda_for(n: u32, w: u64, d: u64, msgs: &MessageSet) -> f64 {
-    let ft = FatTree::new(
-        n,
-        CapacityProfile::UniversalWithDegree {
-            root_capacity: w.max(1),
-            degree: d,
-        },
-    );
-    LoadMap::of(&ft, msgs).load_factor(&ft)
 }
 
 #[cfg(test)]
@@ -131,7 +129,14 @@ mod tests {
         assert_eq!(em.degree, 6);
         // Minimality: one less capacity must overload (unless already 1).
         if em.root_capacity > 1 {
-            let lam = super::lambda_for(em.host.n(), em.root_capacity - 1, em.degree, &em.edge_set);
+            let thinner = FatTree::new(
+                em.host.n(),
+                CapacityProfile::UniversalWithDegree {
+                    root_capacity: em.root_capacity - 1,
+                    degree: em.degree,
+                },
+            );
+            let lam = ft_core::LoadMap::of(&thinner, &em.edge_set).load_factor(&thinner);
             assert!(lam > 1.0, "root capacity not minimal");
         }
     }

@@ -185,8 +185,8 @@ mod tests {
         let emb = Embedded::new(topo.clone());
         let aa = PodAllToAll::for_topology(&topo);
         let mapped = emb.stream(&aa).collect_set();
-        let load = ft_core::LoadMap::of(emb.tree(), &mapped);
-        let per = load.max_per_level(emb.tree());
+        let load = ft_core::LevelLoads::of(emb.tree(), &mapped);
+        let per = load.max_per_level();
         let pod_boundary = emb.boundary(topo.depth() - 1);
         for (b, &l) in per.iter().enumerate() {
             if (b as u32) < pod_boundary {

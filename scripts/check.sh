@@ -57,6 +57,14 @@ cited_names_check() {
 echo "==> cited metric and experiment names resolve"
 cited_names_check
 
+echo "==> the newest CHANGES.md entry is at most 15 lines"
+# An entry starts at a `- PR` line; continuation lines are indented.
+entry_lines="$(awk '/^- PR / { n = 0 } { n++ } END { print n }' CHANGES.md)"
+[ "$entry_lines" -le 15 ] || {
+  echo "the newest CHANGES.md entry has $entry_lines lines (at most 15)" >&2
+  exit 1
+}
+
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
@@ -129,6 +137,64 @@ done <<'PINS'
 32768 false 6 29407b6fc4172f05 --n 16384 --w 4096 --workload krel:2 --switch partial
 32768 false 7 23ccc50cc57fae91 --n 16384 --w 4096 --workload krel:2 --arb random
 PINS
+
+echo "==> ftsim schedule / online pins (whole stdout per run)"
+# A `$ ` line is one `ftsim` run; the `> ` lines under it are its whole
+# stdout, byte for byte. Every value was taken at commit 2bb8186, before
+# λ, the lower bounds and `Schedule::validate` moved onto ft-core's load
+# tally (times are release builds on a 2-vCPU host at this commit).
+sched_pin() {
+  local got
+  got="$(timeout 60 target/release/ftsim $1)"
+  [ "$got" = "$2" ] || {
+    echo "ftsim $1 left its pin:" >&2
+    diff <(printf '%s\n' "$2") <(printf '%s\n' "$got") >&2
+    exit 1
+  }
+}
+pin_args="" pin_out=""
+while IFS= read -r line; do
+  case "$line" in
+    '$ '*) if [ -n "$pin_args" ]; then sched_pin "$pin_args" "$pin_out"; fi
+           pin_args="${line#\$ }" pin_out="" ;;
+    '> '*) pin_out="${pin_out:+$pin_out$'\n'}${line#> }" ;;
+  esac
+done <<'PINS'
+# Every scheduler on a materialised 2-relation, Corollary 2 on a degree-16
+# tree and Theorem 1 on a padded k-ary embedding (< 0.1s each).
+$ schedule --n 16384 --w 4096 --workload krel:2
+> Theorem 1: 32768 messages, λ(M) = 3.81, lower bound 4 ⇒ 24 delivery cycles
+$ schedule --n 16384 --w 4096 --workload krel:2 --scheduler greedy
+> greedy first-fit: 32768 messages, λ(M) = 3.81, lower bound 4 ⇒ 6 delivery cycles
+$ schedule --n 4096 --w 1024 --workload krel:2 --scheduler compressed
+> Theorem 1 + compression: 8192 messages, λ(M) = 3.85, lower bound 4 ⇒ 13 delivery cycles
+$ schedule --topology degree:n=1024,w=1024,d=16 --workload krel:16 --scheduler bigcap
+> topology degree:n=1024,w=1024,d=16: 1024 processors embedded on a padded binary tree of n = 1024
+> Corollary 2: 16384 messages, λ(M) = 7.62, lower bound 8 ⇒ 16 delivery cycles
+$ schedule --topology kary:k=24,over=2 --workload alltoall:12
+> topology kary:k=24,over=2: 3456 processors embedded on a padded binary tree of n = 8192
+> Theorem 1: 38016 messages, λ(M) = 11.00, lower bound 11 ⇒ 15 delivery cycles
+# All-to-one: one message per cycle. First-fit keeps each open cycle's
+# loads only on the channels it uses (~0.4s; 2.8s and a dense table per
+# cycle at the parent); validating 16 383 one-message cycles costs
+# O(lg n) each (~0.02s; 1.2s at the parent).
+$ schedule --n 4096 --w 1024 --workload hotspot --scheduler greedy
+> greedy first-fit: 4095 messages, λ(M) = 4095.00, lower bound 4095 ⇒ 4095 delivery cycles
+$ schedule --n 16384 --w 4096 --workload hotspot
+> Theorem 1: 16383 messages, λ(M) = 16383.00, lower bound 16383 ⇒ 16383 delivery cycles
+# A 2^22 permutation: one count for λ and the lower bound, the arena, and
+# a validation by tally and sort (~2.4s; 8.6s at the parent).
+$ schedule --n 4194304 --w 1048576 --workload streamperm
+> Theorem 1: 4194304 messages, λ(M) = 1.89, lower bound 2 ⇒ 23 delivery cycles
+# The on-line router, contention line included (2^22: ~1.9s; 4.1s at the parent).
+$ online --n 16384 --w 4096 --workload krel:2
+> on-line: 32768 messages, λ = 3.81 → 7 cycles (shape λ+lg n·lglg n = 57.1)
+> contention: 54924 resends, hottest at level 14 (32860 blocked); blocked root→leaf: 0/2294/4636/6948/6087/0/0/0/0/4/108/512/1475/32860
+$ online --n 4194304 --w 1048576 --workload streamperm
+> on-line: 4194304 messages, λ = 1.89 → 2 cycles (shape λ+lg n·lglg n = 100.0)
+> contention: 1816131 resends, hottest at level 5 (733892 blocked); blocked root→leaf: 0/133598/369292/579349/733892/0/0/0/0/0/0/0/0/0/0/0/0/0/0/0/0/0
+PINS
+sched_pin "$pin_args" "$pin_out"
 
 echo "==> ftsim report / trace smoke (telemetry)"
 report_json="$(cargo run --release --quiet --bin ftsim -- \

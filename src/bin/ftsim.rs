@@ -100,6 +100,7 @@
 
 use fat_tree::concentrator::{Cascade, Concentrator, MatchingArena};
 use fat_tree::core::rng::SplitMix64;
+use fat_tree::core::LevelLoads;
 use fat_tree::layout::FatTreeLayout;
 use fat_tree::networks::{
     Butterfly, CubeConnectedCycles, FixedConnectionNetwork, Hypercube, Mesh2D, Mesh3D, Ring,
@@ -637,7 +638,7 @@ fn cmd_schedule(opts: &HashMap<String, String>) {
     let mut rng = rng_from(opts);
     let msgs = m.map(&workload_from(opts, &m, &mut rng));
     m.announce();
-    let lambda = load_factor(&ft, &msgs);
+    let loads = LevelLoads::of(&ft, &msgs);
     let scheduler = opts.get("scheduler").map(String::as_str).unwrap_or("thm1");
     let (schedule, label) = match scheduler {
         "thm1" => (schedule_theorem1(&ft, &msgs).0, "Theorem 1"),
@@ -662,9 +663,10 @@ fn cmd_schedule(opts: &HashMap<String, String>) {
         .validate(&ft, &msgs)
         .expect("schedule invalid — bug");
     println!(
-        "{label}: {} messages, λ(M) = {lambda:.2}, lower bound {} ⇒ {} delivery cycles",
+        "{label}: {} messages, λ(M) = {:.2}, lower bound {} ⇒ {} delivery cycles",
         msgs.len(),
-        fat_tree::core::cycle_lower_bound(&ft, &msgs),
+        loads.load_factor(&ft),
+        loads.cycle_lower_bound(&ft),
         schedule.num_cycles()
     );
 }

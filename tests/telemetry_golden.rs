@@ -51,6 +51,45 @@ fn sim_arena_outcome_identical_with_any_recorder() {
     }
 }
 
+/// Logs every λ tally site in call order.
+#[derive(Default)]
+struct LambdaLog(Vec<(u32, u64, u64)>);
+
+impl Recorder for LambdaLog {
+    const ENABLED: bool = true;
+    fn lambda_site(&mut self, level: u32, load: u64, cap: u64) {
+        self.0.push((level, load, cap));
+    }
+}
+
+/// `ftsim serve` steers admission by the λ sites the scheduler reports, so
+/// their order is part of the contract: every channel, levels from the
+/// leaves up, nodes in reverse heap order, up before down, with the path
+/// walk's load and the level's capacity.
+#[test]
+fn sched_arena_reports_every_lambda_site_in_order() {
+    for (n, seed) in [(16u32, 1u64), (64, 2), (256, 3)] {
+        let ft = FatTree::universal(n, (n / 4) as u64);
+        let mut msgs = random2(n, 0x1A4 ^ seed);
+        msgs.push(Message::new(3, 3));
+        let lm = LoadMap::of(&ft, &msgs);
+        let mut want = Vec::new();
+        for level in (1..=ft.height()).rev() {
+            let cap = ft.cap_at_level(level);
+            for u in (1u32 << level..2 << level).rev() {
+                want.push((level, lm.get(ChannelId::up(u)), cap));
+                want.push((level, lm.get(ChannelId::down(u)), cap));
+            }
+        }
+        let mut arena = SchedArena::new(&ft);
+        for _ in 0..2 {
+            let mut log = LambdaLog::default();
+            arena.schedule_with(&ft, &msgs, 1, &mut log);
+            assert_eq!(log.0, want, "n={n}");
+        }
+    }
+}
+
 #[test]
 fn sched_arena_schedule_identical_with_any_recorder() {
     for n in [64u32, 256] {
