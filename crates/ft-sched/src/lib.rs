@@ -35,7 +35,8 @@ pub mod online;
 pub mod reference;
 pub mod schedule;
 pub mod split;
-pub mod topology;
+#[cfg(test)]
+mod topology;
 
 pub use arena::SchedArena;
 pub use bigcap::schedule_bigcap;
@@ -45,6 +46,3 @@ pub use offline::{schedule_theorem1, schedule_theorem1_threads, Theorem1Stats};
 pub use online::{route_online, OnlineArena, OnlineConfig, OnlineResult};
 pub use schedule::Schedule;
 pub use split::{split_even, CrossDirection};
-pub use topology::{
-    route_topology, route_topology_stream, schedule_topology, schedule_topology_stream,
-};

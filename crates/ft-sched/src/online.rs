@@ -40,19 +40,22 @@
 //!   is a template `copy_from_slice` of cycle-start capacities, and indices
 //!   are masked to the power-of-two table lengths (over slices cut to
 //!   `mask + 1`), which lets the compiler drop every per-probe bounds
-//!   check;
+//!   check; one generic climb step and one generic descend step serve
+//!   both widths;
 //! * the claim walk exits at the first full channel — the lowest saturated
 //!   level on the path rejects the message immediately (on capacity-1 leaf
 //!   channels that is the very first probe), where the reference walks the
 //!   whole path with a dead closure.
 //!
 //! Contention instrumentation reports through the [`Recorder`] trait from
-//! ft-telemetry: [`OnlineArena::run_with`] is monomorphized over the
-//! recorder type, the cycle engine dispatches on the compile-time
-//! [`Recorder::ENABLED`] constant to separate counted / fast claim kernels
-//! (exactly the old `const COUNT: bool` scheme), and per-(cycle, level)
-//! claimed / blocked / wasted aggregates are fed to
-//! [`Recorder::wire_claims`] between cycles — so a [`NoopRecorder`] run
+//! ft-telemetry. There is one claim kernel, `claim_path`: it returns 0 if
+//! the message got through, else the node whose channel was full. Only
+//! when the compile-time [`Recorder::ENABLED`] constant is set
+//! ([`OnlineArena::run_with`] is monomorphized over the recorder type) is
+//! that result attributed to levels — the stop node, the LCA depth and the
+//! height fix every grant, the block and the wasted grants — and each
+//! cycle's per-level claimed / blocked / wasted counts go to
+//! [`Recorder::wire_claims`] at its end. A [`NoopRecorder`] run therefore
 //! carries zero instrumentation cost and is byte-identical to the untraced
 //! engine.
 //!
@@ -73,30 +76,59 @@ pub struct OnlineConfig {
     pub max_cycles: usize,
 }
 
-/// Internal per-level contention scratch, indexed by channel level
-/// (1 = root edges … `height` = leaf edges; index 0 is unused).
+/// Internal per-level contention scratch of one cycle, indexed by channel
+/// level (1 = root edges … `height` = leaf edges; index 0 is unused).
 ///
 /// `claimed[l]` counts granted wire claims (including claims by messages
 /// blocked later the same cycle — the wires stayed consumed), `blocked[l]`
 /// counts rejected claim attempts (one per failed message per cycle, at the
 /// level that dropped it), and `wasted[l]` counts grants that went to waste
 /// because the claiming message was blocked further along its path. The
-/// arena accumulates here and reports per-cycle deltas through
-/// [`Recorder::wire_claims`]; the public mechanism is
+/// arena zeroes them at each cycle start and reports them through
+/// [`Recorder::wire_claims`] at its end; the public mechanism is
 /// `ft_telemetry::MetricsRecorder`, not this struct.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub(crate) struct OnlineCounters {
-    pub(crate) claimed: Vec<u64>,
-    pub(crate) blocked: Vec<u64>,
-    pub(crate) wasted: Vec<u64>,
+#[derive(Default)]
+struct OnlineCounters {
+    claimed: Vec<u64>,
+    blocked: Vec<u64>,
+    wasted: Vec<u64>,
 }
 
 impl OnlineCounters {
-    fn reset(&mut self, height: u32, on: bool) {
-        let len = if on { height as usize + 1 } else { 0 };
+    fn reset(&mut self, height: u32) {
         for v in [&mut self.claimed, &mut self.blocked, &mut self.wasted] {
             v.clear();
-            v.resize(len, 0);
+            v.resize(height as usize + 1, 0);
+        }
+    }
+
+    /// Attribute one claim walk to levels from where it stopped: `full` is
+    /// [`claim_path`]'s result for the message packed in `meta`, whose LCA
+    /// sits at depth `a`. Delivered (`full == 0`), it won one wire per
+    /// level `a+1..=h` on the way up and one on the way down. Dropped at
+    /// node `full`'s channel, level `L = lg full`, it is blocked at `L` and
+    /// wasted every wire it won: levels `L+1..=h` if `full` is on its up
+    /// run (an ancestor of the source leaf), else its whole up run and the
+    /// down levels `a+1..L`.
+    fn attribute(&mut self, meta: u64, full: u32, height: u32) {
+        let (sleaf, _, a) = unpack(meta);
+        let (a, h) = (a as usize, height as usize);
+        if full == 0 {
+            for c in &mut self.claimed[a + 1..=h] {
+                *c += 2;
+            }
+            return;
+        }
+        let l = (31 - full.leading_zeros()) as usize;
+        self.blocked[l] += 1;
+        let (up_from, down_to) = if sleaf >> (h - l) == full {
+            (l + 1, a + 1)
+        } else {
+            (a + 1, l)
+        };
+        for lvl in (up_from..=h).chain(a + 1..down_to) {
+            self.claimed[lvl] += 1;
+            self.wasted[lvl] += 1;
         }
     }
 }
@@ -172,8 +204,8 @@ pub struct OnlineArena {
     /// for nodes ≥ `usplit`, exact u32 slots (tables of length `usplit`)
     /// for the wide top levels. Each slot starts a cycle at its channel's
     /// capacity (copied from `init16`/`init32`) and counts down; a claim is
-    /// "load, test-zero, decrement" with no capacity lookup, and the level
-    /// is recomputed from the node id only on the rare block path.
+    /// "load, test-zero, decrement" with no capacity lookup, and no level
+    /// is tracked during the walk.
     /// Power-of-two lengths let the hot probes index through `u & mask`,
     /// which the compiler proves in-bounds — no per-probe bounds check, no
     /// `unsafe`.
@@ -185,14 +217,9 @@ pub struct OnlineArena {
     /// start (both directions share one template per width).
     init16: Vec<u16>,
     init32: Vec<u32>,
-    /// `2n − 1` (`u16` tables) and `usplit − 1` (wide tables).
-    mask16: u32,
-    mask32: u32,
-    /// Contention counters of the current run (recorder-enabled runs only).
+    /// Contention counters of the current cycle (recorder-enabled runs
+    /// only).
     cnt: OnlineCounters,
-    /// Snapshot of `cnt` at the previous cycle boundary, so the recorder is
-    /// fed per-(cycle, level) deltas.
-    prev: OnlineCounters,
     // --- outputs ---
     delivered_per_cycle: Vec<usize>,
     truncated: bool,
@@ -212,7 +239,7 @@ impl OnlineArena {
         let usplit = 1u32 << lsplit;
         // Heap node ids are 1..2n; 1 is the root. Narrow tables are
         // allocated full-length even when every level is wide, so `len ==
-        // mask + 1` holds unconditionally — the claim kernels re-slice on
+        // mask + 1` holds unconditionally — the claim walk re-slices on
         // that identity to drop per-probe bounds checks.
         let nodes = 2 * ft.n();
         let narrow = nodes as usize;
@@ -245,10 +272,7 @@ impl OnlineArena {
             down32: init32.clone(),
             init16,
             init32,
-            mask16: nodes - 1,
-            mask32: usplit.min(nodes) - 1,
             cnt: OnlineCounters::default(),
-            prev: OnlineCounters::default(),
             delivered_per_cycle: Vec::new(),
             truncated: false,
         }
@@ -334,13 +358,12 @@ impl OnlineArena {
     /// The engine is monomorphized over the recorder type: with
     /// [`NoopRecorder`] (`R::ENABLED == false`) every instrumentation site
     /// compiles out and the run is instruction-identical to [`Self::run`];
-    /// with `R::ENABLED` the counted claim kernels attribute every grant /
-    /// rejection / wasted grant to its level and the recorder receives
-    /// [`Recorder::cycle_start`] / [`Recorder::cycle_end`] per delivery
-    /// cycle plus [`Recorder::wire_claims`] per-(cycle, level) aggregates —
-    /// called between cycles, never from the claim kernels, so the hot path
-    /// stays untouched and a warmed `MetricsRecorder` adds no steady-state
-    /// allocation.
+    /// with `R::ENABLED` each claim walk is attributed to levels from where
+    /// it stopped (every grant, rejection and wasted grant) and the
+    /// recorder receives [`Recorder::cycle_start`] / [`Recorder::cycle_end`]
+    /// per delivery cycle plus [`Recorder::wire_claims`] per-(cycle, level)
+    /// aggregates — called between cycles, never from the claim walk, so
+    /// a warmed `MetricsRecorder` adds no steady-state allocation.
     pub fn run_with<R: Recorder>(
         &mut self,
         ft: &FatTree,
@@ -398,8 +421,6 @@ impl OnlineArena {
     ) {
         assert!(self.built_for(ft), "arena built for a different tree");
         let height = self.height;
-        self.cnt.reset(height, R::ENABLED);
-        self.prev.reset(height, R::ENABLED);
         if R::ENABLED {
             rec.run_start(height);
         }
@@ -438,26 +459,21 @@ impl OnlineArena {
             // SplitMix64 stream as the reference's shuffle of its
             // Vec<Message>: Fisher–Yates depends only on the slice length.
             rng.shuffle(&mut self.alive);
-            let delivered = if R::ENABLED {
-                self.serial_cycle::<true>()
-            } else {
-                self.serial_cycle::<false>()
-            };
+            if R::ENABLED {
+                self.cnt.reset(height);
+            }
+            let delivered = self.serial_cycle::<R>();
             // Progress guarantee: the first message in the shuffled order
             // always claims an empty network.
             debug_assert!(delivered > 0);
             self.delivered_per_cycle.push(delivered);
             if R::ENABLED {
+                let c = &self.cnt;
                 for lvl in 1..=height as usize {
-                    let dc = self.cnt.claimed[lvl] - self.prev.claimed[lvl];
-                    let db = self.cnt.blocked[lvl] - self.prev.blocked[lvl];
-                    let dw = self.cnt.wasted[lvl] - self.prev.wasted[lvl];
-                    if dc | db | dw != 0 {
-                        rec.wire_claims(cycle, lvl as u32, dc, db, dw);
+                    let (cl, bl, wa) = (c.claimed[lvl], c.blocked[lvl], c.wasted[lvl]);
+                    if cl | bl | wa != 0 {
+                        rec.wire_claims(cycle, lvl as u32, cl, bl, wa);
                     }
-                    self.prev.claimed[lvl] = self.cnt.claimed[lvl];
-                    self.prev.blocked[lvl] = self.cnt.blocked[lvl];
-                    self.prev.wasted[lvl] = self.cnt.wasted[lvl];
                 }
                 let extra = if cycle == 0 { locals } else { 0 };
                 rec.cycle_end(cycle, (delivered + extra) as u32);
@@ -481,11 +497,12 @@ impl OnlineArena {
 
     /// One delivery cycle: walk the shuffled alive list, claim each
     /// message's path with first-full-channel early exit, compact survivors
-    /// in place. Returns the number delivered.
-    fn serial_cycle<const COUNT: bool>(&mut self) -> usize {
-        let height = self.height;
-        let usplit = self.usplit;
-        let (mask16, mask32) = (self.mask16, self.mask32);
+    /// in place. Returns the number delivered. With `R::ENABLED` each walk
+    /// is attributed to levels after [`claim_path`] returns.
+    fn serial_cycle<R: Recorder>(&mut self) -> usize {
+        let (height, usplit) = (self.height, self.usplit);
+        // Down-run shift counts `s ≥ s16` reach the wide levels (`< lsplit`).
+        let s16 = height + 1 - usplit.trailing_zeros();
         let OnlineArena {
             alive,
             up16,
@@ -497,19 +514,8 @@ impl OnlineArena {
             cnt,
             ..
         } = self;
-        // A few-KiB template copy stands in for the reference's per-cycle
-        // 4n-word LoadMap allocation + zero.
-        up16.copy_from_slice(init16);
-        down16.copy_from_slice(init16);
-        up32.copy_from_slice(init32);
-        down32.copy_from_slice(init32);
-        // Identity re-slices that put `len == mask + 1` in the compiler's
-        // view: with it, `idx = node & mask < len` is provable and the
-        // per-probe bounds checks vanish from the claim kernels.
-        let up16 = &mut up16[..mask16 as usize + 1];
-        let down16 = &mut down16[..mask16 as usize + 1];
-        let up32 = &mut up32[..mask32 as usize + 1];
-        let down32 = &mut down32[..mask32 as usize + 1];
+        let mut narrow = Wires::refill(up16, down16, init16);
+        let mut wide = Wires::refill(up32, down32, init32);
 
         // Branchless stable compaction: always write the survivor slot and
         // advance the cursor only on failure. The write is in-bounds and
@@ -519,17 +525,12 @@ impl OnlineArena {
         let mut w = 0usize;
         for k in 0..alive.len() {
             let mv = alive[k];
-            let ok = if COUNT {
-                try_claim_counted(
-                    up16, down16, up32, down32, usplit, mask16, mask32, height, cnt, mv,
-                )
-            } else {
-                try_claim_fast(
-                    up16, down16, up32, down32, usplit, mask16, mask32, height, mv,
-                )
-            };
+            let full = claim_path(&mut narrow, &mut wide, usplit, s16, height, mv);
+            if R::ENABLED {
+                cnt.attribute(mv, full, height);
+            }
             alive[w] = mv;
-            w += !ok as usize;
+            w += (full != 0) as usize;
         }
         let delivered = alive.len() - w;
         alive.truncate(w);
@@ -537,176 +538,106 @@ impl OnlineArena {
     }
 }
 
-/// Claim the full path of one message on the leveled remaining-wire
-/// counters, exiting at the first full channel (earlier claims stay
-/// consumed) and attributing every grant/rejection to its level in the
-/// contention counters. Returns true if fully delivered.
+/// One counter width's up and down remaining-wire tables for a cycle.
+struct Wires<'a, W> {
+    up: &'a mut [W],
+    down: &'a mut [W],
+    mask: u32,
+}
+
+impl<'a, W: Copy + PartialEq + std::ops::SubAssign + From<u8>> Wires<'a, W> {
+    /// Both tables restored to the cycle-start capacities `init` (a
+    /// few-KiB copy where the reference allocates and zeroes a 4n-word
+    /// `LoadMap`) and cut to `mask + 1` slots, `init`'s power-of-two
+    /// length: with `len == mask + 1` in the compiler's view, `node & mask
+    /// < len` is provable and the per-probe bounds checks vanish.
+    fn refill(up: &'a mut [W], down: &'a mut [W], init: &[W]) -> Self {
+        up.copy_from_slice(init);
+        down.copy_from_slice(init);
+        let mask = init.len() as u32 - 1;
+        let len = mask as usize + 1;
+        Wires {
+            up: &mut up[..len],
+            down: &mut down[..len],
+            mask,
+        }
+    }
+
+    /// Load, test-zero, decrement: take one wire if the channel has one.
+    #[inline]
+    fn take(slot: &mut W) -> bool {
+        let free = *slot != W::from(0);
+        if free {
+            *slot -= W::from(1);
+        }
+        free
+    }
+
+    /// Climb from node `u` while `u > stop`, taking one wire on each up
+    /// channel. Returns where it stopped: `≤ stop` if every claim was
+    /// granted, else the node whose channel was full.
+    #[inline]
+    fn climb(&mut self, mut u: u32, stop: u32) -> u32 {
+        while u > stop && Self::take(&mut self.up[(u & self.mask) as usize]) {
+            u >>= 1;
+        }
+        u
+    }
+
+    /// Descend toward `dleaf`, taking one wire on the down channel of
+    /// `dleaf >> t` for `t` from `s − 1` down to `end`. Returns where it
+    /// stopped: `end` (or `s`, if already `≤ end`) if every claim was
+    /// granted, else one more than the full node's shift count.
+    #[inline]
+    fn descend(&mut self, dleaf: u32, mut s: u32, end: u32) -> u32 {
+        while s > end && Self::take(&mut self.down[((dleaf >> (s - 1)) & self.mask) as usize]) {
+            s -= 1;
+        }
+        s
+    }
+}
+
+/// The claim walk: take one wire on every channel of the path packed in
+/// `meta`, in path order, stopping at the first full channel (the wires
+/// already won stay consumed, as on a partially established path).
+/// Returns 0 if the message got through, else the heap node whose channel
+/// was full.
 ///
-/// A node id at level `l` lies in `[2^l, 2^{l+1})`, so each run splits into
-/// a `u16`-counter segment and a wide-counter segment with a single branch
-/// flip, and the loop guards reduce to one node-id compare against a
-/// precomputed stop node (up) or one shift-count compare (down). A probe is
-/// "load, test-zero, decrement": capacities are baked into the cycle-start
-/// counter values. Table indices are masked to the power-of-two table
-/// lengths (a no-op on valid node ids), which eliminates the per-probe
-/// bounds checks.
-#[allow(clippy::too_many_arguments)]
+/// Node `u` sits at level `lg u`, so each run is a `u16` segment (nodes
+/// `≥ usplit`) and a wide segment: the up run climbs the narrow levels
+/// until it reaches the deeper of the LCA and the split, then the wide
+/// ones; the down run
+/// (the node at depth `d` is `dleaf >> (height − d)`) takes the wide levels
+/// first, shift counts `≥ s16`.
 #[inline]
-fn try_claim_counted(
-    up16: &mut [u16],
-    down16: &mut [u16],
-    up32: &mut [u32],
-    down32: &mut [u32],
+fn claim_path(
+    narrow: &mut Wires<'_, u16>,
+    wide: &mut Wires<'_, u32>,
     usplit: u32,
-    mask16: u32,
-    mask32: u32,
-    height: u32,
-    cnt: &mut OnlineCounters,
-    meta: u64,
-) -> bool {
-    let (sleaf, dleaf, lca_d) = unpack(meta);
-    let lca_node = sleaf >> (height - lca_d);
-
-    // Up run: edges at depths height .. lca_d+1, u16 segment down to the
-    // deeper of the LCA and the wide-table boundary.
-    let stop16 = lca_node.max(usplit - 1);
-    let mut u = sleaf;
-    let mut lvl = height;
-    while u > stop16 {
-        let slot = &mut up16[(u & mask16) as usize];
-        if *slot == 0 {
-            cnt.blocked[lvl as usize] += 1;
-            for l in (lvl + 1)..=height {
-                cnt.wasted[l as usize] += 1;
-            }
-            return false;
-        }
-        *slot -= 1;
-        cnt.claimed[lvl as usize] += 1;
-        lvl -= 1;
-        u >>= 1;
-    }
-    while u > lca_node {
-        let slot = &mut up32[(u & mask32) as usize];
-        if *slot == 0 {
-            cnt.blocked[lvl as usize] += 1;
-            for l in (lvl + 1)..=height {
-                cnt.wasted[l as usize] += 1;
-            }
-            return false;
-        }
-        *slot -= 1;
-        cnt.claimed[lvl as usize] += 1;
-        lvl -= 1;
-        u >>= 1;
-    }
-
-    // Down run, top-down: the node at depth d is dleaf >> (height − d), so
-    // the shift count s runs from height − lca_d − 1 down to 0, crossing
-    // from the wide tables into the u16 tables at `v >= usplit`, i.e.
-    // s ≤ height − lg usplit (computed in i32: every level may be wide).
-    let mut s = height - lca_d;
-    let s_split = height as i32 - usplit.trailing_zeros() as i32;
-    lvl = lca_d;
-    while s as i32 > s_split + 1 {
-        s -= 1;
-        let v = dleaf >> s;
-        let slot = &mut down32[(v & mask32) as usize];
-        if *slot == 0 {
-            count_down_block(cnt, lca_d, lvl + 1, height);
-            return false;
-        }
-        *slot -= 1;
-        lvl += 1;
-        cnt.claimed[lvl as usize] += 1;
-    }
-    while s > 0 {
-        s -= 1;
-        let v = dleaf >> s;
-        let slot = &mut down16[(v & mask16) as usize];
-        if *slot == 0 {
-            count_down_block(cnt, lca_d, lvl + 1, height);
-            return false;
-        }
-        *slot -= 1;
-        lvl += 1;
-        cnt.claimed[lvl as usize] += 1;
-    }
-    true
-}
-
-/// Branch-light twin of [`try_claim_counted`] for the counters-off build:
-/// the identical early-exit walk with all attribution bookkeeping stripped,
-/// so the hot loops carry nothing but the node id and the probe.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn try_claim_fast(
-    up16: &mut [u16],
-    down16: &mut [u16],
-    up32: &mut [u32],
-    down32: &mut [u32],
-    usplit: u32,
-    mask16: u32,
-    mask32: u32,
+    s16: u32,
     height: u32,
     meta: u64,
-) -> bool {
+) -> u32 {
     let (sleaf, dleaf, lca_d) = unpack(meta);
-    let lca_node = sleaf >> (height - lca_d);
-
-    let stop16 = lca_node.max(usplit - 1);
-    let mut u = sleaf;
-    while u > stop16 {
-        let slot = &mut up16[(u & mask16) as usize];
-        if *slot == 0 {
-            return false;
-        }
-        *slot -= 1;
-        u >>= 1;
+    let lca = sleaf >> (height - lca_d);
+    let stop16 = lca.max(usplit - 1);
+    let u = narrow.climb(sleaf, stop16);
+    if u > stop16 {
+        return u;
     }
-    while u > lca_node {
-        let slot = &mut up32[(u & mask32) as usize];
-        if *slot == 0 {
-            return false;
-        }
-        *slot -= 1;
-        u >>= 1;
+    let u = wide.climb(u, lca);
+    if u > lca {
+        return u;
     }
-
-    let mut s = height - lca_d;
-    let s_split = height as i32 - usplit.trailing_zeros() as i32;
-    while s as i32 > s_split + 1 {
-        s -= 1;
-        let v = dleaf >> s;
-        let slot = &mut down32[(v & mask32) as usize];
-        if *slot == 0 {
-            return false;
-        }
-        *slot -= 1;
+    let s = wide.descend(dleaf, height - lca_d, s16);
+    if s > s16 {
+        return dleaf >> (s - 1);
     }
-    while s > 0 {
-        s -= 1;
-        let v = dleaf >> s;
-        let slot = &mut down16[(v & mask16) as usize];
-        if *slot == 0 {
-            return false;
-        }
-        *slot -= 1;
+    let s = narrow.descend(dleaf, s, 0);
+    if s > 0 {
+        return dleaf >> (s - 1);
     }
-    true
-}
-
-/// Counter bookkeeping for a message dropped on its down run at `lvl`: its
-/// whole up run and the down prefix above `lvl` were claimed in vain.
-#[inline]
-fn count_down_block(cnt: &mut OnlineCounters, lca_d: u32, lvl: u32, height: u32) {
-    cnt.blocked[lvl as usize] += 1;
-    for l in (lca_d + 1)..=height {
-        cnt.wasted[l as usize] += 1;
-    }
-    for l in (lca_d + 1)..lvl {
-        cnt.wasted[l as usize] += 1;
-    }
+    0
 }
 
 /// The shape the paper quotes for the on-line bound:

@@ -1,113 +1,23 @@
-//! Run the off-line (Theorem 1) scheduler and the §VI on-line router on
-//! any generalized [`Topology`] through its binary embedding.
+//! The off-line (Theorem 1) scheduler and the §VI on-line router on
+//! generalized topologies (k-ary pods, two-layer trees).
 //!
-//! Both arenas are untouched: they receive the embedded padded binary
-//! tree and padded leaf ids. For the binary family the embedding *is* the
-//! tree they always ran on, so those runs stay byte-identical (pinned by
-//! the workspace `topology_golden` suite). The one-shot helpers here
-//! build a fresh arena per call; steady-state users keep a warmed
-//! [`SchedArena`] / [`OnlineArena`] keyed to `emb.tree()` and feed it
-//! `emb.map_set(..)` or the lazy `emb.stream(..)` themselves, exactly as
-//! they would for a plain tree.
-
-use crate::arena::SchedArena;
-use crate::offline::Theorem1Stats;
-use crate::online::{OnlineArena, OnlineConfig, OnlineResult};
-use crate::schedule::Schedule;
-use ft_core::{MessageSet, MessageStream, SplitMix64};
-use ft_topology::Embedded;
-
-/// Theorem-1 schedule of a real-id message set over a topology. The
-/// returned schedule's cycles speak padded leaf ids (the ids the engines
-/// run on); its cycle count is the quantity the λ bounds govern.
-pub fn schedule_topology(
-    emb: &Embedded,
-    msgs: &MessageSet,
-    threads: usize,
-) -> (Schedule, Theorem1Stats) {
-    SchedArena::new(emb.tree()).schedule(emb.tree(), &emb.map_set(msgs), threads)
-}
-
-/// [`schedule_topology`] over a lazily mapped real-id stream (no
-/// materialized `Vec<Message>` on the ingest path).
-pub fn schedule_topology_stream(
-    emb: &Embedded,
-    stream: &dyn MessageStream,
-    threads: usize,
-) -> (Schedule, Theorem1Stats) {
-    let mapped = emb.stream(stream);
-    SchedArena::new(emb.tree()).schedule_stream(emb.tree(), &mapped, threads)
-}
-
-/// Route a real-id message set over a topology with the randomized
-/// on-line process.
-pub fn route_topology(
-    emb: &Embedded,
-    msgs: &MessageSet,
-    rng: &mut SplitMix64,
-    config: OnlineConfig,
-) -> OnlineResult {
-    OnlineArena::new(emb.tree()).route(emb.tree(), &emb.map_set(msgs), rng, config)
-}
-
-/// [`route_topology`] over a lazily mapped real-id stream.
-pub fn route_topology_stream(
-    emb: &Embedded,
-    stream: &dyn MessageStream,
-    rng: &mut SplitMix64,
-    config: OnlineConfig,
-) -> OnlineResult {
-    let mapped = emb.stream(stream);
-    let mut arena = OnlineArena::new(emb.tree());
-    arena.run_stream(emb.tree(), &mapped, rng, config);
-    OnlineResult {
-        cycles: arena.cycles(),
-        delivered_per_cycle: arena.delivered_per_cycle().to_vec(),
-        truncated: arena.truncated(),
-    }
-}
+//! There is no topology entry point: a caller maps real processor ids
+//! with `emb.map_set` / `emb.stream` and runs a `SchedArena` or an
+//! `OnlineArena` on `emb.tree()`, exactly as for a plain tree. These
+//! tests pin that recipe on non-binary machines.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use ft_core::{CapacityProfile, FatTree, Message};
-    use ft_topology::Topology;
+    use crate::arena::SchedArena;
+    use crate::online::{OnlineArena, OnlineConfig};
+    use ft_core::{Message, MessageSet, SplitMix64};
+    use ft_topology::{Embedded, Topology};
 
     fn perm(n: u32, seed: u64) -> MessageSet {
         let mut rng = SplitMix64::seed_from_u64(seed);
         let mut dst: Vec<u32> = (0..n).collect();
         rng.shuffle(&mut dst);
         (0..n).map(|i| Message::new(i, dst[i as usize])).collect()
-    }
-
-    #[test]
-    fn binary_topology_schedule_matches_direct() {
-        let n = 64u32;
-        let profile = CapacityProfile::Universal { root_capacity: 16 };
-        let emb = Embedded::new(Topology::binary(n, profile.clone()));
-        let ft = FatTree::new(n, profile);
-        let m = perm(n, 3);
-        let (direct, dstats) = SchedArena::new(&ft).schedule(&ft, &m, 1);
-        let (topo, tstats) = schedule_topology(&emb, &m, 1);
-        assert_eq!(direct.cycles(), topo.cycles());
-        assert_eq!(dstats.load_factor, tstats.load_factor);
-        assert_eq!(dstats.total_cycles, tstats.total_cycles);
-    }
-
-    #[test]
-    fn binary_topology_route_matches_direct() {
-        let n = 64u32;
-        let profile = CapacityProfile::FullDoubling;
-        let emb = Embedded::new(Topology::binary(n, profile.clone()));
-        let ft = FatTree::new(n, profile);
-        let m = perm(n, 4);
-        let cfg = OnlineConfig::default();
-        let mut rng = SplitMix64::seed_from_u64(9);
-        let direct = OnlineArena::new(&ft).route(&ft, &m, &mut rng, cfg);
-        let mut rng = SplitMix64::seed_from_u64(9);
-        let topo = route_topology(&emb, &m, &mut rng, cfg);
-        assert_eq!(direct.cycles, topo.cycles);
-        assert_eq!(direct.delivered_per_cycle, topo.delivered_per_cycle);
     }
 
     #[test]
@@ -120,7 +30,8 @@ mod tests {
             let emb = Embedded::new(topo);
             let m = perm(emb.leaves(), 17);
             let (lambda, _) = emb.lambda(&m);
-            let (sched, stats) = schedule_topology(&emb, &m, 1);
+            let mapped = emb.map_set(&m);
+            let (sched, stats) = SchedArena::new(emb.tree()).schedule(emb.tree(), &mapped, 1);
             let spec = emb.topology().spec().to_string();
             assert!((stats.load_factor - lambda).abs() < 1e-9, "{spec}");
             assert!(
@@ -130,7 +41,6 @@ mod tests {
             );
             // Every cycle must respect the embedded capacities and the
             // schedule must carry exactly the mapped messages.
-            let mapped = emb.map_set(&m);
             sched.validate(emb.tree(), &mapped).unwrap();
         }
     }
@@ -139,13 +49,15 @@ mod tests {
     fn generalized_online_run_delivers_everything() {
         let emb = Embedded::new(Topology::two_layer(8, 4, 30));
         let m = perm(emb.leaves(), 29);
+        let cfg = OnlineConfig::default();
+        let mut arena = OnlineArena::new(emb.tree());
         let mut rng = SplitMix64::seed_from_u64(1);
-        let r = route_topology(&emb, &m, &mut rng, OnlineConfig::default());
+        let r = arena.route(emb.tree(), &emb.map_set(&m), &mut rng, cfg);
         assert!(!r.truncated);
         assert_eq!(r.delivered_per_cycle.iter().sum::<usize>(), m.len());
-        // The stream path is byte-identical under the same seed.
+        // The lazily mapped stream is byte-identical under the same seed.
         let mut rng = SplitMix64::seed_from_u64(1);
-        let rs = route_topology_stream(&emb, &m, &mut rng, OnlineConfig::default());
-        assert_eq!(r.delivered_per_cycle, rs.delivered_per_cycle);
+        arena.run_stream(emb.tree(), &emb.stream(&m), &mut rng, cfg);
+        assert_eq!(arena.delivered_per_cycle(), r.delivered_per_cycle);
     }
 }

@@ -30,7 +30,8 @@ pub mod node;
 pub mod protocol;
 pub mod reference;
 pub mod stats;
-pub mod topology;
+#[cfg(test)]
+mod topology;
 
 pub use compiled::{compile_cycle, execute_compiled, CompiledCycle, CompiledRun};
 pub use engine::{
@@ -41,4 +42,3 @@ pub use engine::{
 pub use faults::FaultModel;
 pub use protocol::MessageFrame;
 pub use stats::ChannelUtilization;
-pub use topology::{run_topology_stream_to_completion, run_topology_to_completion};

@@ -1,43 +1,16 @@
-//! Run the delivery-cycle simulator on any generalized [`Topology`]
-//! (k-ary pods, two-layer trees, …) through its binary embedding.
+//! The delivery-cycle simulator on generalized topologies (k-ary pods,
+//! two-layer trees).
 //!
-//! The arena itself is untouched: an [`Embedded`] topology hands it a
-//! padded binary [`FatTree`](ft_core::FatTree) plus a leaf map, and for
-//! the binary family the embedded tree *is* the tree the engine always
-//! ran on, so those runs stay byte-identical (pinned by the workspace
-//! `topology_golden` suite). Messages arrive in real processor ids; the
-//! set path maps once at ingest, the stream path maps lazily per message
-//! so the million-leaf discipline (no materialized `Vec<Message>`) is
-//! preserved.
-
-use crate::engine::{run_stream_to_completion, run_to_completion, RunReport, SimConfig};
-use ft_core::{MessageSet, MessageStream};
-use ft_topology::Embedded;
-
-/// [`run_to_completion`] over a topology: `msgs` carries *real* processor
-/// ids (`0..emb.leaves()`); they are mapped onto the padded binary tree
-/// and simulated to completion there.
-pub fn run_topology_to_completion(emb: &Embedded, msgs: &MessageSet, cfg: &SimConfig) -> RunReport {
-    run_to_completion(emb.tree(), &emb.map_set(msgs), cfg)
-}
-
-/// [`run_stream_to_completion`] over a topology: the real-id stream is
-/// mapped lazily, so no materialized message vector exists on this path
-/// either.
-pub fn run_topology_stream_to_completion(
-    emb: &Embedded,
-    stream: &dyn MessageStream,
-    cfg: &SimConfig,
-) -> RunReport {
-    let mapped = emb.stream(stream);
-    run_stream_to_completion(emb.tree(), &mapped, cfg)
-}
+//! There is no topology entry point: a caller maps real processor ids
+//! with `emb.map_set` (or lazily with `emb.stream`, so no message vector
+//! is materialized) and runs the engine on `emb.tree()`. These tests pin
+//! that recipe on non-binary machines.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use ft_core::{CapacityProfile, Message, SplitMix64};
-    use ft_topology::Topology;
+    use crate::engine::{run_stream_to_completion, run_to_completion, SimConfig};
+    use ft_core::{Message, MessageSet, SplitMix64};
+    use ft_topology::{Embedded, Topology};
 
     fn perm(n: u32, seed: u64) -> MessageSet {
         let mut rng = SplitMix64::seed_from_u64(seed);
@@ -47,27 +20,12 @@ mod tests {
     }
 
     #[test]
-    fn binary_topology_run_matches_direct_run() {
-        let n = 64u32;
-        let profile = CapacityProfile::Universal { root_capacity: 16 };
-        let emb = Embedded::new(Topology::binary(n, profile.clone()));
-        let ft = ft_core::FatTree::new(n, profile);
-        let cfg = SimConfig::default();
-        let m = perm(n, 7);
-        let direct = run_to_completion(&ft, &m, &cfg);
-        let topo = run_topology_to_completion(&emb, &m, &cfg);
-        assert_eq!(direct.cycles, topo.cycles);
-        assert_eq!(direct.delivered_per_cycle, topo.delivered_per_cycle);
-        assert_eq!(direct.delivery_order, topo.delivery_order);
-    }
-
-    #[test]
     fn generalized_run_delivers_everything_and_respects_lambda() {
         for topo in [Topology::kary_pods(8, 1), Topology::two_layer(16, 8, 100)] {
             let emb = Embedded::new(topo);
             let m = perm(emb.leaves(), 21);
             let (lambda, _) = emb.lambda(&m);
-            let r = run_topology_to_completion(&emb, &m, &SimConfig::default());
+            let r = run_to_completion(emb.tree(), &emb.map_set(&m), &SimConfig::default());
             assert_eq!(
                 r.delivered_per_cycle.iter().sum::<usize>(),
                 m.len(),
@@ -88,9 +46,8 @@ mod tests {
         let emb = Embedded::new(Topology::kary_pods(6, 2));
         let m = perm(emb.leaves(), 5);
         let cfg = SimConfig::default();
-        let set = run_topology_to_completion(&emb, &m, &cfg);
-        let streamed = run_topology_stream_to_completion(&emb, &m, &cfg);
-        assert_eq!(set.cycles, streamed.cycles);
-        assert_eq!(set.delivered_per_cycle, streamed.delivered_per_cycle);
+        let set = run_to_completion(emb.tree(), &emb.map_set(&m), &cfg);
+        let streamed = run_stream_to_completion(emb.tree(), &emb.stream(&m), &cfg);
+        assert_eq!(set, streamed);
     }
 }

@@ -4,8 +4,9 @@
 //! profiles, switch flavors, arbitration policies, fault patterns, and
 //! workloads. Well over 200 seeded cases.
 
-use ft_core::rng::SplitMix64;
-use ft_core::{CapacityProfile, FatTree, Message, MessageSet};
+use ft_core::rng::{splitmix64, SplitMix64};
+use ft_core::route::for_each_path_channel;
+use ft_core::{CapacityProfile, ChannelId, FatTree, LoadMap, Message, MessageSet};
 use ft_sim::reference::{run_to_completion_reference, simulate_cycle_reference};
 use ft_sim::{
     run_to_completion, simulate_cycle, Arbitration, FaultModel, MetaWidth, SimConfig, SwitchKind,
@@ -168,5 +169,112 @@ fn wider_tree_single_cycle_matches_reference() {
     for seed in 0..6u64 {
         let msgs = workload(ft.n(), 401 + seed);
         assert_cycles_equal(&ft, &msgs, &cfg, &format!("n=128 seed={seed}"));
+    }
+}
+
+/// The claim walk of DESIGN.md §10's random-priority lemma, written out:
+/// each source leaf admits its first `eff(up(leaf))` messages in
+/// submission order, then the admitted messages claim the rest of their
+/// paths one at a time in `splitmix64(seed ^ i·φ)` order, each stopping at
+/// its first full channel (the wires it won stay used). Returns the
+/// delivered indices, ascending, and the wires used per channel.
+fn priority_walk(
+    ft: &FatTree,
+    msgs: &[Message],
+    seed: u64,
+    faults: &FaultModel,
+) -> (Vec<usize>, LoadMap) {
+    let mut used = LoadMap::zeros(ft);
+    let mut delivered = Vec::new();
+    let mut admitted = Vec::new();
+    for (i, m) in msgs.iter().enumerate() {
+        if m.is_local() {
+            delivered.push(i);
+            continue;
+        }
+        let leaf = ChannelId::up(ft.leaf(m.src));
+        if used.get(leaf) < faults.effective_cap(ft, leaf) {
+            used.add_one(leaf);
+            admitted.push(i);
+        }
+    }
+    admitted.sort_by_key(|&i| splitmix64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+    for i in admitted {
+        let (mut leaf_edge, mut through) = (true, true);
+        for_each_path_channel(ft, &msgs[i], |c| {
+            if std::mem::take(&mut leaf_edge) || !through {
+                return; // the leaf's up channel was claimed at admission
+            }
+            through = used.get(c) < faults.effective_cap(ft, c);
+            if through {
+                used.add_one(c);
+            }
+        });
+        if through {
+            delivered.push(i);
+        }
+    }
+    delivered.sort_unstable();
+    (delivered, used)
+}
+
+/// The random-priority lemma (DESIGN.md §10) against the engine: on ideal
+/// switches, `Arbitration::Random` picks exactly the winners, and uses
+/// exactly the wires, of [`priority_walk`] — per cycle on `golden_engine`'s
+/// `Random` cases (with and without faults), and over whole runs with the
+/// run drivers' per-cycle reseeding.
+#[test]
+fn random_arbitration_on_ideal_switches_is_a_priority_walk() {
+    const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
+    let seed = 0xFEED;
+    for ft in trees() {
+        for faults in [
+            FaultModel::none(),
+            FaultModel {
+                dead_wire_fraction: 0.2,
+                seed: 3,
+            },
+        ] {
+            let cfg = SimConfig {
+                payload_bits: 16,
+                switch: SwitchKind::Ideal,
+                arbitration: Arbitration::Random(seed),
+                faults,
+                meta: MetaWidth::Auto,
+            };
+            for s in 0..9u64 {
+                let msgs = workload(ft.n(), 101 + s);
+                let tag = format!("n={} faults={faults:?} seed={s}", ft.n());
+                let got = simulate_cycle(&ft, &msgs, &cfg);
+                let (delivered, used) = priority_walk(&ft, &msgs, seed, &faults);
+                assert_eq!(got.delivered, delivered, "delivered set [{tag}]");
+                assert_eq!(got.channel_use, used, "channel_use [{tag}]");
+            }
+            for s in 0..5u64 {
+                let msgs: MessageSet = workload(ft.n(), 211 + s).into_iter().collect();
+                let run = run_to_completion(&ft, &msgs, &cfg);
+                let mut pending: Vec<usize> = (0..msgs.len()).collect();
+                let mut order = Vec::new();
+                let mut cycle = 0u64;
+                while !pending.is_empty() {
+                    let sub: Vec<Message> = pending.iter().map(|&i| msgs.as_slice()[i]).collect();
+                    let cycle_seed = seed.wrapping_add(cycle).wrapping_mul(PHI);
+                    let (delivered, _) = priority_walk(&ft, &sub, cycle_seed, &faults);
+                    assert!(!delivered.is_empty(), "walk stalled");
+                    order.extend(delivered.iter().map(|&k| pending[k]));
+                    let mut next = delivered.iter().peekable();
+                    let mut k = 0usize;
+                    pending.retain(|_| {
+                        let gone = next.next_if_eq(&&k).is_some();
+                        k += 1;
+                        !gone
+                    });
+                    cycle += 1;
+                }
+                let tag = format!("n={} faults={faults:?} run seed={s}", ft.n());
+                assert_eq!(run.cycles as u64, cycle, "cycles [{tag}]");
+                assert_eq!(run.delivery_order, order, "delivery order [{tag}]");
+            }
+        }
     }
 }

@@ -193,6 +193,12 @@ $ online --n 16384 --w 4096 --workload krel:2
 $ online --n 4194304 --w 1048576 --workload streamperm
 > on-line: 4194304 messages, λ = 1.89 → 2 cycles (shape λ+lg n·lglg n = 100.0)
 > contention: 1816131 resends, hottest at level 5 (733892 blocked); blocked root→leaf: 0/133598/369292/579349/733892/0/0/0/0/0/0/0/0/0/0/0/0/0/0/0/0/0
+# The padded k-ary tree's non-monotone switch-internal capacities (~0.02s;
+# taken at 7e49552, before the claim walk became one kernel).
+$ online --topology kary:k=24,over=2 --workload alltoall:12
+> topology kary:k=24,over=2: 3456 processors embedded on a padded binary tree of n = 8192
+> on-line: 38016 messages, λ = 11.00 → 23 cycles (shape λ+lg n·lglg n = 59.1)
+> contention: 325366 resends, hottest at level 13 (314480 blocked); blocked root→leaf: 0/0/0/0/0/0/0/0/0/0/2091/8795/314480
 PINS
 sched_pin "$pin_args" "$pin_out"
 

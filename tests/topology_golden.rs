@@ -13,8 +13,7 @@
 
 use fat_tree::core::rng::SplitMix64;
 use fat_tree::prelude::*;
-use fat_tree::sched::{route_topology, schedule_topology, SchedArena};
-use fat_tree::sim::run_topology_to_completion;
+use fat_tree::sched::SchedArena;
 use fat_tree::topology::Topology;
 
 fn perm(n: u32, seed: u64) -> MessageSet {
@@ -75,7 +74,7 @@ fn binary_simulator_runs_are_byte_identical() {
         for seed in [1u64, 2, 3] {
             let m = perm(64, seed);
             let direct = run_to_completion(&ft, &m, &cfg);
-            let topo = run_topology_to_completion(&emb, &m, &cfg);
+            let topo = run_to_completion(emb.tree(), &emb.map_set(&m), &cfg);
             assert_eq!(direct.cycles, topo.cycles, "{profile:?} seed {seed}");
             assert_eq!(
                 direct.delivered_per_cycle, topo.delivered_per_cycle,
@@ -101,7 +100,8 @@ fn binary_schedules_are_byte_identical() {
         for seed in [5u64, 6] {
             let m = perm(64, seed);
             let (direct, dstats) = SchedArena::new(&ft).schedule(&ft, &m, 1);
-            let (topo, tstats) = schedule_topology(&emb, &m, 1);
+            let (topo, tstats) =
+                SchedArena::new(emb.tree()).schedule(emb.tree(), &emb.map_set(&m), 1);
             assert_eq!(direct.cycles(), topo.cycles(), "{profile:?} seed {seed}");
             assert_eq!(
                 dstats.load_factor, tstats.load_factor,
@@ -125,7 +125,7 @@ fn binary_online_routes_are_byte_identical() {
         let mut rng = SplitMix64::seed_from_u64(13);
         let direct = OnlineArena::new(&ft).route(&ft, &m, &mut rng, cfg);
         let mut rng = SplitMix64::seed_from_u64(13);
-        let topo = route_topology(&emb, &m, &mut rng, cfg);
+        let topo = OnlineArena::new(emb.tree()).route(emb.tree(), &emb.map_set(&m), &mut rng, cfg);
         assert_eq!(direct.cycles, topo.cycles, "{profile:?}");
         assert_eq!(
             direct.delivered_per_cycle, topo.delivered_per_cycle,
@@ -135,12 +135,18 @@ fn binary_online_routes_are_byte_identical() {
 }
 
 /// The generalized families: no legacy twin exists, so pin cross-engine
-/// consistency — valid schedules, full delivery, and nobody beating ⌈λ⌉.
+/// consistency — valid schedules, full delivery, nobody beating ⌈λ⌉, and
+/// the lazily mapped stream running exactly the mapped set.
 #[test]
 fn generalized_families_are_cross_engine_consistent() {
     let machines = vec![
+        Topology::kary_pods(8, 1),
         Topology::kary_pods(8, 2),
+        Topology::kary_pods(8, 4),
+        Topology::kary_pods(6, 2),
+        Topology::two_layer(16, 8, 100),
         Topology::two_layer(16, 8, 120),
+        Topology::two_layer(8, 4, 30),
         Topology::custom(
             vec![5, 3],
             vec![
@@ -159,7 +165,7 @@ fn generalized_families_are_cross_engine_consistent() {
 
         // Off-line: the Theorem-1 schedule must be valid on the embedded
         // tree, carry exactly the mapped messages, and respect λ.
-        let (sched, stats) = schedule_topology(&emb, &m, 1);
+        let (sched, stats) = SchedArena::new(emb.tree()).schedule(emb.tree(), &mapped, 1);
         sched.validate(emb.tree(), &mapped).unwrap();
         assert!((stats.load_factor - lambda).abs() < 1e-9, "{spec}");
         assert!(
@@ -167,24 +173,36 @@ fn generalized_families_are_cross_engine_consistent() {
             "{spec}: schedule beat ⌈λ⌉"
         );
 
-        // Simulator: everything delivered, cycles ≥ ⌈λ⌉.
-        let run = run_topology_to_completion(&emb, &m, &SimConfig::default());
+        // Simulator: everything delivered, cycles ≥ ⌈λ⌉, and the mapped
+        // stream runs the same cycles as the mapped set.
+        let cfg = SimConfig::default();
+        let run = run_to_completion(emb.tree(), &mapped, &cfg);
         assert_eq!(
             run.delivered_per_cycle.iter().sum::<usize>(),
             m.len(),
             "{spec}: simulator lost messages"
         );
         assert!(run.cycles as f64 >= lambda.ceil(), "{spec}: sim beat ⌈λ⌉");
+        let streamed = run_stream_to_completion(emb.tree(), &emb.stream(&m), &cfg);
+        assert_eq!(streamed, run, "{spec}: simulator stream != set");
 
-        // On-line: everything delivered; stream path identical under the
-        // same seed.
-        let mut rng = SplitMix64::seed_from_u64(31);
-        let r = route_topology(&emb, &m, &mut rng, OnlineConfig::default());
+        // On-line: everything delivered; the stream path is identical
+        // under the same seed.
+        let cfg = OnlineConfig::default();
+        let mut arena = OnlineArena::new(emb.tree());
+        let r = arena.route(emb.tree(), &mapped, &mut SplitMix64::seed_from_u64(31), cfg);
         assert!(!r.truncated, "{spec}");
         assert_eq!(
             r.delivered_per_cycle.iter().sum::<usize>(),
             m.len(),
             "{spec}: router lost messages"
+        );
+        let mut rng = SplitMix64::seed_from_u64(31);
+        arena.run_stream(emb.tree(), &emb.stream(&m), &mut rng, cfg);
+        assert_eq!(
+            arena.delivered_per_cycle(),
+            r.delivered_per_cycle,
+            "{spec}: router stream != set"
         );
     }
 }

@@ -18,8 +18,7 @@
 
 use fat_tree::core::rng::SplitMix64;
 use fat_tree::prelude::*;
-use fat_tree::sched::schedule_topology;
-use fat_tree::sim::run_topology_to_completion;
+use fat_tree::sched::SchedArena;
 use fat_tree::topology::{LevelCaps, Topology};
 
 fn perm(n: u32, seed: u64) -> MessageSet {
@@ -114,13 +113,13 @@ fn lambda_bound_is_attained_by_the_block_shift_permutation() {
             "{spec}: block shift reaches λ = {real} < bound {bound}"
         );
         // No engine beats ⌈bound⌉ on this traffic.
-        let (sched, stats) = schedule_topology(&emb, &m, 1);
+        let (sched, stats) = SchedArena::new(emb.tree()).schedule(emb.tree(), &emb.map_set(&m), 1);
         assert!(stats.load_factor >= bound - 1e-9, "{spec}");
         assert!(
             sched.cycles().len() as f64 >= bound.ceil(),
             "{spec}: scheduler beat ⌈λ bound⌉"
         );
-        let run = run_topology_to_completion(&emb, &m, &SimConfig::default());
+        let run = run_to_completion(emb.tree(), &emb.map_set(&m), &SimConfig::default());
         assert!(
             run.cycles as f64 >= bound.ceil(),
             "{spec}: simulator beat ⌈λ bound⌉"
@@ -164,7 +163,7 @@ fn random_perlevel_tables_round_trip_and_agree_on_lambda() {
         // and the schedule respects it.
         let m = perm(n, seed);
         let (lambda, _) = emb.lambda(&m);
-        let (sched, stats) = schedule_topology(&emb, &m, 1);
+        let (sched, stats) = SchedArena::new(emb.tree()).schedule(emb.tree(), &emb.map_set(&m), 1);
         assert!(
             (stats.load_factor - lambda).abs() < 1e-9,
             "seed {seed}: scheduler λ {} ≠ embedding λ {lambda}",
