@@ -28,11 +28,14 @@ pub fn run() -> Vec<Table> {
             let cut = rng.gen_range(1..n);
             let long: Vec<bool> = (0..cut.max(n - cut)).map(|_| rng.gen_bool(0.5)).collect();
             let short: Vec<bool> = (0..cut.min(n - cut)).map(|_| rng.gen_bool(0.5)).collect();
-            let b: usize = long.iter().chain(&short).filter(|&&x| x).count();
-            let split = split_necklace(&long, &short);
-            if split.blacks_a(&long, &short) == b / 2
-                || split.blacks_a(&long, &short) == b.div_ceil(2)
-            {
+            let (lb, sb) = (positions(&long), positions(&short));
+            let (l, s) = (
+                (0, long.len() as u64, &lb[..]),
+                (0, short.len() as u64, &sb[..]),
+            );
+            let (split, b) = (split_necklace(l, s), lb.len() + sb.len());
+            let ba = split.blacks_a(l, s);
+            if ba == b / 2 || ba == b.div_ceil(2) {
                 exact += 1;
             }
             max_arcs = max_arcs.max(split.a.len()).max(split.b.len());
@@ -72,7 +75,7 @@ pub fn run() -> Vec<Table> {
             }
         }
         let ws: Vec<f64> = (0..=r).map(|j| 4096.0 / a.powi(j as i32)).collect();
-        let tree = balance_decomposition(&occupied, &ws);
+        let tree = balance_decomposition(r, &positions(&occupied), &ws);
         bal.row(vec![
             slots.to_string(),
             procs.to_string(),
@@ -85,6 +88,12 @@ pub fn run() -> Vec<Table> {
     bal.note("constant. The root inflation stays below Corollary 9's 4a/(a−1).");
 
     vec![pearls, bal]
+}
+
+/// The black positions of a string of `bool`s (the occupied slots of a
+/// leaf line).
+fn positions(xs: &[bool]) -> Vec<u64> {
+    (0..xs.len() as u64).filter(|&i| xs[i as usize]).collect()
 }
 
 #[cfg(test)]

@@ -1,9 +1,5 @@
 //! E6 — Theorem 10: simulate equal-volume competitor networks on the
 //! universal fat-tree; slowdown must stay within O(lg³ n).
-//!
-//! The sweep over networks runs in parallel (std scoped threads, one per
-//! network, joined in order) — the experiment harness's only concurrency,
-//! exercised here because this is the slowest table.
 
 use crate::tables::{f, Table};
 use ft_core::rng::SplitMix64;
@@ -14,12 +10,12 @@ use ft_networks::{
 use ft_universal::simulate_on_fat_tree;
 use ft_workloads::{cross_root, random_permutation};
 
-fn fleet(scale: u32) -> Vec<Box<dyn FixedConnectionNetwork + Send + Sync>> {
+fn fleet(scale: u32) -> Vec<Box<dyn FixedConnectionNetwork>> {
     // scale 0: ~64 procs; scale 1: ~256; scale 2: ~1024.
     let side2 = 8usize << scale;
     let side3 = [4usize, 6, 10][scale as usize];
     let d = 6 + 2 * scale;
-    let mut fleet: Vec<Box<dyn FixedConnectionNetwork + Send + Sync>> = vec![
+    let mut fleet: Vec<Box<dyn FixedConnectionNetwork>> = vec![
         Box::new(Mesh2D::new(side2, side2)),
         Box::new(Mesh3D::new(side3)),
         Box::new(Torus2D::new(side2)),
@@ -57,43 +53,29 @@ pub fn run() -> Vec<Table> {
             ],
         );
         for scale in 0..3u32 {
-            let nets = fleet(scale);
-            std::thread::scope(|s| {
-                let workers: Vec<_> = nets
-                    .iter()
-                    .enumerate()
-                    .map(|(i, net)| {
-                        s.spawn(move || {
-                            let mut rng =
-                                SplitMix64::seed_from_u64(0xE6 ^ (scale as u64) << 8 ^ i as u64);
-                            let n = net.n() as u32;
-                            let msgs = if make_msgs == 0 {
-                                random_permutation(n, &mut rng)
-                            } else {
-                                cross_root(n & !1, 2, &mut rng)
-                            };
-                            let rep = simulate_on_fat_tree(net.as_ref(), &msgs, 1.0, &mut rng);
-                            let ok = rep.slowdown <= 8.0 * rep.slowdown_bound.max(1.0);
-                            vec![
-                                rep.network.clone(),
-                                rep.n.to_string(),
-                                f(rep.volume),
-                                rep.root_capacity.to_string(),
-                                rep.t_network.to_string(),
-                                f(rep.lambda),
-                                rep.cycles.to_string(),
-                                f(rep.slowdown),
-                                f(rep.slowdown_bound),
-                                if ok { "✓".into() } else { "✗".into() },
-                            ]
-                        })
-                    })
-                    .collect();
-                // Joined in spawn order, so rows keep the fleet's order.
-                for w in workers {
-                    t.row(w.join().expect("E6 worker panicked"));
-                }
-            });
+            for (i, net) in fleet(scale).iter().enumerate() {
+                let mut rng = SplitMix64::seed_from_u64(0xE6 ^ (scale as u64) << 8 ^ i as u64);
+                let n = net.n() as u32;
+                let msgs = if make_msgs == 0 {
+                    random_permutation(n, &mut rng)
+                } else {
+                    cross_root(n & !1, 2, &mut rng)
+                };
+                let rep = simulate_on_fat_tree(net.as_ref(), &msgs, 1.0, &mut rng);
+                let ok = rep.slowdown <= 8.0 * rep.slowdown_bound.max(1.0);
+                t.row(vec![
+                    rep.network.clone(),
+                    rep.n.to_string(),
+                    f(rep.volume),
+                    rep.root_capacity.to_string(),
+                    rep.t_network.to_string(),
+                    f(rep.lambda),
+                    rep.cycles.to_string(),
+                    f(rep.slowdown),
+                    f(rep.slowdown_bound),
+                    if ok { "✓".into() } else { "✗".into() },
+                ]);
+            }
         }
         t.note("slowdown = (d·lg n)/t_R; bound = lg(n/v^(2/3))·lg²n. Who wins: the fat-tree is");
         t.note("never worse than polylog — even against the hypercube, whose n^(3/2) volume the");

@@ -18,10 +18,10 @@
 //! complete subtrees of `T` per height, whose root bandwidths bound the
 //! node's external communication.
 
-use crate::pearls::{split_necklace, Arc};
+use crate::pearls::{split_necklace, within, Arc};
 
 /// A leaf-slot interval of the original decomposition tree.
-pub type Interval = (usize, usize);
+pub type Interval = (u64, u64);
 
 /// One node of a balanced decomposition tree.
 #[derive(Clone, Debug)]
@@ -46,16 +46,23 @@ pub struct BalancedDecompTree {
     pub root: BalancedNode,
     /// Per-level bandwidths `w_j` of the *original* tree `T`.
     pub original_bandwidths: Vec<f64>,
-    /// Depth of the original tree (leaf slots = `2^r`).
-    pub original_depth: u32,
 }
 
 impl BalancedDecompTree {
     /// The leaf processors of `T′` in left-to-right order — the order used
-    /// to identify processors with fat-tree leaves in Theorem 10.
-    pub fn procs_in_order(&self, occupancy_order: &[Option<u32>]) -> Vec<u32> {
+    /// to identify processors with fat-tree leaves in Theorem 10. `leaves`
+    /// are `T`'s occupied leaf slots and their processors, sorted by slot.
+    pub fn procs_in_order(&self, leaves: &[(u64, u32)]) -> Vec<u32> {
         let mut out = Vec::new();
-        collect_procs(&self.root, occupancy_order, &mut out);
+        walk(&self.root, &mut |node| {
+            if node.children.is_none() {
+                for &(a, b) in &node.intervals {
+                    let lo = leaves.partition_point(|&(s, _)| s < a);
+                    let hi = leaves.partition_point(|&(s, _)| s < b);
+                    out.extend(leaves[lo..hi].iter().map(|&(_, p)| p));
+                }
+            }
+        });
         out
     }
 
@@ -72,9 +79,9 @@ impl BalancedDecompTree {
         levels
     }
 
-    /// Verify Theorem 8: every node at depth `k` has
-    /// `w′ ≤ 4·Σ_{j≥k−?} w_j`; with exact power-of-two halving the paper's
-    /// `Σ_{j≥k}` form holds. Returns the worst ratio `w′_k / (4·Σ_{j≥k} w_j)`.
+    /// Verify Theorem 8: every node at depth `k` has `w′ ≤ 4·Σ_{j≥k} w_j`.
+    /// Returns the worst ratio `w′_k / (4·Σ_{j≥k} w_j)` over the nodes at
+    /// depths `k ≤ r`; deeper nodes have an empty sum and are skipped.
     pub fn worst_theorem8_ratio(&self) -> f64 {
         let suffix: Vec<f64> = {
             let mut s = vec![0.0; self.original_bandwidths.len() + 1];
@@ -117,55 +124,49 @@ fn walk<'a, F: FnMut(&'a BalancedNode)>(node: &'a BalancedNode, f: &mut F) {
     }
 }
 
-fn collect_procs(node: &BalancedNode, slots: &[Option<u32>], out: &mut Vec<u32>) {
-    match &node.children {
-        Some(ch) => {
-            collect_procs(&ch.0, slots, out);
-            collect_procs(&ch.1, slots, out);
-        }
-        None => {
-            for &(a, b) in &node.intervals {
-                for p in slots.iter().take(b).skip(a).flatten() {
-                    out.push(*p);
-                }
-            }
-        }
-    }
-}
-
-/// Build the balanced decomposition tree from the original tree's occupancy
-/// (`occupied[s]` = leaf slot `s` of `T` holds a processor; length `2^r`)
-/// and per-level bandwidths `w_0..w_r`.
-pub fn balance_decomposition(occupied: &[bool], level_bandwidths: &[f64]) -> BalancedDecompTree {
-    assert!(occupied.len().is_power_of_two(), "leaf slots must be 2^r");
-    let r = occupied.len().trailing_zeros();
+/// Build the balanced decomposition tree from the original tree's depth
+/// `r`, its occupied leaf slots (`occupied`: sorted, distinct, each below
+/// `2^r`) and its per-level bandwidths `w_0..w_r`.
+pub fn balance_decomposition(
+    r: u32,
+    occupied: &[u64],
+    level_bandwidths: &[f64],
+) -> BalancedDecompTree {
+    assert!(r <= 62, "decomposition deeper than 62 levels");
+    assert!(
+        occupied.windows(2).all(|w| w[0] < w[1]) && occupied.last().is_none_or(|&s| s >> r == 0),
+        "occupied slots must be sorted, distinct and below 2^r"
+    );
     assert_eq!(
         level_bandwidths.len(),
         r as usize + 1,
         "need a bandwidth for every level 0..=r"
     );
-    let root_intervals = vec![(0usize, occupied.len())];
-    let root = build_node(occupied, level_bandwidths, r, root_intervals, 0);
+    let root = build_node(occupied, level_bandwidths, r, vec![(0, 1 << r)], 0);
     BalancedDecompTree {
         root,
         original_bandwidths: level_bandwidths.to_vec(),
-        original_depth: r,
     }
 }
 
 fn build_node(
-    occupied: &[bool],
+    occupied: &[u64],
     ws: &[f64],
     r: u32,
     intervals: Vec<Interval>,
     depth: u32,
 ) -> BalancedNode {
-    let procs: usize = intervals
-        .iter()
-        .map(|&(a, b)| occupied[a..b].iter().filter(|&&x| x).count())
-        .sum();
+    debug_assert!(intervals.len() <= 2, "balanced node with > 2 strings");
+    // Each interval is a string of pearls; its blacks are a sub-slice of
+    // `occupied`. A missing second string is empty.
+    let strand = |k: usize| match intervals.get(k) {
+        Some(&(a, b)) => (a, b, within(occupied, a, b)),
+        None => (0, 0, &[][..]),
+    };
+    let (first, second) = (strand(0), strand(1));
+    let procs = first.2.len() + second.2.len();
     let bandwidth = intervals_bandwidth(&intervals, ws, r);
-    let total: usize = intervals.iter().map(|&(a, b)| b - a).sum();
+    let total: u64 = intervals.iter().map(|&(a, b)| b - a).sum();
     if procs <= 1 || total <= 1 {
         return BalancedNode {
             intervals,
@@ -176,26 +177,13 @@ fn build_node(
         };
     }
 
-    // Pearl-split the (≤ 2) strings.
-    let (first, second) = match intervals.len() {
-        1 => (intervals[0], (0usize, 0usize)),
-        2 => (intervals[0], intervals[1]),
-        k => unreachable!("balanced node with {k} strings"),
+    // Pearl-split the (≤ 2) strings; arcs are in slot coordinates.
+    let split = split_necklace(first, second);
+    let child = |arcs: &[Arc]| {
+        let intervals = arcs.iter().map(|&(_, a, b)| (a, b)).collect();
+        build_node(occupied, ws, r, intervals, depth + 1)
     };
-    let s1: Vec<bool> = occupied[first.0..first.1].to_vec();
-    let s2: Vec<bool> = occupied[second.0..second.1].to_vec();
-    let split = split_necklace(&s1, &s2);
-
-    let to_intervals = |arcs: &[Arc]| -> Vec<Interval> {
-        arcs.iter()
-            .map(|&(string, a, b)| {
-                let base = if string == 0 { first.0 } else { second.0 };
-                (base + a, base + b)
-            })
-            .collect()
-    };
-    let left = build_node(occupied, ws, r, to_intervals(&split.a), depth + 1);
-    let right = build_node(occupied, ws, r, to_intervals(&split.b), depth + 1);
+    let (left, right) = (child(&split.a), child(&split.b));
     BalancedNode {
         intervals,
         procs,
@@ -218,10 +206,9 @@ fn intervals_bandwidth(intervals: &[Interval], ws: &[f64], r: u32) -> f64 {
             while x < b {
                 // Largest aligned power-of-two block starting at x fitting in [x, b).
                 let align = if x == 0 { r } else { x.trailing_zeros().min(r) };
-                let fit = usize::BITS - 1 - (b - x).leading_zeros(); // ⌊lg(b−x)⌋
-                let h = align.min(fit);
+                let h = align.min((b - x).ilog2());
                 total += ws[(r - h) as usize];
-                x += 1usize << h;
+                x += 1 << h;
             }
             total
         })
@@ -231,6 +218,14 @@ fn intervals_bandwidth(intervals: &[Interval], ws: &[f64], r: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Balance a tree given as one `bool` per leaf slot (`2^r` of them).
+    fn balance(occupied: &[bool], ws: &[f64]) -> BalancedDecompTree {
+        let slots: Vec<u64> = (0..occupied.len() as u64)
+            .filter(|&s| occupied[s as usize])
+            .collect();
+        balance_decomposition(occupied.len().trailing_zeros(), &slots, ws)
+    }
 
     /// Bandwidths of a (w, ∛4)-style tree: w_j = w / (4^(1/3))^j.
     fn cuberoot4_bandwidths(w: f64, r: u32) -> Vec<f64> {
@@ -242,12 +237,12 @@ mod tests {
         let r = 4;
         let occupied = vec![true; 16];
         let ws = cuberoot4_bandwidths(96.0, r);
-        let t = balance_decomposition(&occupied, &ws);
+        let t = balance(&occupied, &ws);
         assert!(t.is_balanced());
         assert_eq!(t.root.procs, 16);
         // Every leaf has exactly one processor.
-        let slots: Vec<Option<u32>> = (0..16).map(Some).collect();
-        let order = t.procs_in_order(&slots);
+        let leaves: Vec<(u64, u32)> = (0..16).map(|s| (s, s as u32)).collect();
+        let order = t.procs_in_order(&leaves);
         assert_eq!(order.len(), 16);
         let mut sorted = order.clone();
         sorted.sort_unstable();
@@ -262,7 +257,7 @@ mod tests {
             *slot = true;
         }
         let ws = cuberoot4_bandwidths(1000.0, 6);
-        let t = balance_decomposition(&occupied, &ws);
+        let t = balance(&occupied, &ws);
         assert!(t.is_balanced());
         assert_eq!(t.root.procs, 8);
         if let Some(ch) = &t.root.children {
@@ -292,7 +287,7 @@ mod tests {
             }
         }
         let ws = cuberoot4_bandwidths(600.0, r);
-        let t = balance_decomposition(&occupied, &ws);
+        let t = balance(&occupied, &ws);
         assert!(t.is_balanced());
         let ratio = t.worst_theorem8_ratio();
         assert!(
@@ -309,7 +304,7 @@ mod tests {
         let occupied = vec![true; 1 << r];
         let w = 512.0;
         let ws = cuberoot4_bandwidths(w, r);
-        let t = balance_decomposition(&occupied, &ws);
+        let t = balance(&occupied, &ws);
         let a = 4f64.powf(1.0 / 3.0);
         let bound = 4.0 * a / (a - 1.0) * w;
         for (k, wk) in t.level_bandwidths().iter().enumerate() {
@@ -329,7 +324,7 @@ mod tests {
         occupied[19] = true;
         occupied[31] = true;
         let ws = cuberoot4_bandwidths(100.0, 5);
-        let t = balance_decomposition(&occupied, &ws);
+        let t = balance(&occupied, &ws);
         let mut leaves = 0;
         walk(&t.root, &mut |n| {
             if n.children.is_none() && n.procs == 1 {
@@ -358,7 +353,7 @@ mod tests {
         let mut occupied = vec![false; 8];
         occupied[5] = true;
         let ws = cuberoot4_bandwidths(10.0, 3);
-        let t = balance_decomposition(&occupied, &ws);
+        let t = balance(&occupied, &ws);
         assert!(t.root.children.is_none());
         assert_eq!(t.root.procs, 1);
     }

@@ -13,10 +13,11 @@
 //!
 //! Because all midpoint cuts at the same depth produce congruent boxes, the
 //! per-level bandwidths are a closed-form function of the bounding box. The
-//! tree structure we must retain is the *leaf order*: which processor lands
-//! in which slot of the depth-`r` leaf line. That ordering feeds the
-//! balancing construction of Theorem 8 and, ultimately, the processor
-//! identification of the universality theorem.
+//! tree structure we must retain is the *leaf order*: the occupied slots of
+//! the depth-`r` leaf line, sorted, each with its processor — `n` entries,
+//! however deep the cuts go (the `2^r` slots are never materialized). That
+//! ordering feeds the balancing construction of Theorem 8 and, ultimately,
+//! the processor identification of the universality theorem.
 
 use crate::geom::Cuboid;
 use crate::placement::Placement;
@@ -26,18 +27,17 @@ use crate::placement::Placement;
 pub const DEFAULT_GAMMA: f64 = 1.0;
 
 /// A decomposition tree of a placement: per-level bandwidths plus the
-/// leaf-slot assignment of processors produced by recursive bisection.
+/// leaf slots of processors produced by recursive bisection.
 #[derive(Clone, Debug)]
 pub struct DecompTree {
     /// Depth `r` of the tree: leaves are `2^r` slots.
     pub depth: u32,
-    /// `slots[s]` = processor occupying leaf slot `s` (length `2^r`).
-    pub slots: Vec<Option<u32>>,
+    /// The occupied leaf slots `(slot, processor)`, sorted by slot (one per
+    /// processor; every other slot of `0..2^r` is empty).
+    pub leaves: Vec<(u64, u32)>,
     /// `level_bandwidth[i]` = bandwidth `w_i` into any box at depth `i`
     /// (`γ`·surface area), for `i` in `0..=r`.
     pub level_bandwidth: Vec<f64>,
-    /// The surface-bandwidth constant γ used.
-    pub gamma: f64,
 }
 
 impl DecompTree {
@@ -58,12 +58,12 @@ impl DecompTree {
             "decomposition deeper than 62 levels; degenerate placement?"
         );
 
-        let mut slots = vec![None; 1usize << r];
-        for &(bits, d, p) in &paths {
-            let slot = (bits << (r - d)) as usize;
-            debug_assert!(slots[slot].is_none());
-            slots[slot] = Some(p);
-        }
+        // `bisect` visits the low half first, so the slots come out sorted.
+        let leaves: Vec<(u64, u32)> = paths
+            .iter()
+            .map(|&(bits, d, p)| (bits << (r - d), p))
+            .collect();
+        debug_assert!(leaves.windows(2).all(|w| w[0].0 < w[1].0));
 
         // Closed-form per-level surface areas: every box at depth i is
         // congruent (midpoint cuts, cycling axes).
@@ -78,20 +78,14 @@ impl DecompTree {
 
         DecompTree {
             depth: r,
-            slots,
+            leaves,
             level_bandwidth,
-            gamma,
         }
-    }
-
-    /// Number of leaf slots `2^r`.
-    pub fn num_slots(&self) -> usize {
-        self.slots.len()
     }
 
     /// Number of processors.
     pub fn num_procs(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.leaves.len()
     }
 
     /// The root bandwidth `w₀` (into the whole cube).
@@ -114,12 +108,7 @@ impl DecompTree {
     /// The processors in leaf order (slot order), i.e. the in-order leaf
     /// sequence of the decomposition tree.
     pub fn procs_in_leaf_order(&self) -> Vec<u32> {
-        self.slots.iter().flatten().copied().collect()
-    }
-
-    /// Occupancy as booleans (the "pearl colors" for Theorem 8).
-    pub fn occupancy(&self) -> Vec<bool> {
-        self.slots.iter().map(|s| s.is_some()).collect()
+        self.leaves.iter().map(|&(_, p)| p).collect()
     }
 }
 
@@ -169,7 +158,7 @@ mod tests {
         assert_eq!(t.procs_in_leaf_order().len(), 64);
         // 64 processors in a 4×4×4 grid separate after exactly 6 cuts.
         assert_eq!(t.depth, 6);
-        assert_eq!(t.num_slots(), 64);
+        assert!(t.leaves.iter().map(|&(s, _)| s).eq(0..64));
     }
 
     #[test]
@@ -224,7 +213,7 @@ mod tests {
         let p = Placement::grid3d(1, 1.0);
         let t = DecompTree::build(&p, DEFAULT_GAMMA);
         assert_eq!(t.depth, 0);
-        assert_eq!(t.slots, vec![Some(0)]);
+        assert_eq!(t.leaves, vec![(0, 0)]);
     }
 
     #[test]

@@ -23,9 +23,15 @@
 //! `⌊B/2⌋` or `⌈B/2⌉` on the way. Both `A` and its complement consist of at
 //! most two intervals of the original strings throughout.
 
+/// One string of pearls: the positions `start..end`, of which the sorted
+/// positions in `blacks` are black and the rest white. A string of `bool`s
+/// `xs` is `(0, xs.len(), positions of its trues)`.
+pub type Strand<'a> = (u64, u64, &'a [u64]);
+
 /// A half-open interval of one of the two input strings:
-/// `(string, start, end)` with `string` 0 for the long, 1 for the short.
-pub type Arc = (usize, usize, usize);
+/// `(string, start, end)` with `string` 0 for the first, 1 for the second,
+/// in that string's own positions.
+pub type Arc = (usize, u64, u64);
 
 /// The result of a necklace split: two sets of at most two arcs each.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,128 +44,134 @@ pub struct NecklaceSplit {
 
 impl NecklaceSplit {
     /// Total pearls in set `a`.
-    pub fn size_a(&self) -> usize {
+    pub fn size_a(&self) -> u64 {
         self.a.iter().map(|&(_, s, e)| e - s).sum()
     }
 
     /// Count black pearls of set `a` given the two strings.
-    pub fn blacks_a(&self, long: &[bool], short: &[bool]) -> usize {
-        count_blacks(&self.a, long, short)
+    pub fn blacks_a(&self, first: Strand, second: Strand) -> usize {
+        count_blacks(&self.a, [first.2, second.2])
     }
 
     /// Count black pearls of set `b`.
-    pub fn blacks_b(&self, long: &[bool], short: &[bool]) -> usize {
-        count_blacks(&self.b, long, short)
+    pub fn blacks_b(&self, first: Strand, second: Strand) -> usize {
+        count_blacks(&self.b, [first.2, second.2])
     }
 }
 
-fn count_blacks(arcs: &[Arc], long: &[bool], short: &[bool]) -> usize {
+fn count_blacks(arcs: &[Arc], blacks: [&[u64]; 2]) -> usize {
     arcs.iter()
-        .map(|&(s, a, b)| {
-            let string = if s == 0 { long } else { short };
-            string[a..b].iter().filter(|&&x| x).count()
-        })
+        .map(|&(s, a, b)| within(blacks[s], a, b).len())
         .sum()
 }
 
-/// Split two strings of pearls (`true` = black) into two sets of ≤ 2 arcs
-/// with `⌊N/2⌋` / `⌈N/2⌉` pearls and `⌊B/2⌋` / `⌈B/2⌉` black pearls.
+/// The positions of sorted `xs` that lie in `a..b`.
+pub(crate) fn within(xs: &[u64], a: u64, b: u64) -> &[u64] {
+    &xs[xs.partition_point(|&x| x < a)..xs.partition_point(|&x| x < b)]
+}
+
+/// Split two strings of pearls into two sets of ≤ 2 arcs with
+/// `⌊N/2⌋` / `⌈N/2⌉` pearls and `⌊B/2⌋` / `⌈B/2⌉` black pearls.
 ///
 /// When `N` and `B` are both even (the lemma's hypothesis) the split is
 /// exact. The generalization to odd counts (±1) is what Theorem 8 uses at
-/// the bottom of its recursion.
+/// the bottom of its recursion. The walk visits only the black pearls
+/// (the first-hit lemma, DESIGN.md §10), so a split costs
+/// `O(B + lg N)`, however long the strings.
 ///
 /// ```
 /// use ft_layout::split_necklace;
-/// let long  = [true, true, false, false, true, false];
-/// let short = [true, false];
-/// let split = split_necklace(&long, &short);
+/// // 6 pearls, black at 0, 1 and 4; 2 pearls, black at 0.
+/// let (long, short) = ((0, 6, &[0, 1, 4][..]), (0, 2, &[0][..]));
+/// let split = split_necklace(long, short);
 /// assert!(split.a.len() <= 2 && split.b.len() <= 2); // ≤ 2 cuts
-/// assert_eq!(split.blacks_a(&long, &short), 2);      // half of 4 blacks
+/// assert_eq!(split.blacks_a(long, short), 2);        // half of 4 blacks
 /// assert_eq!(split.size_a(), 4);                     // half of 8 pearls
 /// ```
-pub fn split_necklace(first: &[bool], second: &[bool]) -> NecklaceSplit {
+pub fn split_necklace(first: Strand, second: Strand) -> NecklaceSplit {
     // Normalize: string 0 is the long one.
-    let (long, short, swapped) = if first.len() >= second.len() {
-        (first, second, false)
+    let swapped = first.1 - first.0 < second.1 - second.0;
+    let ((l0, l1, lb), (s0, s1, sb)) = if swapped {
+        (second, first)
     } else {
-        (second, first, true)
+        (first, second)
     };
-    let l = long.len();
-    let s = short.len();
-    let n = l + s;
-    assert!(n >= 1, "no pearls to split");
-    let h = n / 2;
-    let b: usize = long.iter().chain(short).filter(|&&x| x).count();
-    let lo_target = b / 2;
-    let hi_target = b.div_ceil(2);
-
-    // Prefix sums of blacks for O(1) range counts.
-    let pl = prefix(long);
-    let ps = prefix(short);
-    let blacks_l = |a: usize, bb: usize| pl[bb] - pl[a];
-    let blacks_s = |a: usize, bb: usize| ps[bb] - ps[a];
-
+    let (l, s) = (l1 - l0, s1 - s0);
+    assert!(l + s >= 1, "no pearls to split");
+    let h = (l + s) / 2;
+    let b = lb.len() + sb.len();
+    let hit = |f: usize| f >= b / 2 && f <= b.div_ceil(2);
+    let spans = [(l0, l1), (s0, s1)];
     debug_assert!(s <= h, "short string longer than half the pearls?");
 
-    // Stage 1: A = L[0, h−t) ∪ S[0, t), t = 0..=s.
-    for t in 0..=s {
-        let f = blacks_l(0, h - t) + blacks_s(0, t);
-        if f >= lo_target && f <= hi_target {
-            return finish(vec![(0, 0, h - t), (1, 0, t)], l, s, swapped);
-        }
+    // Stage 1: A = L[0, h−t) ∪ S[0, t), t = 0..=s. The long string's black
+    // at p < h leaves at t = h − p; the short string's black at q enters
+    // at t = q + 1.
+    let inside = within(lb, l0, l0 + h);
+    let leave = within(inside, l0 + h - s, l0 + h).iter().rev();
+    let enter = sb.iter().map(|&q| q - s0 + 1);
+    if let Some(t) = first_hit(inside.len(), leave.map(|&p| h - (p - l0)), enter, hit) {
+        return finish([(l0, l0 + h - t), (s0, s0 + t)], spans, swapped);
     }
-    // Stage 2: A = L[t, t + h − s) ∪ S, t = 0..=l−(h−s).
+    // Stage 2: A = L[t, t + piece) ∪ S, piece = h − s, t = 0..=l−piece.
+    // The black at p leaves at t = p + 1 and enters at t = p − piece + 1;
+    // a hit comes before t passes l − piece.
     let piece = h - s;
-    for t in 0..=(l - piece) {
-        let f = blacks_l(t, t + piece) + blacks_s(0, s);
-        if f >= lo_target && f <= hi_target {
-            return finish(vec![(0, t, t + piece), (1, 0, s)], l, s, swapped);
-        }
-    }
-    unreachable!("continuity guarantees the target black count is reached");
+    let entering = within(lb, l0 + piece, l1);
+    let f0 = lb.len() - entering.len() + sb.len();
+    let leave = lb.iter().map(|&p| p - l0 + 1);
+    let enter = entering.iter().map(|&p| p - l0 - piece + 1);
+    let t = first_hit(f0, leave, enter, hit).expect("continuity guarantees a hit");
+    finish([(l0 + t, l0 + t + piece), (s0, s1)], spans, swapped)
 }
 
-fn prefix(xs: &[bool]) -> Vec<usize> {
-    let mut p = Vec::with_capacity(xs.len() + 1);
-    p.push(0);
-    for &x in xs {
-        p.push(p.last().unwrap() + usize::from(x));
+/// The first-hit lemma: `A`'s black count is `f` at `t = 0` and changes
+/// only when a black pearl leaves `A` (at the ascending times `leave`) or
+/// enters it (at the ascending times `enter`), so the first `t` whose
+/// count is a `hit` is 0 or one of those times. Arrivals apply before
+/// departures at the same `t`: a pearl never leaves before it entered.
+fn first_hit(
+    mut f: usize,
+    leave: impl Iterator<Item = u64>,
+    enter: impl Iterator<Item = u64>,
+    hit: impl Fn(usize) -> bool,
+) -> Option<u64> {
+    if hit(f) {
+        return Some(0);
     }
-    p
+    let (mut leave, mut enter) = (leave.peekable(), enter.peekable());
+    loop {
+        let t = match (leave.peek(), enter.peek()) {
+            (Some(&x), Some(&y)) => x.min(y),
+            (x, y) => *x.or(y)?,
+        };
+        while enter.next_if_eq(&t).is_some() {
+            f += 1;
+        }
+        while leave.next_if_eq(&t).is_some() {
+            f -= 1;
+        }
+        if hit(f) {
+            return Some(t);
+        }
+    }
 }
 
-/// Assemble the split from the arcs of set A (in long/short coordinates),
-/// computing the complement and undoing the long/short normalization.
-fn finish(a_arcs: Vec<Arc>, l: usize, s: usize, swapped: bool) -> NecklaceSplit {
-    let mut a: Vec<Arc> = a_arcs.into_iter().filter(|&(_, x, y)| y > x).collect();
-    // Complement within each string.
-    let mut b: Vec<Arc> = Vec::new();
-    for (string, len) in [(0usize, l), (1usize, s)] {
-        let mut covered: Vec<(usize, usize)> = a
-            .iter()
-            .filter(|&&(st, _, _)| st == string)
-            .map(|&(_, x, y)| (x, y))
-            .collect();
-        covered.sort_unstable();
-        let mut cursor = 0;
-        for (x, y) in covered {
-            if x > cursor {
-                b.push((string, cursor, x));
-            }
-            cursor = cursor.max(y);
+/// Assemble the split from set A's arc `[x, y)` of the long and of the
+/// short string (either may be empty): its complement within each string's
+/// span, with the long/short normalization undone.
+fn finish(a_arcs: [(u64, u64); 2], spans: [(u64, u64); 2], swapped: bool) -> NecklaceSplit {
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    for (k, ((x, y), (start, end))) in a_arcs.into_iter().zip(spans).enumerate() {
+        let string = k ^ usize::from(swapped);
+        // An empty arc leaves the whole span to the complement.
+        let (x, y) = if x < y { (x, y) } else { (end, end) };
+        if x < y {
+            a.push((string, x, y));
         }
-        if cursor < len {
-            b.push((string, cursor, len));
-        }
+        let rest = [(string, start, x), (string, y, end)];
+        b.extend(rest.into_iter().filter(|&(_, p, q)| p < q));
     }
-    if swapped {
-        for arc in a.iter_mut().chain(b.iter_mut()) {
-            arc.0 = 1 - arc.0;
-        }
-    }
-    debug_assert!(a.len() <= 2, "set A has {} arcs", a.len());
-    debug_assert!(b.len() <= 2, "set B has {} arcs", b.len());
     NecklaceSplit { a, b }
 }
 
@@ -167,25 +179,45 @@ fn finish(a_arcs: Vec<Arc>, l: usize, s: usize, swapped: bool) -> NecklaceSplit 
 mod tests {
     use super::*;
 
-    fn check(long: &[bool], short: &[bool]) -> NecklaceSplit {
-        let split = split_necklace(long, short);
+    /// The black positions of a string of `bool`s.
+    fn positions(xs: &[bool]) -> Vec<u64> {
+        xs.iter()
+            .enumerate()
+            .filter_map(|(i, &x)| x.then_some(i as u64))
+            .collect()
+    }
+
+    /// Split two strings of `bool`s; also return the blacks in `a` and `b`.
+    fn split_bools(first: &[bool], second: &[bool]) -> (NecklaceSplit, usize, usize) {
+        let (p1, p2) = (positions(first), positions(second));
+        let (s1, s2) = (
+            (0, first.len() as u64, &p1[..]),
+            (0, second.len() as u64, &p2[..]),
+        );
+        let split = split_necklace(s1, s2);
+        let (ba, bb) = (split.blacks_a(s1, s2), split.blacks_b(s1, s2));
+        (split, ba, bb)
+    }
+
+    /// Split and check the lemma's guarantees; return the split and the
+    /// blacks in `a`.
+    fn check(long: &[bool], short: &[bool]) -> (NecklaceSplit, usize) {
+        let (split, ba, bb) = split_bools(long, short);
         let n = long.len() + short.len();
         let b: usize = long.iter().chain(short).filter(|&&x| x).count();
         assert!(split.a.len() <= 2, "A has {} arcs", split.a.len());
         assert!(split.b.len() <= 2, "B has {} arcs", split.b.len());
-        assert_eq!(split.size_a(), n / 2, "A must hold ⌊N/2⌋ pearls");
-        let ba = split.blacks_a(long, short);
-        let bb = split.blacks_b(long, short);
+        assert_eq!(split.size_a(), n as u64 / 2, "A must hold ⌊N/2⌋ pearls");
         assert_eq!(ba + bb, b);
         assert!(ba >= b / 2 && ba <= b.div_ceil(2), "blacks split {ba}/{bb}");
         // Whites are then automatically within one of half.
-        let wa = split.size_a() - ba;
+        let wa = split.size_a() as usize - ba;
         let w = n - b;
         assert!(
             wa + 1 >= w / 2 && wa <= w / 2 + 1,
             "whites split badly: {wa} of {w}"
         );
-        split
+        (split, ba)
     }
 
     #[test]
@@ -193,8 +225,8 @@ mod tests {
         // Even blacks, even whites in two strings → exact halves.
         let long = vec![true, false, true, false, true, false];
         let short = vec![true, false];
-        let split = check(&long, &short);
-        assert_eq!(split.blacks_a(&long, &short), 2);
+        let (split, ba) = check(&long, &short);
+        assert_eq!(ba, 2);
         assert_eq!(split.size_a(), 4);
     }
 
@@ -202,14 +234,12 @@ mod tests {
     fn all_black() {
         let long = vec![true; 8];
         let short = vec![true; 4];
-        let split = check(&long, &short);
-        assert_eq!(split.blacks_a(&long, &short), 6);
+        assert_eq!(check(&long, &short).1, 6);
     }
 
     #[test]
     fn all_white() {
-        let split = check(&[false; 6], &[false; 2]);
-        assert_eq!(split.blacks_a(&[false; 6], &[false; 2]), 0);
+        assert_eq!(check(&[false; 6], &[false; 2]).1, 0);
     }
 
     #[test]
@@ -239,28 +269,92 @@ mod tests {
         // Normalization: pass the shorter string first.
         let a = vec![true, false];
         let b = vec![false, true, false, true, false, false];
-        let split = check(&b, &a);
+        check(&b, &a);
         // And with arguments swapped, arcs must refer to the right strings.
-        let split2 = split_necklace(&a, &b);
+        let (split2, ba, bb) = split_bools(&a, &b);
         assert_eq!(split2.size_a(), 4);
-        let blacks = split2.blacks_a(&a, &b) + split2.blacks_b(&a, &b);
-        assert_eq!(blacks, 3);
-        let _ = split;
+        assert_eq!(ba + bb, 3);
+    }
+
+    /// The dense first-hit scan: every `t` of both stages, counting each
+    /// candidate set's blacks from prefix sums. The oracle for the split.
+    fn dense_split(long: &[bool], short: &[bool]) -> NecklaceSplit {
+        let (l, s) = (long.len(), short.len());
+        let h = (l + s) / 2;
+        let prefix = |xs: &[bool]| -> Vec<usize> {
+            let mut p = vec![0];
+            for &x in xs {
+                p.push(p.last().unwrap() + usize::from(x));
+            }
+            p
+        };
+        let (pl, ps) = (prefix(long), prefix(short));
+        let b = pl[l] + ps[s];
+        let hit = |f: usize| f >= b / 2 && f <= b.div_ceil(2);
+        let spans = [(0, l as u64), (0, s as u64)];
+        for t in 0..=s {
+            if hit(pl[h - t] + ps[t]) {
+                return finish([(0, (h - t) as u64), (0, t as u64)], spans, false);
+            }
+        }
+        let piece = h - s;
+        for t in 0..=(l - piece) {
+            if hit(pl[t + piece] - pl[t] + ps[s]) {
+                return finish(
+                    [(t as u64, (t + piece) as u64), (0, s as u64)],
+                    spans,
+                    false,
+                );
+            }
+        }
+        unreachable!("continuity guarantees a hit");
+    }
+
+    /// `check`, plus: the split equals the dense oracle's, arc for arc.
+    fn check_against_oracle(long: &[bool], short: &[bool]) {
+        let (split, _) = check(long, short);
+        assert_eq!(
+            split,
+            dense_split(long, short),
+            "long {} / short {} pearls",
+            long.len(),
+            short.len()
+        );
     }
 
     #[test]
     fn exhaustive_small_necklaces() {
-        // All color patterns for small sizes: the lemma must never fail.
+        // All color patterns for small sizes: the lemma must never fail,
+        // and the split is the dense scan's.
         for llen in 1..=8usize {
             for slen in 0..=llen.min(4) {
                 for lmask in 0..(1u32 << llen) {
                     for smask in 0..(1u32 << slen) {
                         let long: Vec<bool> = (0..llen).map(|i| lmask >> i & 1 == 1).collect();
                         let short: Vec<bool> = (0..slen).map(|i| smask >> i & 1 == 1).collect();
-                        check(&long, &short);
+                        check_against_oracle(&long, &short);
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn long_necklaces_match_the_dense_scan() {
+        // Strings up to 2^16 pearls: sparse and dense blacks, empty short
+        // strings, all-black and all-white strings.
+        let mut rng = ft_core::rng::SplitMix64::seed_from_u64(0x9EA7);
+        for case in 0..200u32 {
+            let l = rng.gen_range(1usize..=1 << 16);
+            let s = match case % 4 {
+                0 => 0,
+                _ => rng.gen_range(0..=l),
+            };
+            let p = [0.0, 1.0, 0.001, 0.5, 0.999][case as usize % 5];
+            let q = [0.0, 1.0, 0.5, 0.01][case as usize % 4];
+            let long: Vec<bool> = (0..l).map(|_| rng.gen_bool(p)).collect();
+            let short: Vec<bool> = (0..s).map(|_| rng.gen_bool(q)).collect();
+            check_against_oracle(&long, &short);
         }
     }
 }

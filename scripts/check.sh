@@ -138,11 +138,12 @@ done <<'PINS'
 32768 false 7 23ccc50cc57fae91 --n 16384 --w 4096 --workload krel:2 --arb random
 PINS
 
-echo "==> ftsim schedule / online pins (whole stdout per run)"
+echo "==> ftsim schedule / online / emulate / universality pins (whole stdout per run)"
 # A `$ ` line is one `ftsim` run; the `> ` lines under it are its whole
-# stdout, byte for byte. Every value was taken at commit 2bb8186, before
-# λ, the lower bounds and `Schedule::validate` moved onto ft-core's load
-# tally (times are release builds on a 2-vCPU host at this commit).
+# stdout, byte for byte. Values were taken at commit 2bb8186, before λ,
+# the lower bounds and `Schedule::validate` moved onto ft-core's load
+# tally, unless a row's comment names another commit (times are release
+# builds on a 2-vCPU host).
 sched_pin() {
   local got
   got="$(timeout 60 target/release/ftsim $1)"
@@ -199,6 +200,23 @@ $ online --topology kary:k=24,over=2 --workload alltoall:12
 > topology kary:k=24,over=2: 3456 processors embedded on a padded binary tree of n = 8192
 > on-line: 38016 messages, λ = 11.00 → 23 cycles (shape λ+lg n·lglg n = 59.1)
 > contention: 325366 resends, hottest at level 13 (314480 blocked); blocked root→leaf: 0/0/0/0/0/0/0/0/0/0/2091/8795/314480
+# Theorem 10's identification on deep cuts (the tree machine's placement
+# cuts ≈ 2.5·lg n deep). Taken at 5ea96c8, where the decomposition tree
+# kept all 2^r leaf slots: 2.6s, 2.5s and 0.94s there; < 0.2s each now.
+$ emulate --net tree --dim 10
+> tree(10 levels) (n = 1023, degree 3) hosted on a degree-3 universal fat-tree:
+> minimal root capacity w = 321, λ(edge set) = 1.00, 38 ticks per guest step
+$ universality --net tree --dim 10
+> tree(10 levels): n = 1023, volume 1024 → fat-tree w = 102
+> t_R = 268, λ = 4.76, d = 14 ⇒ slowdown 0.52 (lg³n bound 333.3)
+$ emulate --net mesh2d --side 256
+> mesh2d(256x256) (n = 65536, degree 4) hosted on a degree-4 universal fat-tree:
+> minimal root capacity w = 5121, λ(edge set) = 1.00, 62 ticks per guest step
+# 2^43 leaf slots, which 5ea96c8 could not allocate: this stdout is the
+# sparse decomposition tree's own (~0.2s, ~21 MiB).
+$ emulate --net tree --dim 16
+> tree(16 levels) (n = 65535, degree 3) hosted on a degree-3 universal fat-tree:
+> minimal root capacity w = 5121, λ(edge set) = 1.00, 62 ticks per guest step
 PINS
 sched_pin "$pin_args" "$pin_out"
 

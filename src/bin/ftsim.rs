@@ -507,25 +507,35 @@ fn stream_from(opts: &HashMap<String, String>, m: &Machine) -> Option<Box<dyn Me
     })
 }
 
+/// The `--net` network. Its size flag must lie in the range the family's
+/// constructor accepts, narrowed to at most 2^24 processors (the tallest
+/// fat-tree, `FatTree::MAX_HEIGHT`); anything else exits 2.
 fn network_from(opts: &HashMap<String, String>) -> Box<dyn FixedConnectionNetwork> {
     let name = opts.get("net").map(String::as_str).unwrap_or("mesh3d");
-    let side = get_u32(opts, "side", 4) as usize;
-    let dim = get_u32(opts, "dim", 6);
-    match name {
-        "mesh2d" => Box::new(Mesh2D::new(side, side)),
-        "mesh3d" => Box::new(Mesh3D::new(side)),
-        "torus" => Box::new(Torus2D::new(side.max(3))),
-        "hypercube" => Box::new(Hypercube::new(dim)),
-        "tree" => Box::new(TreeMachine::new(dim)),
-        "butterfly" => Box::new(Butterfly::new(dim.min(10))),
-        "ccc" => Box::new(CubeConnectedCycles::new(dim.clamp(3, 10))),
-        "shuffle" => Box::new(ShuffleExchange::new(dim)),
-        "ring" => Box::new(Ring::new((side * side).max(8))),
+    type Make = fn(usize) -> Box<dyn FixedConnectionNetwork>;
+    let (flag, lo, hi, make): (&str, u32, u32, Make) = match name {
+        "mesh2d" => ("side", 2, 4096, |s| Box::new(Mesh2D::new(s, s))),
+        "mesh3d" => ("side", 2, 256, |s| Box::new(Mesh3D::new(s))),
+        "torus" => ("side", 3, 4096, |s| Box::new(Torus2D::new(s))),
+        "ring" => ("side", 3, 4096, |s| Box::new(Ring::new(s * s))),
+        "hypercube" => ("dim", 1, 24, |d| Box::new(Hypercube::new(d as u32))),
+        "tree" => ("dim", 2, 24, |d| Box::new(TreeMachine::new(d as u32))),
+        "shuffle" => ("dim", 2, 24, |d| Box::new(ShuffleExchange::new(d as u32))),
+        "butterfly" => ("dim", 1, 19, |d| Box::new(Butterfly::new(d as u32))),
+        "ccc" => ("dim", 3, 19, |d| {
+            Box::new(CubeConnectedCycles::new(d as u32))
+        }),
         other => {
             eprintln!("unknown network: {other}");
             exit(2);
         }
+    };
+    let x = get_u32(opts, flag, if flag == "side" { 4 } else { 6 });
+    if !(lo..=hi).contains(&x) {
+        eprintln!("--net {name}: expected --{flag} in {lo}..={hi}, got {x}");
+        exit(2);
     }
+    make(x as usize)
 }
 
 fn rng_from(opts: &HashMap<String, String>) -> SplitMix64 {

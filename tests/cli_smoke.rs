@@ -1134,3 +1134,23 @@ fn a_misspelled_flag_is_refused_not_ignored() {
         "the flags it does read: {stderr}"
     );
 }
+
+#[test]
+fn network_sizes_outside_their_family_are_refused() {
+    // The first three used to panic (exit 101); `butterfly --dim 40` ran
+    // d = 10 and `ccc --dim 1` ran d = 3.
+    for (cmd, net, flag, size, range) in [
+        ("universality", "mesh2d", "--side", "0", "2..=4096"),
+        ("emulate", "hypercube", "--dim", "0", "1..=24"),
+        ("universality", "tree", "--dim", "1", "2..=24"),
+        ("emulate", "butterfly", "--dim", "40", "1..=19"),
+        ("universality", "ccc", "--dim", "1", "3..=19"),
+    ] {
+        let (code, stdout, stderr) = ftsim_status(&[cmd, "--net", net, flag, size]);
+        assert_eq!(code, Some(2), "{cmd} --net {net} {flag} {size}: {stderr}");
+        assert!(stdout.is_empty(), "{stdout}");
+        for part in [net, flag, range] {
+            assert!(stderr.contains(part), "{net} {flag} {size}: {stderr}");
+        }
+    }
+}

@@ -7,6 +7,11 @@ use fat_tree::layout::{balance_decomposition, split_necklace, DecompTree, Placem
 
 const CASES: u64 = 256;
 
+/// The black positions of a string of `bool`s.
+fn positions(xs: &[bool]) -> Vec<u64> {
+    (0..xs.len() as u64).filter(|&i| xs[i as usize]).collect()
+}
+
 #[test]
 fn pearl_lemma_holds_for_all_necklaces() {
     let mut rng = SplitMix64::seed_from_u64(0x1A01);
@@ -14,15 +19,17 @@ fn pearl_lemma_holds_for_all_necklaces() {
         let (nl, ns) = (rng.gen_range(1usize..64), rng.gen_range(0usize..32));
         let long: Vec<bool> = (0..nl).map(|_| rng.gen_bool(0.5)).collect();
         let short: Vec<bool> = (0..ns).map(|_| rng.gen_bool(0.5)).collect();
-        let split = split_necklace(&long, &short);
+        let (lb, sb) = (positions(&long), positions(&short));
+        let (l, s) = ((0, nl as u64, &lb[..]), (0, ns as u64, &sb[..]));
+        let split = split_necklace(l, s);
         let n = long.len() + short.len();
-        let b = long.iter().chain(&short).filter(|&&x| x).count();
+        let b = lb.len() + sb.len();
         assert!(split.a.len() <= 2, "case {case}");
         assert!(split.b.len() <= 2, "case {case}");
-        assert_eq!(split.size_a(), n / 2, "case {case}");
-        let ba = split.blacks_a(&long, &short);
+        assert_eq!(split.size_a(), n as u64 / 2, "case {case}");
+        let ba = split.blacks_a(l, s);
         assert!(ba >= b / 2 && ba <= b.div_ceil(2), "case {case}");
-        assert_eq!(ba + split.blacks_b(&long, &short), b, "case {case}");
+        assert_eq!(ba + split.blacks_b(l, s), b, "case {case}");
     }
 }
 
@@ -42,7 +49,7 @@ fn balanced_trees_stay_balanced_and_bounded() {
         let ws: Vec<f64> = (0..=r)
             .map(|j| 1000.0 / 4f64.powf(j as f64 / 3.0))
             .collect();
-        let t = balance_decomposition(&occupied, &ws);
+        let t = balance_decomposition(r, &positions(&occupied), &ws);
         assert!(t.is_balanced(), "case {case}");
         assert_eq!(t.root.procs, nprocs, "case {case}");
         // Theorem 8: w′_k ≤ 4·Σ_{j≥k} w_j at every node.
