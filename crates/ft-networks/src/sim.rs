@@ -48,8 +48,13 @@ pub fn simulate_delivery_with<R: Recorder>(
     rec: &mut R,
 ) -> DeliveryOutcome {
     assert!(link_capacity >= 1);
-    // Precompute paths; messages already at destination are delivered at t=0.
-    let mut paths: Vec<Vec<usize>> = Vec::with_capacity(msgs.len());
+    // Precompute paths as hop lists: message `i` crosses the directed links
+    // `hops[first[i]..first[i + 1]]`, each link named by a dense id given
+    // on first sight, so a step counts link use in a flat table. Messages
+    // already at their destination have no hops and are delivered at t=0.
+    let mut link_id: HashMap<(usize, usize), u32> = HashMap::new();
+    let mut hops: Vec<u32> = Vec::new();
+    let mut first: Vec<usize> = Vec::with_capacity(msgs.len() + 1);
     for m in msgs {
         let s = m.src.idx();
         let d = m.dst.idx();
@@ -57,33 +62,43 @@ pub fn simulate_delivery_with<R: Recorder>(
             s < net.n() && d < net.n(),
             "message endpoints outside network"
         );
-        paths.push(net.route(s, d));
+        first.push(hops.len());
+        for link in net.route(s, d).windows(2) {
+            let next = link_id.len() as u32;
+            hops.push(*link_id.entry((link[0], link[1])).or_insert(next));
+        }
     }
-    let mut pos: Vec<usize> = vec![0; paths.len()]; // index into path
-    let mut live: Vec<usize> = (0..paths.len()).filter(|&i| paths[i].len() > 1).collect();
-    let delivered_at_start = paths.len() - live.len();
+    first.push(hops.len());
+    let mut pos: Vec<usize> = first[..msgs.len()].to_vec(); // index into hops
+    let mut live: Vec<usize> = (0..msgs.len())
+        .filter(|&i| first[i] < first[i + 1])
+        .collect();
 
     let mut steps = 0usize;
     let mut total_hops = 0usize;
-    let mut used: HashMap<(u32, u32), usize> = HashMap::new();
+    // Messages each link carried this step; `touched` lists the links
+    // with a nonzero count, in first-use order, so a reset is O(touched).
+    let mut used: Vec<u32> = vec![0; link_id.len()];
+    let mut touched: Vec<u32> = Vec::new();
+    let mut still: Vec<usize> = Vec::with_capacity(live.len());
     while !live.is_empty() {
         if R::ENABLED {
             rec.cycle_start(steps as u32, live.len() as u32);
         }
         steps += 1;
-        used.clear();
         rng.shuffle(&mut live);
-        let mut still = Vec::with_capacity(live.len());
+        still.clear();
         for &i in &live {
-            let here = paths[i][pos[i]];
-            let next = paths[i][pos[i] + 1];
-            let key = (here as u32, next as u32);
-            let u = used.entry(key).or_insert(0);
-            if *u < link_capacity {
+            let link = hops[pos[i]];
+            let u = &mut used[link as usize];
+            if *u == 0 {
+                touched.push(link);
+            }
+            if (*u as usize) < link_capacity {
                 *u += 1;
                 pos[i] += 1;
                 total_hops += 1;
-                if pos[i] + 1 < paths[i].len() {
+                if pos[i] < first[i + 1] {
                     still.push(i);
                 }
             } else {
@@ -91,18 +106,21 @@ pub fn simulate_delivery_with<R: Recorder>(
             }
         }
         if R::ENABLED {
-            for &load in used.values() {
-                rec.channel_load(0, load as u64, link_capacity as u64);
+            for &link in &touched {
+                rec.channel_load(0, used[link as usize] as u64, link_capacity as u64);
             }
             rec.cycle_end(steps as u32 - 1, (live.len() - still.len()) as u32);
         }
-        live = still;
+        for link in touched.drain(..) {
+            used[link as usize] = 0;
+        }
+        std::mem::swap(&mut live, &mut still);
         debug_assert!(steps <= 1_000_000, "delivery stuck");
     }
 
     DeliveryOutcome {
         steps,
-        delivered: delivered_at_start + paths.len() - delivered_at_start,
+        delivered: msgs.len(),
         total_hops,
     }
 }
@@ -188,6 +206,61 @@ mod tests {
             rec.load_hist[0].buckets[7] > 0,
             "no saturated link at a hotspot"
         );
+    }
+
+    /// The per-step map the dense link ids replaced: every live message
+    /// looks its next link up by `(here, next)`. Returns `(steps, hops)`.
+    fn hashed_delivery(
+        net: &dyn FixedConnectionNetwork,
+        msgs: &MessageSet,
+        cap: usize,
+        rng: &mut SplitMix64,
+    ) -> (usize, usize) {
+        let paths: Vec<Vec<usize>> = msgs
+            .iter()
+            .map(|m| net.route(m.src.idx(), m.dst.idx()))
+            .collect();
+        let mut pos = vec![0; paths.len()];
+        let mut live: Vec<usize> = (0..paths.len()).filter(|&i| paths[i].len() > 1).collect();
+        let (mut steps, mut hops) = (0, 0);
+        while !live.is_empty() {
+            steps += 1;
+            rng.shuffle(&mut live);
+            let mut used: HashMap<(usize, usize), usize> = HashMap::new();
+            let mut still = Vec::new();
+            for &i in &live {
+                let u = used
+                    .entry((paths[i][pos[i]], paths[i][pos[i] + 1]))
+                    .or_insert(0);
+                if *u < cap {
+                    (*u, pos[i], hops) = (*u + 1, pos[i] + 1, hops + 1);
+                    if pos[i] + 1 < paths[i].len() {
+                        still.push(i);
+                    }
+                } else {
+                    still.push(i);
+                }
+            }
+            live = still;
+        }
+        (steps, hops)
+    }
+
+    #[test]
+    fn dense_link_ids_decide_as_the_per_step_map() {
+        let nets: [Box<dyn FixedConnectionNetwork>; 2] =
+            [Box::new(Hypercube::new(7)), Box::new(Mesh2D::square(64))];
+        for net in &nets {
+            let n = net.n() as u32;
+            let m: MessageSet = (0..4 * n)
+                .map(|i| Message::new(i % n, (i * 37 + 11) % n))
+                .collect();
+            for cap in [1, 2] {
+                let out = simulate_delivery(net.as_ref(), &m, cap, &mut rng());
+                let oracle = hashed_delivery(net.as_ref(), &m, cap, &mut rng());
+                assert_eq!((out.steps, out.total_hops), oracle);
+            }
+        }
     }
 
     #[test]

@@ -83,7 +83,7 @@
 //! fresh arena: its [`CycleReport`] takes the arena's [`LoadMap`] by
 //! value.
 
-use crate::faults::FaultModel;
+use crate::faults::{EffectiveCaps, FaultModel};
 use crate::node::PortSwitch;
 use ft_concentrator::{Concentrator, MatchingArena};
 use ft_core::rng::splitmix64;
@@ -322,11 +322,10 @@ pub struct SimArena {
     n: u32,
     height: u32,
     faults: FaultModel,
-    /// [`FatTree::level_caps`] of the tree `new` saw: with `n` and
-    /// `faults`, the key every cycle checks.
-    caps: Vec<u64>,
-    /// Effective capacity per dense channel index (fault pattern applied).
-    eff: Vec<u64>,
+    /// Effective capacity per channel (fault pattern applied): the level
+    /// capacities of the tree `new` saw — with `n` and `faults`, the key
+    /// every cycle checks — plus a per-channel table only if a wire can die.
+    caps: EffectiveCaps,
     /// Port-switch cache keyed by (kind, inputs, outputs); at most a few
     /// per level and kind.
     ports: Vec<((SwitchKind, usize, usize), PortSwitch)>,
@@ -410,20 +409,10 @@ impl SimArena {
     pub fn new(ft: &FatTree, cfg: &SimConfig) -> Self {
         let n = ft.n();
         let height = ft.height();
-        let mut eff = vec![0u64; ft.channel_index_bound()];
-        let healthy = cfg.faults == FaultModel::none();
-        if healthy {
-            for k in 0..=height {
-                eff[2 << k..4 << k].fill(ft.cap_at_level(k));
-            }
-        } else {
-            for c in ft.channels() {
-                eff[c.index()] = cfg.faults.effective_cap(ft, c);
-            }
-        }
+        let caps = EffectiveCaps::new(ft, &cfg.faults);
         // Without faults a level's channels are alike: its first node decides.
-        let nodes = |k: u32| 1 << k..(1 << k) + if healthy { 1 } else { 1 << k };
-        let up = |v: u32| eff[ChannelId::up(v).index()];
+        let nodes = |k: u32| 1 << k..(1 << k) + if caps.uniform() { 1 } else { 1 << k };
+        let up = |v: u32| caps.eff(ft.level_of(v), ChannelId::up(v));
         let free = |k: u32| k < height && nodes(k).all(|v| up(v) >= up(2 * v) + up(2 * v + 1));
         let up_binding = (1..=height)
             .filter(|&k| !free(k))
@@ -431,7 +420,7 @@ impl SimArena {
         let mut leaf_share = [[0u64; 33]; 2];
         for k in 1..=height {
             for (share, dir) in leaf_share.iter_mut().zip([ChannelId::up, ChannelId::down]) {
-                let min = nodes(k).map(|v| eff[dir(v).index()]).min();
+                let min = nodes(k).map(|v| caps.eff(k, dir(v))).min();
                 share[k as usize] = min.unwrap_or(0) >> (height - k);
             }
         }
@@ -439,8 +428,7 @@ impl SimArena {
             n,
             height,
             faults: cfg.faults,
-            caps: ft.level_caps().to_vec(),
-            eff,
+            caps,
             ports: Vec::new(),
             fused_body: false,
             meta: Vec::new(),
@@ -582,7 +570,7 @@ impl SimArena {
     /// capacities and the fault pattern are everything [`Self::new`] bakes
     /// in; the rest of a [`SimConfig`] is read per cycle.
     fn built_for(&self, ft: &FatTree, faults: &FaultModel) -> bool {
-        self.n == ft.n() && self.caps == ft.level_caps() && self.faults == *faults
+        self.n == ft.n() && self.caps.level_caps() == ft.level_caps() && self.faults == *faults
     }
 
     /// Run one delivery cycle of `msgs` on `ft`, reusing all scratch: a
@@ -681,7 +669,7 @@ impl SimArena {
     /// would build.
     fn step<R: Recorder>(&mut self, ft: &FatTree, cfg: &SimConfig, rec: &mut R) -> CycleStats {
         if self.fused_body {
-            self.step_fused(ft, cfg, rec)
+            self.step_fused(cfg, rec)
         } else {
             self.step_passes(ft, cfg, rec)
         }
@@ -724,7 +712,7 @@ impl SimArena {
             }
             let sleaf = meta_src(m);
             let up = ChannelId::up(sleaf);
-            let leaf_cap = self.eff[up.index()] as u32;
+            let leaf_cap = self.caps.eff(self.height, up) as u32;
             let cnt = &mut self.per_leaf[(sleaf - self.n) as usize];
             if *cnt < leaf_cap {
                 self.wire[i] = *cnt;
@@ -832,16 +820,11 @@ impl SimArena {
     /// Draining the touched words of `done` lists the deliveries by
     /// ascending submitted index: the FIFO order of
     /// [`Self::delivered_indices`] and [`RunReport::delivery_order`].
-    fn step_fused<R: Recorder>(
-        &mut self,
-        ft: &FatTree,
-        cfg: &SimConfig,
-        rec: &mut R,
-    ) -> CycleStats {
+    fn step_fused<R: Recorder>(&mut self, cfg: &SimConfig, rec: &mut R) -> CycleStats {
         let mut clock = PhaseClock::start::<R>();
         let survivors = self.up_phase_fused();
         clock.lap(rec, EnginePhase::UpSweep);
-        self.down_phase_fused(ft, &survivors);
+        self.down_phase_fused(&survivors);
         clock.lap(rec, EnginePhase::DownSweep);
         // Plain slices: indexed through `self`, the three `Vec` headers are
         // reloaded after every store and this pass reads 17 % slower (E18).
@@ -1025,7 +1008,7 @@ impl SimArena {
 
         let SimArena {
             ports,
-            eff,
+            caps,
             meta,
             wire,
             ids,
@@ -1042,7 +1025,7 @@ impl SimArena {
             let b = (bm >> 32) as u32;
             let min_slot = bm as u32 as usize;
             let chan = params.channel(k_rel);
-            let e = eff[chan.index()];
+            let e = caps.eff(key_level, chan);
             let base = k_rel * r;
 
             // Singleton fast path: one contender on an ideal port always
@@ -1182,7 +1165,7 @@ impl SimArena {
         let mut cur_node = [u32::MAX; 32];
         let mut count = [0u32; 32];
         let mut wincap = [0u32; 32];
-        let eff = &self.eff[..];
+        let caps = &self.caps;
         let observed = self.loads_read;
         // The run's up levels as a list, leaf level first: popping the
         // mask's highest bit per step put a `leading_zeros` on the climb's
@@ -1210,7 +1193,7 @@ impl SimArena {
                     }
                     cur_node[lvl] = node;
                     count[lvl] = 0;
-                    wincap[lvl] = eff[ChannelId::up(node).index()] as u32;
+                    wincap[lvl] = caps.eff(lvl as u32, ChannelId::up(node)) as u32;
                 }
                 if count[lvl] >= wincap[lvl] {
                     *word = m & !NMETA_ALIVE;
@@ -1250,9 +1233,8 @@ impl SimArena {
     /// cannot fill never refuses anyone ([`Self::run_levels`]).
     /// Byte-identical to the per-level passes — pinned by the goldens and
     /// `tests/proptests.rs`.
-    fn down_phase_fused(&mut self, ft: &FatTree, survivors: &[u32; 32]) {
+    fn down_phase_fused(&mut self, survivors: &[u32; 32]) {
         let height = self.height as usize;
-        let healthy = self.faults == FaultModel::none();
 
         // Bucket boundaries: `start[l]..start[l + 1]` holds LCA level `l`.
         let mut start = [0usize; 33];
@@ -1269,9 +1251,8 @@ impl SimArena {
             *at += 1;
         }
 
-        let outputs = ft.level_caps();
         let levels = self.levels[1];
-        let (cnt, meta32, eff) = (&mut self.down_cnt[..], &mut self.meta32[..], &self.eff[..]);
+        let (cnt, meta32, caps) = (&mut self.down_cnt[..], &mut self.meta32[..], &self.caps);
         for lca in 0..height {
             // The levels below the LCA, top (lowest bit) first.
             let descent = levels & !((2 << lca) - 1);
@@ -1285,13 +1266,7 @@ impl SimArena {
                     let lvl = rest.trailing_zeros() as usize;
                     rest &= rest - 1;
                     let node = (dst >> (height - lvl)) as usize;
-                    // `eff ≤ cap`; without faults it is the level's capacity.
-                    let cap = if healthy {
-                        outputs[lvl]
-                    } else {
-                        eff[ChannelId::down(node as u32).index()]
-                    };
-                    if cnt[node] as u64 >= cap {
+                    if cnt[node] as u64 >= caps.eff(lvl as u32, ChannelId::down(node as u32)) {
                         meta32[word as u32 as usize] &= !NMETA_ALIVE;
                         break;
                     }
@@ -1899,6 +1874,54 @@ mod tests {
         // tree but still delivers everything.
         let run = run_to_completion(&t, &msgs, &cfg);
         assert_eq!(run.delivered_per_cycle.iter().sum::<usize>(), 16);
+    }
+
+    #[test]
+    fn zero_fraction_fault_model_runs_as_healthy() {
+        use crate::faults::FaultModel;
+        let t = FatTree::universal(256, 64);
+        let msgs: MessageSet = (0..1024u32)
+            .map(|i| Message::new(i % 256, (i * 97 + 13) % 256))
+            .collect();
+        let zero = FaultModel {
+            dead_wire_fraction: 0.0,
+            seed: 1985,
+        };
+        assert!(zero.kills_no_wire() && zero != FaultModel::none());
+        let bodies = [
+            SimConfig::default(),
+            SimConfig {
+                meta: MetaWidth::Wide,
+                ..Default::default()
+            },
+            SimConfig {
+                switch: SwitchKind::Partial,
+                arbitration: Arbitration::Random(7),
+                ..Default::default()
+            },
+        ];
+        for cfg in bodies {
+            let faulted = SimConfig {
+                faults: zero,
+                ..cfg
+            };
+            let arena = SimArena::new(&t, &faulted);
+            assert!(arena.caps.uniform(), "no wire can die: no table");
+            assert_eq!(
+                arena.binding_up_levels(),
+                SimArena::new(&t, &cfg).binding_up_levels()
+            );
+            assert_eq!(
+                run_to_completion(&t, &msgs, &faulted),
+                run_to_completion(&t, &msgs, &cfg)
+            );
+            let (a, b) = (
+                simulate_cycle(&t, msgs.as_slice(), &faulted),
+                simulate_cycle(&t, msgs.as_slice(), &cfg),
+            );
+            assert_eq!(a.delivered, b.delivered);
+            assert_eq!(a.channel_use, b.channel_use);
+        }
     }
 
     #[test]

@@ -108,8 +108,9 @@ done <<'PINS'
 1048576 true 3 4235888c3627a8ad --n 1048576 --w 262144 --workload streamperm
 # Heights 21-24 and a 2^21 all-reduce: every value was taken at commit
 # 0a639e7, where the default config ran the level passes on trees taller
-# than 2^20; the fused body must reproduce them byte for byte (2^24: 2-4s,
-# 1.0 GiB peak; the all-reduce's 62.9 M messages: 12-19s, 1.8 GiB peak).
+# than 2^20; the fused body must reproduce them byte for byte (2^24:
+# 1.8-2.2s, 498 MiB peak, 31 B per leaf, with no per-channel capacity
+# table; the all-reduce's 62.9 M messages: 12-19s, 1.8 GiB peak).
 2097152 true 3 d4c5ef5cefedc519 --n 2097152 --w 524288 --workload streamperm
 4194304 true 3 797894a195af114d --n 4194304 --w 1048576 --workload streamperm
 8388608 true 3 d69d427c05ccdd6d --n 8388608 --w 2097152 --workload streamperm
@@ -217,6 +218,12 @@ $ emulate --net mesh2d --side 256
 $ emulate --net tree --dim 16
 > tree(16 levels) (n = 65535, degree 3) hosted on a degree-3 universal fat-tree:
 > minimal root capacity w = 5121, λ(edge set) = 1.00, 62 ticks per guest step
+# Theorem 10's delivery side at 2^14 processors: the tree machine's
+# store-and-forward run of 4091 steps. Taken at bc0aa74, where every step
+# hashed each live message's next link into a map (1.3s there, 0.3s now).
+$ universality --net tree --dim 14
+> tree(14 levels): n = 16383, volume 16384 → fat-tree w = 645
+> t_R = 4091, λ = 12.02, d = 37 ⇒ slowdown 0.13 (lg³n bound 914.7)
 PINS
 sched_pin "$pin_args" "$pin_out"
 
