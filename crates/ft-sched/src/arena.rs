@@ -9,27 +9,30 @@
 //! `SimArena` rebuilt delivery cycles:
 //!
 //! * **One-pass bucketing by permutation.** The source is read once, in
-//!   `fill` chunks, into flat source/destination leaf and input-slot arrays
-//!   in input order while the bucket key `2·lca + direction` (the LCA's
-//!   child on the source side) is tallied. A counting sort then writes the
-//!   index array as the stable bucket permutation of those positions, so
-//!   no message is copied and each bucket lists its messages in input
-//!   order, like the reference's lr/rl `partition`.
+//!   `fill` chunks, into flat source/destination leaf arrays in input order
+//!   while the bucket key `2·lca + direction` (the LCA's child on the source
+//!   side) is tallied. A counting sort, its cursors the bucket offsets filled
+//!   shifted by one, writes the index array as the stable bucket permutation
+//!   of those positions, so no message is copied and each bucket lists its
+//!   messages in input order, like the reference's lr/rl `partition`.
 //! * **In-place refinement.** The split recursion permutes one global index
 //!   array; a segment `[s, e)` of it *is* a subset, so no recursion level
 //!   allocates. Feasible segments become parts recorded as end offsets, and
 //!   each level's cycles are sized from the part table before any is filled.
 //! * **Sort-free matching-and-tracing.** Both inner kernels are sweeps over
-//!   two heap-indexed `u32` tables that are all-clear between calls. The
+//!   one heap-indexed `u32` table that is all zero between calls. The
 //!   matching pairs ends inside a processor in one pass over the segment
-//!   (`pend[leaf]` holds the end still waiting there), then lets the ≤ 1
-//!   leftover per leaf climb one tree level per round: two survivors that
-//!   meet under a node are mated, a lone one moves up. The feasibility walk
-//!   counts ends per leaf and pushes the counts up over the touched nodes
-//!   only, keeping one max load per level, and never branches on a count.
-//!   Same partition as [`crate::split::split_even_indices`] (equivalence
-//!   arguments in DESIGN.md §9), zero steady-state allocation
-//!   (`tests/alloc_steady.rs`).
+//!   (at a leaf, the table holds 1 + the position of the end waiting
+//!   there), then lets the ≤ 1 leftover per leaf climb one tree level per
+//!   round: two survivors that meet under a node are mated, a lone one
+//!   moves up. The feasibility walk counts ends per leaf and pushes the
+//!   counts up over the touched nodes only, keeping one max load per level,
+//!   and never branches on a count. Same partition as
+//!   [`crate::split::split_even_indices`] (equivalence arguments in
+//!   DESIGN.md §9), zero steady-state allocation (`tests/alloc_steady.rs`).
+//! * **No slot table.** Non-locals keep input order, so `schedule_assign`
+//!   writes cycles by position and spreads them to their slots back to
+//!   front, in place (a slot is never below its position).
 //! * **Deterministic fan-out.** Distinct LCA nodes at one tree level own
 //!   disjoint messages and channels, so per-node work is sharded over scoped
 //!   threads by chunking the bucket range — like the simulator's per-subtree
@@ -64,12 +67,12 @@ trait Emit {
     /// The next `lens.len()` delivery cycles will receive `lens[t]`
     /// messages each (locals included), before any of them is placed.
     fn sized(&mut self, lens: &[u32]);
-    /// Non-local input message `msg` (input slot `slot`) placed into
-    /// delivery cycle `cycle`, one already announced by [`Emit::sized`].
-    fn place(&mut self, cycle: u32, slot: u32, msg: Message);
-    /// Local messages (zero load) attached per the locals rule: they ride
-    /// in cycle 0, or form a lone cycle 0 when the schedule is otherwise
-    /// empty (`lone`).
+    /// The `pos`-th non-local input message, `msg`, placed into delivery
+    /// cycle `cycle`, one already announced by [`Emit::sized`].
+    fn place(&mut self, cycle: u32, pos: u32, msg: Message);
+    /// Local messages (zero load) at ascending input `slots`, attached
+    /// after every placement: they ride in cycle 0, or form a lone cycle 0
+    /// when the schedule is otherwise empty (`lone`).
     fn locals(&mut self, locals: &[Message], slots: &[u32], lone: bool);
 }
 
@@ -87,7 +90,7 @@ impl Emit for BuildSchedule {
         self.cycles.extend(sets);
     }
 
-    fn place(&mut self, cycle: u32, _slot: u32, msg: Message) {
+    fn place(&mut self, cycle: u32, _pos: u32, msg: Message) {
         self.cycles[cycle as usize].push(msg);
     }
 
@@ -102,7 +105,8 @@ impl Emit for BuildSchedule {
     }
 }
 
-/// Writes `out[slot] = cycle` for every input slot; local slots get cycle 0.
+/// Writes `out[slot] = cycle` for every input slot (by position, then
+/// spread by [`Emit::locals`]); local slots get cycle 0.
 struct AssignCycles<'a> {
     out: &'a mut [u32],
 }
@@ -110,13 +114,20 @@ struct AssignCycles<'a> {
 impl Emit for AssignCycles<'_> {
     fn sized(&mut self, _lens: &[u32]) {}
 
-    fn place(&mut self, cycle: u32, slot: u32, _msg: Message) {
-        self.out[slot as usize] = cycle;
+    fn place(&mut self, cycle: u32, pos: u32, _msg: Message) {
+        self.out[pos as usize] = cycle;
     }
 
+    /// The non-locals between local `k` and the next sit `k + 1` places
+    /// left of their slots; moving the runs back to front reads only places
+    /// left of every slot written so far.
     fn locals(&mut self, _locals: &[Message], slots: &[u32], _lone: bool) {
-        for &s in slots {
-            self.out[s as usize] = 0;
+        let mut hi = self.out.len();
+        for (k, &s) in slots.iter().enumerate().rev() {
+            let s = s as usize;
+            self.out.copy_within(s - k..hi - k - 1, s + 1);
+            self.out[s] = 0;
+            hi = s;
         }
     }
 }
@@ -131,15 +142,13 @@ struct LevelCtx<'a> {
 }
 
 /// Per-thread scratch: everything one worker needs to refine a contiguous
-/// range of buckets. The two tables are sized once; the rest is grow-only.
+/// range of buckets. The node table is sized once; the rest is grow-only.
 #[derive(Default)]
 struct Worker {
-    /// Heap-indexed (`2n`): segment position of the end waiting at a node
-    /// while [`match_side`] pairs and climbs; all `NONE` between calls.
-    pend: Vec<u32>,
-    /// Heap-indexed (`2n`): messages of the segment with an end under a
-    /// node while [`Worker::walk_classify`] sweeps; all zero between calls.
-    cnt: Vec<u32>,
+    /// Heap-indexed (`2n`), all zero between calls: segment ends under a
+    /// node while [`Worker::walk_classify`] sweeps, 1 + the position of the
+    /// end waiting at a node while [`match_side`] climbs (never both).
+    per_node: Vec<u32>,
     /// The nodes of the tree level either sweep currently stands on.
     front: Vec<u32>,
     mate_src: Vec<u32>,
@@ -161,8 +170,7 @@ impl Worker {
     fn new(ft: &FatTree) -> Self {
         let nodes = 2 * ft.n() as usize;
         Worker {
-            pend: vec![NONE; nodes],
-            cnt: vec![0; nodes],
+            per_node: vec![0; nodes],
             ..Worker::default()
         }
     }
@@ -277,7 +285,7 @@ impl Worker {
     /// one-cycle set. `dinf < dfeas` always holds. No step branches on a
     /// count: each node is written to `front`, kept only if it was new.
     fn walk_classify(&mut self, ctx: &LevelCtx, node: u32, seg: &[u32]) -> (u32, u32) {
-        let (cnt, front) = (&mut self.cnt, &mut self.front);
+        let (cnt, front) = (&mut self.per_node, &mut self.front);
         front.clear();
         front.resize(2 * seg.len(), 0);
         let mut kept = 0;
@@ -333,14 +341,14 @@ impl Worker {
 
         // ---- Matching (per side) ----
         let Worker {
-            pend,
+            per_node,
             front,
             mate_src,
             mate_dst,
             ..
         } = self;
-        let unmatched_src = match_side(pend, front, mate_src, idx_seg, sleaf);
-        match_side(pend, front, mate_dst, idx_seg, dleaf);
+        let unmatched_src = match_side(per_node, front, mate_src, idx_seg, sleaf);
+        match_side(per_node, front, mate_dst, idx_seg, dleaf);
 
         // ---- Tracing ----
         self.assigned.clear();
@@ -417,7 +425,8 @@ impl Worker {
 /// Build one side's hierarchical matching over the segment: pair ends
 /// within each processor, then pair the ≤-one-per-leaf leftovers within
 /// 2-, 4-, …-leaf subtrees. Returns the surviving unmatched end (`NONE` for
-/// an even segment). `pend` is all-`NONE` on entry and on return.
+/// an even segment). `pend` (1 + waiting position, 0 = none) is all zero
+/// on entry and on return.
 fn match_side(
     pend: &mut [u32],
     front: &mut Vec<u32>,
@@ -436,14 +445,14 @@ fn match_side(
     let mut live = 0usize;
     for (t, &id) in idx_seg.iter().enumerate() {
         let lf = leaf[id as usize];
-        let p = std::mem::replace(&mut pend[lf as usize], NONE);
-        if p == NONE {
-            pend[lf as usize] = t as u32;
+        let p = std::mem::take(&mut pend[lf as usize]);
+        if p == 0 {
+            pend[lf as usize] = t as u32 + 1;
             front.push(lf);
             live += 1;
         } else {
-            mate[p as usize] = t as u32;
-            mate[t] = p;
+            mate[p as usize - 1] = t as u32;
+            mate[t] = p - 1;
             live -= 1;
         }
     }
@@ -455,26 +464,26 @@ fn match_side(
         let mut kept = 0;
         for r in 0..front.len() {
             let u = front[r] as usize;
-            let p = std::mem::replace(&mut pend[u], NONE);
-            if p == NONE {
+            let p = std::mem::take(&mut pend[u]);
+            if p == 0 {
                 continue;
             }
             let q = std::mem::replace(&mut pend[u >> 1], p);
-            if q == NONE {
+            if q == 0 {
                 front[kept] = (u >> 1) as u32;
                 kept += 1;
             } else {
-                pend[u >> 1] = NONE;
-                mate[p as usize] = q;
-                mate[q as usize] = p;
+                pend[u >> 1] = 0;
+                mate[p as usize - 1] = q - 1;
+                mate[q as usize - 1] = p - 1;
                 live -= 2;
             }
         }
         front.truncate(kept);
     }
-    // At most one end is still waiting (stale entries read `NONE`).
-    let waiting = front.iter().find(|&&u| pend[u as usize] != NONE);
-    waiting.map_or(NONE, |&u| std::mem::replace(&mut pend[u as usize], NONE))
+    // At most one end is still waiting (stale entries read 0).
+    let waiting = front.iter().find(|&&u| pend[u as usize] != 0);
+    waiting.map_or(NONE, |&u| std::mem::take(&mut pend[u as usize]) - 1)
 }
 
 /// Reusable scratch for [`crate::schedule_theorem1`]: allocate once, run
@@ -490,14 +499,10 @@ pub struct SchedArena {
     /// Prefix offsets into `idx` per bucket key (`2·lca + direction` = the
     /// child of the LCA on the source side; len `2n + 1`).
     bucket_off: Vec<u32>,
-    cursor: Vec<u32>,
     /// Source / destination heap leaves of the non-local messages, in
     /// input order.
     sleaf: Vec<u32>,
     dleaf: Vec<u32>,
-    /// Input slot per non-local message, aligned with `sleaf` (lets
-    /// [`SchedArena::schedule_assign`] report cycles per input slot).
-    slot: Vec<u32>,
     /// Per-level emitted cycle counts, reused across runs (the classic
     /// entry points clone it into [`Theorem1Stats`]).
     cpl: Vec<usize>,
@@ -527,10 +532,8 @@ impl SchedArena {
             locals: Vec::new(),
             local_slots: Vec::new(),
             bucket_off: Vec::new(),
-            cursor: Vec::new(),
             sleaf: Vec::new(),
             dleaf: Vec::new(),
-            slot: Vec::new(),
             cpl: Vec::new(),
             idx: Vec::new(),
             part_ends: Vec::new(),
@@ -689,13 +692,12 @@ impl SchedArena {
         let n = ft.n();
         let height = ft.height();
 
-        // ---- One pass over the source: leaves and slots in input order,
-        // bucket sizes and leaf tallies on the way. ----
+        // ---- One pass over the source: leaves in input order, bucket
+        // sizes and leaf tallies on the way. ----
         self.locals.clear();
         self.local_slots.clear();
         self.sleaf.clear();
         self.dleaf.clear();
-        self.slot.clear();
         self.bucket_off.clear();
         self.bucket_off.resize(2 * n as usize + 1, 0);
         for_each_message(m, |j, msg| {
@@ -707,12 +709,12 @@ impl SchedArena {
             self.tally.add(&msg);
             self.sleaf.push(n + msg.src.0);
             self.dleaf.push(n + msg.dst.0);
-            self.slot.push(j);
         });
         // The tally's turn counts are the bucket sizes: its turn node of a
-        // message is the message's `bucket_key`.
+        // message is the message's `bucket_key`. The offsets go in shifted
+        // by one, `bucket_off[k + 1]` = bucket k's start, for the sort below.
         let mut end = 0;
-        for (off, &c) in self.bucket_off[1..].iter_mut().zip(self.tally.turns()) {
+        for (off, &c) in self.bucket_off[2..].iter_mut().zip(self.tally.turns()) {
             end += c;
             *off = end;
         }
@@ -733,12 +735,11 @@ impl SchedArena {
             })
             .load_factor(ft);
         // Counting sort: `idx` lists each bucket's positions in input order.
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.bucket_off);
+        // Cursor `bucket_off[k + 1]` ends at bucket k's end, k + 1's start.
         self.idx.clear();
         self.idx.resize(self.sleaf.len(), 0);
         for (pos, (&u, &v)) in self.sleaf.iter().zip(&self.dleaf).enumerate() {
-            let c = &mut self.cursor[bucket_key(u, v) as usize];
+            let c = &mut self.bucket_off[bucket_key(u, v) as usize + 1];
             self.idx[*c as usize] = pos as u32;
             *c += 1;
         }
@@ -855,7 +856,7 @@ impl SchedArena {
                     let end = *ends.next().unwrap() as usize;
                     for pos in self.idx[start..end].iter().map(|&p| p as usize) {
                         let msg = Message::new(self.sleaf[pos] - n, self.dleaf[pos] - n);
-                        emit.place(t, self.slot[pos], msg);
+                        emit.place(t, pos as u32, msg);
                     }
                     start = end;
                 }
@@ -1077,11 +1078,7 @@ mod tests {
     fn worker_tables_are_all_clear_after_every_entry_point() {
         let t = FatTree::universal(64, 4);
         let mut arena = SchedArena::new(&t);
-        let clear = |a: &SchedArena| {
-            a.workers
-                .iter()
-                .all(|w| w.pend.iter().all(|&p| p == NONE) && w.cnt.iter().all(|&c| c == 0))
-        };
+        let clear = |a: &SchedArena| a.workers.iter().all(|w| w.per_node.iter().all(|&c| c == 0));
         // 65 crossers of the root (odd: one end survives every matching),
         // piled on few leaves, plus deeper traffic.
         let q: Vec<Message> = (0..65).map(|i| Message::new(i % 5, 32 + i % 7)).collect();
@@ -1125,26 +1122,83 @@ mod tests {
         v.push(Message::new(5, 5)); // local
         v.push(Message::new(0, 31)); // duplicate-ish crosser
         v.push(Message::new(9, 9)); // local
-        let m = MessageSet::from_vec(v);
-        let mut arena = SchedArena::new(&t);
-        let (sched, stats) = arena.schedule(&t, &m, 1);
+        assert_assign_spreads(&t, &v, 1);
+    }
+
+    /// `schedule_assign` on `v` against `schedule` (cycle count, λ and
+    /// each cycle's multiset), and against itself on `v` with the locals
+    /// taken out, which needs no spread: slot by slot, a local reads 0 and
+    /// the p-th non-local reads the p-th cycle of that run.
+    fn assert_assign_spreads(t: &FatTree, v: &[Message], threads: usize) {
+        let m = MessageSet::from_vec(v.to_vec());
+        let mut arena = SchedArena::new(t);
+        let (sched, stats) = arena.schedule(t, &m, threads);
         let mut out = Vec::new();
-        let (cycles, lam) = arena.schedule_assign(&t, &m, 1, &mut out);
-        assert_eq!(cycles as usize, stats.total_cycles);
+        let (cycles, lam) = arena.schedule_assign(t, &m, threads, &mut out);
+        assert_eq!(cycles as usize, stats.total_cycles, "threads={threads}");
         assert_eq!(lam, stats.load_factor);
-        assert_eq!(out.len(), m.len());
-        // Reconstruct each cycle's multiset from the assignments; it must
-        // match the materialized schedule cycle for cycle.
+        assert_eq!(out.len(), v.len());
         for (c, cyc) in sched.cycles().iter().enumerate() {
-            let mut got: Vec<Message> = out
+            let mut got: Vec<Message> = v
                 .iter()
-                .enumerate()
+                .zip(&out)
                 .filter(|&(_, &a)| a as usize == c)
-                .map(|(j, _)| m.as_slice()[j])
+                .map(|(&msg, _)| msg)
                 .collect();
             got.sort_unstable_by_key(|m| (m.src.0, m.dst.0));
-            let want = cyc.sorted();
-            assert_eq!(got, want, "cycle {c} multiset mismatch");
+            assert_eq!(got, cyc.sorted(), "cycle {c}, threads={threads}");
+        }
+        let nonlocal: MessageSet = v.iter().copied().filter(|m| !m.is_local()).collect();
+        let mut bare = Vec::new();
+        arena.schedule_assign(t, &nonlocal, threads, &mut bare);
+        let mut bare = bare.into_iter();
+        for (j, msg) in v.iter().enumerate() {
+            let want = if msg.is_local() {
+                0
+            } else {
+                bare.next().unwrap()
+            };
+            assert_eq!(out[j], want, "slot {j}, threads={threads}");
+        }
+    }
+
+    #[test]
+    fn schedule_assign_spreads_around_locals_at_every_edge() {
+        // 2^11 leaves, 8 crossers each: the top levels hold ≥ 4096
+        // messages, so 2 and 4 threads shard them.
+        let n = 2048u32;
+        let t = FatTree::universal(n, n as u64 / 4);
+        let traffic: Vec<Message> = (0..8 * n)
+            .map(|i| Message::new(i % n, (i % n + 1 + i * 37 % (n - 1)) % n))
+            .collect();
+        // Locals at exactly `slots` (ascending), `crossers` in order at
+        // the other slots.
+        let with_locals = |slots: &[usize], crossers: &[Message]| -> Vec<Message> {
+            let mut rest = crossers.iter();
+            (0..slots.len() + crossers.len())
+                .map(|j| match slots.binary_search(&j) {
+                    Ok(_) => Message::new(j as u32 % n, j as u32 % n),
+                    Err(_) => *rest.next().unwrap(),
+                })
+                .collect()
+        };
+        let last = traffic.len();
+        let mut cases = vec![
+            with_locals(&[0], &traffic),
+            with_locals(&[0, 1, 2], &traffic),
+            with_locals(&[9, 10, 11, 12, 5000, 5001, 9999], &traffic),
+            with_locals(&[last], &traffic),
+            with_locals(&[0, 1, 700, 701, 702, last + 5], &traffic),
+        ];
+        // All locals but one, the one first, in the middle, last.
+        for keep in [0, 31, 63] {
+            let slots: Vec<usize> = (0..64).filter(|&j| j != keep).collect();
+            cases.push(with_locals(&slots, &traffic[..1]));
+        }
+        for v in &cases {
+            for threads in [1, 2, 4] {
+                assert_assign_spreads(&t, v, threads);
+            }
         }
     }
 

@@ -37,11 +37,12 @@
 //!   total ~32 KiB and stay cache-resident across a cycle's random probes —
 //!   the dominant cost of both engines — where the clone-based engine
 //!   allocates and zeroes a 4n-word `LoadMap` every cycle; resetting them
-//!   is a template `copy_from_slice` of cycle-start capacities, and indices
-//!   are masked to the power-of-two table lengths (over slices cut to
-//!   `mask + 1`), which lets the compiler drop every per-probe bounds
-//!   check; one generic climb step and one generic descend step serve
-//!   both widths;
+//!   fills each level's node range `[2^l, 2^(l+1))` with that level's
+//!   capacity, read from the arena's per-level caps (no per-node template
+//!   is kept), and indices are masked to the power-of-two table lengths
+//!   (over slices cut to `mask + 1`), which lets the compiler drop every
+//!   per-probe bounds check; one generic climb step and one generic
+//!   descend step serve both widths;
 //! * the claim walk exits at the first full channel — the lowest saturated
 //!   level on the path rejects the message immediately (on capacity-1 leaf
 //!   channels that is the very first probe), where the reference walks the
@@ -189,8 +190,8 @@ fn unpack(m: u64) -> (u32, u32, u32) {
 pub struct OnlineArena {
     n: u32,
     height: u32,
-    /// Per-level capacities of the tree [`Self::new`] saw, baked into
-    /// `init16` / `init32`: with `n`, the key every run checks.
+    /// Per-level capacities of the tree [`Self::new`] saw: what each cycle
+    /// refills the counters from and, with `n`, the key every run checks.
     caps: Vec<u64>,
     /// First node id whose level uses the `u16` counters: node `u` sits at
     /// level `lg u`, so `u >= usplit` is exactly "level ≥ `lsplit`", the
@@ -203,9 +204,10 @@ pub struct OnlineArena {
     /// indexed directly by heap node id: `u16` slots (tables of length 2n)
     /// for nodes ≥ `usplit`, exact u32 slots (tables of length `usplit`)
     /// for the wide top levels. Each slot starts a cycle at its channel's
-    /// capacity (copied from `init16`/`init32`) and counts down; a claim is
-    /// "load, test-zero, decrement" with no capacity lookup, and no level
-    /// is tracked during the walk.
+    /// level capacity and counts down; a claim is "load, test-zero,
+    /// decrement" with no capacity lookup, and no level is tracked during
+    /// the walk. Slots no level owns (below `usplit` in the narrow tables,
+    /// 0 and 1 in the wide ones) are never probed.
     /// Power-of-two lengths let the hot probes index through `u & mask`,
     /// which the compiler proves in-bounds — no per-probe bounds check, no
     /// `unsafe`.
@@ -213,10 +215,6 @@ pub struct OnlineArena {
     down16: Vec<u16>,
     up32: Vec<u32>,
     down32: Vec<u32>,
-    /// Per-node capacity templates restored into the four tables at cycle
-    /// start (both directions share one template per width).
-    init16: Vec<u16>,
-    init32: Vec<u32>,
     /// Contention counters of the current cycle (recorder-enabled runs
     /// only).
     cnt: OnlineCounters,
@@ -241,37 +239,18 @@ impl OnlineArena {
         // allocated full-length even when every level is wide, so `len ==
         // mask + 1` holds unconditionally — the claim walk re-slices on
         // that identity to drop per-probe bounds checks.
-        let nodes = 2 * ft.n();
-        let narrow = nodes as usize;
-        let wide = usplit.min(nodes) as usize;
-        let mut cap16 = [0u16; 32];
-        for (l, &c) in caps.iter().enumerate() {
-            cap16[l] = c.min(u16::MAX as u64) as u16;
-        }
-        let mut init16 = vec![0u16; narrow];
-        for u in usplit..nodes {
-            init16[u as usize] = cap16[(31 - u.leading_zeros()) as usize];
-        }
-        // Clamping a wide capacity to u32::MAX is exact in effect: a channel
-        // receives fewer than 2^32 claims per cycle, so the counter can
-        // never run down to zero — exactly "never full".
-        let mut init32 = vec![0u32; wide];
-        for u in 2..usplit.min(nodes) {
-            init32[u as usize] =
-                caps[(31 - u.leading_zeros()) as usize].min(u32::MAX as u64) as u32;
-        }
+        let nodes = 2 * ft.n() as usize;
+        let wide = nodes.min(usplit as usize);
         OnlineArena {
             n: ft.n(),
             height,
             caps: caps.to_vec(),
             usplit,
             alive: Vec::new(),
-            up16: init16.clone(),
-            down16: init16.clone(),
-            up32: init32.clone(),
-            down32: init32.clone(),
-            init16,
-            init32,
+            up16: vec![0; nodes],
+            down16: vec![0; nodes],
+            up32: vec![0; wide],
+            down32: vec![0; wide],
             cnt: OnlineCounters::default(),
             delivered_per_cycle: Vec::new(),
             truncated: false,
@@ -309,7 +288,7 @@ impl OnlineArena {
     /// # Panics
     /// As every run entry point does, before anything is packed: if `ft` is
     /// not the tree the arena was built for — another `n` or another
-    /// per-level capacity, both baked into its counter templates — an
+    /// per-level capacity, both fixed at construction — an
     /// O(height) check in every build.
     pub fn route(
         &mut self,
@@ -501,21 +480,21 @@ impl OnlineArena {
     /// is attributed to levels after [`claim_path`] returns.
     fn serial_cycle<R: Recorder>(&mut self) -> usize {
         let (height, usplit) = (self.height, self.usplit);
+        let lsplit = usplit.trailing_zeros() as usize;
         // Down-run shift counts `s ≥ s16` reach the wide levels (`< lsplit`).
-        let s16 = height + 1 - usplit.trailing_zeros();
+        let s16 = height + 1 - lsplit as u32;
         let OnlineArena {
             alive,
+            caps,
             up16,
             down16,
             up32,
             down32,
-            init16,
-            init32,
             cnt,
             ..
         } = self;
-        let mut narrow = Wires::refill(up16, down16, init16);
-        let mut wide = Wires::refill(up32, down32, init32);
+        let mut narrow = Wires::refill(up16, down16, &caps[lsplit..], lsplit);
+        let mut wide = Wires::refill(up32, down32, &caps[1..lsplit], 1);
 
         // Branchless stable compaction: always write the survivor slot and
         // advance the cursor only on failure. The write is in-bounds and
@@ -545,16 +524,28 @@ struct Wires<'a, W> {
     mask: u32,
 }
 
-impl<'a, W: Copy + PartialEq + std::ops::SubAssign + From<u8>> Wires<'a, W> {
-    /// Both tables restored to the cycle-start capacities `init` (a
-    /// few-KiB copy where the reference allocates and zeroes a 4n-word
-    /// `LoadMap`) and cut to `mask + 1` slots, `init`'s power-of-two
-    /// length: with `len == mask + 1` in the compiler's view, `node & mask
-    /// < len` is provable and the per-probe bounds checks vanish.
-    fn refill(up: &'a mut [W], down: &'a mut [W], init: &[W]) -> Self {
-        up.copy_from_slice(init);
-        down.copy_from_slice(init);
-        let mask = init.len() as u32 - 1;
+impl<'a, W> Wires<'a, W>
+where
+    W: Copy + PartialEq + std::ops::SubAssign + From<u8> + TryFrom<u64> + std::ops::Not<Output = W>,
+{
+    /// Both tables restored to cycle-start capacities — the node range
+    /// `[2^l, 2^(l+1))` of level `l = first + i` filled with `caps[i]` (a
+    /// few-KiB fill where the reference allocates and zeroes a 4n-word
+    /// `LoadMap`) — and cut to `mask + 1` slots, their power-of-two length:
+    /// with `len == mask + 1` in the compiler's view, `node & mask < len` is
+    /// provable and the per-probe bounds checks vanish.
+    ///
+    /// A capacity past `W`'s range clamps to its maximum, which is exact in
+    /// effect: a channel receives fewer than 2^32 claims per cycle, so the
+    /// u32 counter can never run down to zero — exactly "never full". (The
+    /// narrow levels' capacities all fit a `u16`.)
+    fn refill(up: &'a mut [W], down: &'a mut [W], caps: &[u64], first: usize) -> Self {
+        for (l, &c) in (first..).zip(caps) {
+            let c = W::try_from(c).unwrap_or(!W::from(0));
+            up[1 << l..2 << l].fill(c);
+            down[1 << l..2 << l].fill(c);
+        }
+        let mask = up.len() as u32 - 1;
         let len = mask as usize + 1;
         Wires {
             up: &mut up[..len],
@@ -716,7 +707,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "arena built for a different tree")]
     fn run_on_another_capacity_profile_panics() {
-        // Same n, another profile: the counter templates would be wrong.
+        // Same n, another profile: the counters would refill from the wrong caps.
         let built = FatTree::universal(64, 16);
         let other = FatTree::new(64, CapacityProfile::Constant(2));
         let m: MessageSet = [Message::new(0, 63)].into_iter().collect();

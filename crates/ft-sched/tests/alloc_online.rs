@@ -5,7 +5,7 @@
 //! counter vectors are all reused. The same discipline holds with telemetry
 //! attached: a warmed `MetricsRecorder` observing `run_with` allocates
 //! nothing in steady state (its tables are grow-only and `reset` never
-//! frees).
+//! frees). A live-byte count pins what a warmed arena holds per leaf.
 //!
 //! Measured with a counting global allocator, so this file is its own
 //! integration-test binary and runs with `harness = false`: the libtest
@@ -22,17 +22,25 @@ use std::sync::atomic::{AtomicU64, Ordering};
 struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes currently allocated (wrapping, so only differences are read).
+static LIVE: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(
+            (new_size as u64).wrapping_sub(layout.size() as u64),
+            Ordering::Relaxed,
+        );
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -42,6 +50,10 @@ static A: Counting = Counting;
 
 fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+fn live() -> u64 {
+    LIVE.load(Ordering::Relaxed)
 }
 
 // One test function on the sole thread: the counter is global, so nothing
@@ -102,4 +114,27 @@ fn main() {
     assert_eq!(arena.cycles(), cycles);
     assert_eq!(rec.total_blocked(), blocked);
     assert_eq!(rec.total_delivered() as usize, m.len());
+
+    // --- Footprint: the bytes a warmed 2^16-leaf arena holds per leaf
+    // after a permutation: the alive list (8 B) and four counter tables
+    // (2 B per node each), plus O(height) bytes. The counters refill from
+    // the per-level capacities; a per-node template beside them held 4 B
+    // per leaf more.
+    let n = 1u32 << 16;
+    let ft = FatTree::universal(n, n as u64 / 4);
+    let perm: MessageSet = (0..n)
+        .map(|i| Message::new(i, (i * 40503 + 7) % n))
+        .collect();
+    let before = live();
+    let mut arena = OnlineArena::new(&ft);
+    for _ in 0..2 {
+        arena.run(&ft, &perm, &mut SplitMix64::seed_from_u64(9), cfg);
+    }
+    let per_leaf = live().wrapping_sub(before) as f64 / n as f64;
+    drop(arena);
+    let bound = 16.01;
+    assert!(
+        per_leaf <= bound,
+        "a warmed OnlineArena holds {per_leaf:.3} B per leaf after a permutation (bound {bound})"
+    );
 }

@@ -36,7 +36,7 @@ use ft_shard::wire::{self, begin_frame, end_frame, read_frame, write_frame_buf, 
 use ft_telemetry::{Event, EventKind, MetricsRecorder};
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -131,6 +131,9 @@ pub struct ServerStats {
 
 struct Shared {
     stop: AtomicBool,
+    /// Loopback address of the listener: [`Shared::request_stop`] connects
+    /// to it once so the accept loop, blocked in `accept`, sees `stop`.
+    wake: SocketAddr,
     inflight: AtomicUsize,
     limit: AtomicUsize,
     /// Busy rejects since the last batch (drained into
@@ -151,6 +154,13 @@ struct Shared {
 }
 
 impl Shared {
+    /// Set `stop`; the first call also wakes the accept loop.
+    fn request_stop(&self) {
+        if !self.stop.swap(true, Ordering::SeqCst) {
+            let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
+        }
+    }
+
     fn max_u64(slot: &AtomicU64, v: u64) {
         let mut cur = slot.load(Ordering::Relaxed);
         while v > cur {
@@ -245,7 +255,7 @@ pub struct Stopper(Arc<Shared>);
 impl Stopper {
     /// Request shutdown; idempotent.
     pub fn stop(&self) {
-        self.0.stop.store(true, Ordering::SeqCst);
+        self.0.request_stop();
     }
 }
 
@@ -279,7 +289,7 @@ impl ServerHandle {
 
     /// Request shutdown, join every thread, and report the run's counters.
     pub fn stop(mut self) -> ServerStats {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.request_stop();
         for h in [
             self.accept.take(),
             self.batcher.take(),
@@ -318,12 +328,19 @@ pub fn spawn(cfg: ServerConfig) -> io::Result<ServerHandle> {
     ServeCompute::check_slots(cfg.n, cfg.slots)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     let listener = TcpListener::bind(&cfg.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
+    let mut wake = addr;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
     let hub =
         (cfg.metrics || cfg.metrics_addr.is_some()).then(|| Arc::new(ServeMetrics::default()));
     let shared = Arc::new(Shared {
         stop: AtomicBool::new(false),
+        wake,
         inflight: AtomicUsize::new(0),
         limit: AtomicUsize::new(cfg.inflight.max(1)),
         rejected: AtomicU64::new(0),
@@ -384,8 +401,14 @@ fn accept_loop(
 ) {
     let mut readers = Vec::new();
     let mut next_conn: u16 = 1;
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // Set before `Shared::request_stop`'s wake-up connect: that one,
+        // and any later arrival, is dropped unserved and uncounted.
+        if shared.stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let conn = next_conn;
                 next_conn = next_conn.wrapping_add(1).max(1);
@@ -405,9 +428,6 @@ fn accept_loop(
                     reader_loop(stream, conn, rshared, rcfg, rtx, wtx);
                 }));
                 readers.push(writer);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
             }
             Err(_) => break,
         }
@@ -812,7 +832,7 @@ fn dispatch(b: &mut BatchBuf, shared: &Shared, cfg: &ServerConfig) {
         }));
     }
     if cfg.max_requests > 0 && shared.served.load(Ordering::Relaxed) >= cfg.max_requests {
-        shared.stop.store(true, Ordering::SeqCst);
+        shared.request_stop();
     }
 }
 

@@ -185,9 +185,15 @@ $ schedule --n 4096 --w 1024 --workload hotspot --scheduler greedy
 $ schedule --n 16384 --w 4096 --workload hotspot
 > Theorem 1: 16383 messages, λ(M) = 16383.00, lower bound 16383 ⇒ 16383 delivery cycles
 # A 2^22 permutation: one count for λ and the lower bound, the arena, and
-# a validation by tally and sort (~2.4s; 8.6s at the parent).
+# a validation by tally and sort. With no table kept twice in the arena:
+# 3.2-3.5s, peak 368 MiB, 91.9 B per leaf (2.8-3.4s, 445 MiB, 111.2 B
+# per leaf before, the two builds run alternately).
 $ schedule --n 4194304 --w 1048576 --workload streamperm
 > Theorem 1: 4194304 messages, λ(M) = 1.89, lower bound 2 ⇒ 23 delivery cycles
+# The same at 2^24, taken at 659cf95 (12.8-13.1s, peak 1 770 MiB, 110.6 B
+# per leaf there; 11.6-12.2s, 1 439 MiB, 89.9 B per leaf now).
+$ schedule --n 16777216 --w 4194304 --workload streamperm
+> Theorem 1: 16777216 messages, λ(M) = 1.89, lower bound 2 ⇒ 25 delivery cycles
 # The on-line router, contention line included (2^22: ~1.9s; 4.1s at the parent).
 $ online --n 16384 --w 4096 --workload krel:2
 > on-line: 32768 messages, λ = 3.81 → 7 cycles (shape λ+lg n·lglg n = 57.1)
