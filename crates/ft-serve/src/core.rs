@@ -158,10 +158,11 @@ pub struct BatchBuf {
     /// Stage timestamps per admitted request (see [`ReqTiming`]); empty
     /// unless the server runs with live metrics.
     pub timings: Vec<ReqTiming>,
-    /// When the batcher closed this batch and handed it to compute
-    /// (ns since the metrics epoch; 0 when metrics are off).
+    /// When the batcher closed this batch (ns since the metrics epoch; 0
+    /// when metrics are off).
     pub closed_ns: u64,
-    /// Compute-pass bounds stamped by the compute thread.
+    /// Compute-pass bounds, stamped by the batcher around
+    /// [`ServeCompute::run`].
     pub sched_start_ns: u64,
     pub sched_end_ns: u64,
     num_cycles_combined: u32,
@@ -275,7 +276,7 @@ impl BatchBuf {
 
     /// Demultiplex the compute pass's outputs and compose one `Resp` frame
     /// per request (admission order) into the pooled frame buffer. Runs on
-    /// the batcher thread, overlapped with the compute thread's next batch.
+    /// the batcher thread right after the batch's compute pass.
     pub fn encode_responses(&mut self) {
         self.frames.clear();
         self.spans.clear();
@@ -374,7 +375,7 @@ fn pack_u32_pairs(buf: &mut Vec<u64>, len: usize, mut get: impl FnMut(usize) -> 
 }
 
 /// The shared compute state: the solo and graft trees and one warmed arena
-/// per engine. One instance lives on the server's compute thread; tests
+/// per engine. One instance lives on the server's batcher thread; tests
 /// and the in-process baseline drive it directly.
 pub struct ServeCompute {
     solo: FatTree,
@@ -442,8 +443,7 @@ impl ServeCompute {
     /// Run the batch: one coalesced schedule pass over the graft tree,
     /// then each online request on the warmed solo arena. Numeric outputs
     /// land in `b`; frame encoding is a separate step
-    /// ([`BatchBuf::encode_responses`]) so the server can overlap it with
-    /// the next batch's compute.
+    /// ([`BatchBuf::encode_responses`]), timed as its own stage.
     pub fn run<R: Recorder>(&mut self, b: &mut BatchBuf, rec: &mut R) {
         debug_assert!(b.sched_reqs <= self.slots, "over-admitted batch");
         let total = b.total_messages() as u64;

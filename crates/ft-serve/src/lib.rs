@@ -16,10 +16,10 @@
 //!   decode → coalesce → schedule → demux → encode loop, plus the solo
 //!   oracles (`solo_schedule_frame` / `solo_online_frame`) the golden
 //!   tests and `bench-client --verify` compare against;
-//! * [`server`] / [`client`] — the TCP shell: a double-buffered
-//!   batcher/compute thread pair with telemetry-steered admission control,
-//!   and the load-generating bench client (`ftsim serve` /
-//!   `ftsim bench-client`);
+//! * [`server`] / [`client`] — the TCP shell: one batcher thread that
+//!   closes, computes and dispatches each batch under telemetry-steered
+//!   admission control, and the load-generating bench client
+//!   (`ftsim serve` / `ftsim bench-client`);
 //! * [`metrics`] — the live observability hub (request spans, stage
 //!   latency histograms, the seqlock λ-budget block) and the scrape
 //!   listener behind `ftsim serve --metrics-addr`.
@@ -36,6 +36,6 @@ pub mod server;
 
 pub use crate::core::{BatchBuf, ServeCompute};
 pub use client::{bench, BenchConfig, BenchMode, BenchResult};
-pub use metrics::{http_get, spawn_metrics_listener, MetricsSource, ServeMetrics};
+pub use metrics::{http_get, spawn_metrics_listener, MetricsListener, MetricsSource, ServeMetrics};
 pub use proto::{Engine, ServeError, SERVE_PROTO_VERSION};
 pub use server::{spawn, ServerConfig, ServerHandle, ServerStats};

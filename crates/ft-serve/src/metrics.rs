@@ -2,19 +2,19 @@
 //! hot path writes into, and a tiny scrape endpoint that reads it out.
 //!
 //! The hub ([`ServeMetrics`]) is a bundle of atomics and
-//! [`AtomicLatencyHistogram`]s shared by the reader, batcher, and compute
-//! threads. Everything on the request path is a relaxed `fetch_add` or
+//! [`AtomicLatencyHistogram`]s shared by the reader and batcher threads.
+//! Everything on the request path is a relaxed `fetch_add` or
 //! `fetch_max` into a fixed-size cell — no locks, no allocation, no
 //! coordination with scrapers. Two deliberate exceptions:
 //!
-//! - The **span ring** is a `Mutex<EventRing>`, pushed only from the
-//!   reader and batcher threads (never compute) and drained only by the
-//!   scrape listener. Contention is one uncontended lock per span event;
-//!   the compute thread — the λ-critical path — never touches it.
+//! - The **span ring** is a `Mutex<EventRing>`, pushed from the reader
+//!   and batcher threads and drained only by the scrape listener. The
+//!   batcher takes the lock once per batch, never per request and never
+//!   inside the compute pass.
 //! - The **λ-budget block** (inflight limit, observed λ_max, last batch
 //!   width, batch count) must be read as one consistent unit: a scraper
 //!   seeing cycle-`k` λ next to cycle-`k+1` limit would misreport the
-//!   steering loop. The fields live behind a seqlock — the compute thread
+//!   steering loop. The fields live behind a seqlock — the batcher thread
 //!   (sole writer) bumps a version counter to odd, stores the fields,
 //!   and bumps it to even; scrapers retry until they read the same even
 //!   version on both sides. Writers never wait, and a torn read is
@@ -27,7 +27,8 @@
 //! (the `ftsim-metrics/v1` document), `GET /spans` (request-span JSONL,
 //! same format `ft_telemetry::parse_jsonl` reads back). The listener is
 //! generic over a [`MetricsSource`] so the shard coordinator's scrape
-//! page reuses it unchanged.
+//! page reuses it unchanged. Its thread blocks in `accept`; the
+//! [`MetricsListener`] handle stops it.
 
 use crate::proto::Engine;
 use ft_telemetry::{
@@ -35,8 +36,8 @@ use ft_telemetry::{
     LATENCY_BUCKETS,
 };
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -127,8 +128,8 @@ pub struct ServeMetrics {
     budget_lambda_bits: AtomicU64,
     budget_last_batch: AtomicU64,
     budget_batches: AtomicU64,
-    /// Request-span ring. Pushed by reader/batcher threads only — the
-    /// compute thread must never block on this lock.
+    /// Request-span ring. Pushed by the reader and batcher threads, once
+    /// per batch on the batcher (see [`ServeMetrics::span_many`]).
     spans: Mutex<EventRing>,
 }
 
@@ -208,7 +209,7 @@ impl ServeMetrics {
         self.wall_by_width[class].record(ns);
     }
 
-    /// Publish the λ-steering state. **Single writer** (the compute
+    /// Publish the λ-steering state. **Single writer** (the batcher
     /// thread); concurrent writers would corrupt the version protocol.
     pub fn write_budget(&self, b: LambdaBudget) {
         let v = self.budget_version.load(Ordering::Relaxed);
@@ -266,7 +267,7 @@ impl ServeMetrics {
             c.inflight,
             c.conns,
         ));
-        // Before the first batch the compute thread has published nothing;
+        // Before the first batch the batcher has published nothing;
         // fall back to the live admission limit so the field is never 0.
         let limit = if budget.batches == 0 {
             c.inflight_limit
@@ -464,48 +465,80 @@ fn hist_json(h: &LatencyHistogram) -> String {
 /// (over [`ServeMetrics`] + live counters) and by `ftsim shard`'s
 /// coordinator page — the listener itself is protocol only.
 pub trait MetricsSource: Send + Sync {
-    /// True once the owner is shutting down; the listener thread exits.
-    fn stopped(&self) -> bool;
     /// `(content-type, body)` for a path, or `None` → 404.
     fn render(&self, path: &str) -> Option<(&'static str, String)>;
 }
 
-/// Poll cadence for the nonblocking accept loop. Scrapes are human/CI
-/// rate; tens of milliseconds of accept latency are irrelevant.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
-
 /// How long one scrape client may dawdle before we hang up on it.
 const SCRAPE_IO_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Bind `addr` and serve [`MetricsSource`] pages until `src.stopped()`.
-/// Returns the bound address (resolves `:0`) and the listener thread.
+/// Pause after a failed `accept` (out of descriptors, say), so a
+/// persistent error does not spin the listener thread.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
+
+/// `addr` with an unspecified IP (`0.0.0.0`, `::`) replaced by loopback:
+/// where this host reaches a listener bound to `addr`.
+pub(crate) fn loopback(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+/// A running scrape listener. Its thread blocks in `accept` until
+/// [`MetricsListener::stop`]; a handle dropped without `stop` leaves that
+/// thread parked.
+pub struct MetricsListener {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    thread: JoinHandle<()>,
+}
+
+impl MetricsListener {
+    /// The bound address (resolves `:0`).
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stop serving and join the thread: set the flag, then wake the
+    /// blocked `accept` with one loopback connect, which goes unanswered.
+    pub fn stop(self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&loopback(self.addr), SCRAPE_IO_TIMEOUT);
+        let _ = self.thread.join();
+    }
+}
+
+/// Bind `addr` and serve [`MetricsSource`] pages, one connection at a
+/// time, until [`MetricsListener::stop`].
 pub fn spawn_metrics_listener(
     addr: &str,
     src: Arc<dyn MetricsSource>,
-) -> std::io::Result<(SocketAddr, JoinHandle<()>)> {
+) -> std::io::Result<MetricsListener> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-    let handle = std::thread::Builder::new()
+    let stop = Arc::new(AtomicBool::new(false));
+    let stopped = Arc::clone(&stop);
+    let thread = std::thread::Builder::new()
         .name("ftsim-metrics".into())
         .spawn(move || loop {
-            match listener.accept() {
+            let accepted = listener.accept();
+            if stopped.load(Ordering::SeqCst) {
+                return;
+            }
+            match accepted {
                 Ok((stream, _)) => serve_one(stream, &*src),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    if src.stopped() {
-                        return;
-                    }
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(_) => {
-                    if src.stopped() {
-                        return;
-                    }
-                    std::thread::sleep(ACCEPT_POLL);
-                }
+                Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
             }
         })?;
-    Ok((local, handle))
+    Ok(MetricsListener {
+        addr: local,
+        stop,
+        thread,
+    })
 }
 
 /// Answer one scrape connection: parse the request line, render, reply,
@@ -578,7 +611,6 @@ pub fn http_get(addr: SocketAddr, path: &str) -> std::io::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn seqlock_roundtrip_and_single_writer_consistency() {
@@ -690,12 +722,9 @@ mod tests {
         assert_eq!(events[0].kind, EventKind::ReqAdmit);
     }
 
-    struct Fixed(AtomicBool);
+    struct Fixed;
 
     impl MetricsSource for Fixed {
-        fn stopped(&self) -> bool {
-            self.0.load(Ordering::Relaxed)
-        }
         fn render(&self, path: &str) -> Option<(&'static str, String)> {
             (path == "/ping").then(|| ("text/plain", "pong\n".to_string()))
         }
@@ -703,14 +732,15 @@ mod tests {
 
     #[test]
     fn listener_serves_and_404s_and_stops() {
-        let src = Arc::new(Fixed(AtomicBool::new(false)));
-        let (addr, handle) =
-            spawn_metrics_listener("127.0.0.1:0", Arc::clone(&src) as Arc<dyn MetricsSource>)
-                .unwrap();
+        let listener = spawn_metrics_listener("127.0.0.1:0", Arc::new(Fixed)).unwrap();
+        let addr = listener.addr();
         assert_eq!(http_get(addr, "/ping").unwrap(), "pong\n");
         let err = http_get(addr, "/nope").unwrap_err();
         assert!(err.to_string().contains("404"), "{err}");
-        src.0.store(true, Ordering::Relaxed);
-        handle.join().unwrap();
+        listener.stop();
+        assert!(
+            http_get(addr, "/ping").is_err(),
+            "a stopped listener still answers"
+        );
     }
 }

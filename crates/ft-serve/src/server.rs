@@ -1,33 +1,32 @@
 //! The serving shell: accept loop, per-connection reader/writer threads,
-//! and the double-buffered batcher/compute pipeline.
+//! and the batcher, which closes, computes and dispatches each batch.
 //!
 //! Thread topology (all std, no async):
 //!
 //! ```text
-//! accept ──spawns──► reader(conn) ──admit queue──► batcher ◄─ping-pong─► compute
-//!                    writer(conn) ◄────────────────┘  (encode k-1 + fill k+1
-//!                                                      overlap compute of k)
+//! accept ──spawns──► reader(conn) ──admit queue──► batcher
+//!                    writer(conn) ◄────────────────┘  (close → compute → dispatch)
 //! ```
 //!
 //! * **readers** speak the handshake, enforce admission control (bounded
 //!   in-flight queue; over-limit requests get structured `Busy` frames),
 //!   and time out dead clients (no complete frame within the idle window
 //!   closes the connection, so a hung client never wedges shutdown).
-//! * **batcher** owns two [`BatchBuf`]s in a ping-pong with the compute
-//!   thread: while compute crunches batch *k*, the batcher encodes and
-//!   dispatches batch *k−1*'s responses and decodes/coalesces batch *k+1*
-//!   — the decode + encode halves of the loop fully overlap the
-//!   λ/refinement compute.
-//! * **compute** runs [`ServeCompute::run`] and *steers admission*: each
-//!   batch's λ and reject tally (via [`MetricsRecorder`]) raise or halve
-//!   the effective in-flight limit between the configured ceiling and the
-//!   batch width.
+//! * **batcher** owns one [`BatchBuf`] and the [`ServeCompute`]. It closes
+//!   a batch when the window expires or the slots fill, runs
+//!   [`ServeCompute::run`] on it, *steers admission* (each batch's λ and
+//!   reject tally, via [`MetricsRecorder`], raise or halve the effective
+//!   in-flight limit between the configured ceiling and the batch width),
+//!   hands each response to its connection's writer, and opens the next
+//!   batch. Requests that arrive meanwhile wait in the admit queue; a
+//!   finished batch is answered as soon as its compute ends.
 //!
 //! [`MetricsRecorder`]: ft_telemetry::MetricsRecorder
 
 use crate::core::{BatchBuf, ReqTiming, ServeCompute};
 use crate::metrics::{
-    spawn_metrics_listener, LambdaBudget, MetricsSource, ServeCounters, ServeMetrics,
+    loopback, spawn_metrics_listener, LambdaBudget, MetricsListener, MetricsSource, ServeCounters,
+    ServeMetrics,
 };
 use crate::proto::{
     self, decode_hello, encode_busy, encode_hello_ack, Engine, HelloAck, MAX_REQ_MSGS,
@@ -36,9 +35,9 @@ use ft_shard::wire::{self, begin_frame, end_frame, read_frame, write_frame_buf, 
 use ft_telemetry::{Event, EventKind, MetricsRecorder};
 use std::collections::HashMap;
 use std::io;
-use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{self, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -202,10 +201,6 @@ impl Shared {
 struct Scrape(Arc<Shared>);
 
 impl MetricsSource for Scrape {
-    fn stopped(&self) -> bool {
-        self.0.stop.load(Ordering::SeqCst)
-    }
-
     fn render(&self, path: &str) -> Option<(&'static str, String)> {
         let hub = self.0.metrics.as_ref()?;
         match path {
@@ -221,11 +216,13 @@ impl MetricsSource for Scrape {
 }
 
 /// One admitted request travelling from a reader to the batcher: the
-/// validated frame words plus the originating connection and — when live
-/// metrics are on — its request id and reader-side stage timestamps.
+/// validated frame words, its engine, the originating connection and —
+/// when live metrics are on — its request id and reader-side stage
+/// timestamps.
 struct Admit {
     conn: u16,
     seq: u32,
+    engine: Engine,
     words: Vec<u64>,
     /// Monotone request id (0 when metrics are off).
     rid: u64,
@@ -240,12 +237,10 @@ struct Admit {
 /// detached.
 pub struct ServerHandle {
     addr: SocketAddr,
-    metrics_addr: Option<SocketAddr>,
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
     batcher: Option<JoinHandle<()>>,
-    compute: Option<JoinHandle<()>>,
-    scrape: Option<JoinHandle<()>>,
+    scrape: Option<MetricsListener>,
 }
 
 /// A cloneable stop trigger (for stdin watchers and signal shims).
@@ -267,7 +262,7 @@ impl ServerHandle {
 
     /// The metrics listener's bound address, when one was configured.
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
-        self.metrics_addr
+        self.scrape.as_ref().map(MetricsListener::addr)
     }
 
     /// A detached stop trigger.
@@ -290,16 +285,14 @@ impl ServerHandle {
     /// Request shutdown, join every thread, and report the run's counters.
     pub fn stop(mut self) -> ServerStats {
         self.shared.request_stop();
-        for h in [
-            self.accept.take(),
-            self.batcher.take(),
-            self.compute.take(),
-            self.scrape.take(),
-        ]
-        .into_iter()
-        .flatten()
+        for h in [self.accept.take(), self.batcher.take()]
+            .into_iter()
+            .flatten()
         {
             let _ = h.join();
+        }
+        if let Some(scrape) = self.scrape.take() {
+            scrape.stop();
         }
         let s = &self.shared;
         let batches = s.batches.load(Ordering::Relaxed);
@@ -329,18 +322,11 @@ pub fn spawn(cfg: ServerConfig) -> io::Result<ServerHandle> {
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
-    let mut wake = addr;
-    if wake.ip().is_unspecified() {
-        wake.set_ip(match wake {
-            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
-            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
-        });
-    }
     let hub =
         (cfg.metrics || cfg.metrics_addr.is_some()).then(|| Arc::new(ServeMetrics::default()));
     let shared = Arc::new(Shared {
         stop: AtomicBool::new(false),
-        wake,
+        wake: loopback(addr),
         inflight: AtomicUsize::new(0),
         limit: AtomicUsize::new(cfg.inflight.max(1)),
         rejected: AtomicU64::new(0),
@@ -355,17 +341,14 @@ pub fn spawn(cfg: ServerConfig) -> io::Result<ServerHandle> {
         writers: Mutex::new(HashMap::new()),
         metrics: hub,
     });
-    let (metrics_addr, scrape) = match &cfg.metrics_addr {
-        Some(maddr) => {
-            let (bound, handle) =
-                spawn_metrics_listener(maddr, Arc::new(Scrape(Arc::clone(&shared))))?;
-            (Some(bound), Some(handle))
-        }
-        None => (None, None),
+    let scrape = match &cfg.metrics_addr {
+        Some(maddr) => Some(spawn_metrics_listener(
+            maddr,
+            Arc::new(Scrape(Arc::clone(&shared))),
+        )?),
+        None => None,
     };
     let (admit_tx, admit_rx) = mpsc::sync_channel::<Admit>(cfg.inflight.max(1));
-    let (work_tx, work_rx) = mpsc::channel::<BatchBuf>();
-    let (done_tx, done_rx) = mpsc::channel::<BatchBuf>();
 
     let accept = {
         let shared = Arc::clone(&shared);
@@ -375,20 +358,13 @@ pub fn spawn(cfg: ServerConfig) -> io::Result<ServerHandle> {
     let batcher = {
         let shared = Arc::clone(&shared);
         let cfg = cfg.clone();
-        std::thread::spawn(move || batcher_loop(admit_rx, work_tx, done_rx, shared, cfg))
-    };
-    let compute = {
-        let shared = Arc::clone(&shared);
-        let cfg = cfg.clone();
-        std::thread::spawn(move || compute_loop(work_rx, done_tx, shared, cfg))
+        std::thread::spawn(move || batcher_loop(admit_rx, shared, cfg))
     };
     Ok(ServerHandle {
         addr,
-        metrics_addr,
         shared,
         accept: Some(accept),
         batcher: Some(batcher),
-        compute: Some(compute),
         scrape,
     })
 }
@@ -552,10 +528,13 @@ fn reader_loop(
             FrameKind::Req if hello_done => {
                 // Validate the payload here so malformed requests answer
                 // with an Error frame instead of poisoning a batch.
-                if let Err(_e) = proto::decode_req(frame.payload) {
-                    let _ = writer.send(error_frame(conn, frame.seq, ERR_REQUEST));
-                    continue;
-                }
+                let engine = match proto::decode_req(frame.payload) {
+                    Ok(req) => req.engine,
+                    Err(_) => {
+                        let _ = writer.send(error_frame(conn, frame.seq, ERR_REQUEST));
+                        continue;
+                    }
+                };
                 let req_id = frame.payload[0];
                 let seq = frame.seq;
                 // Decode finished and the request is validated: assign its
@@ -567,24 +546,19 @@ fn reader_loop(
                 let cur = shared.inflight.fetch_add(1, Ordering::SeqCst);
                 let limit = shared.limit.load(Ordering::SeqCst);
                 let over_limit = cur >= limit;
-                let verdict = if over_limit {
-                    Err(())
-                } else {
-                    admit_tx
+                let rejected = over_limit
+                    || admit_tx
                         .try_send(Admit {
                             conn,
                             seq,
+                            engine,
                             words,
                             rid,
                             recv_ns,
                             decoded_ns,
                         })
-                        .map_err(|e| match e {
-                            TrySendError::Full(_) => (),
-                            TrySendError::Disconnected(_) => (),
-                        })
-                };
-                if verdict.is_err() {
+                        .is_err();
+                if rejected {
                     shared.inflight.fetch_sub(1, Ordering::SeqCst);
                     shared.rejected.fetch_add(1, Ordering::Relaxed);
                     shared.busy_total.fetch_add(1, Ordering::Relaxed);
@@ -625,57 +599,28 @@ fn reader_loop(
     shared.writers.lock().unwrap().remove(&conn);
 }
 
-fn batcher_loop(
-    admit_rx: mpsc::Receiver<Admit>,
-    work_tx: mpsc::Sender<BatchBuf>,
-    done_rx: mpsc::Receiver<BatchBuf>,
-    shared: Arc<Shared>,
-    cfg: ServerConfig,
-) {
+fn batcher_loop(admit_rx: mpsc::Receiver<Admit>, shared: Arc<Shared>, cfg: ServerConfig) {
     let window = Duration::from_micros(cfg.window_us);
-    let mut spare = BatchBuf::new();
-    let mut in_compute = false;
+    let mut compute = ServeCompute::new(cfg.n, cfg.w, cfg.slots);
+    let mut rec = MetricsRecorder::new();
+    let mut batch = BatchBuf::new();
     let mut carry: Option<Admit> = None;
     let mut batch_seq: u64 = 0;
-    'serve: loop {
+    loop {
         // Open a batch: the carried-over request, or the next arrival.
-        // While compute is busy with batch k, wait only one window for
-        // batch k+1 to start forming before draining k's responses: a
-        // steady arrival stream keeps the pipeline fully overlapped, but
-        // when arrivals stall (e.g. closed-loop clients all waiting on
-        // k's responses) the finished batch must dispatch *now* — holding
-        // it for the next arrival would deadlock the loop.
+        // Every earlier batch has been answered, so an idle wait only
+        // watches for shutdown.
         let first = match carry.take() {
             Some(a) => a,
             None => loop {
-                let wait = if in_compute {
-                    window.max(Duration::from_micros(50))
-                } else {
-                    Duration::from_millis(50)
-                };
-                match admit_rx.recv_timeout(wait) {
+                match admit_rx.recv_timeout(Duration::from_millis(50)) {
                     Ok(a) => break a,
-                    Err(RecvTimeoutError::Timeout) => {
-                        if in_compute {
-                            match done_rx.recv() {
-                                Ok(mut done) => {
-                                    dispatch(&mut done, &shared, &cfg);
-                                    done.reset();
-                                    spare = done;
-                                    in_compute = false;
-                                }
-                                Err(_) => break 'serve,
-                            }
-                        }
-                        if shared.stop.load(Ordering::SeqCst) {
-                            break 'serve;
-                        }
-                    }
-                    Err(RecvTimeoutError::Disconnected) => break 'serve,
+                    Err(RecvTimeoutError::Timeout) if !shared.stop.load(Ordering::SeqCst) => {}
+                    Err(_) => return,
                 }
             },
         };
-        admit_into(&mut spare, first, &shared, &cfg);
+        admit_into(&mut batch, first, &shared, &cfg);
         // Coalesce arrivals until the window closes or the batch fills.
         let deadline = Instant::now() + window;
         while carry.is_none() {
@@ -684,29 +629,20 @@ fn batcher_loop(
                 break;
             }
             match admit_rx.recv_timeout(left) {
-                Ok(a) => {
-                    let engine = admit_engine(&a);
-                    if engine.is_some_and(|e| !spare.has_room(e, cfg.slots)) {
-                        carry = Some(a);
-                    } else {
-                        admit_into(&mut spare, a, &shared, &cfg);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => break,
+                Ok(a) if !batch.has_room(a.engine, cfg.slots) => carry = Some(a),
+                Ok(a) => admit_into(&mut batch, a, &shared, &cfg),
+                Err(_) => break,
             }
         }
-        // Ping-pong: ship the filled buffer to compute, then (overlapping
-        // compute of batch k) encode and dispatch batch k−1.
-        spare.rejected = shared.rejected.swap(0, Ordering::Relaxed);
+        batch.rejected = shared.rejected.swap(0, Ordering::Relaxed);
         if let Some(h) = &shared.metrics {
             // The batch is closed: stamp the batch-wait boundary and flush
             // the admission + coalescing spans for every request in it
             // under one ring lock.
-            spare.closed_ns = h.now_ns();
-            let width = spare.len() as u32;
+            batch.closed_ns = h.now_ns();
+            let width = batch.len() as u32;
             let seq32 = batch_seq.min(u32::MAX as u64) as u32;
-            h.span_many(spare.timings.iter().flat_map(|t| {
+            h.span_many(batch.timings.iter().flat_map(|t| {
                 let rid = t.rid.min(u32::MAX as u64) as u32;
                 [
                     Event::new(EventKind::ReqAdmit, rid, t.engine as u32, t.msgs),
@@ -715,40 +651,49 @@ fn batcher_loop(
             }));
         }
         batch_seq += 1;
-        let filled = std::mem::take(&mut spare);
-        if work_tx.send(filled).is_err() {
-            break;
+        if let Some(h) = &shared.metrics {
+            batch.sched_start_ns = h.now_ns();
         }
-        if in_compute {
-            match done_rx.recv() {
-                Ok(mut done) => {
-                    dispatch(&mut done, &shared, &cfg);
-                    done.reset();
-                    spare = done;
-                }
-                Err(_) => break,
-            }
-        } else {
-            in_compute = true;
+        compute.run(&mut batch, &mut rec);
+        if let Some(h) = &shared.metrics {
+            batch.sched_end_ns = h.now_ns();
         }
-    }
-    // Drain the pipeline so every admitted request is answered.
-    drop(work_tx);
-    if in_compute {
-        if let Ok(mut done) = done_rx.recv() {
-            dispatch(&mut done, &shared, &cfg);
-        }
-    }
-    if let Ok(mut done) = done_rx.recv() {
-        dispatch(&mut done, &shared, &cfg);
+        steer(&mut rec, batch.len(), &shared, &cfg);
+        dispatch(&mut batch, &shared, &cfg);
+        batch.reset();
     }
 }
 
-fn admit_engine(a: &Admit) -> Option<Engine> {
-    wire::decode(&a.words)
-        .ok()
-        .and_then(|f| proto::decode_req(f.payload).ok())
-        .map(|r| r.engine)
+/// Fold one computed batch of `width` requests into the run's counters,
+/// then steer admission from its λ: high λ halves the in-flight limit
+/// toward the batch width; calm batches grow it back toward the
+/// configured ceiling.
+fn steer(rec: &mut MetricsRecorder, width: usize, shared: &Shared, cfg: &ServerConfig) {
+    let lam = rec.lambda_max();
+    rec.reset();
+    Shared::max_f64(&shared.lambda_max_bits, lam);
+    shared.batches.fetch_add(1, Ordering::Relaxed);
+    shared
+        .batch_req_total
+        .fetch_add(width as u64, Ordering::Relaxed);
+    Shared::max_u64(&shared.batch_max, width as u64);
+    let cur = shared.limit.load(Ordering::SeqCst);
+    let next = if lam > STEER_LAMBDA {
+        (cur / 2).max(cfg.slots as usize)
+    } else {
+        (cur + 1 + cur / 8).min(cfg.inflight.max(1))
+    };
+    shared.limit.store(next, Ordering::SeqCst);
+    if let Some(h) = &shared.metrics {
+        // One seqlock write per batch: limit, λ, width, and batch
+        // count always read back as one consistent generation.
+        h.write_budget(LambdaBudget {
+            limit: next as u64,
+            lambda_max: f64::from_bits(shared.lambda_max_bits.load(Ordering::Relaxed)),
+            last_batch: width as u64,
+            batches: shared.batches.load(Ordering::Relaxed),
+        });
+    }
 }
 
 fn admit_into(b: &mut BatchBuf, a: Admit, shared: &Shared, cfg: &ServerConfig) {
@@ -833,55 +778,5 @@ fn dispatch(b: &mut BatchBuf, shared: &Shared, cfg: &ServerConfig) {
     }
     if cfg.max_requests > 0 && shared.served.load(Ordering::Relaxed) >= cfg.max_requests {
         shared.request_stop();
-    }
-}
-
-fn compute_loop(
-    work_rx: mpsc::Receiver<BatchBuf>,
-    done_tx: mpsc::Sender<BatchBuf>,
-    shared: Arc<Shared>,
-    cfg: ServerConfig,
-) {
-    let mut compute = ServeCompute::new(cfg.n, cfg.w, cfg.slots);
-    let mut rec = MetricsRecorder::new();
-    for mut b in work_rx {
-        if let Some(h) = &shared.metrics {
-            b.sched_start_ns = h.now_ns();
-        }
-        compute.run(&mut b, &mut rec);
-        if let Some(h) = &shared.metrics {
-            b.sched_end_ns = h.now_ns();
-        }
-        let lam = rec.lambda_max();
-        Shared::max_f64(&shared.lambda_max_bits, lam);
-        shared.batches.fetch_add(1, Ordering::Relaxed);
-        shared
-            .batch_req_total
-            .fetch_add(b.len() as u64, Ordering::Relaxed);
-        Shared::max_u64(&shared.batch_max, b.len() as u64);
-        // Contention-steered admission: high λ halves the in-flight limit
-        // toward the batch width; calm batches grow it back toward the
-        // configured ceiling.
-        let cur = shared.limit.load(Ordering::SeqCst);
-        let next = if lam > STEER_LAMBDA {
-            (cur / 2).max(cfg.slots as usize)
-        } else {
-            (cur + 1 + cur / 8).min(cfg.inflight.max(1))
-        };
-        shared.limit.store(next, Ordering::SeqCst);
-        if let Some(h) = &shared.metrics {
-            // One seqlock write per batch: limit, λ, width, and batch
-            // count always read back as one consistent generation.
-            h.write_budget(LambdaBudget {
-                limit: next as u64,
-                lambda_max: f64::from_bits(shared.lambda_max_bits.load(Ordering::Relaxed)),
-                last_batch: b.len() as u64,
-                batches: shared.batches.load(Ordering::Relaxed),
-            });
-        }
-        rec.reset();
-        if done_tx.send(b).is_err() {
-            break;
-        }
     }
 }

@@ -2,14 +2,16 @@
 //! drive it with the bench client, and read the three exposition pages
 //! over real TCP. Checks the `ftsim-metrics/v1` document's required
 //! keys, counter monotonicity across scrapes, span reconstructibility
-//! through `ft_telemetry::parse_jsonl`, and that a no-metrics server
-//! refuses to expose anything.
+//! through `ft_telemetry::parse_jsonl`, that a scrape is answered
+//! without an accept-poll delay, and that a no-metrics server refuses to
+//! expose anything.
 
 use ft_serve::client::{bench, BenchConfig, BenchMode};
 use ft_serve::metrics::http_get;
 use ft_serve::proto::Engine;
 use ft_serve::server::{spawn, ServerConfig};
 use ft_telemetry::EventKind;
+use std::time::{Duration, Instant};
 
 fn server_cfg() -> ServerConfig {
     ServerConfig {
@@ -161,6 +163,27 @@ fn busy_rejects_show_up_in_counters_and_spans() {
         .count() as u64;
     // The ring may have wrapped, but with 80 requests it will not have.
     assert_eq!(busy_spans, r.busy, "one ReqBusy span per rejected request");
+    server.stop();
+}
+
+#[test]
+fn sequential_scrapes_are_accepted_without_polling() {
+    // The listener blocks in `accept`: 40 back-to-back scrapes of a live
+    // server take a few ms, where a 20 ms accept poll costs ≈ 280 ms.
+    let server = spawn(server_cfg()).expect("spawn server");
+    let maddr = server.metrics_addr().unwrap();
+    let r = bench(&client_cfg(&server.addr().to_string())).expect("bench");
+    assert_eq!(r.ok, 40);
+    let t0 = Instant::now();
+    for _ in 0..40 {
+        let doc = http_get(maddr, "/metrics.json").expect("scrape");
+        assert_eq!(int_field(&doc, "served"), 40);
+    }
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_millis(150),
+        "40 sequential scrapes took {took:?}"
+    );
     server.stop();
 }
 

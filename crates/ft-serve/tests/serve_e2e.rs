@@ -191,3 +191,25 @@ fn max_requests_stops_the_server() {
     assert_eq!(r.ok, 20);
     server.wait();
 }
+
+#[test]
+fn lone_request_waits_one_batching_window() {
+    // One closed-loop client, one request in flight: each batch closes
+    // when its window expires and is answered as soon as its compute
+    // ends, so a request waits one window, not two.
+    let mut scfg = server_cfg();
+    scfg.window_us = 50_000;
+    let server = spawn(scfg).expect("spawn server");
+    let mut cfg = client_cfg(&server.addr().to_string());
+    cfg.clients = 1;
+    cfg.requests = 5;
+    let r = bench(&cfg).expect("bench run");
+    assert_eq!(r.ok, 5);
+    assert_eq!(r.mismatches, 0);
+    assert!(
+        r.p50_us < 90_000,
+        "a lone request waited {} µs for a 50 ms window",
+        r.p50_us
+    );
+    server.stop();
+}

@@ -420,7 +420,7 @@ impl LatencyHistogram {
 }
 
 /// Wait-free shared twin of [`LatencyHistogram`]: every cell is a relaxed
-/// `AtomicU64`, so the serve pipeline's reader / batcher / compute threads
+/// `AtomicU64`, so the serve pipeline's reader and batcher threads
 /// record concurrently without locks and a metrics scrape snapshots the
 /// whole thing without ever blocking the hot path.
 ///

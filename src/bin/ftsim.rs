@@ -1080,14 +1080,9 @@ fn cmd_trace(opts: &HashMap<String, String>) {
 /// sections don't apply to a one-shot shard run and are omitted.
 struct ShardScrape {
     live: std::sync::Arc<fat_tree::shard::LinkCounters>,
-    done: std::sync::Arc<std::sync::atomic::AtomicBool>,
 }
 
 impl fat_tree::serve::MetricsSource for ShardScrape {
-    fn stopped(&self) -> bool {
-        self.done.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
     fn render(&self, path: &str) -> Option<(&'static str, String)> {
         let read = |col: &[std::sync::atomic::AtomicU64]| -> Vec<u64> {
             col.iter()
@@ -1190,23 +1185,19 @@ fn cmd_shard(opts: &HashMap<String, String>) {
     // announce it on stdout so a driver can scrape mid-run.
     let mut scrape = None;
     if let Some(maddr) = opts.get("metrics-addr") {
-        use std::sync::{atomic::AtomicBool, Arc};
+        use std::sync::Arc;
         let live = Arc::new(fat_tree::shard::LinkCounters::new(shards as usize));
         cfg.live = Some(Arc::clone(&live));
-        let done = Arc::new(AtomicBool::new(false));
-        let src = Arc::new(ShardScrape {
-            live,
-            done: Arc::clone(&done),
-        });
-        match fat_tree::serve::spawn_metrics_listener(maddr, src) {
-            Ok((bound, handle)) => {
+        match fat_tree::serve::spawn_metrics_listener(maddr, Arc::new(ShardScrape { live })) {
+            Ok(listener) => {
                 println!(
                     "{{\"schema\":\"ftsim-shard/v1\",\"event\":\"metrics-listening\",\
-                     \"metrics_addr\":\"{bound}\"}}"
+                     \"metrics_addr\":\"{}\"}}",
+                    listener.addr()
                 );
                 use std::io::Write;
                 let _ = std::io::stdout().flush();
-                scrape = Some((done, handle));
+                scrape = Some(listener);
             }
             Err(e) => {
                 eprintln!("shard: cannot bind metrics listener {maddr}: {e}");
@@ -1230,9 +1221,8 @@ fn cmd_shard(opts: &HashMap<String, String>) {
             exit(1);
         }
     };
-    if let Some((done, handle)) = scrape {
-        done.store(true, std::sync::atomic::Ordering::Relaxed);
-        let _ = handle.join();
+    if let Some(listener) = scrape {
+        listener.stop();
     }
     let single = run_to_completion(&ft, &msgs, &sim);
     let matches = report.run.delivered_per_cycle == single.delivered_per_cycle

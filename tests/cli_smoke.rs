@@ -758,7 +758,7 @@ fn serve_rejects_bad_invocations() {
     assert!(stderr.contains("power of two"), "{stderr}");
     // A graft tree of n·slots leaves past 2^24 — the first two products
     // wrap a u32 — is refused before anything binds, not left to panic
-    // the compute thread behind a listening line.
+    // the batcher thread behind a listening line.
     for shape in [
         "--n 1048576 --w 1024 --slots 4096",
         "--n 64 --w 16 --slots 2147483648",
