@@ -152,9 +152,6 @@ pub struct BatchBuf {
     online_msgs: Vec<Message>,
     reqs: Vec<ReqMeta>,
     sched_reqs: u32,
-    /// `Busy` rejects since the previous batch (set by the server front
-    /// end; reported through [`Recorder::serve_batch`]).
-    pub rejected: u64,
     /// Stage timestamps per admitted request (see [`ReqTiming`]); empty
     /// unless the server runs with live metrics.
     pub timings: Vec<ReqTiming>,
@@ -185,7 +182,6 @@ impl BatchBuf {
         self.online_msgs.clear();
         self.reqs.clear();
         self.sched_reqs = 0;
-        self.rejected = 0;
         self.timings.clear();
         self.closed_ns = 0;
         self.sched_start_ns = 0;
@@ -444,15 +440,18 @@ impl ServeCompute {
     /// then each online request on the warmed solo arena. Numeric outputs
     /// land in `b`; frame encoding is a separate step
     /// ([`BatchBuf::encode_responses`]), timed as its own stage.
-    pub fn run<R: Recorder>(&mut self, b: &mut BatchBuf, rec: &mut R) {
+    /// Returns the schedule pass's λ (the graft tree's load factor), 0.0
+    /// when the batch holds no schedule request: bit-equal to the
+    /// `lambda_max` a fresh `MetricsRecorder` passed as `rec` reads back.
+    pub fn run<R: Recorder>(&mut self, b: &mut BatchBuf, rec: &mut R) -> f64 {
         debug_assert!(b.sched_reqs <= self.slots, "over-admitted batch");
         let total = b.total_messages() as u64;
+        let mut lam = 0.0;
         if b.sched_reqs > 0 {
             let stream = SliceStream::new(&b.sched_msgs, "serve");
-            let (nc, _lam) =
+            (b.num_cycles_combined, lam) =
                 self.sched
                     .schedule_assign_with(&self.graft, &stream, 1, &mut b.assign, rec);
-            b.num_cycles_combined = nc;
         }
         b.online_data.clear();
         for r in b.reqs.iter_mut() {
@@ -473,8 +472,10 @@ impl ServeCompute {
             r.out_len = b.online_data.len() as u32 - r.out_off;
         }
         if R::ENABLED {
-            rec.serve_batch(b.reqs.len() as u32, total, b.rejected);
+            // Admission (and so `Busy`) is the server's; a batch sees none.
+            rec.serve_batch(b.reqs.len() as u32, total, 0);
         }
+        lam
     }
 }
 
@@ -535,7 +536,7 @@ pub fn solo_online_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ft_telemetry::NoopRecorder;
+    use ft_telemetry::{MetricsRecorder, NoopRecorder};
 
     fn packed(src: u32, dst: u32) -> u64 {
         (src as u64) << 32 | dst as u64
@@ -587,6 +588,57 @@ mod tests {
             &mut want,
         );
         assert_eq!(b.frame(&b.spans()[0]), &want[..]);
+    }
+
+    #[test]
+    fn run_returns_the_lambda_a_metrics_recorder_reads() {
+        // (engine, leaf map) per request. The batcher steers admission
+        // from `run`'s λ, so it must be the value a recorder would read.
+        type Req = (Engine, fn(u32, u64) -> u32);
+        let random: fn(u32, u64) -> u32 = |p, s| (p as u64 * 7 + s * 13) as u32 % 64;
+        let local: fn(u32, u64) -> u32 = |p, _| p;
+        let sched = |k: usize| vec![(Engine::Schedule, random); k];
+        let batches: [(&str, Vec<Req>); 6] = [
+            ("width 1", sched(1)),
+            ("width 2", sched(2)),
+            ("width slots", sched(8)),
+            ("all local", vec![(Engine::Schedule, local)]),
+            ("online only", vec![(Engine::Online, random); 3]),
+            (
+                "mixed",
+                vec![
+                    (Engine::Online, random),
+                    (Engine::Schedule, random),
+                    (Engine::Schedule, local),
+                    (Engine::Online, random),
+                ],
+            ),
+        ];
+        let mut c = ServeCompute::new(64, 16, 8);
+        for (what, reqs) in batches {
+            for seed in 1..4u64 {
+                let mut b = BatchBuf::new();
+                for (i, &(engine, dst)) in reqs.iter().enumerate() {
+                    let s = seed * 31 + i as u64;
+                    let msgs: Vec<u64> = (0..48u32)
+                        .map(|j| packed(j % 64, dst(j, s ^ (j as u64 >> 2))))
+                        .collect();
+                    let req = ReqView {
+                        req_id: s,
+                        engine,
+                        seed: s,
+                        msgs: &msgs,
+                    };
+                    b.admit(1, i as u32, &req, 64).unwrap();
+                }
+                let mut rec = MetricsRecorder::new();
+                let lam = c.run(&mut b, &mut rec);
+                assert_eq!(lam.to_bits(), rec.lambda_max().to_bits(), "{what} @ {seed}");
+                assert_eq!(lam.to_bits(), c.run(&mut b, &mut NoopRecorder).to_bits());
+                let zero = matches!(what, "all local" | "online only");
+                assert_eq!(lam == 0.0, zero, "{what} @ {seed}: λ = {lam}");
+            }
+        }
     }
 
     #[test]

@@ -13,15 +13,14 @@
 //!   and time out dead clients (no complete frame within the idle window
 //!   closes the connection, so a hung client never wedges shutdown).
 //! * **batcher** owns one [`BatchBuf`] and the [`ServeCompute`]. It closes
-//!   a batch when the window expires or the slots fill, runs
-//!   [`ServeCompute::run`] on it, *steers admission* (each batch's λ and
-//!   reject tally, via [`MetricsRecorder`], raise or halve the effective
-//!   in-flight limit between the configured ceiling and the batch width),
-//!   hands each response to its connection's writer, and opens the next
-//!   batch. Requests that arrive meanwhile wait in the admit queue; a
-//!   finished batch is answered as soon as its compute ends.
-//!
-//! [`MetricsRecorder`]: ft_telemetry::MetricsRecorder
+//!   a batch when the window expires (early by the timer's learned
+//!   lateness, so it wakes on time) or the slots fill, runs
+//!   [`ServeCompute::run`] on it, *steers admission* (the λ that pass
+//!   returns raises or halves the effective in-flight limit between the
+//!   configured ceiling and the batch width), hands each response to its
+//!   connection's writer, and opens the next batch. Requests that arrive
+//!   meanwhile wait in the admit queue; a finished batch is answered as
+//!   soon as its compute ends.
 
 use crate::core::{BatchBuf, ReqTiming, ServeCompute};
 use crate::metrics::{
@@ -32,13 +31,13 @@ use crate::proto::{
     self, decode_hello, encode_busy, encode_hello_ack, Engine, HelloAck, MAX_REQ_MSGS,
 };
 use ft_shard::wire::{self, begin_frame, end_frame, read_frame, write_frame_buf, FrameKind};
-use ft_telemetry::{Event, EventKind, MetricsRecorder};
+use ft_telemetry::{Event, EventKind, NoopRecorder};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -67,7 +66,9 @@ pub struct ServerConfig {
     /// Schedule requests coalesced per batch (power of two).
     pub slots: u32,
     /// Batching window: after the first request of a batch arrives, wait
-    /// at most this long for more before dispatching.
+    /// at most this long for more before dispatching. The batcher aims
+    /// its timed wait early by how late recent timed waits woke (at most
+    /// half the window), so a lone request's batch closes at the window.
     pub window_us: u64,
     /// Admission ceiling: maximum requests in flight (queued + batched,
     /// responses not yet dispatched). The effective limit floats between
@@ -79,9 +80,8 @@ pub struct ServerConfig {
     /// Stop after serving this many requests (0 = run until stopped).
     pub max_requests: u64,
     /// Live metrics hub (request spans + stage histograms + λ-budget
-    /// seqlock). `false` is the overhead gate's no-op baseline: the λ
-    /// steering recorder stays on (admission depends on it) but no spans,
-    /// stamps, or histograms are touched.
+    /// seqlock). `false` is the overhead gate's no-op baseline: no
+    /// telemetry at all (λ steering reads the pass's own return value).
     pub metrics: bool,
     /// Bind a second listener here exposing `/metrics`, `/metrics.json`,
     /// and `/spans` (port 0 picks a free port; read it back from
@@ -130,14 +130,13 @@ pub struct ServerStats {
 
 struct Shared {
     stop: AtomicBool,
+    /// `stop`, for [`ServerHandle::wait`] to block on.
+    stopped: (Mutex<bool>, Condvar),
     /// Loopback address of the listener: [`Shared::request_stop`] connects
     /// to it once so the accept loop, blocked in `accept`, sees `stop`.
     wake: SocketAddr,
     inflight: AtomicUsize,
     limit: AtomicUsize,
-    /// Busy rejects since the last batch (drained into
-    /// [`Recorder::serve_batch`]).
-    rejected: AtomicU64,
     served: AtomicU64,
     busy_total: AtomicU64,
     conns: AtomicU64,
@@ -153,30 +152,14 @@ struct Shared {
 }
 
 impl Shared {
-    /// Set `stop`; the first call also wakes the accept loop.
+    /// Set `stop`; the first call also wakes [`ServerHandle::wait`] and
+    /// the accept loop.
     fn request_stop(&self) {
         if !self.stop.swap(true, Ordering::SeqCst) {
+            let (lock, cv) = &self.stopped;
+            *lock.lock().unwrap() = true;
+            cv.notify_all();
             let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
-        }
-    }
-
-    fn max_u64(slot: &AtomicU64, v: u64) {
-        let mut cur = slot.load(Ordering::Relaxed);
-        while v > cur {
-            match slot.compare_exchange(cur, v, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => break,
-                Err(now) => cur = now,
-            }
-        }
-    }
-
-    fn max_f64(slot: &AtomicU64, v: f64) {
-        let mut cur = slot.load(Ordering::Relaxed);
-        while v > f64::from_bits(cur) {
-            match slot.compare_exchange(cur, v.to_bits(), Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => break,
-                Err(now) => cur = now,
-            }
         }
     }
 
@@ -275,11 +258,10 @@ impl ServerHandle {
         self.shared.stop.load(Ordering::SeqCst)
     }
 
-    /// Block until shutdown is requested (polling).
+    /// Block until shutdown is requested.
     pub fn wait(&self) {
-        while !self.stopping() {
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        let (lock, cv) = &self.shared.stopped;
+        let _stopped = cv.wait_while(lock.lock().unwrap(), |s| !*s).unwrap();
     }
 
     /// Request shutdown, join every thread, and report the run's counters.
@@ -326,10 +308,10 @@ pub fn spawn(cfg: ServerConfig) -> io::Result<ServerHandle> {
         (cfg.metrics || cfg.metrics_addr.is_some()).then(|| Arc::new(ServeMetrics::default()));
     let shared = Arc::new(Shared {
         stop: AtomicBool::new(false),
+        stopped: (Mutex::new(false), Condvar::new()),
         wake: loopback(addr),
         inflight: AtomicUsize::new(0),
         limit: AtomicUsize::new(cfg.inflight.max(1)),
-        rejected: AtomicU64::new(0),
         served: AtomicU64::new(0),
         busy_total: AtomicU64::new(0),
         conns: AtomicU64::new(0),
@@ -560,7 +542,6 @@ fn reader_loop(
                         .is_err();
                 if rejected {
                     shared.inflight.fetch_sub(1, Ordering::SeqCst);
-                    shared.rejected.fetch_add(1, Ordering::Relaxed);
                     shared.busy_total.fetch_add(1, Ordering::Relaxed);
                     if let Some(h) = &hub {
                         h.span(
@@ -602,8 +583,8 @@ fn reader_loop(
 fn batcher_loop(admit_rx: mpsc::Receiver<Admit>, shared: Arc<Shared>, cfg: ServerConfig) {
     let window = Duration::from_micros(cfg.window_us);
     let mut compute = ServeCompute::new(cfg.n, cfg.w, cfg.slots);
-    let mut rec = MetricsRecorder::new();
     let mut batch = BatchBuf::new();
+    let mut late = Duration::ZERO;
     let mut carry: Option<Admit> = None;
     let mut batch_seq: u64 = 0;
     loop {
@@ -625,16 +606,15 @@ fn batcher_loop(admit_rx: mpsc::Receiver<Admit>, shared: Arc<Shared>, cfg: Serve
         let deadline = Instant::now() + window;
         while carry.is_none() {
             let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
-            }
-            match admit_rx.recv_timeout(left) {
+            let Some(wait) = aim(left, late) else { break };
+            let aimed = Instant::now() + wait;
+            match admit_rx.recv_timeout(wait) {
                 Ok(a) if !batch.has_room(a.engine, cfg.slots) => carry = Some(a),
                 Ok(a) => admit_into(&mut batch, a, &shared, &cfg),
-                Err(_) => break,
+                Err(RecvTimeoutError::Timeout) => late = learn(late, aimed.elapsed(), window),
+                Err(RecvTimeoutError::Disconnected) => break,
             }
         }
-        batch.rejected = shared.rejected.swap(0, Ordering::Relaxed);
         if let Some(h) = &shared.metrics {
             // The batch is closed: stamp the batch-wait boundary and flush
             // the admission + coalescing spans for every request in it
@@ -654,29 +634,42 @@ fn batcher_loop(admit_rx: mpsc::Receiver<Admit>, shared: Arc<Shared>, cfg: Serve
         if let Some(h) = &shared.metrics {
             batch.sched_start_ns = h.now_ns();
         }
-        compute.run(&mut batch, &mut rec);
+        let lam = compute.run(&mut batch, &mut NoopRecorder);
         if let Some(h) = &shared.metrics {
             batch.sched_end_ns = h.now_ns();
         }
-        steer(&mut rec, batch.len(), &shared, &cfg);
+        steer(lam, batch.len(), &shared, &cfg);
         dispatch(&mut batch, &shared, &cfg);
         batch.reset();
     }
 }
 
-/// Fold one computed batch of `width` requests into the run's counters,
-/// then steer admission from its λ: high λ halves the in-flight limit
+/// The timed wait for a batch with `left` of its window to go, aimed
+/// `late` early; `None` closes the batch now.
+fn aim(left: Duration, late: Duration) -> Option<Duration> {
+    left.checked_sub(late).filter(|w| !w.is_zero())
+}
+
+/// Move the timer's lateness estimate halfway toward a timed-out wait's
+/// overshoot `over`, at most half the `window`.
+fn learn(late: Duration, over: Duration, window: Duration) -> Duration {
+    ((late + over) / 2).min(window / 2)
+}
+
+/// Fold one computed batch of `width` requests and λ `lam` into the run's
+/// counters, then steer admission: high λ halves the in-flight limit
 /// toward the batch width; calm batches grow it back toward the
 /// configured ceiling.
-fn steer(rec: &mut MetricsRecorder, width: usize, shared: &Shared, cfg: &ServerConfig) {
-    let lam = rec.lambda_max();
-    rec.reset();
-    Shared::max_f64(&shared.lambda_max_bits, lam);
+fn steer(lam: f64, width: usize, shared: &Shared, cfg: &ServerConfig) {
+    // λ ≥ 0, and non-negative floats order as their bit patterns do.
+    shared
+        .lambda_max_bits
+        .fetch_max(lam.to_bits(), Ordering::Relaxed);
     shared.batches.fetch_add(1, Ordering::Relaxed);
     shared
         .batch_req_total
         .fetch_add(width as u64, Ordering::Relaxed);
-    Shared::max_u64(&shared.batch_max, width as u64);
+    shared.batch_max.fetch_max(width as u64, Ordering::Relaxed);
     let cur = shared.limit.load(Ordering::SeqCst);
     let next = if lam > STEER_LAMBDA {
         (cur / 2).max(cfg.slots as usize)
@@ -778,5 +771,61 @@ fn dispatch(b: &mut BatchBuf, shared: &Shared, cfg: &ServerConfig) {
     }
     if cfg.max_requests > 0 && shared.served.load(Ordering::Relaxed) >= cfg.max_requests {
         shared.request_stop();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const WINDOW: Duration = Duration::from_micros(200);
+
+    fn us(n: u64) -> Duration {
+        Duration::from_micros(n)
+    }
+
+    #[test]
+    fn aim_never_waits_past_left_and_closes_when_late_covers_it() {
+        for left in [0, 1, 30, 60, 200] {
+            for late in [0, 1, 30, 60, 100] {
+                match aim(us(left), us(late)) {
+                    Some(w) => assert!(w <= us(left) && w + us(late) == us(left)),
+                    None => assert!(left <= late, "left {left} late {late}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn late_is_clamped_to_half_the_window() {
+        let mut late = Duration::ZERO;
+        for over in [us(1_000), Duration::from_secs(1), us(150), us(1_000)] {
+            late = learn(late, over, WINDOW);
+            assert!(late <= WINDOW / 2, "{late:?}");
+        }
+        assert_eq!(late, WINDOW / 2);
+    }
+
+    #[test]
+    fn late_converges_to_a_constant_overshoot() {
+        let mut late = Duration::ZERO;
+        for _ in 0..40 {
+            late = learn(late, us(58), WINDOW);
+        }
+        assert!(us(58) - late <= Duration::from_nanos(1), "{late:?}");
+    }
+
+    #[test]
+    fn late_decays_after_one_spike() {
+        let mut late = us(58);
+        late = learn(late, us(5_000), WINDOW);
+        assert_eq!(late, WINDOW / 2);
+        let mut prev = late;
+        for _ in 0..40 {
+            late = learn(late, us(58), WINDOW);
+            assert!(late <= prev);
+            prev = late;
+        }
+        assert!(late - us(58) <= Duration::from_nanos(1), "{late:?}");
     }
 }

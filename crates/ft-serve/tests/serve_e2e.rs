@@ -5,6 +5,7 @@
 use ft_serve::client::{bench, BenchConfig, BenchMode};
 use ft_serve::proto::Engine;
 use ft_serve::server::{spawn, ServerConfig};
+use std::time::{Duration, Instant};
 
 fn server_cfg() -> ServerConfig {
     ServerConfig {
@@ -212,4 +213,37 @@ fn lone_request_waits_one_batching_window() {
         r.p50_us
     );
     server.stop();
+}
+
+#[test]
+fn wait_returns_as_soon_as_max_requests_stops_the_server() {
+    // `wait` blocks on the stop signal itself: summed over 20 servers, the
+    // time from the reply to a waiting `wait` returning stays far below
+    // one 20 ms poll per server.
+    let mut idle = Duration::ZERO;
+    for _ in 0..20 {
+        let mut scfg = server_cfg();
+        scfg.max_requests = 1;
+        let server = spawn(scfg).expect("spawn server");
+        let mut cfg = client_cfg(&server.addr().to_string());
+        cfg.clients = 1;
+        cfg.requests = 1;
+        cfg.verify = false;
+        idle += std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                server.wait();
+                Instant::now()
+            });
+            let r = bench(&cfg).expect("bench run");
+            let replied = Instant::now();
+            assert_eq!(r.ok, 1);
+            let woke = waiter.join().expect("waiter thread");
+            woke.saturating_duration_since(replied)
+        });
+        assert_eq!(server.stop().served, 1);
+    }
+    assert!(
+        idle < Duration::from_millis(60),
+        "wait returned {idle:?} in all after the replies"
+    );
 }
