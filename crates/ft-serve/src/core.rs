@@ -122,9 +122,9 @@ pub struct FrameSpan {
 }
 
 /// Per-request pipeline timestamps (ns since the metrics hub's epoch),
-/// maintained by the server front end when live metrics are enabled and
-/// left empty otherwise — the compute path never reads them. Entry `i`
-/// describes the same request as [`BatchBuf::spans`]`()[i]`.
+/// stamped by the server's readers and batcher when live metrics are
+/// enabled and left empty otherwise — the compute path never reads them.
+/// Entry `i` describes the same request as [`BatchBuf::spans`]`()[i]`.
 #[derive(Clone, Copy, Debug)]
 pub struct ReqTiming {
     /// Monotone request id (span events key on this).
@@ -155,13 +155,6 @@ pub struct BatchBuf {
     /// Stage timestamps per admitted request (see [`ReqTiming`]); empty
     /// unless the server runs with live metrics.
     pub timings: Vec<ReqTiming>,
-    /// When the batcher closed this batch (ns since the metrics epoch; 0
-    /// when metrics are off).
-    pub closed_ns: u64,
-    /// Compute-pass bounds, stamped by the batcher around
-    /// [`ServeCompute::run`].
-    pub sched_start_ns: u64,
-    pub sched_end_ns: u64,
     num_cycles_combined: u32,
     assign: Vec<u32>,
     online_data: Vec<u32>,
@@ -183,9 +176,6 @@ impl BatchBuf {
         self.reqs.clear();
         self.sched_reqs = 0;
         self.timings.clear();
-        self.closed_ns = 0;
-        self.sched_start_ns = 0;
-        self.sched_end_ns = 0;
         self.num_cycles_combined = 0;
         self.assign.clear();
         self.online_data.clear();
@@ -201,11 +191,6 @@ impl BatchBuf {
     /// True when no request has been admitted.
     pub fn is_empty(&self) -> bool {
         self.reqs.is_empty()
-    }
-
-    /// Total messages across admitted requests.
-    pub fn total_messages(&self) -> usize {
-        self.sched_msgs.len() + self.online_msgs.len()
     }
 
     /// True if another request of `engine` fits: schedule requests are
@@ -227,13 +212,8 @@ impl BatchBuf {
     ) -> Result<(), ServeError> {
         // Validate before mutating anything: a bad message must not leave
         // half a request in the pools.
-        for &w in req.msgs {
-            let (src, dst) = ((w >> 32) as u32, w as u32);
-            if src >= n || dst >= n {
-                return Err(ServeError::BadLeaf { src, dst, n });
-            }
-        }
-        let (pool_base, offset) = match req.engine {
+        req.check_leaves(n)?;
+        let offset = match req.engine {
             Engine::Schedule => {
                 let base = self.sched_reqs * n;
                 self.sched_reqs += 1;
@@ -242,7 +222,7 @@ impl BatchBuf {
                     self.sched_msgs
                         .push(Message::new(base + (w >> 32) as u32, base + w as u32));
                 }
-                (base, offset)
+                offset
             }
             Engine::Online => {
                 let offset = self.online_msgs.len();
@@ -250,10 +230,9 @@ impl BatchBuf {
                     self.online_msgs
                         .push(Message::new((w >> 32) as u32, w as u32));
                 }
-                (0, offset)
+                offset
             }
         };
-        let _ = pool_base;
         self.reqs.push(ReqMeta {
             conn,
             seq,
@@ -431,11 +410,6 @@ impl ServeCompute {
         &self.solo
     }
 
-    /// Batch width: schedule requests coalesced per pass.
-    pub fn slots(&self) -> u32 {
-        self.slots
-    }
-
     /// Run the batch: one coalesced schedule pass over the graft tree,
     /// then each online request on the warmed solo arena. Numeric outputs
     /// land in `b`; frame encoding is a separate step
@@ -445,7 +419,6 @@ impl ServeCompute {
     /// `lambda_max` a fresh `MetricsRecorder` passed as `rec` reads back.
     pub fn run<R: Recorder>(&mut self, b: &mut BatchBuf, rec: &mut R) -> f64 {
         debug_assert!(b.sched_reqs <= self.slots, "over-admitted batch");
-        let total = b.total_messages() as u64;
         let mut lam = 0.0;
         if b.sched_reqs > 0 {
             let stream = SliceStream::new(&b.sched_msgs, "serve");
@@ -470,10 +443,6 @@ impl ServeCompute {
                 b.online_data.push(d as u32);
             }
             r.out_len = b.online_data.len() as u32 - r.out_off;
-        }
-        if R::ENABLED {
-            // Admission (and so `Busy`) is the server's; a batch sees none.
-            rec.serve_batch(b.reqs.len() as u32, total, 0);
         }
         lam
     }
@@ -656,7 +625,7 @@ mod tests {
             Err(ServeError::BadLeaf { src: 40, .. })
         ));
         assert!(b.is_empty());
-        assert_eq!(b.total_messages(), 0);
+        assert!(b.sched_msgs.is_empty());
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //!   decode → coalesce → schedule → demux → encode loop, plus the solo
 //!   oracles (`solo_schedule_frame` / `solo_online_frame`) the golden
 //!   tests and `bench-client --verify` compare against;
-//! * [`server`] / [`client`] — the TCP shell: one batcher thread that
-//!   closes, computes and dispatches each batch under telemetry-steered
-//!   admission control, and the load-generating bench client
+//! * [`server`] / [`client`] — the TCP shell: one batcher thread driving
+//!   the clock-free `ServeCore` (`batcher`), which closes, computes and
+//!   steers each batch, and the load-generating bench client
 //!   (`ftsim serve` / `ftsim bench-client`);
 //! * [`metrics`] — the live observability hub (request spans, stage
 //!   latency histograms, the seqlock λ-budget block) and the scrape
@@ -28,6 +28,7 @@
 //! [`BatchBuf`]: core::BatchBuf
 //! [`ServeCompute`]: core::ServeCompute
 
+mod batcher;
 pub mod client;
 pub mod core;
 pub mod metrics;

@@ -102,8 +102,6 @@ pub struct ServeCounters {
     pub inflight: u64,
     pub inflight_limit: u64,
     pub conns: u64,
-    pub batches: u64,
-    pub batch_max: u64,
     pub reaped: u64,
 }
 
@@ -112,7 +110,7 @@ pub struct ServeCounters {
 pub struct ServeMetrics {
     /// All pipeline timestamps are nanoseconds since this instant, so
     /// they fit `u64` math with no `Instant` plumbing through `BatchBuf`.
-    epoch: Instant,
+    pub(crate) epoch: Instant,
     /// Monotone request-id source; ids start at 1 (0 = "no request").
     rid_next: AtomicU64,
     /// Stage histograms, indexed by `Engine as usize`.
@@ -360,7 +358,7 @@ impl ServeMetrics {
             &mut out,
             "ftsim_serve_batches_total",
             "Batches computed",
-            c.batches,
+            budget.batches,
         );
         gauge(
             &mut out,
@@ -692,8 +690,6 @@ mod tests {
             inflight: 0,
             inflight_limit: 32,
             conns: 2,
-            batches: 1,
-            batch_max: 4,
             reaped: 0,
         };
         let doc = m.render_json(&c);

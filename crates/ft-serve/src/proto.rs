@@ -170,6 +170,21 @@ pub struct ReqView<'a> {
     pub msgs: &'a [u64],
 }
 
+impl ReqView<'_> {
+    /// Check that every message's endpoints are leaves of an `n`-leaf
+    /// tree. The server's reader answers a failure with an `Error` frame;
+    /// [`crate::core::BatchBuf::admit`] refuses it without side effects.
+    pub fn check_leaves(&self, n: u32) -> Result<(), ServeError> {
+        for &w in self.msgs {
+            let (src, dst) = ((w >> 32) as u32, w as u32);
+            if src >= n || dst >= n {
+                return Err(ServeError::BadLeaf { src, dst, n });
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Begin composing a `Req` frame: header words only. Push packed
 /// `src<<32 | dst` message words, then seal with
 /// [`ft_shard::wire::end_frame`].

@@ -1,37 +1,31 @@
 //! The serving shell: accept loop, per-connection reader/writer threads,
-//! and the batcher, which closes, computes and dispatches each batch.
+//! and the batcher thread, which only drives `ServeCore`.
 //!
 //! Thread topology (all std, no async):
 //!
 //! ```text
-//! accept ──spawns──► reader(conn) ──admit queue──► batcher
-//!                    writer(conn) ◄────────────────┘  (close → compute → dispatch)
+//! accept ──spawns──► reader(conn) ──admit queue──► batcher (drives ServeCore)
+//!                    writer(conn) ◄────────────────┘
 //! ```
 //!
-//! * **readers** speak the handshake, enforce admission control (bounded
-//!   in-flight queue; over-limit requests get structured `Busy` frames),
-//!   and time out dead clients (no complete frame within the idle window
-//!   closes the connection, so a hung client never wedges shutdown).
-//! * **batcher** owns one [`BatchBuf`] and the [`ServeCompute`]. It closes
-//!   a batch when the window expires (early by the timer's learned
-//!   lateness, so it wakes on time) or the slots fill, runs
-//!   [`ServeCompute::run`] on it, *steers admission* (the λ that pass
-//!   returns raises or halves the effective in-flight limit between the
-//!   configured ceiling and the batch width), hands each response to its
-//!   connection's writer, and opens the next batch. Requests that arrive
-//!   meanwhile wait in the admit queue; a finished batch is answered as
-//!   soon as its compute ends.
+//! * **readers** speak the handshake, validate each request (an `Error`
+//!   frame answers a bad one), enforce admission control (over-limit
+//!   requests get structured `Busy` frames) and close a connection that
+//!   sends no complete frame within the idle window.
+//! * **batcher** waits on the admit queue as the core asks, hands it each
+//!   arrival, expired wait and close, and does everything the core may
+//!   not: reads the clock, stamps the metrics hub, publishes the steered
+//!   limit, sends each response to its connection's writer and requests
+//!   the stop. Every batching decision is the core's (`batcher.rs`).
 
-use crate::core::{BatchBuf, ReqTiming, ServeCompute};
+use crate::batcher::{Admit, Next, ServeCore};
+use crate::core::{ReqTiming, ServeCompute};
 use crate::metrics::{
-    loopback, spawn_metrics_listener, LambdaBudget, MetricsListener, MetricsSource, ServeCounters,
-    ServeMetrics,
+    loopback, spawn_metrics_listener, MetricsListener, MetricsSource, ServeCounters, ServeMetrics,
 };
-use crate::proto::{
-    self, decode_hello, encode_busy, encode_hello_ack, Engine, HelloAck, MAX_REQ_MSGS,
-};
-use ft_shard::wire::{self, begin_frame, end_frame, read_frame, write_frame_buf, FrameKind};
-use ft_telemetry::{Event, EventKind, NoopRecorder};
+use crate::proto::{self, decode_hello, encode_busy, encode_hello_ack, HelloAck, MAX_REQ_MSGS};
+use ft_shard::wire::{self, read_frame, write_frame_buf, FrameKind};
+use ft_telemetry::{Event, EventKind};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -47,10 +41,6 @@ pub const ERR_SHAPE: u64 = 1;
 pub const ERR_PROTO: u64 = 2;
 /// `Error` frame code: request payload failed validation.
 pub const ERR_REQUEST: u64 = 3;
-
-/// λ threshold above which the admission controller halves the in-flight
-/// limit toward the batch width (contention feedback; see module docs).
-const STEER_LAMBDA: f64 = 4.0;
 
 /// Server configuration. `Default` gives the benchmark shape: n=256 w=64,
 /// 8-slot batches, a 200 µs window, 64 requests in flight.
@@ -140,10 +130,6 @@ struct Shared {
     served: AtomicU64,
     busy_total: AtomicU64,
     conns: AtomicU64,
-    batches: AtomicU64,
-    batch_req_total: AtomicU64,
-    batch_max: AtomicU64,
-    lambda_max_bits: AtomicU64,
     reaped: AtomicU64,
     writers: Mutex<HashMap<u16, mpsc::Sender<Vec<u64>>>>,
     /// Live observability hub; `None` runs the pipeline with zero
@@ -171,8 +157,6 @@ impl Shared {
             inflight: self.inflight.load(Ordering::SeqCst) as u64,
             inflight_limit: self.limit.load(Ordering::SeqCst) as u64,
             conns: self.conns.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batch_max: self.batch_max.load(Ordering::Relaxed),
             reaped: self.reaped.load(Ordering::Relaxed),
         }
     }
@@ -181,38 +165,19 @@ impl Shared {
 /// The serve pipeline's scrape pages, rendered from the hub plus the
 /// live counters. Every render is atomics-and-seqlock only — a slow or
 /// hostile scraper cannot slow admission or compute.
-struct Scrape(Arc<Shared>);
-
-impl MetricsSource for Scrape {
+impl MetricsSource for Shared {
     fn render(&self, path: &str) -> Option<(&'static str, String)> {
-        let hub = self.0.metrics.as_ref()?;
+        let hub = self.metrics.as_ref()?;
         match path {
             "/metrics" => Some((
                 "text/plain; version=0.0.4",
-                hub.render_prometheus(&self.0.counters()),
+                hub.render_prometheus(&self.counters()),
             )),
-            "/metrics.json" => Some(("application/json", hub.render_json(&self.0.counters()))),
+            "/metrics.json" => Some(("application/json", hub.render_json(&self.counters()))),
             "/spans" => Some(("application/x-ndjson", hub.render_spans())),
             _ => None,
         }
     }
-}
-
-/// One admitted request travelling from a reader to the batcher: the
-/// validated frame words, its engine, the originating connection and —
-/// when live metrics are on — its request id and reader-side stage
-/// timestamps.
-struct Admit {
-    conn: u16,
-    seq: u32,
-    engine: Engine,
-    words: Vec<u64>,
-    /// Monotone request id (0 when metrics are off).
-    rid: u64,
-    /// Frame fully read (ns since the hub epoch; 0 when metrics are off).
-    recv_ns: u64,
-    /// Request decoded and validated.
-    decoded_ns: u64,
 }
 
 /// A running server. Stop it (and collect stats) with
@@ -221,8 +186,8 @@ struct Admit {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    batcher: Option<JoinHandle<()>>,
+    accept: JoinHandle<()>,
+    batcher: JoinHandle<ServerStats>,
     scrape: Option<MetricsListener>,
 }
 
@@ -253,11 +218,6 @@ impl ServerHandle {
         Stopper(Arc::clone(&self.shared))
     }
 
-    /// True once shutdown has been requested (e.g. `max_requests` hit).
-    pub fn stopping(&self) -> bool {
-        self.shared.stop.load(Ordering::SeqCst)
-    }
-
     /// Block until shutdown is requested.
     pub fn wait(&self) {
         let (lock, cv) = &self.shared.stopped;
@@ -265,29 +225,19 @@ impl ServerHandle {
     }
 
     /// Request shutdown, join every thread, and report the run's counters.
-    pub fn stop(mut self) -> ServerStats {
-        self.shared.request_stop();
-        for h in [self.accept.take(), self.batcher.take()]
-            .into_iter()
-            .flatten()
-        {
-            let _ = h.join();
-        }
-        if let Some(scrape) = self.scrape.take() {
+    pub fn stop(self) -> ServerStats {
+        let s = self.shared;
+        s.request_stop();
+        let _ = self.accept.join();
+        let batched = self.batcher.join().unwrap_or_default();
+        if let Some(scrape) = self.scrape {
             scrape.stop();
         }
-        let s = &self.shared;
-        let batches = s.batches.load(Ordering::Relaxed);
-        let reqs = s.batch_req_total.load(Ordering::Relaxed);
         ServerStats {
-            served: s.served.load(Ordering::Relaxed),
             busy: s.busy_total.load(Ordering::Relaxed),
-            batches,
-            batch_max: s.batch_max.load(Ordering::Relaxed),
-            batch_mean_x1000: (reqs * 1000).checked_div(batches).unwrap_or(0),
-            lambda_max: f64::from_bits(s.lambda_max_bits.load(Ordering::Relaxed)),
             conns: s.conns.load(Ordering::Relaxed),
             reaped: s.reaped.load(Ordering::Relaxed),
+            ..batched
         }
     }
 }
@@ -315,19 +265,12 @@ pub fn spawn(cfg: ServerConfig) -> io::Result<ServerHandle> {
         served: AtomicU64::new(0),
         busy_total: AtomicU64::new(0),
         conns: AtomicU64::new(0),
-        batches: AtomicU64::new(0),
-        batch_req_total: AtomicU64::new(0),
-        batch_max: AtomicU64::new(0),
-        lambda_max_bits: AtomicU64::new(0),
         reaped: AtomicU64::new(0),
         writers: Mutex::new(HashMap::new()),
         metrics: hub,
     });
     let scrape = match &cfg.metrics_addr {
-        Some(maddr) => Some(spawn_metrics_listener(
-            maddr,
-            Arc::new(Scrape(Arc::clone(&shared))),
-        )?),
+        Some(maddr) => Some(spawn_metrics_listener(maddr, Arc::clone(&shared) as _)?),
         None => None,
     };
     let (admit_tx, admit_rx) = mpsc::sync_channel::<Admit>(cfg.inflight.max(1));
@@ -345,8 +288,8 @@ pub fn spawn(cfg: ServerConfig) -> io::Result<ServerHandle> {
     Ok(ServerHandle {
         addr,
         shared,
-        accept: Some(accept),
-        batcher: Some(batcher),
+        accept,
+        batcher,
         scrape,
     })
 }
@@ -406,17 +349,7 @@ fn writer_loop(mut stream: TcpStream, rx: mpsc::Receiver<Vec<u64>>) {
 }
 
 fn error_frame(conn: u16, seq: u32, code: u64) -> Vec<u64> {
-    let mut buf = Vec::new();
-    begin_frame(&mut buf, FrameKind::Error, conn, seq);
-    buf.push(code);
-    end_frame(&mut buf);
-    buf
-}
-
-fn dbg_exit(conn: u16, why: &str) {
-    if std::env::var_os("FT_SERVE_DEBUG").is_some() {
-        eprintln!("[serve dbg] conn {conn}: {why}");
-    }
+    wire::encode(FrameKind::Error, conn, seq, &[code])
 }
 
 fn reader_loop(
@@ -435,16 +368,10 @@ fn reader_loop(
     let mut busy_buf = Vec::new();
     loop {
         if shared.stop.load(Ordering::SeqCst) {
-            dbg_exit(conn, "stop flag");
             break;
         }
         let words = match read_frame(&mut stream) {
-            Ok(None) => {
-                if std::env::var_os("FT_SERVE_DEBUG").is_some() {
-                    eprintln!("[serve dbg] conn {conn}: client EOF");
-                }
-                break;
-            }
+            Ok(None) => break,
             Ok(Some(w)) => w,
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
@@ -456,17 +383,11 @@ fn reader_loop(
                     if let Some(h) = &hub {
                         h.span(EventKind::ConnReap, conn as u32, 0, 0);
                     }
-                    dbg_exit(conn, "idle timeout");
                     break;
                 }
                 continue;
             }
-            Err(e) => {
-                if std::env::var_os("FT_SERVE_DEBUG").is_some() {
-                    eprintln!("[serve dbg] conn {conn}: read error {e}");
-                }
-                break;
-            }
+            Err(_) => break,
         };
         last = Instant::now();
         let recv_ns = hub.as_ref().map_or(0, |h| h.now_ns());
@@ -484,7 +405,6 @@ fn reader_loop(
                     Err(_) => false,
                 };
                 if !ok {
-                    dbg_exit(conn, "hello shape mismatch");
                     let _ = writer.send(error_frame(conn, frame.seq, ERR_SHAPE));
                     break;
                 }
@@ -502,7 +422,6 @@ fn reader_loop(
                     },
                 );
                 if writer.send(ack).is_err() {
-                    dbg_exit(conn, "ack send failed");
                     break;
                 }
                 hello_done = true;
@@ -510,21 +429,28 @@ fn reader_loop(
             FrameKind::Req if hello_done => {
                 // Validate the payload here so malformed requests answer
                 // with an Error frame instead of poisoning a batch.
-                let engine = match proto::decode_req(frame.payload) {
-                    Ok(req) => req.engine,
-                    Err(_) => {
-                        let _ = writer.send(error_frame(conn, frame.seq, ERR_REQUEST));
-                        continue;
-                    }
+                let req = proto::decode_req(frame.payload)
+                    .and_then(|req| req.check_leaves(cfg.n).map(|()| req));
+                let Ok(req) = req else {
+                    let _ = writer.send(error_frame(conn, frame.seq, ERR_REQUEST));
+                    continue;
                 };
-                let req_id = frame.payload[0];
-                let seq = frame.seq;
+                let (req_id, engine, seed, seq) = (req.req_id, req.engine, req.seed, frame.seq);
+                // Where the message words sit in the frame, so the batcher
+                // admits them from `words` without decoding it again.
+                let at = (req.msgs.as_ptr() as usize - words.as_ptr() as usize) / 8;
+                let msgs = at..at + req.msgs.len();
                 // Decode finished and the request is validated: assign its
                 // span id and stamp the decode-stage boundary.
-                let (rid, decoded_ns) = match &hub {
-                    Some(h) => (h.next_rid(), h.now_ns()),
-                    None => (0, 0),
+                let timing = ReqTiming {
+                    rid: hub.as_ref().map_or(0, |h| h.next_rid()),
+                    engine,
+                    msgs: req.msgs.len() as u32,
+                    recv_ns,
+                    decoded_ns: hub.as_ref().map_or(0, |h| h.now_ns()),
+                    admitted_ns: 0,
                 };
+                let rid = timing.rid;
                 let cur = shared.inflight.fetch_add(1, Ordering::SeqCst);
                 let limit = shared.limit.load(Ordering::SeqCst);
                 let over_limit = cur >= limit;
@@ -533,11 +459,12 @@ fn reader_loop(
                         .try_send(Admit {
                             conn,
                             seq,
+                            req_id,
                             engine,
+                            seed,
                             words,
-                            rid,
-                            recv_ns,
-                            decoded_ns,
+                            msgs,
+                            timing,
                         })
                         .is_err();
                 if rejected {
@@ -560,174 +487,79 @@ fn reader_loop(
                         limit as u32,
                     );
                     if writer.send(busy_buf.clone()).is_err() {
-                        dbg_exit(conn, "busy send failed");
                         break;
                     }
                 }
             }
             _ => {
-                if std::env::var_os("FT_SERVE_DEBUG").is_some() {
-                    eprintln!("[serve dbg] conn {conn}: unexpected kind {:?}", frame.kind);
-                }
                 let _ = writer.send(error_frame(conn, frame.seq, ERR_PROTO));
                 break;
             }
         }
     }
-    if std::env::var_os("FT_SERVE_DEBUG").is_some() {
-        eprintln!("[serve dbg] conn {conn}: reader exit");
-    }
     shared.writers.lock().unwrap().remove(&conn);
 }
 
-fn batcher_loop(admit_rx: mpsc::Receiver<Admit>, shared: Arc<Shared>, cfg: ServerConfig) {
-    let window = Duration::from_micros(cfg.window_us);
-    let mut compute = ServeCompute::new(cfg.n, cfg.w, cfg.slots);
-    let mut batch = BatchBuf::new();
-    let mut late = Duration::ZERO;
-    let mut carry: Option<Admit> = None;
-    let mut batch_seq: u64 = 0;
+/// Drive the core on wall time until the admit queue disconnects, or is
+/// idle after a stop; return the run's batch figures.
+fn batcher_loop(
+    admit_rx: mpsc::Receiver<Admit>,
+    shared: Arc<Shared>,
+    cfg: ServerConfig,
+) -> ServerStats {
+    let mut core = ServeCore::new(&cfg, shared.metrics.as_ref().map(|h| h.epoch));
     loop {
-        // Open a batch: the carried-over request, or the next arrival.
-        // Every earlier batch has been answered, so an idle wait only
-        // watches for shutdown.
-        let first = match carry.take() {
-            Some(a) => a,
-            None => loop {
-                match admit_rx.recv_timeout(Duration::from_millis(50)) {
-                    Ok(a) => break a,
-                    Err(RecvTimeoutError::Timeout) if !shared.stop.load(Ordering::SeqCst) => {}
-                    Err(_) => return,
+        match core.next(Instant::now()) {
+            // Every earlier batch has been answered, so an idle wait only
+            // watches for shutdown.
+            Next::Idle => match admit_rx.recv_timeout(Duration::from_millis(50)) {
+                Ok(a) => core.admit(Instant::now(), a),
+                Err(RecvTimeoutError::Timeout) if !shared.stop.load(Ordering::SeqCst) => {}
+                Err(_) => return core.stats(),
+            },
+            Next::Wait(wait) => match admit_rx.recv_timeout(wait) {
+                Ok(a) => core.admit(Instant::now(), a),
+                Err(RecvTimeoutError::Timeout) => core.timed_out(Instant::now()),
+                Err(RecvTimeoutError::Disconnected) => {
+                    close_batch(&mut core, &shared);
+                    return core.stats();
                 }
             },
-        };
-        admit_into(&mut batch, first, &shared, &cfg);
-        // Coalesce arrivals until the window closes or the batch fills.
-        let deadline = Instant::now() + window;
-        while carry.is_none() {
-            let left = deadline.saturating_duration_since(Instant::now());
-            let Some(wait) = aim(left, late) else { break };
-            let aimed = Instant::now() + wait;
-            match admit_rx.recv_timeout(wait) {
-                Ok(a) if !batch.has_room(a.engine, cfg.slots) => carry = Some(a),
-                Ok(a) => admit_into(&mut batch, a, &shared, &cfg),
-                Err(RecvTimeoutError::Timeout) => late = learn(late, aimed.elapsed(), window),
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
+            Next::Close => close_batch(&mut core, &shared),
         }
-        if let Some(h) = &shared.metrics {
-            // The batch is closed: stamp the batch-wait boundary and flush
-            // the admission + coalescing spans for every request in it
-            // under one ring lock.
-            batch.closed_ns = h.now_ns();
-            let width = batch.len() as u32;
-            let seq32 = batch_seq.min(u32::MAX as u64) as u32;
-            h.span_many(batch.timings.iter().flat_map(|t| {
-                let rid = t.rid.min(u32::MAX as u64) as u32;
-                [
-                    Event::new(EventKind::ReqAdmit, rid, t.engine as u32, t.msgs),
-                    Event::new(EventKind::ReqBatch, rid, width, seq32),
-                ]
-            }));
-        }
-        batch_seq += 1;
-        if let Some(h) = &shared.metrics {
-            batch.sched_start_ns = h.now_ns();
-        }
-        let lam = compute.run(&mut batch, &mut NoopRecorder);
-        if let Some(h) = &shared.metrics {
-            batch.sched_end_ns = h.now_ns();
-        }
-        steer(lam, batch.len(), &shared, &cfg);
-        dispatch(&mut batch, &shared, &cfg);
-        batch.reset();
     }
 }
 
-/// The timed wait for a batch with `left` of its window to go, aimed
-/// `late` early; `None` closes the batch now.
-fn aim(left: Duration, late: Duration) -> Option<Duration> {
-    left.checked_sub(late).filter(|w| !w.is_zero())
-}
-
-/// Move the timer's lateness estimate halfway toward a timed-out wait's
-/// overshoot `over`, at most half the `window`.
-fn learn(late: Duration, over: Duration, window: Duration) -> Duration {
-    ((late + over) / 2).min(window / 2)
-}
-
-/// Fold one computed batch of `width` requests and λ `lam` into the run's
-/// counters, then steer admission: high λ halves the in-flight limit
-/// toward the batch width; calm batches grow it back toward the
-/// configured ceiling.
-fn steer(lam: f64, width: usize, shared: &Shared, cfg: &ServerConfig) {
-    // λ ≥ 0, and non-negative floats order as their bit patterns do.
-    shared
-        .lambda_max_bits
-        .fetch_max(lam.to_bits(), Ordering::Relaxed);
-    shared.batches.fetch_add(1, Ordering::Relaxed);
-    shared
-        .batch_req_total
-        .fetch_add(width as u64, Ordering::Relaxed);
-    shared.batch_max.fetch_max(width as u64, Ordering::Relaxed);
-    let cur = shared.limit.load(Ordering::SeqCst);
-    let next = if lam > STEER_LAMBDA {
-        (cur / 2).max(cfg.slots as usize)
-    } else {
-        (cur + 1 + cur / 8).min(cfg.inflight.max(1))
-    };
-    shared.limit.store(next, Ordering::SeqCst);
-    if let Some(h) = &shared.metrics {
-        // One seqlock write per batch: limit, λ, width, and batch
-        // count always read back as one consistent generation.
-        h.write_budget(LambdaBudget {
-            limit: next as u64,
-            lambda_max: f64::from_bits(shared.lambda_max_bits.load(Ordering::Relaxed)),
-            last_batch: width as u64,
-            batches: shared.batches.load(Ordering::Relaxed),
-        });
+/// Close, compute and answer the core's open batch, stamping the hub
+/// around each stage, and stop the server once the core says so.
+fn close_batch(core: &mut ServeCore, shared: &Shared) {
+    let hub = shared.metrics.as_deref();
+    let now_ns = || hub.map_or(0, |h| h.now_ns());
+    let closed_ns = now_ns();
+    if let Some(h) = hub {
+        // Flush the admission + coalescing spans for every request in the
+        // batch under one ring lock.
+        let b = core.batch();
+        let width = b.len() as u32;
+        let seq32 = core.stats().batches.min(u32::MAX as u64) as u32;
+        h.span_many(b.timings.iter().flat_map(|t| {
+            let rid = t.rid.min(u32::MAX as u64) as u32;
+            [
+                Event::new(EventKind::ReqAdmit, rid, t.engine as u32, t.msgs),
+                Event::new(EventKind::ReqBatch, rid, width, seq32),
+            ]
+        }));
     }
-}
-
-fn admit_into(b: &mut BatchBuf, a: Admit, shared: &Shared, cfg: &ServerConfig) {
-    let Ok(frame) = wire::decode(&a.words) else {
-        shared.inflight.fetch_sub(1, Ordering::SeqCst);
-        return;
-    };
-    let Ok(req) = proto::decode_req(frame.payload) else {
-        shared.inflight.fetch_sub(1, Ordering::SeqCst);
-        return;
-    };
-    let (engine, msgs) = (req.engine, req.msgs.len() as u32);
-    if b.admit(a.conn, a.seq, &req, cfg.n).is_err() {
-        // Validation already ran reader-side; a failure here means the
-        // connection raced shape changes — drop the request.
-        shared.inflight.fetch_sub(1, Ordering::SeqCst);
-        return;
+    let sched_start = now_ns();
+    let budget = core.close();
+    let sched_end = now_ns();
+    shared.limit.store(budget.limit as usize, Ordering::SeqCst);
+    if let Some(h) = hub {
+        h.write_budget(budget);
     }
-    if let Some(h) = &shared.metrics {
-        // Pushed iff the admit succeeded, so `timings[i]` always describes
-        // the same request as `spans()[i]` after encoding. The ReqAdmit
-        // span is emitted from this record at batch close — one ring lock
-        // per batch instead of one per admission.
-        b.timings.push(ReqTiming {
-            rid: a.rid,
-            engine,
-            msgs,
-            recv_ns: a.recv_ns,
-            decoded_ns: a.decoded_ns,
-            admitted_ns: h.now_ns(),
-        });
-    }
-}
-
-/// Encode the computed batch's responses and hand each frame to its
-/// connection's writer, then (metrics on) settle the batch's stage
-/// histograms and completion spans.
-fn dispatch(b: &mut BatchBuf, shared: &Shared, cfg: &ServerConfig) {
-    let enc_start = shared.metrics.as_ref().map_or(0, |h| h.now_ns());
-    b.encode_responses();
-    let enc_end = shared.metrics.as_ref().map_or(0, |h| h.now_ns());
+    let enc_start = now_ns();
+    let b = core.encode();
+    let enc_end = now_ns();
     let writers = shared.writers.lock().unwrap();
     for span in b.spans() {
         if let Some(tx) = writers.get(&span.conn) {
@@ -737,16 +569,13 @@ fn dispatch(b: &mut BatchBuf, shared: &Shared, cfg: &ServerConfig) {
         shared.served.fetch_add(1, Ordering::Relaxed);
     }
     drop(writers);
-    if let Some(h) = &shared.metrics {
+    if let Some(h) = hub {
+        // A batch opens with a request, so it is never empty.
         let width = b.len();
-        if width > 0 {
-            h.batch_occupancy.record(width as u64);
-        }
+        h.batch_occupancy.record(width as u64);
         // Schedule and encode are batch-level stages; every request in
         // the batch shares them. The per-request stages come from its
         // `ReqTiming` stamps.
-        let sched_ns = b.sched_end_ns.saturating_sub(b.sched_start_ns);
-        let enc_ns = enc_end.saturating_sub(enc_start);
         let now = h.now_ns();
         debug_assert_eq!(b.timings.len(), b.spans().len());
         for t in &b.timings {
@@ -755,9 +584,9 @@ fn dispatch(b: &mut BatchBuf, shared: &Shared, cfg: &ServerConfig) {
             st.admit_wait
                 .record(t.admitted_ns.saturating_sub(t.decoded_ns));
             st.batch_wait
-                .record(b.closed_ns.saturating_sub(t.admitted_ns));
-            st.schedule.record(sched_ns);
-            st.encode.record(enc_ns);
+                .record(closed_ns.saturating_sub(t.admitted_ns));
+            st.schedule.record(sched_end.saturating_sub(sched_start));
+            st.encode.record(enc_end.saturating_sub(enc_start));
             h.record_wall(t.engine, width, now.saturating_sub(t.recv_ns));
         }
         h.span_many(b.timings.iter().map(|t| {
@@ -769,14 +598,17 @@ fn dispatch(b: &mut BatchBuf, shared: &Shared, cfg: &ServerConfig) {
             )
         }));
     }
-    if cfg.max_requests > 0 && shared.served.load(Ordering::Relaxed) >= cfg.max_requests {
+    if core.stopping() {
         shared.request_stop();
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    // The timer rule the core aims its waits by; the core's own tests are
+    // in `batcher`.
+    use crate::batcher::{aim, learn};
+    use std::time::Duration;
 
     const WINDOW: Duration = Duration::from_micros(200);
 

@@ -188,6 +188,41 @@ fn sequential_scrapes_are_accepted_without_polling() {
 }
 
 #[test]
+fn shutdown_tallies_agree_with_the_scrape() {
+    // `ServerStats` reads the batch tallies the batcher hands back at
+    // shutdown; the scrape reads the λ-budget seqlock and the occupancy
+    // histogram. One run must give one set of numbers.
+    let server = spawn(server_cfg()).expect("spawn server");
+    let maddr = server.metrics_addr().unwrap();
+    let mut cfg = client_cfg(&server.addr().to_string());
+    cfg.mode = BenchMode::Open { depth: 4 };
+    let r = bench(&cfg).expect("bench");
+    assert_eq!(r.ok, 40);
+    // A batch's occupancy is recorded just after its frames are sent:
+    // scrape until the histogram has caught up with the budget.
+    let t0 = Instant::now();
+    let (budget, occupancy) = loop {
+        let doc = http_get(maddr, "/metrics.json").expect("scrape");
+        let from = |key: &str| doc[doc.find(key).expect(key)..].to_string();
+        let (budget, occupancy) = (from("\"lambda_budget\":"), from("\"batch_occupancy\":"));
+        let caught_up = int_field(&budget, "batches") == int_field(&occupancy, "count");
+        if caught_up || t0.elapsed() > Duration::from_secs(5) {
+            break (budget, occupancy);
+        }
+    };
+    let lambda_max = budget["\"lambda_budget\":{".len()..]
+        .split(',')
+        .find_map(|kv| kv.strip_prefix("\"lambda_max\":"))
+        .expect("lambda_max in the budget")
+        .to_string();
+    let stats = server.stop();
+    assert!(stats.batches > 0 && stats.lambda_max > 0.0, "{stats:?}");
+    assert_eq!(stats.batches, int_field(&budget, "batches"), "{budget}");
+    assert_eq!(stats.batch_max, int_field(&occupancy, "max"), "{occupancy}");
+    assert_eq!(format!("{:.6}", stats.lambda_max), lambda_max, "{budget}");
+}
+
+#[test]
 fn no_metrics_server_serves_but_does_not_expose() {
     // The overhead-gate baseline: metrics off, no listener, byte-for-byte
     // identical service behaviour.

@@ -3,8 +3,10 @@
 //! determinism, backpressure, and dead-client reaping.
 
 use ft_serve::client::{bench, BenchConfig, BenchMode};
-use ft_serve::proto::Engine;
-use ft_serve::server::{spawn, ServerConfig};
+use ft_serve::proto::{begin_req, decode_resp, encode_hello, Engine};
+use ft_serve::server::{spawn, ServerConfig, ERR_REQUEST};
+use ft_shard::wire::{decode, end_frame, read_frame, write_frame_buf, FrameKind};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 fn server_cfg() -> ServerConfig {
@@ -246,4 +248,41 @@ fn wait_returns_as_soon_as_max_requests_stops_the_server() {
         idle < Duration::from_millis(60),
         "wait returned {idle:?} in all after the replies"
     );
+}
+
+#[test]
+fn a_request_with_an_out_of_range_leaf_gets_an_error_frame() {
+    // The reader checks leaves as it checks the engine: a bad request is
+    // answered with `ERR_REQUEST`, the connection keeps serving, and the
+    // batcher never sees the request (so computes no empty batch).
+    let server = spawn(server_cfg()).expect("spawn server");
+    let mut s = TcpStream::connect(server.addr()).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+    let (mut frame, mut bytes) = (Vec::new(), Vec::new());
+    let mut reply = |frame: &Vec<u64>| {
+        write_frame_buf(&mut s, frame, &mut bytes).expect("send");
+        read_frame(&mut s)
+            .expect("a reply within 3 s")
+            .expect("the connection stays open")
+    };
+    encode_hello(&mut frame, 0, 64, 16);
+    assert_eq!(decode(&reply(&frame)).unwrap().kind, FrameKind::HelloAck);
+    for (seq, src) in [(1, 100u64), (2, 64), (3, 5)] {
+        frame.clear();
+        begin_req(&mut frame, 0, seq, 70 + seq as u64, Engine::Schedule, 9);
+        frame.extend([1 << 32 | 2, src << 32 | 3]);
+        end_frame(&mut frame);
+        let words = reply(&frame);
+        let f = decode(&words).unwrap();
+        assert_eq!(f.seq, seq);
+        if src < 64 {
+            assert_eq!(f.kind, FrameKind::Resp);
+            assert_eq!(decode_resp(f.payload).unwrap().req_id, 73);
+        } else {
+            assert_eq!((f.kind, f.payload), (FrameKind::Error, &[ERR_REQUEST][..]));
+        }
+    }
+    let stats = server.stop();
+    assert_eq!((stats.served, stats.batches), (1, 1));
+    assert_eq!(stats.batch_mean_x1000, 1000, "an empty batch was computed");
 }

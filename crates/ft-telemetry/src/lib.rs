@@ -104,14 +104,6 @@ pub trait Recorder {
     fn engine_phase(&mut self, phase: EnginePhase, ns: u64) {
         let _ = (phase, ns);
     }
-    /// The serve front-end coalesced `requests` requests (`messages`
-    /// messages total) into one shared scheduling pass, and rejected
-    /// `rejected` arrivals with `Busy` since the previous batch. Called
-    /// once per coalesced batch by `ft-serve`; the admission controller
-    /// steers its in-flight limit off the accumulated λ and reject tallies.
-    fn serve_batch(&mut self, requests: u32, messages: u64, rejected: u64) {
-        let _ = (requests, messages, rejected);
-    }
 }
 
 /// The stages of one `ft-sim` arena delivery cycle, in execution order,
@@ -541,17 +533,6 @@ pub struct MetricsRecorder {
     /// Arena time per [`EnginePhase`] (ns, summed over cycles), indexed in
     /// [`EnginePhase::ALL`] order; all zero unless an arena reported.
     pub phase_ns: [u64; EnginePhase::ALL.len()],
-    /// Coalesced serve batches observed ([`Recorder::serve_batch`] calls).
-    pub serve_batches: u64,
-    /// Requests coalesced across all serve batches.
-    pub serve_requests: u64,
-    /// Messages scheduled across all serve batches.
-    pub serve_messages: u64,
-    /// `Busy` rejects tallied across all serve batches.
-    pub serve_rejected: u64,
-    /// Histogram of coalesced batch sizes (requests per batch, binary
-    /// orders of magnitude).
-    pub serve_batch_sizes: Histogram,
     /// Optional event trace; capacity 0 = tracing off.
     pub ring: EventRing,
     cur_cycle: u32,
@@ -593,11 +574,6 @@ impl MetricsRecorder {
         self.top_ns_per_cycle.clear();
         self.stream_families.clear();
         self.phase_ns = [0; EnginePhase::ALL.len()];
-        self.serve_batches = 0;
-        self.serve_requests = 0;
-        self.serve_messages = 0;
-        self.serve_rejected = 0;
-        self.serve_batch_sizes.clear();
         self.ring.clear();
     }
 
@@ -750,16 +726,8 @@ impl MetricsRecorder {
             .zip(self.phase_ns)
             .map(|(p, ns)| format!("\"{}_ns\":{ns}", p.name()))
             .collect();
-        let serve = format!(
-            "{{\"batches\":{},\"requests\":{},\"messages\":{},\"rejected\":{},\"batch_sizes\":{}}}",
-            self.serve_batches,
-            self.serve_requests,
-            self.serve_messages,
-            self.serve_rejected,
-            nums(self.serve_batch_sizes.buckets.iter().copied())
-        );
         format!(
-            "{{\"height\":{},\"cycles\":{},\"delivered_per_cycle\":{},\"claimed\":{},\"blocked\":{},\"wasted\":{},\"lambda\":[{}],\"load_hist\":[{}],\"splits\":{},\"split_sizes\":{},\"stages\":[{}],\"stream_ingest\":[{}],\"phases\":{{{}}},\"serve\":{serve},\"barrier_wait_ns\":{},\"merge_ns\":{},\"top_arb_ns\":{},\"events_dropped\":{}}}",
+            "{{\"height\":{},\"cycles\":{},\"delivered_per_cycle\":{},\"claimed\":{},\"blocked\":{},\"wasted\":{},\"lambda\":[{}],\"load_hist\":[{}],\"splits\":{},\"split_sizes\":{},\"stages\":[{}],\"stream_ingest\":[{}],\"phases\":{{{}}},\"barrier_wait_ns\":{},\"merge_ns\":{},\"top_arb_ns\":{},\"events_dropped\":{}}}",
             self.height,
             self.cycles,
             nums(self.delivered_per_cycle.iter().copied()),
@@ -955,14 +923,6 @@ impl Recorder for MetricsRecorder {
 
     fn engine_phase(&mut self, phase: EnginePhase, ns: u64) {
         self.phase_ns[phase as usize] += ns;
-    }
-
-    fn serve_batch(&mut self, requests: u32, messages: u64, rejected: u64) {
-        self.serve_batches += 1;
-        self.serve_requests += requests as u64;
-        self.serve_messages += messages;
-        self.serve_rejected += rejected;
-        self.serve_batch_sizes.record_log2(requests as u64);
     }
 }
 
@@ -1534,30 +1494,6 @@ mod tests {
         assert!(rec.render_phases().contains("down_sweep"));
         rec.reset();
         assert_eq!(rec.phase_ns, [0; 8]);
-    }
-
-    #[test]
-    fn serve_batch_accumulates_and_resets() {
-        let mut m = MetricsRecorder::new();
-        m.serve_batch(4, 256, 1);
-        m.serve_batch(8, 512, 0);
-        assert_eq!(m.serve_batches, 2);
-        assert_eq!(m.serve_requests, 12);
-        assert_eq!(m.serve_messages, 768);
-        assert_eq!(m.serve_rejected, 1);
-        assert_eq!(m.serve_batch_sizes.buckets[2], 1); // 4 requests
-        assert_eq!(m.serve_batch_sizes.buckets[3], 1); // 8 requests
-        let json = m.to_json();
-        assert!(
-            json.contains(
-                "\"serve\":{\"batches\":2,\"requests\":12,\"messages\":768,\"rejected\":1"
-            ),
-            "got: {json}"
-        );
-        m.reset();
-        assert_eq!(m.serve_batches, 0);
-        assert_eq!(m.serve_batch_sizes.total(), 0);
-        assert!(m.to_json().contains("\"serve\":{\"batches\":0"));
     }
 
     #[test]

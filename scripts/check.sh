@@ -65,6 +65,14 @@ entry_lines="$(awk '/^- PR / { n = 0 } { n++ } END { print n }' CHANGES.md)"
   exit 1
 }
 
+echo "==> library crates read no environment variables"
+# A library crate takes its settings through its config types only, so a
+# hidden knob cannot come back unnoticed.
+if grep -rn 'env::var' crates/*/src; then
+  echo "crates/*/src reads an environment variable (listed above)" >&2
+  exit 1
+fi
+
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 

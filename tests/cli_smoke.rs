@@ -125,9 +125,7 @@ fn report_json_carries_every_engine_block() {
         "\"concentrator\":{",
         "\"stages\":[",
         "\"phases\":{\"ingest_ns\":",
-        // The v2 serve-probe block. Every engine's nested metrics JSON
-        // also contains a "serve" histogram object, so assert on a key
-        // unique to the probe.
+        // The v2 serve-probe block, by a key only the probe has.
         "\"client_p50_us\":",
     ] {
         assert!(line.contains(key), "missing {key} in {line}");
